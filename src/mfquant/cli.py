@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import click
+import yaml
 
 from . import pipeline, synth
 from .errors import ConfigError, DataError
@@ -122,30 +123,13 @@ def synth_cmd(out, tweets, topic_tweets, seed, verbose) -> None:
 
 
 def _render_config(topics: dict[str, str], query_words: dict[str, list[str]]) -> str:
-    lines = [
-        "inputs:",
-        "  immorality: immorality.jsonl",
-        "  topics:",
-    ]
-    for topic, path in sorted(topics.items()):
-        lines.append(f"    {topic}: {path}")
-    lines += [
-        "output: out",
-        "params:",
-        "  n1: 2000",
-        "  n2: 20000",
-        "  k: 100",
-        "  topic_n: [10, 100]",
-        "  extend_n: 100",
-        "  seed: 42",
-        "cleaning:",
-        "  lang_filter: en",
-        "  query_words:",
-    ]
-    for name, words in sorted(query_words.items()):
-        rendered = ", ".join(words)
-        lines.append(f"    {name}: [{rendered}]")
-    return "\n".join(lines) + "\n"
+    config = {
+        "inputs": {"immorality": "immorality.jsonl", "topics": dict(sorted(topics.items()))},
+        "output": "out",
+        "params": {"n1": 2000, "n2": 20000, "k": 100, "topic_n": [10, 100], "extend_n": 100, "seed": 42},
+        "cleaning": {"lang_filter": "en", "query_words": dict(sorted(query_words.items()))},
+    }
+    return yaml.safe_dump(config, sort_keys=False)
 
 
 def main(argv: list[str] | None = None) -> int:

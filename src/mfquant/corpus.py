@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import tables
 from .errors import CorpusError
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -22,6 +23,8 @@ logger = logging.getLogger(__name__)
 
 _URL_MARKERS = ("http://", "https://", "www.")
 _APOSTROPHES = ("'", "’", "ʼ")
+# field and line separators of the artifact tables that carry ids downstream
+_ID_DELIMITERS = ("\t", ",", "\n", "\r")
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,8 @@ def _parse_line(obj: dict) -> TweetRecord:
     text = obj.get("text")
     if not isinstance(rec_id, str) or not rec_id:
         raise ValueError("missing or empty 'id'")
+    if any(ch in rec_id for ch in _ID_DELIMITERS):
+        raise ValueError(f"id {rec_id!r} contains a tab, comma or newline")
     if not isinstance(text, str):
         raise ValueError("missing 'text'")
     retweet_text = None
@@ -100,9 +105,9 @@ def load_records(
 ) -> tuple[list[TweetRecord], IngestStats]:
     """Read line-delimited JSON records in file order.
 
-    Malformed lines (bad JSON, missing id/text, duplicate id) are logged
-    with their line number and skipped; records failing ``lang_filter``
-    are dropped silently. An unreadable file raises CorpusError.
+    Malformed lines (bad JSON, missing id/text, an id containing a tab,
+    comma or newline) and duplicate ids are logged with their line number
+    and skipped; records failing ``lang_filter`` are dropped silently. An unreadable file raises CorpusError.
     """
     path = Path(path)
     stats = IngestStats()
@@ -205,28 +210,9 @@ def deduplicate(corpus: list[TokenizedTweet]) -> tuple[list[TokenizedTweet], int
 
 def write_tokenized(corpus: list[TokenizedTweet], path: str | Path) -> None:
     """Persist a tokenized corpus as TSV: id<TAB>space-joined tokens."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for tweet in corpus:
-            handle.write(f"{tweet.id}\t{' '.join(tweet.tokens)}\n")
+    tables.write_lines(path, (f"{tweet.id}\t{' '.join(tweet.tokens)}" for tweet in corpus))
 
 
 def read_tokenized(path: str | Path) -> list[TokenizedTweet]:
     """Load a tokenized corpus written by write_tokenized."""
-    path = Path(path)
-    corpus: list[TokenizedTweet] = []
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read tokenized corpus {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise CorpusError(f"{path}:{lineno}: expected id<TAB>tokens")
-            tweet_id, _, joined = line.partition("\t")
-            tokens = tuple(joined.split()) if joined else ()
-            corpus.append(TokenizedTweet(id=tweet_id, tokens=tokens))
-    return corpus
+    return list(tables.read_rows(path, lambda f: TokenizedTweet(f[0], tuple(f[1].split())), ncols=2))

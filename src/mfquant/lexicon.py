@@ -11,9 +11,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from . import tables
 from .errors import LexiconError
 
 logger = logging.getLogger(__name__)
@@ -181,11 +183,10 @@ def coverage(
 
 def write_coverage_report(result: CoverageResult, path: str | Path) -> None:
     """Emit per-entry coverage as TSV: foundation, pattern, matched words, frequencies."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("foundation\tpattern\tmatched_words\tfrequencies\n")
-        for item in result.entries:
-            words = " ".join(item.matched_words)
-            freqs = " ".join(str(f) for f in item.frequencies)
-            handle.write(f"{item.entry.foundation}\t{item.entry.pattern}\t{words}\t{freqs}\n")
-        handle.write(f"# coverage_fraction\t{result.fraction!r}\n")
+    rows = (
+        f"{item.entry.foundation}\t{item.entry.pattern}\t{' '.join(item.matched_words)}"
+        f"\t{' '.join(str(f) for f in item.frequencies)}"
+        for item in result.entries
+    )
+    footer = f"# coverage_fraction\t{result.fraction!r}"
+    tables.write_lines(path, chain(rows, [footer]), header="foundation\tpattern\tmatched_words\tfrequencies")

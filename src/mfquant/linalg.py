@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from . import tables
 from .errors import DataError
 from .vectorizer import Vocabulary, WeightedMatrix
 
@@ -136,44 +137,17 @@ def pca_2d(points: np.ndarray, labels: list[str]) -> PCAProjection:
 
 def save_embedding(space: EmbeddingSpace, path: str | Path) -> None:
     """Persist as TSV: word followed by k values at 9 significant digits."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for i, word in enumerate(space.words.words):
-            values = "\t".join(f"{x:.9g}" for x in space.vectors[i])
-            handle.write(f"{word}\t{values}\n")
+    tables.write_vectors(path, space.words.words, space.vectors)
 
 
 def load_embedding(path: str | Path) -> EmbeddingSpace:
-    path = Path(path)
-    words: list[str] = []
-    rows: list[list[float]] = []
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read embedding {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise DataError(f"{path}:{lineno}: expected word plus vector")
-            words.append(fields[0])
-            rows.append([float(x) for x in fields[1:]])
-    if not rows:
+    words, vectors = tables.read_vectors(path)
+    if not words:
         raise DataError(f"{path}: embedding file is empty")
-    try:
-        vectors = np.array(rows, dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"{path}: inconsistent vector lengths") from exc
     return EmbeddingSpace(words=Vocabulary(tuple(words)), vectors=vectors)
 
 
 def save_pca(projection: PCAProjection, path: str | Path) -> None:
     """CSV: label, pc1, pc2."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("label,pc1,pc2\n")
-        for label, pc1, pc2 in projection.points:
-            handle.write(f"{label},{pc1:.9g},{pc2:.9g}\n")
+    rows = (f"{label},{pc1:.9g},{pc2:.9g}" for label, pc1, pc2 in projection.points)
+    tables.write_lines(path, rows, header="label,pc1,pc2")

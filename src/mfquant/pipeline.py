@@ -9,10 +9,10 @@ artifact bytes on the same platform/build.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
-import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -26,6 +26,7 @@ from . import corpus as corpus_mod
 from . import lexicon as lexicon_mod
 from . import linalg as linalg_mod
 from . import semantics as semantics_mod
+from . import tables
 from . import vectorizer as vectorizer_mod
 from .errors import ConfigError, PipelineError
 from .stopwords import DEFAULT_STOPWORDS
@@ -253,28 +254,21 @@ class RunManifest:
         return out
 
     def save(self) -> None:
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(tmp, self.path)
+        tables.write_lines(self.path, [json.dumps(self.data, indent=2, sort_keys=True)])
 
 
 @contextmanager
 def output_lock(out_dir: Path):
-    """Exclusive ownership of the output directory via a lock file."""
-    lock_path = out_dir / ".lock"
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise PipelineError(
-            f"output directory {out_dir} is locked by another run "
-            f"(remove {lock_path} if that run is dead)"
-        ) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+    """Exclusive ownership of the output directory via an advisory flock on ``.lock``.
+
+    The kernel releases the lock when the process exits, so the file is safe to leave behind.
+    """
+    with (out_dir / ".lock").open("a") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PipelineError(f"output directory {out_dir} is locked by another run") from None
         yield
-    finally:
-        lock_path.unlink(missing_ok=True)
 
 
 def _require(path: Path, producing_stage: str) -> Path:
@@ -301,7 +295,6 @@ def _load_dictionary(config: PipelineConfig) -> lexicon_mod.MFDictionary:
 
 def _stage_ingest(config: PipelineConfig, art: Artifacts) -> list[Path]:
     files: list[Path] = []
-    (art.out_dir / "corpus").mkdir(parents=True, exist_ok=True)
     for name in _corpus_names(config):
         source = _input_path(config, name)
         if not source.exists():
@@ -322,7 +315,6 @@ def _stage_ingest(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 def _stage_select(config: PipelineConfig, art: Artifacts) -> list[Path]:
     files: list[Path] = []
-    (art.out_dir / "select").mkdir(parents=True, exist_ok=True)
     for name in _corpus_names(config):
         tokenized = corpus_mod.read_tokenized(_require(art.corpus(name), "ingest"))
         matrix = vectorizer_mod.build_word_tweet_matrix(tokenized)
@@ -336,7 +328,6 @@ def _stage_select(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _stage_matrix(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    (art.out_dir / "matrix").mkdir(parents=True, exist_ok=True)
     tokenized = corpus_mod.read_tokenized(_require(art.corpus("immorality"), "ingest"))
     selection = vectorizer_mod.load_selection(
         _require(art.terms("immorality"), "select"), config.n1
@@ -350,7 +341,6 @@ def _stage_matrix(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _stage_svd(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    (art.out_dir / "svd").mkdir(parents=True, exist_ok=True)
     row_words = vectorizer_mod.load_vocabulary(_require(art.row_vocab, "matrix"))
     col_labels = vectorizer_mod.load_vocabulary(_require(art.col_vocab, "matrix"))
     weighted = vectorizer_mod.load_triplets(_require(art.ppmi, "matrix"), row_words, col_labels)
@@ -361,14 +351,11 @@ def _stage_svd(config: PipelineConfig, art: Artifacts) -> list[Path]:
     result = linalg_mod.truncated_svd(weighted, config.k, config.seed)
     space = linalg_mod.EmbeddingSpace(words=weighted.row_vocab, vectors=result.u_k)
     linalg_mod.save_embedding(space, art.embedding)
-    art.singular_values.write_text(
-        "".join(f"{s:.9g}\n" for s in result.singular_values), encoding="utf-8"
-    )
+    tables.write_lines(art.singular_values, (f"{s:.9g}" for s in result.singular_values))
     return [art.embedding, art.singular_values]
 
 
 def _stage_vectors(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    (art.out_dir / "vectors").mkdir(parents=True, exist_ok=True)
     embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
     dictionary = _load_dictionary(config)
     mf = semantics_mod.mf_vectors(dictionary, embedding)
@@ -398,7 +385,6 @@ def _load_mf_vectors(art: Artifacts) -> dict[str, semantics_mod.ContextVector]:
 
 
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    (art.out_dir / "loadings").mkdir(parents=True, exist_ok=True)
     embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
     mf = _load_mf_vectors(art)
     tokenized = corpus_mod.read_tokenized(_require(art.corpus("immorality"), "ingest"))
@@ -422,7 +408,6 @@ def _stage_loadings(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _stage_extend(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    (art.out_dir / "extend").mkdir(parents=True, exist_ok=True)
     embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
     mf = _load_mf_vectors(art)
     extended = semantics_mod.extend_dictionary(embedding, mf, config.extend_n)
@@ -431,19 +416,10 @@ def _stage_extend(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _stage_pca(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    (art.out_dir / "pca").mkdir(parents=True, exist_ok=True)
     embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
     mf = _load_mf_vectors(art)
-    words: list[str] = []
-    seen: set[str] = set()
-    extended_path = _require(art.extended, "extend")
-    with extended_path.open("r", encoding="utf-8") as handle:
-        next(handle)  # header
-        for line in handle:
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) == 4 and fields[2] not in seen:
-                seen.add(fields[2])
-                words.append(fields[2])
+    extended = semantics_mod.load_extended_dictionary(_require(art.extended, "extend"))
+    words = dict.fromkeys(w for entries in extended.per_foundation.values() for w, _ in entries)
     rows = []
     labels = []
     for word in words:
@@ -459,18 +435,12 @@ def _stage_pca(config: PipelineConfig, art: Artifacts) -> list[Path]:
     except ValueError as exc:
         raise PipelineError(f"PCA projection failed: {exc}") from exc
     linalg_mod.save_pca(projection, art.pca_csv)
-    art.pca_variance.write_text(
-        "component,explained_variance\n"
-        + "".join(
-            f"pc{i + 1},{v:.9g}\n" for i, v in enumerate(projection.explained_variance)
-        ),
-        encoding="utf-8",
-    )
+    variance = (f"pc{i + 1},{v:.9g}" for i, v in enumerate(projection.explained_variance))
+    tables.write_lines(art.pca_variance, variance, header="component,explained_variance")
     return [art.pca_csv, art.pca_variance]
 
 
 def _stage_report(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    (art.out_dir / "report").mkdir(parents=True, exist_ok=True)
     tokenized = corpus_mod.read_tokenized(_require(art.corpus("immorality"), "ingest"))
     selection = vectorizer_mod.load_selection(
         _require(art.terms("immorality"), "select"), config.n1

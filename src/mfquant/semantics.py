@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import tables
 from .corpus import TokenizedTweet
 from .errors import DataError
 from .lexicon import FOUNDATIONS, VICE, CoverageResult, MFDictionary, coverage
@@ -24,6 +25,8 @@ from .vectorizer import SelectionResult
 logger = logging.getLogger(__name__)
 
 UNCLASSIFIED = "unclassified"
+_EXTENDED_HEADER = "foundation\trank\tword\tsimilarity"
+_FOUNDATION_COLUMNS = ",".join(f.lower() for f in FOUNDATIONS)
 
 
 @dataclass
@@ -279,103 +282,84 @@ def vice_frequency_report(
     return ViceFrequencyReport(rows=rows, coverage_fraction=cov.fraction, coverage=cov)
 
 
+def _csv_values(values: np.ndarray) -> str:
+    return ",".join(f"{x:.9g}" for x in values)
+
+
 def save_loadings(
     matrix: LoadingMatrix, path: str | Path
 ) -> None:
     """CSV: id, care, fairness, ingroup, authority, purity, dominant, degenerate_flag."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        header = ",".join(f.lower() for f in matrix.foundations)
-        handle.write(f"id,{header},dominant,degenerate\n")
-        for i, label in enumerate(matrix.row_labels):
-            values = ",".join(f"{x:.9g}" for x in matrix.values[i])
-            dominant = UNCLASSIFIED if matrix.degenerate[i] else dominant_foundation(matrix.values[i])
-            handle.write(f"{label},{values},{dominant},{int(matrix.degenerate[i])}\n")
+
+    def line(label: str, values: np.ndarray, flag: bool) -> str:
+        dominant = UNCLASSIFIED if flag else dominant_foundation(values)
+        return f"{label},{_csv_values(values)},{dominant},{int(flag)}"
+
+    rows = map(line, matrix.row_labels, matrix.values, matrix.degenerate)
+    tables.write_lines(path, rows, header=f"id,{_FOUNDATION_COLUMNS},dominant,degenerate")
 
 
 def load_loadings(path: str | Path) -> LoadingMatrix:
     """Rebuild a LoadingMatrix from a CSV written by save_loadings."""
-    path = Path(path)
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    flags: list[bool] = []
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read loadings {path}: {exc}") from exc
-    with handle:
-        header = handle.readline()
-        if not header.startswith("id,"):
-            raise DataError(f"{path}: unexpected header")
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(FOUNDATIONS) + 3:
-                raise DataError(f"{path}:{lineno}: expected {len(FOUNDATIONS) + 3} columns")
-            labels.append(fields[0])
-            rows.append([float(x) for x in fields[1 : 1 + len(FOUNDATIONS)]])
-            flags.append(fields[-1] == "1")
-    values = (
-        np.array(rows, dtype=np.float64)
-        if rows
-        else np.zeros((0, len(FOUNDATIONS)), dtype=np.float64)
-    )
-    return LoadingMatrix(row_labels=tuple(labels), values=values, degenerate=tuple(flags))
+    rows = list(tables.read_rows(
+        path, lambda f: (f[0], [float(x) for x in f[1:-2]], f[-1] == "1"), sep=",",
+        ncols=len(FOUNDATIONS) + 3, header=f"id,{_FOUNDATION_COLUMNS},dominant,degenerate",
+    ))
+    labels, values, flags = zip(*rows) if rows else ((), (), ())
+    values = np.array(values, dtype=np.float64).reshape(len(rows), len(FOUNDATIONS))
+    return LoadingMatrix(row_labels=labels, values=values, degenerate=flags)
 
 
 def save_topic_loadings(
     matrices: Mapping[int, LoadingMatrix], path: str | Path
 ) -> None:
     """CSV of topic loadings, one block per keyword-count setting n."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        header = ",".join(f.lower() for f in FOUNDATIONS)
-        handle.write(f"topic,keywords_used,{header}\n")
-        for n in sorted(matrices):
-            matrix = matrices[n]
-            for i, label in enumerate(matrix.row_labels):
-                values = ",".join(f"{x:.9g}" for x in matrix.values[i])
-                handle.write(f"{label},{n},{values}\n")
+    rows = (
+        f"{label},{n},{_csv_values(values)}"
+        for n in sorted(matrices)
+        for label, values in zip(matrices[n].row_labels, matrices[n].values)
+    )
+    tables.write_lines(path, rows, header=f"topic,keywords_used,{_FOUNDATION_COLUMNS}")
 
 
 def save_extended_dictionary(extended: ExtendedDictionary, path: str | Path) -> None:
     """TSV: foundation, rank, word, similarity."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("foundation\trank\tword\tsimilarity\n")
-        for foundation in FOUNDATIONS:
-            for rank, (word, sim) in enumerate(extended.per_foundation[foundation], start=1):
-                handle.write(f"{foundation}\t{rank}\t{word}\t{sim:.9g}\n")
+    rows = (
+        f"{foundation}\t{rank}\t{word}\t{sim:.9g}"
+        for foundation in FOUNDATIONS
+        for rank, (word, sim) in enumerate(extended.per_foundation[foundation], start=1)
+    )
+    tables.write_lines(path, rows, header=_EXTENDED_HEADER)
+
+
+def load_extended_dictionary(path: str | Path) -> ExtendedDictionary:
+    """Rebuild an ExtendedDictionary from a TSV written by save_extended_dictionary.
+
+    ``n`` is the length of the longest per-foundation list.
+    """
+    per_foundation: dict[str, list[tuple[str, float]]] = {}
+    rows = tables.read_rows(path, lambda f: (f[0], f[2], float(f[3])), ncols=4, header=_EXTENDED_HEADER)
+    for foundation, word, sim in rows:
+        per_foundation.setdefault(foundation, []).append((word, sim))
+    return ExtendedDictionary(per_foundation, n=max(map(len, per_foundation.values()), default=0))
 
 
 def save_similarity_matrix(matrix: np.ndarray, path: str | Path) -> None:
     """CSV 5x5 with foundation row/column labels."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("foundation," + ",".join(f.lower() for f in FOUNDATIONS) + "\n")
-        for i, foundation in enumerate(FOUNDATIONS):
-            values = ",".join(f"{x:.9g}" for x in matrix[i])
-            handle.write(f"{foundation},{values}\n")
+    rows = (f"{foundation},{_csv_values(values)}" for foundation, values in zip(FOUNDATIONS, matrix))
+    tables.write_lines(path, rows, header=f"foundation,{_FOUNDATION_COLUMNS}")
 
 
 def save_foundation_counts(counts: Mapping[str, int], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("foundation,tweets\n")
-        for foundation in FOUNDATIONS:
-            handle.write(f"{foundation},{counts.get(foundation, 0)}\n")
+    rows = (f"{foundation},{counts.get(foundation, 0)}" for foundation in FOUNDATIONS)
+    tables.write_lines(path, rows, header="foundation,tweets")
 
 
 def save_vice_report(report: ViceFrequencyReport, path: str | Path) -> None:
     """TSV rows (word, foundations, frequency) preceded by the coverage fraction."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(f"# vice_coverage\t{report.coverage_fraction!r}\n")
-        handle.write("word\tfoundations\tfrequency\n")
-        for word, foundations, freq in report.rows:
-            handle.write(f"{word}\t{'|'.join(foundations)}\t{freq}\n")
+    rows = (f"{word}\t{'|'.join(foundations)}\t{freq}" for word, foundations, freq in report.rows)
+    header = f"# vice_coverage\t{report.coverage_fraction!r}\nword\tfoundations\tfrequency"
+    tables.write_lines(path, rows, header=header)
 
 
 def context_vectors_for_corpus(
@@ -391,11 +375,7 @@ def context_vectors_for_corpus(
 
 def save_context_vectors(vectors: Sequence[ContextVector], path: str | Path) -> None:
     """TSV: label followed by the k vector values (9 significant digits)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for cv in vectors:
-            values = "\t".join(f"{x:.9g}" for x in cv.vector)
-            handle.write(f"{cv.label}\t{values}\n")
+    tables.write_vectors(path, [cv.label for cv in vectors], [cv.vector for cv in vectors])
 
 
 def load_context_vectors(path: str | Path) -> list[ContextVector]:
@@ -404,21 +384,8 @@ def load_context_vectors(path: str | Path) -> list[ContextVector]:
     Contributing-word detail is not persisted; loaded vectors are marked
     degenerate only if they are exactly zero.
     """
-    path = Path(path)
-    out: list[ContextVector] = []
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read context vectors {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise DataError(f"{path}:{lineno}: expected label plus vector")
-            vector = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-            placeholder = ((fields[0], 1),) if np.any(vector != 0.0) else ()
-            out.append(ContextVector(label=fields[0], vector=vector, contributing_words=placeholder))
-    return out
+    labels, vectors = tables.read_vectors(path)
+    return [
+        ContextVector(label, vector, ((label, 1),) if np.any(vector != 0.0) else ())
+        for label, vector in zip(labels, vectors)
+    ]

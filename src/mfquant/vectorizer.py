@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
+from . import tables
 from .corpus import TokenizedTweet
 from .errors import DataError
 
@@ -248,30 +249,31 @@ def ppmi(matrix: SparseCountMatrix) -> WeightedMatrix:
 def save_triplets(
     matrix: SparseCountMatrix | WeightedMatrix, path: str | Path
 ) -> None:
-    """Persist as TSV triplets (row_word, col_label, value) in CSR order."""
-    path = Path(path)
+    """Persist as TSV triplets (row_word, col_label, value) in CSR order.
+
+    Integer counts are written as integers, weights as ``repr(float)``.
+    """
     mat = matrix.counts if isinstance(matrix, SparseCountMatrix) else matrix.weights
-    coo = mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    words = matrix.row_vocab.words
+    mat = mat.tocsr()
+    if not mat.has_sorted_indices:
+        mat = mat.sorted_indices()
+    render = str if np.issubdtype(mat.dtype, np.integer) else repr
     cols = matrix.col_labels
-    with path.open("w", encoding="utf-8") as handle:
-        for k in order:
-            value = coo.data[k]
-            rendered = str(int(value)) if np.issubdtype(coo.data.dtype, np.integer) else repr(float(value))
-            handle.write(f"{words[coo.row[k]]}\t{cols[coo.col[k]]}\t{rendered}\n")
+    bounds = mat.indptr[1:-1]
+    per_row = zip(matrix.row_vocab.words, np.split(mat.indices, bounds), np.split(mat.data, bounds))
+    tables.write_lines(path, (
+        f"{word}\t{cols[j]}\t{render(value)}"
+        for word, row_cols, row_values in per_row
+        for j, value in zip(row_cols.tolist(), row_values.tolist())
+    ))
 
 
 def save_vocabulary(words: Iterable[str], path: str | Path) -> None:
-    Path(path).write_text("".join(f"{w}\n" for w in words), encoding="utf-8")
+    tables.write_lines(path, words)
 
 
 def load_vocabulary(path: str | Path) -> tuple[str, ...]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
-    return tuple(line for line in text.splitlines() if line)
+    return tuple(f[0] for f in tables.read_rows(path, ncols=1))
 
 
 def load_triplets(
@@ -279,29 +281,24 @@ def load_triplets(
 ) -> WeightedMatrix:
     """Rebuild a weighted matrix from triplet TSV plus its vocabulary sidecars."""
     row_vocab = Vocabulary(row_words)
+    row_index = row_vocab.index
     col_index = {c: i for i, c in enumerate(col_labels)}
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    path = Path(path)
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read matrix triplets {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields")
-            word, col, value = fields
-            if word not in row_vocab.index or col not in col_index:
-                raise DataError(f"{path}:{lineno}: label not in vocabulary sidecar")
-            rows.append(row_vocab.index[word])
+
+    def parse(fields: list[str]) -> None:
+        # appends in place: a tuple per entry would slow a 1M-line read by a quarter
+        word, col, value = fields
+        try:
+            rows.append(row_index[word])
             cols.append(col_index[col])
-            data.append(float(value))
+        except KeyError:
+            raise ValueError("label not in vocabulary sidecar") from None
+        data.append(float(value))
+
+    for _ in tables.read_rows(path, parse, ncols=3):
+        pass
     weights = sparse.coo_matrix(
         (data, (rows, cols)), shape=(len(row_words), len(col_labels))
     ).tocsr()
@@ -310,33 +307,14 @@ def load_triplets(
 
 def save_selection(selection: SelectionResult, path: str | Path) -> None:
     """Persist ranked terms as TSV (rank, word, score)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for rank, word in enumerate(selection.context_words, start=1):
-            handle.write(f"{rank}\t{word}\t{selection.scores[word]!r}\n")
+    tables.write_lines(path, (
+        f"{rank}\t{word}\t{selection.scores[word]!r}"
+        for rank, word in enumerate(selection.context_words, start=1)
+    ))
 
 
 def load_selection(path: str | Path, n1: int) -> SelectionResult:
     """Rebuild a SelectionResult from a ranking TSV; keywords are the first n1 rows."""
-    path = Path(path)
-    words: list[str] = []
-    scores: dict[str, float] = {}
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read selection {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected rank, word, score")
-            _, word, score = fields
-            words.append(word)
-            scores[word] = float(score)
-    n1 = min(n1, len(words))
-    return SelectionResult(
-        keywords=tuple(words[:n1]), context_words=tuple(words), scores=scores
-    )
+    scores = dict(tables.read_rows(path, lambda f: (f[1], float(f[2])), ncols=3))
+    words = tuple(scores)
+    return SelectionResult(keywords=words[:n1], context_words=words, scores=scores)

@@ -177,8 +177,12 @@ class TestLoadRecords:
 
     def test_missing_fields_are_malformed(self, tmp_path):
         lines = [json.dumps({"id": "1"}), json.dumps({"text": "no id"})]
+        lines += [
+            json.dumps({"id": bad, "text": "text"})
+            for bad in ("a,b\tc", "a\tb", "a,b", "a\nb", "a\rb")
+        ]
         records, stats = load_records(self.write(tmp_path, lines))
-        assert records == [] and stats.malformed == 2
+        assert records == [] and stats.malformed == 7
 
     def test_duplicate_ids_skipped(self, tmp_path):
         lines = [

@@ -1,15 +1,17 @@
 import json
+import shutil
 
 import pytest
 
 from mfquant.cli import main
-from mfquant.errors import ConfigError, PipelineError
+from mfquant.errors import ConfigError, DataError, PipelineError
 from mfquant.pipeline import (
     STAGES,
     Artifacts,
     PipelineConfig,
     RunManifest,
     load_config,
+    output_lock,
     run,
 )
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
@@ -147,10 +149,27 @@ class TestStages:
     def test_lock_excludes_concurrent_runs(self, tmp_path):
         config = make_workspace(tmp_path, tweets=50, topics=())
         config.out_dir.mkdir(parents=True)
+        with output_lock(config.out_dir):
+            with pytest.raises(PipelineError, match="lock"):
+                run("ingest", config)
+
+    def test_stale_lock_file_is_not_a_lock(self, tmp_path):
+        config = make_workspace(tmp_path, tweets=50, topics=())
+        config.out_dir.mkdir(parents=True)
         (config.out_dir / ".lock").write_text("12345\n")
-        with pytest.raises(PipelineError, match="lock"):
-            run("ingest", config)
-        (config.out_dir / ".lock").unlink()
+        assert list(run("ingest", config)) == ["ingest"]
+
+    def test_delimiter_id_rejected_at_ingest(self, tmp_path):
+        config = make_workspace(tmp_path, tweets=200, topics=())
+        first = json.loads(config.immorality_path.read_text(encoding="utf-8").splitlines()[0])
+        bad = {"id": "idq,idw\tinjq", "text": " ".join(reversed(first["text"].split()))}
+        with config.immorality_path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(bad) + "\n")
+        executed = run("all", config)
+        assert list(executed) == list(STAGES)
+        for rel in (rel for files in executed.values() for rel in files):
+            data = (config.out_dir / rel).read_bytes()
+            assert b"idq" not in data and b"injq" not in data, rel
 
     def test_rerun_single_stage_after_all(self, completed_run):
         config, _ = completed_run
@@ -166,6 +185,43 @@ class TestStages:
         art = Artifacts(config.out_dir)
         lines = art.topics_csv.read_text(encoding="utf-8").splitlines()
         assert lines == ["topic,keywords_used,care,fairness,ingroup,authority,purity"]
+
+
+# (artifact, stage that reads it, field to corrupt or None to add a field)
+CORRUPTIONS = [
+    ("matrix/ppmi.tsv", "svd", 2),
+    ("matrix/ppmi.tsv", "svd", None),
+    ("svd/embedding.tsv", "vectors", 3),
+    ("svd/embedding.tsv", "vectors", None),
+    ("vectors/mf_vectors.tsv", "loadings", 1),
+    ("vectors/topic_vectors.tsv", "loadings", 4),
+    ("loadings/loadings.csv", "report", 2),
+    ("loadings/loadings.csv", "report", None),
+    ("select/immorality_terms.tsv", "matrix", 2),
+    (f"select/{DEFAULT_TOPICS[0][0]}_terms.tsv", "vectors", None),
+    ("corpus/immorality.tsv", "select", None),
+    ("extend/extended_dict.tsv", "pca", 3),
+    ("extend/extended_dict.tsv", "pca", None),
+]
+
+
+@pytest.mark.parametrize("artifact,stage,field", CORRUPTIONS)
+def test_corrupt_artifact_names_path_and_line(completed_run, tmp_path, artifact, stage, field):
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    target = out_dir / artifact
+    sep = "," if target.suffix == ".csv" else "\t"
+    lines = target.read_text(encoding="utf-8").split("\n")
+    fields = lines[2].split(sep)
+    if field is None:
+        fields.append("extra")
+    else:
+        fields[field] = "x1"
+    lines[2] = sep.join(fields)
+    target.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match=f"{target.name}:3: "):
+        run(stage, PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
 
 
 class TestDeterminism:
@@ -227,6 +283,15 @@ class TestCli:
         ])
         assert code == 0
         assert (workdir / "out" / "report" / "foundation_counts.csv").exists()
+        config = load_config(workdir / "config.yaml")
+        assert (config.n1, config.n2, config.k, config.topic_n, config.extend_n, config.seed) == (
+            2000, 20000, 100, (10, 100), 100, 42,
+        )
+        assert config.topic_paths == {t: workdir / f"{t}.jsonl" for t, _ in DEFAULT_TOPICS}
+        assert config.query_words == {
+            "immorality": ("immoral", "immorality"),
+            **{t: (t.replace("_", ""),) for t, _ in DEFAULT_TOPICS},
+        }
 
     def test_stage_subcommands_exist(self):
         from mfquant.cli import cli
