@@ -35,6 +35,7 @@ from .semantics import (
     loading_matrix,
     mf_similarity_matrix,
     mf_vectors,
+    score_corpus,
     topic_vector,
     tweet_vector,
     vice_frequency_report,

@@ -1,4 +1,4 @@
-"""Numerical kernels: truncated randomized SVD, cosine similarity, 2D PCA.
+"""Numerical kernels: truncated randomized SVD, row-wise cosine similarity, 2D PCA.
 
 The SVD uses a seeded Gaussian range finder with oversampling 10 and 4
 power iterations (QR re-orthonormalized each half-step), keeping only
@@ -7,7 +7,6 @@ U_k and the singular values. All kernels are pure.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,8 +16,6 @@ from scipy import sparse
 from . import tables
 from .errors import DataError
 from .vectorizer import Vocabulary, WeightedMatrix
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
@@ -89,18 +86,31 @@ def truncated_svd(
     return SVDResult(u_k=np.asarray(q @ u_b[:, :k]), singular_values=s[:k].copy())
 
 
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """2-D copy of ``matrix`` with each nonzero row scaled to unit L2 norm; zero rows stay zero."""
+    rows = np.array(matrix, dtype=np.float64, ndmin=2)
+    # dividing by the max-abs first keeps squared norms from underflowing or overflowing,
+    # and leaves every nonzero row with norm >= 1
+    max_abs = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
+    rows /= np.where(max_abs > 0, max_abs, 1.0)[:, None]
+    rows /= np.maximum(np.sqrt(np.einsum("ij,ij->i", rows, rows)), 1.0)[:, None]
+    return rows
+
+
+def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """len(a) x len(b) cosines between the rows of ``a`` and ``b``, as one product.
+
+    Values are clipped to [-1, 1]; a zero row has cosine 0 with everything.
+    """
+    return np.clip(_unit_rows(a) @ _unit_rows(b).T, -1.0, 1.0)
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u| |v|); zero-norm inputs give 0.0 (logged) rather than an error."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        logger.debug("cosine of zero-norm vector defined as 0")
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    """u.v / (|u| |v|) of two vectors, by ``row_cosines``; a zero vector gives 0.0.
+
+    Vectors of different lengths raise ValueError.
+    """
+    return float(row_cosines(u, v)[0, 0])
 
 
 def pca_2d(points: np.ndarray, labels: list[str]) -> PCAProjection:

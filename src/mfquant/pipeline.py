@@ -13,7 +13,6 @@ import fcntl
 import hashlib
 import json
 import logging
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -376,35 +375,31 @@ def _stage_vectors(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _load_mf_vectors(art: Artifacts) -> dict[str, semantics_mod.ContextVector]:
-    loaded = semantics_mod.load_context_vectors(_require(art.mf_vectors, "vectors"))
-    by_label = {cv.label: cv for cv in loaded}
+    """Foundation vectors in canonical order; contributing words are not persisted."""
+    labels, vectors = tables.read_vectors(_require(art.mf_vectors, "vectors"))
+    by_label = dict(zip(labels, vectors))
     missing = [f for f in lexicon_mod.FOUNDATIONS if f not in by_label]
     if missing:
         raise PipelineError(f"mf_vectors artifact lacks foundations {missing}")
-    return {f: by_label[f] for f in lexicon_mod.FOUNDATIONS}
+    return {f: semantics_mod.ContextVector(f, by_label[f], ()) for f in lexicon_mod.FOUNDATIONS}
 
 
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> list[Path]:
     embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
     mf = _load_mf_vectors(art)
     tokenized = corpus_mod.read_tokenized(_require(art.corpus("immorality"), "ingest"))
-    tweet_cvs = semantics_mod.context_vectors_for_corpus(tokenized, embedding)
-    matrix = semantics_mod.loading_matrix(tweet_cvs, mf)
-    semantics_mod.save_loadings(matrix, art.loadings)
-    files = [art.loadings]
+    semantics_mod.save_loadings(semantics_mod.score_corpus(tokenized, embedding, mf), art.loadings)
 
-    topic_cvs = semantics_mod.load_context_vectors(_require(art.topic_vectors, "vectors"))
-    per_n: dict[int, list[semantics_mod.ContextVector]] = {}
-    for cv in topic_cvs:
-        name, _, n_str = cv.label.rpartition(":")
-        cv.label = name
-        per_n.setdefault(int(n_str), []).append(cv)
+    topics, vectors = tables.read_vectors(
+        _require(art.topic_vectors, "vectors"), semantics_mod.parse_topic_label
+    )
+    ns = np.array([n for _, n in topics], dtype=np.int64)
     topic_matrices = {
-        n: semantics_mod.loading_matrix(cvs, mf) for n, cvs in sorted(per_n.items())
+        n: semantics_mod.loading_matrix([name for name, m in topics if m == n], vectors[ns == n], mf)
+        for n in sorted(set(ns.tolist()))
     }
     semantics_mod.save_topic_loadings(topic_matrices, art.topics_csv)
-    files.append(art.topics_csv)
-    return files
+    return [art.loadings, art.topics_csv]
 
 
 def _stage_extend(config: PipelineConfig, art: Artifacts) -> list[Path]:
@@ -420,18 +415,13 @@ def _stage_pca(config: PipelineConfig, art: Artifacts) -> list[Path]:
     mf = _load_mf_vectors(art)
     extended = semantics_mod.load_extended_dictionary(_require(art.extended, "extend"))
     words = dict.fromkeys(w for entries in extended.per_foundation.values() for w, _ in entries)
-    rows = []
-    labels = []
-    for word in words:
-        vector = embedding.vector(word)
-        if vector is not None:
-            rows.append(vector)
-            labels.append(word)
-    for foundation in lexicon_mod.FOUNDATIONS:
-        rows.append(mf[foundation].vector)
-        labels.append(f"MF_{foundation}")
+    words = [w for w in words if w in embedding.words]
+    points = np.vstack([
+        embedding.vectors[[embedding.words.index[w] for w in words]], semantics_mod.foundation_matrix(mf)
+    ])
+    labels = words + [f"MF_{foundation}" for foundation in lexicon_mod.FOUNDATIONS]
     try:
-        projection = linalg_mod.pca_2d(np.array(rows), labels)
+        projection = linalg_mod.pca_2d(points, labels)
     except ValueError as exc:
         raise PipelineError(f"PCA projection failed: {exc}") from exc
     linalg_mod.save_pca(projection, art.pca_csv)
@@ -445,10 +435,11 @@ def _stage_report(config: PipelineConfig, art: Artifacts) -> list[Path]:
     selection = vectorizer_mod.load_selection(
         _require(art.terms("immorality"), "select"), config.n1
     )
-    keyword_set = set(selection.keywords)
-    freqs = Counter(t for tweet in tokenized for t in tweet.tokens if t in keyword_set)
-    dictionary = _load_dictionary(config)
-    report = semantics_mod.vice_frequency_report(dictionary, dict(freqs))
+    keywords = vectorizer_mod.Vocabulary(selection.keywords)
+    freqs = np.asarray(vectorizer_mod.tweet_term_counts(tokenized, keywords).sum(axis=0)).ravel()
+    report = semantics_mod.vice_frequency_report(
+        _load_dictionary(config), dict(zip(keywords.words, freqs.tolist()))
+    )
     semantics_mod.save_vice_report(report, art.vice_report)
     lexicon_mod.write_coverage_report(report.coverage, art.coverage_tsv)
 

@@ -1,30 +1,35 @@
 """Context vectors and moral loadings.
 
 A text's context vector is the sum of its keywords' embedding vectors
-(per occurrence). Moral loadings are cosine similarities against the
-five foundation context vectors, reported in canonical order (Care,
-Fairness, Ingroup, Authority, Purity).
+(per occurrence). A corpus is scored as one batch: its tweets x keywords
+count matrix times U_k gives every context vector (``corpus_vectors``),
+and one row-wise cosine kernel against the five foundation vectors
+gives every loading (``loading_matrix``, ``score_corpus``). Loadings are
+reported in canonical order (Care, Fairness, Ingroup, Authority, Purity).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from . import tables
 from .corpus import TokenizedTweet
 from .errors import DataError
 from .lexicon import FOUNDATIONS, VICE, CoverageResult, MFDictionary, coverage
-from .linalg import EmbeddingSpace, cosine
-from .vectorizer import SelectionResult
+from .linalg import EmbeddingSpace, row_cosines
+from .vectorizer import SelectionResult, tweet_term_counts
 
 logger = logging.getLogger(__name__)
 
 UNCLASSIFIED = "unclassified"
+_DOMINANT_NAMES = np.array([*FOUNDATIONS, UNCLASSIFIED])
 _EXTENDED_HEADER = "foundation\trank\tword\tsimilarity"
 _FOUNDATION_COLUMNS = ",".join(f.lower() for f in FOUNDATIONS)
 
@@ -78,30 +83,24 @@ class ViceFrequencyReport:
     coverage: CoverageResult | None = field(repr=False, default=None)
 
 
+def corpus_vectors(
+    corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Keyword counts (tweets x keywords) and context vectors counts @ U_k (tweets x k).
+
+    A tweet with no keyword tokens has an empty counts row and is degenerate.
+    """
+    counts = tweet_term_counts(corpus, embedding.words)
+    return counts, np.asarray(counts @ embedding.vectors)
+
+
 def tweet_vector(tweet: TokenizedTweet, embedding: EmbeddingSpace) -> ContextVector:
     """Sum the embeddings of the tweet's keyword tokens, once per occurrence.
 
     Non-keyword tokens are skipped and counted; a tweet with no keyword
     tokens yields the zero vector and is flagged degenerate.
     """
-    counts: dict[str, int] = {}
-    skipped = 0
-    for token in tweet.tokens:
-        if token in embedding.words.index:
-            counts[token] = counts.get(token, 0) + 1
-        else:
-            skipped += 1
-    vector = np.zeros(embedding.k, dtype=np.float64)
-    if counts:
-        idx = np.array([embedding.words.index[w] for w in counts], dtype=np.intp)
-        weights = np.array(list(counts.values()), dtype=np.float64)
-        vector = weights @ embedding.vectors[idx]
-    return ContextVector(
-        label=tweet.id,
-        vector=vector,
-        contributing_words=tuple(counts.items()),
-        skipped=skipped,
-    )
+    return context_vectors_for_corpus([tweet], embedding)[0]
 
 
 def mf_vectors(
@@ -126,10 +125,9 @@ def mf_vectors(
                 f"no keywords match any {polarity} entry of foundation {foundation}; "
                 "its context vector is undefined"
             )
-        idx = np.array([embedding.words.index[w] for w in words], dtype=np.intp)
         vectors[foundation] = ContextVector(
             label=foundation,
-            vector=embedding.vectors[idx].sum(axis=0),
+            vector=embedding.vectors[[embedding.words.index[w] for w in words]].sum(axis=0),
             contributing_words=tuple((w, 1) for w in words),
         )
     return vectors
@@ -160,48 +158,52 @@ def topic_vector(
             "topic %s: only %d of the requested %d words are in the keyword space",
             label, len(survivors), n,
         )
-    vector = np.zeros(embedding.k, dtype=np.float64)
-    if survivors:
-        idx = np.array([embedding.words.index[w] for w in survivors], dtype=np.intp)
-        vector = embedding.vectors[idx].sum(axis=0)
     return ContextVector(
         label=label,
-        vector=vector,
+        vector=embedding.vectors[[embedding.words.index[w] for w in survivors]].sum(axis=0),
         contributing_words=tuple((w, 1) for w in survivors),
         skipped=skipped,
     )
 
 
-def loading_matrix(
-    rows: Sequence[ContextVector], mf: Mapping[str, ContextVector]
-) -> LoadingMatrix:
-    """Cosine of every row vector against the five foundation vectors.
+def foundation_matrix(mf: Mapping[str, ContextVector]) -> np.ndarray:
+    """5 x k matrix of the foundation vectors in canonical order."""
+    return np.array([mf[f].vector for f in FOUNDATIONS], dtype=np.float64)
 
-    Degenerate rows get an all-zero loading row and a flag. Values are
-    clipped to [-1, 1] to absorb floating-point overshoot.
+
+def loading_matrix(
+    labels: Sequence[str],
+    vectors: np.ndarray,
+    mf: Mapping[str, ContextVector],
+    degenerate: Sequence[bool] | np.ndarray | None = None,
+) -> LoadingMatrix:
+    """Cosine of every row of ``vectors`` against the five foundation vectors.
+
+    Rows flagged in ``degenerate`` (default: none) get an all-zero
+    loading row; so does any zero vector.
     """
-    mf_vecs = [mf[f].vector for f in FOUNDATIONS]
-    values = np.zeros((len(rows), len(FOUNDATIONS)), dtype=np.float64)
-    flags: list[bool] = []
-    for i, row in enumerate(rows):
-        flags.append(row.degenerate)
-        if row.degenerate:
-            continue
-        for j, mv in enumerate(mf_vecs):
-            values[i, j] = cosine(row.vector, mv)
-    np.clip(values, -1.0, 1.0, out=values)
-    return LoadingMatrix(
-        row_labels=tuple(r.label for r in rows),
-        values=values,
-        degenerate=tuple(flags),
-    )
+    flags = np.asarray(np.zeros(len(labels)) if degenerate is None else degenerate, dtype=bool)
+    values = row_cosines(vectors, foundation_matrix(mf))
+    values[flags] = 0.0
+    return LoadingMatrix(row_labels=tuple(labels), values=values, degenerate=tuple(flags.tolist()))
+
+
+def score_corpus(
+    corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace, mf: Mapping[str, ContextVector]
+) -> LoadingMatrix:
+    """Loadings of every tweet, one row per tweet in corpus order, as one batch."""
+    counts, vectors = corpus_vectors(corpus, embedding)
+    degenerate = np.diff(counts.indptr) == 0
+    if degenerate.any():
+        logger.info("%d of %d tweets have no keywords (degenerate)", degenerate.sum(), len(corpus))
+    return loading_matrix([t.id for t in corpus], vectors, mf, degenerate)
 
 
 def dominant_foundation(row: np.ndarray | Sequence[float]) -> str:
     """Foundation with the maximum loading; canonical order breaks ties.
 
     An all-zero row carries no signal and returns the ``unclassified``
-    sentinel.
+    sentinel. ``dominant_indices`` is the same rule for a whole matrix.
     """
     values = np.asarray(row, dtype=np.float64)
     if values.shape != (len(FOUNDATIONS),):
@@ -213,49 +215,46 @@ def dominant_foundation(row: np.ndarray | Sequence[float]) -> str:
     return FOUNDATIONS[int(np.argmax(values))]
 
 
+def dominant_indices(matrix: LoadingMatrix) -> np.ndarray:
+    """Per row, the index of its ``dominant_foundation`` in ``(*FOUNDATIONS, UNCLASSIFIED)``.
+
+    Degenerate rows are unclassified.
+    """
+    index = np.argmax(matrix.values, axis=1)
+    index[~matrix.values.any(axis=1) | np.asarray(matrix.degenerate, dtype=bool)] = len(FOUNDATIONS)
+    return index
+
+
 def foundation_counts(matrix: LoadingMatrix) -> dict[str, int]:
-    """Histogram of dominant foundations over non-degenerate rows."""
-    counts = {f: 0 for f in FOUNDATIONS}
-    for i in range(matrix.values.shape[0]):
-        if matrix.degenerate[i]:
-            continue
-        dominant = dominant_foundation(matrix.values[i])
-        if dominant != UNCLASSIFIED:
-            counts[dominant] += 1
-    return counts
+    """Histogram of dominant foundations over non-degenerate, classified rows."""
+    counts = np.bincount(dominant_indices(matrix), minlength=len(FOUNDATIONS) + 1)
+    return dict(zip(FOUNDATIONS, counts.tolist()))
 
 
 def mf_similarity_matrix(mf: Mapping[str, ContextVector]) -> np.ndarray:
     """Symmetric 5x5 cosine matrix between foundation vectors, unit diagonal."""
-    vecs = [mf[f].vector for f in FOUNDATIONS]
-    n = len(vecs)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            value = cosine(vecs[i], vecs[j])
-            out[i, j] = value
-            out[j, i] = value
-    return out
+    vectors = foundation_matrix(mf)
+    return row_cosines(vectors, vectors)
 
 
 def extend_dictionary(
     embedding: EmbeddingSpace, mf: Mapping[str, ContextVector], n: int
 ) -> ExtendedDictionary:
-    """Top-n keywords by cosine to each foundation vector (a word may repeat across foundations)."""
+    """Top-n keywords by cosine to each foundation vector, ties broken by word.
+
+    A word may repeat across foundations.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > len(embedding.words.words):
-        logger.warning(
-            "requested %d words per foundation but only %d keywords exist",
-            n, len(embedding.words.words),
-        )
-    per_foundation: dict[str, list[tuple[str, float]]] = {}
-    for foundation in FOUNDATIONS:
-        mv = mf[foundation].vector
-        sims = [(word, cosine(embedding.vectors[i], mv))
-                for i, word in enumerate(embedding.words.words)]
-        sims.sort(key=lambda item: (-item[1], item[0]))
-        per_foundation[foundation] = sims[:n]
+    words = embedding.words.words
+    if n > len(words):
+        logger.warning("requested %d words per foundation but only %d keywords exist", n, len(words))
+    sims = row_cosines(embedding.vectors, foundation_matrix(mf))
+    word_keys = np.array(words)
+    per_foundation = {}
+    for j, foundation in enumerate(FOUNDATIONS):
+        top = np.lexsort((word_keys, -sims[:, j]))[:n]
+        per_foundation[foundation] = list(zip(word_keys[top].tolist(), sims[top, j].tolist()))
     return ExtendedDictionary(per_foundation=per_foundation, n=n)
 
 
@@ -291,19 +290,26 @@ def save_loadings(
 ) -> None:
     """CSV: id, care, fairness, ingroup, authority, purity, dominant, degenerate_flag."""
 
-    def line(label: str, values: np.ndarray, flag: bool) -> str:
-        dominant = UNCLASSIFIED if flag else dominant_foundation(values)
-        return f"{label},{_csv_values(values)},{dominant},{int(flag)}"
-
-    rows = map(line, matrix.row_labels, matrix.values, matrix.degenerate)
+    dominant = _DOMINANT_NAMES[dominant_indices(matrix)]
+    rows = (
+        f"{label},{_csv_values(values)},{name},{int(flag)}"
+        for label, values, name, flag in zip(matrix.row_labels, matrix.values, dominant, matrix.degenerate)
+    )
     tables.write_lines(path, rows, header=f"id,{_FOUNDATION_COLUMNS},dominant,degenerate")
 
 
 def load_loadings(path: str | Path) -> LoadingMatrix:
     """Rebuild a LoadingMatrix from a CSV written by save_loadings."""
+
+    def parse(fields: list[str]) -> tuple[str, list[float], bool]:
+        values = [float(x) for x in fields[1:-2]]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("loadings must be finite")
+        return fields[0], values, fields[-1] == "1"
+
     rows = list(tables.read_rows(
-        path, lambda f: (f[0], [float(x) for x in f[1:-2]], f[-1] == "1"), sep=",",
-        ncols=len(FOUNDATIONS) + 3, header=f"id,{_FOUNDATION_COLUMNS},dominant,degenerate",
+        path, parse, sep=",", ncols=len(FOUNDATIONS) + 3,
+        header=f"id,{_FOUNDATION_COLUMNS},dominant,degenerate",
     ))
     labels, values, flags = zip(*rows) if rows else ((), (), ())
     values = np.array(values, dtype=np.float64).reshape(len(rows), len(FOUNDATIONS))
@@ -363,14 +369,18 @@ def save_vice_report(report: ViceFrequencyReport, path: str | Path) -> None:
 
 
 def context_vectors_for_corpus(
-    corpus: Iterable[TokenizedTweet], embedding: EmbeddingSpace
+    corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace
 ) -> list[ContextVector]:
-    """tweet_vector over a whole corpus, logging how many were degenerate."""
-    vectors = [tweet_vector(tweet, embedding) for tweet in corpus]
-    degenerate = sum(1 for v in vectors if v.degenerate)
-    if degenerate:
-        logger.info("%d of %d tweets have no keywords (degenerate)", degenerate, len(vectors))
-    return vectors
+    """One ContextVector per tweet, with its keyword counts, from ``corpus_vectors``."""
+    counts, vectors = corpus_vectors(corpus, embedding)
+    words = embedding.words.words
+    rows = counts.tolil()
+    return [
+        ContextVector(
+            tweet.id, vector, tuple(zip(map(words.__getitem__, cols), n)), len(tweet.tokens) - sum(n)
+        )
+        for tweet, vector, cols, n in zip(corpus, vectors, rows.rows, rows.data)
+    ]
 
 
 def save_context_vectors(vectors: Sequence[ContextVector], path: str | Path) -> None:
@@ -378,14 +388,7 @@ def save_context_vectors(vectors: Sequence[ContextVector], path: str | Path) -> 
     tables.write_vectors(path, [cv.label for cv in vectors], [cv.vector for cv in vectors])
 
 
-def load_context_vectors(path: str | Path) -> list[ContextVector]:
-    """Rebuild labeled vectors saved by save_context_vectors.
-
-    Contributing-word detail is not persisted; loaded vectors are marked
-    degenerate only if they are exactly zero.
-    """
-    labels, vectors = tables.read_vectors(path)
-    return [
-        ContextVector(label, vector, ((label, 1),) if np.any(vector != 0.0) else ())
-        for label, vector in zip(labels, vectors)
-    ]
+def parse_topic_label(label: str) -> tuple[str, int]:
+    """Split a topic vector label ``name:n`` into the topic name and its keyword count n."""
+    name, _, n = label.rpartition(":")
+    return name, int(n)

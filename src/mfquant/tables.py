@@ -81,15 +81,15 @@ def write_vectors(path: str | Path, labels: Sequence[str], vectors: Iterable[np.
     ))
 
 
-def _parse_vector(fields: list[str]) -> tuple[str, list[float]]:
-    if len(fields) < 2:
-        raise ValueError("expected a label plus a vector")
-    return fields[0], [float(x) for x in fields[1:]]
+def read_vectors(path: str | Path, parse_label: Callable[[str], T] = str) -> tuple[list[T], np.ndarray]:
+    """Labels (each through ``parse_label``) and the (rows x k) matrix of a write_vectors file."""
 
+    def parse(fields: list[str]) -> tuple[T, list[float]]:
+        if len(fields) < 2:
+            raise ValueError("expected a label plus a vector")
+        return parse_label(fields[0]), [float(x) for x in fields[1:]]
 
-def read_vectors(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Labels and the (rows x k) matrix of a file written by write_vectors."""
-    rows = list(read_rows(path, _parse_vector))
+    rows = list(read_rows(path, parse))
     if not rows:
         return [], np.zeros((0, 0), dtype=np.float64)
     return [label for label, _ in rows], np.array([v for _, v in rows], dtype=np.float64)

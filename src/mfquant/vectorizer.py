@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -84,11 +85,22 @@ class SelectionResult:
     context_words: tuple[str, ...]
     scores: dict[str, float]
 
-    def keyword_vocab(self) -> Vocabulary:
-        return Vocabulary(self.keywords)
 
-    def context_vocab(self) -> Vocabulary:
-        return Vocabulary(self.context_words)
+def tweet_term_counts(corpus: Sequence[TokenizedTweet], vocab: Vocabulary) -> sparse.csr_matrix:
+    """Tweets x vocab int64 matrix: M[j, i] = occurrences of word i in tweet j.
+
+    Tokens outside ``vocab`` are dropped, so a tweet with none of its
+    words has an empty row.
+    """
+    lengths = np.fromiter((len(t.tokens) for t in corpus), dtype=np.int64, count=len(corpus))
+    columns = map(vocab.index.get, chain.from_iterable(t.tokens for t in corpus), repeat(-1))
+    cols = np.fromiter(columns, dtype=np.int32, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(len(corpus), dtype=np.int32), lengths)
+    keep = cols >= 0
+    return sparse.csr_matrix(
+        (np.ones(int(keep.sum()), dtype=np.int64), (rows[keep], cols[keep])),
+        shape=(len(corpus), len(vocab)),
+    )
 
 
 def build_word_tweet_matrix(corpus: Sequence[TokenizedTweet]) -> SparseCountMatrix:
@@ -104,24 +116,10 @@ def build_word_tweet_matrix(corpus: Sequence[TokenizedTweet]) -> SparseCountMatr
     vocab = Vocabulary(tuple(sorted({t for tweet in corpus for t in tweet.tokens})))
     if not vocab.words:
         logger.warning("corpus contains no tokens; word-tweet matrix has 0 rows")
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-    for j, tweet in enumerate(corpus):
-        seen: dict[int, int] = {}
-        for token in tweet.tokens:
-            i = vocab.index[token]
-            seen[i] = seen.get(i, 0) + 1
-        rows.extend(seen.keys())
-        cols.extend([j] * len(seen))
-        data.extend(seen.values())
-    counts = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(len(vocab), len(corpus)), dtype=np.int64
-    ).tocsr()
     return SparseCountMatrix(
         row_vocab=vocab,
         col_labels=tuple(t.id for t in corpus),
-        counts=counts,
+        counts=tweet_term_counts(corpus, vocab).T.tocsr(),
     )
 
 
@@ -179,52 +177,28 @@ def build_cooccurrence(
 ) -> SparseCountMatrix:
     """Presence-based co-occurrence: C[i, j] = tweets containing keyword i and context word j.
 
-    A keyword paired with itself as a context word counts tweets where
-    the word occurs at least twice. Keywords that never co-occur produce
-    zero rows (flagged in the log).
+    With P the tweets x context-words presence matrix, C = P[:, :n1]^T P,
+    since the keywords are the first n1 context words. A keyword paired
+    with itself counts tweets where the word occurs at least twice.
+    Keywords that never co-occur produce zero rows (flagged in the log).
     """
     if not selection.keywords or not selection.context_words:
         raise DataError("selection is empty; nothing to co-occur")
-    kw_vocab = selection.keyword_vocab()
-    ctx_vocab = selection.context_vocab()
-    row_chunks: list[np.ndarray] = []
-    col_chunks: list[np.ndarray] = []
-    for tweet in corpus:
-        counts: dict[str, int] = {}
-        for token in tweet.tokens:
-            counts[token] = counts.get(token, 0) + 1
-        kw_words = [w for w in counts if w in kw_vocab.index]
-        ctx_words = [w for w in counts if w in ctx_vocab.index]
-        if not kw_words or not ctx_words:
-            continue
-        kw_idx = np.array([kw_vocab.index[w] for w in kw_words], dtype=np.int32)
-        ctx_idx = np.array([ctx_vocab.index[w] for w in ctx_words], dtype=np.int32)
-        # context-space position of each keyword, for same-word pair detection
-        kw_in_ctx = np.array(
-            [ctx_vocab.index.get(w, -1) for w in kw_words], dtype=np.int32
-        )
-        rows = np.repeat(kw_idx, len(ctx_idx))
-        cols = np.tile(ctx_idx, len(kw_idx))
-        same = np.repeat(kw_in_ctx, len(ctx_idx)) == cols
-        repeated = np.array([counts[w] >= 2 for w in kw_words], dtype=bool)
-        keep = ~same | np.repeat(repeated, len(ctx_idx))
-        row_chunks.append(rows[keep])
-        col_chunks.append(cols[keep])
-    if row_chunks:
-        all_rows = np.concatenate(row_chunks)
-        all_cols = np.concatenate(col_chunks)
-    else:
-        all_rows = np.empty(0, dtype=np.int32)
-        all_cols = np.empty(0, dtype=np.int32)
-    counts_mat = sparse.coo_matrix(
-        (np.ones(len(all_rows), dtype=np.int64), (all_rows, all_cols)),
-        shape=(len(kw_vocab), len(ctx_vocab)),
-    ).tocsr()
+    n1 = len(selection.keywords)
+    if selection.context_words[:n1] != selection.keywords:
+        raise DataError("keywords must be a prefix of the context words")
+    counts = tweet_term_counts(corpus, Vocabulary(selection.context_words))
+    presence = counts.sign()
+    # the product pairs a keyword with itself in every tweet containing it: drop single occurrences
+    once = np.bincount(counts.indices[counts.data == 1], minlength=n1)[:n1]
+    counts_mat = presence[:, :n1].T.tocsr() @ presence
+    counts_mat -= sparse.diags(once, shape=counts_mat.shape, dtype=np.int64)
+    counts_mat.eliminate_zeros()
     empty_rows = int(np.sum(np.diff(counts_mat.indptr) == 0))
     if empty_rows:
         logger.warning("%d keywords have no co-occurrences (zero rows)", empty_rows)
     return SparseCountMatrix(
-        row_vocab=kw_vocab, col_labels=ctx_vocab.words, counts=counts_mat
+        row_vocab=Vocabulary(selection.keywords), col_labels=selection.context_words, counts=counts_mat
     )
 
 

@@ -22,10 +22,9 @@ from mfquant.semantics import (
     ContextVector,
     dominant_foundation,
     extend_dictionary,
-    loading_matrix,
     mf_similarity_matrix,
     mf_vectors,
-    tweet_vector,
+    score_corpus,
 )
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
 from mfquant.vectorizer import (
@@ -72,8 +71,7 @@ def planted_5k(tmp_path_factory):
     svd = truncated_svd(weighted, k=k, seed=42)
     embedding = EmbeddingSpace(words=weighted.row_vocab, vectors=svd.u_k)
     mf = mf_vectors(load_packaged_dictionary(), embedding)
-    vectors = [tweet_vector(t, embedding) for t in corpus]
-    matrix = loading_matrix(vectors, mf)
+    matrix = score_corpus(corpus, embedding, mf)
     return {
         "corpus": corpus,
         "selection": selection,

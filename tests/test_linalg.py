@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import sparse
 
 from mfquant.linalg import (
@@ -99,11 +99,16 @@ class TestCosine:
     def test_zero_vector_gives_zero(self):
         assert cosine(np.zeros(3), np.ones(3)) == 0.0
 
+    def test_tiny_magnitudes_do_not_underflow(self):
+        assert cosine(1e-170 * np.ones(3), np.ones(3)) == pytest.approx(1.0, abs=1e-12)
+        assert cosine(np.array([1e-159, 1e-159]), np.array([3e-159, 3e-159])) <= 1.0
+
     @given(
         st.lists(st.floats(-100, 100), min_size=2, max_size=8),
         st.floats(0.1, 50),
         st.floats(0.1, 50),
     )
+    @example(values=[1.0135419353247768e-159] * 2, a=1.0, b=3.0)
     def test_range_and_scale_invariance(self, values, a, b):
         u = np.array(values)
         v = u[::-1].copy()

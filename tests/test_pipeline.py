@@ -195,6 +195,7 @@ CORRUPTIONS = [
     ("svd/embedding.tsv", "vectors", None),
     ("vectors/mf_vectors.tsv", "loadings", 1),
     ("vectors/topic_vectors.tsv", "loadings", 4),
+    ("vectors/topic_vectors.tsv", "loadings", 0),
     ("loadings/loadings.csv", "report", 2),
     ("loadings/loadings.csv", "report", None),
     ("select/immorality_terms.tsv", "matrix", 2),
@@ -207,6 +208,16 @@ CORRUPTIONS = [
 
 @pytest.mark.parametrize("artifact,stage,field", CORRUPTIONS)
 def test_corrupt_artifact_names_path_and_line(completed_run, tmp_path, artifact, stage, field):
+    corrupt_and_run(completed_run, tmp_path, artifact, stage, field, "x1")
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_non_finite_loading_names_path_and_line(completed_run, tmp_path, value):
+    corrupt_and_run(completed_run, tmp_path, "loadings/loadings.csv", "report", 3, value)
+
+
+def corrupt_and_run(completed_run, tmp_path, artifact, stage, field, value):
+    """Set ``field`` of the artifact's third line to ``value`` (None: add a field); expect path:3."""
     config, _ = completed_run
     out_dir = tmp_path / "out"
     shutil.copytree(config.out_dir, out_dir)
@@ -217,7 +228,7 @@ def test_corrupt_artifact_names_path_and_line(completed_run, tmp_path, artifact,
     if field is None:
         fields.append("extra")
     else:
-        fields[field] = "x1"
+        fields[field] = value
     lines[2] = sep.join(fields)
     target.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(DataError, match=f"{target.name}:3: "):

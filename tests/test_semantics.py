@@ -8,6 +8,9 @@ from mfquant.linalg import EmbeddingSpace, cosine
 from mfquant.semantics import (
     UNCLASSIFIED,
     ContextVector,
+    LoadingMatrix,
+    context_vectors_for_corpus,
+    corpus_vectors,
     dominant_foundation,
     extend_dictionary,
     foundation_counts,
@@ -16,6 +19,7 @@ from mfquant.semantics import (
     mf_similarity_matrix,
     mf_vectors,
     save_loadings,
+    score_corpus,
     topic_vector,
     tweet_vector,
     vice_frequency_report,
@@ -156,8 +160,7 @@ class TestTopicVector:
 class TestLoadingMatrix:
     def test_self_similarity_row(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        row = ContextVector("copy", mf["Care"].vector.copy(), (("kill", 1),))
-        matrix = loading_matrix([row], mf)
+        matrix = loading_matrix(["copy"], mf["Care"].vector.copy()[None, :], mf)
         assert matrix.values[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert matrix.shape == (1, 5)
 
@@ -167,35 +170,69 @@ class TestLoadingMatrix:
             f: ContextVector(f, space.vectors[i].copy(), ((space.words.words[i], 1),))
             for i, f in enumerate(FOUNDATIONS)
         }
-        extra = ContextVector("x", np.zeros(5), (("word", 1),))
-        extra.vector = np.zeros(5)
-        matrix = loading_matrix([extra], mf)
+        matrix = loading_matrix(["x"], np.zeros((1, 5)), mf)
         np.testing.assert_array_equal(matrix.values[0], np.zeros(5))
 
     def test_degenerate_rows_flagged_zero(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        degenerate = ContextVector("d", np.zeros(6), ())
-        live = ContextVector("l", fixture_embedding.vector("god").copy(), (("god", 1),))
-        matrix = loading_matrix([degenerate, live], mf)
+        vectors = np.stack([np.zeros(6), fixture_embedding.vector("god")])
+        matrix = loading_matrix(["d", "l"], vectors, mf, degenerate=[True, False])
         assert matrix.degenerate == (True, False)
         np.testing.assert_array_equal(matrix.values[0], np.zeros(5))
 
     def test_values_in_range_and_five_columns(self, fixture_dict, fixture_embedding, rng):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        rows = [
-            ContextVector(str(i), rng.standard_normal(6), (("w", 1),))
-            for i in range(50)
-        ]
-        matrix = loading_matrix(rows, mf)
+        matrix = loading_matrix([str(i) for i in range(50)], rng.standard_normal((50, 6)), mf)
         assert matrix.shape == (50, 5)
         assert (matrix.values >= -1.0).all() and (matrix.values <= 1.0).all()
 
     def test_scale_invariance_of_dominant(self, fixture_dict, fixture_embedding, rng):
         mf = mf_vectors(fixture_dict, fixture_embedding)
         vector = rng.standard_normal(6)
-        base = loading_matrix([ContextVector("a", vector, (("w", 1),))], mf)
-        scaled = loading_matrix([ContextVector("a", 37.5 * vector, (("w", 1),))], mf)
+        base = loading_matrix(["a"], vector[None, :], mf)
+        scaled = loading_matrix(["a"], 37.5 * vector[None, :], mf)
         assert dominant_foundation(base.values[0]) == dominant_foundation(scaled.values[0])
+
+
+class TestScoreCorpus:
+    def test_batch_matches_per_tweet_oracle(self, fixture_dict, rng):
+        keywords = ("kill", "war", "unfair", "enemy", "illegal", "sin", "disgust", "treason", "pos", "neg")
+        vectors = rng.standard_normal((len(keywords), 6))
+        vectors[-1] = -vectors[-2]  # "pos" + "neg" cancels to exactly zero
+        space = EmbeddingSpace(words=Vocabulary(keywords), vectors=vectors)
+        mf = mf_vectors(fixture_dict, space)
+        pool = keywords + ("other", "noise", "filler")
+        corpus = [
+            TokenizedTweet(str(i), tuple(rng.choice(pool, size=rng.integers(0, 9)).tolist()))
+            for i in range(300)
+        ]
+        corpus += [
+            TokenizedTweet("cancel", ("pos", "noise", "neg")),
+            TokenizedTweet("none", ("other", "filler")),
+            TokenizedTweet("empty", ()),
+            TokenizedTweet("repeat", ("war", "war", "war", "sin")),
+        ]
+        matrix = score_corpus(corpus, space, mf)
+
+        for i, tweet in enumerate(corpus):
+            found = [space.vector(t) for t in tweet.tokens if space.vector(t) is not None]
+            assert matrix.row_labels[i] == tweet.id
+            assert matrix.degenerate[i] == (not found)
+            expected = np.zeros(5)
+            if found:
+                summed = np.sum(found, axis=0)
+                expected = np.array([cosine(summed, mf[f].vector) for f in FOUNDATIONS])
+            np.testing.assert_allclose(matrix.values[i], expected, rtol=0, atol=1e-12)
+        assert matrix.degenerate[-4:] == (False, True, True, False)
+        np.testing.assert_array_equal(matrix.values[-4], np.zeros(5))
+
+    def test_context_vectors_share_the_batch(self, fixture_embedding):
+        corpus = [TokenizedTweet("a", ("war", "x", "sin", "war")), TokenizedTweet("b", ("x",))]
+        vectors = context_vectors_for_corpus(corpus, fixture_embedding)
+        _, batch = corpus_vectors(corpus, fixture_embedding)
+        np.testing.assert_array_equal(np.stack([cv.vector for cv in vectors]), batch)
+        assert dict(vectors[0].contributing_words) == {"war": 2, "sin": 1}
+        assert vectors[0].skipped == 1 and vectors[1].degenerate
 
 
 class TestDominantFoundation:
@@ -228,21 +265,39 @@ class TestDominantFoundation:
 class TestFoundationCounts:
     def test_direct_count(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        rows = [ContextVector(str(i), mf["Care"].vector.copy(), (("kill", 1),)) for i in range(3)]
-        counts = foundation_counts(loading_matrix(rows, mf))
+        vectors = np.tile(mf["Care"].vector, (3, 1))
+        counts = foundation_counts(loading_matrix(["0", "1", "2"], vectors, mf))
         assert counts == {"Care": 3, "Fairness": 0, "Ingroup": 0, "Authority": 0, "Purity": 0}
 
     def test_counts_sum_to_non_degenerate(self, fixture_dict, fixture_embedding, rng):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        rows = []
-        for i in range(200):
-            if i % 10 == 0:
-                rows.append(ContextVector(str(i), np.zeros(6), ()))
-            else:
-                rows.append(ContextVector(str(i), rng.standard_normal(6), (("w", 1),)))
-        matrix = loading_matrix(rows, mf)
+        degenerate = np.arange(200) % 10 == 0
+        vectors = np.zeros((200, 6))
+        for i in np.flatnonzero(~degenerate):
+            vectors[i] = rng.standard_normal(6)
+        matrix = loading_matrix([str(i) for i in range(200)], vectors, mf, degenerate)
         counts = foundation_counts(matrix)
         assert sum(counts.values()) == sum(1 for d in matrix.degenerate if not d)
+
+    def test_matches_dominant_foundation_loop(self, rng, tmp_path):
+        values = rng.standard_normal((300, 5))
+        values[::7] = 0.0  # all-zero rows
+        values[1::7] = [0.4, 0.4, 0.1, -0.2, 0.4]  # exact three-way tie
+        values[2::7] = [-0.3, 0.2, 0.0, 0.2, -0.1]  # exact tie after the first column
+        values[3::7] = [0.0, 0.0, -0.5, 0.0, -0.1]  # maximum is zero
+        degenerate = rng.random(300) < 0.1
+        matrix = LoadingMatrix(
+            tuple(str(i) for i in range(300)), values, tuple(degenerate.tolist())
+        )
+        expected = [
+            UNCLASSIFIED if flag else dominant_foundation(row)
+            for row, flag in zip(values, degenerate)
+        ]
+        oracle = {f: expected.count(f) for f in FOUNDATIONS}
+        assert foundation_counts(matrix) == oracle
+        save_loadings(matrix, tmp_path / "loadings.csv")
+        lines = (tmp_path / "loadings.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[-2] for line in lines] == expected
 
 
 class TestMfSimilarityMatrix:
@@ -327,11 +382,8 @@ class TestViceFrequencyReport:
 class TestLoadingsPersistence:
     def test_roundtrip(self, fixture_dict, fixture_embedding, tmp_path, rng):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        rows = [
-            ContextVector("a", rng.standard_normal(6), (("w", 1),)),
-            ContextVector("b", np.zeros(6), ()),
-        ]
-        matrix = loading_matrix(rows, mf)
+        vectors = np.stack([rng.standard_normal(6), np.zeros(6)])
+        matrix = loading_matrix(["a", "b"], vectors, mf, degenerate=[False, True])
         save_loadings(matrix, tmp_path / "loadings.csv")
         loaded = load_loadings(tmp_path / "loadings.csv")
         assert loaded.row_labels == matrix.row_labels

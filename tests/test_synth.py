@@ -6,7 +6,7 @@ from mfquant.corpus import CleaningConfig, clean_and_tokenize, deduplicate, load
 from mfquant.errors import ConfigError
 from mfquant.lexicon import load_packaged_dictionary
 from mfquant.linalg import EmbeddingSpace, truncated_svd
-from mfquant.semantics import dominant_foundation, loading_matrix, mf_vectors, tweet_vector
+from mfquant.semantics import dominant_foundation, mf_vectors, score_corpus
 from mfquant.synth import default_plan, synth_corpus, synth_topic_corpus
 from mfquant.vectorizer import (
     build_cooccurrence,
@@ -109,8 +109,7 @@ class TestPlantedStructure:
         space = EmbeddingSpace(words=weighted.row_vocab, vectors=result.u_k)
         mf = mf_vectors(load_packaged_dictionary(), space)
         care_rows = [t for t in tokenized if t.id.startswith("care-")]
-        vectors = [tweet_vector(t, space) for t in care_rows]
-        matrix = loading_matrix(vectors, mf)
+        matrix = score_corpus(care_rows, space, mf)
         assignments = [
             dominant_foundation(matrix.values[i])
             for i in range(matrix.shape[0])
