@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import tables
@@ -66,15 +66,14 @@ class CleaningConfig:
 class IngestStats:
     """Bookkeeping from one load_records run."""
 
-    total_lines: int = 0
     loaded: int = 0
     malformed: int = 0
     lang_filtered: int = 0
     duplicate_ids: int = 0
-    skipped: int = field(init=False, default=0)
 
-    def finish(self) -> None:
-        self.skipped = self.malformed + self.duplicate_ids
+    @property
+    def skipped(self) -> int:
+        return self.malformed + self.duplicate_ids
 
 
 def _parse_line(obj: dict) -> TweetRecord:
@@ -88,16 +87,14 @@ def _parse_line(obj: dict) -> TweetRecord:
         raise ValueError(f"id {rec_id!r} contains a tab, comma or newline")
     if not isinstance(text, str):
         raise ValueError("missing 'text'")
-    retweet_text = None
     retweeted = obj.get("retweeted_status")
-    if isinstance(retweeted, dict):
-        rt = retweeted.get("text")
-        if isinstance(rt, str):
-            retweet_text = rt
+    retweet_text = retweeted.get("text") if isinstance(retweeted, dict) else None
     lang = obj.get("lang")
-    if lang is not None and not isinstance(lang, str):
-        lang = None
-    return TweetRecord(id=rec_id, text=text, retweet_text=retweet_text, lang=lang)
+    return TweetRecord(
+        id=rec_id, text=text,
+        retweet_text=retweet_text if isinstance(retweet_text, str) else None,
+        lang=lang if isinstance(lang, str) else None,
+    )
 
 
 def load_records(
@@ -121,7 +118,6 @@ def load_records(
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            stats.total_lines += 1
             try:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
@@ -141,7 +137,6 @@ def load_records(
                 continue
             records.append(record)
             stats.loaded += 1
-    stats.finish()
     logger.info(
         "loaded %d records from %s (%d malformed, %d duplicate ids, %d filtered by lang)",
         stats.loaded, path, stats.malformed, stats.duplicate_ids, stats.lang_filtered,

@@ -62,11 +62,7 @@ class MFDictionary:
     @property
     def vice_count(self) -> int:
         """Number of vice entries across the five foundations."""
-        return sum(
-            1
-            for e in self.entries
-            if e.polarity == VICE and e.foundation in FOUNDATIONS
-        )
+        return sum(e.polarity == VICE and e.foundation in FOUNDATIONS for e in self.entries)
 
     def match_word(self, word: str, polarity: str = VICE) -> set[str]:
         """Foundations whose entries of ``polarity`` match ``word``.
@@ -79,15 +75,6 @@ class MFDictionary:
             if word.startswith(entry.stem):
                 matched.add(entry.foundation)
         return matched
-
-    def matching_entries(self, word: str, polarity: str = VICE) -> list[MFEntry]:
-        """All entries of ``polarity`` that match ``word``."""
-        return [
-            e
-            for e in self.entries
-            if e.polarity == polarity
-            and (word == e.pattern if not e.is_stem else word.startswith(e.stem))
-        ]
 
 
 @dataclass
@@ -155,7 +142,7 @@ def coverage(
     filled in (the data behind the frequency report). MoralityGeneral
     entries are not part of the five-foundation coverage.
     """
-    freqs: Mapping[str, int] | None = vocabulary if isinstance(vocabulary, Mapping) else None
+    freqs: Mapping[str, int] = vocabulary if isinstance(vocabulary, Mapping) else {}
     words = sorted(vocabulary)
     relevant = [
         e
@@ -170,13 +157,7 @@ def coverage(
             matched = [w for w in words if w.startswith(entry.stem)]
         else:
             matched = [w for w in words if w == entry.pattern]
-        results.append(
-            EntryCoverage(
-                entry=entry,
-                matched_words=matched,
-                frequencies=[freqs.get(w, 0) for w in matched] if freqs is not None else [0] * len(matched),
-            )
-        )
+        results.append(EntryCoverage(entry, matched, [freqs.get(w, 0) for w in matched]))
     matched_count = sum(1 for r in results if r.matched_words)
     return CoverageResult(fraction=matched_count / len(relevant), entries=results)
 

@@ -60,7 +60,8 @@ def truncated_svd(
 ) -> SVDResult:
     """Randomized truncated SVD of a (possibly sparse) real matrix.
 
-    Deterministic for fixed (matrix, k, seed) on one platform/build.
+    Deterministic for fixed (matrix, k, seed) on one platform/build and
+    BLAS thread count; another thread count rounds differently (about 1e-13).
     Raises ValueError for k out of range or non-finite entries.
     """
     if isinstance(matrix, WeightedMatrix):
@@ -132,11 +133,8 @@ def pca_2d(points: np.ndarray, labels: list[str]) -> PCAProjection:
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s[0] == 0.0:
         raise ValueError("zero-variance data; PCA undefined")
-    components = vt[:2].copy()
-    for c in range(2):
-        pivot = int(np.argmax(np.abs(components[c])))
-        if components[c, pivot] < 0:
-            components[c] = -components[c]
+    pivots = vt[np.arange(2), np.abs(vt[:2]).argmax(axis=1)]
+    components = vt[:2] * np.where(pivots < 0, -1.0, 1.0)[:, None]
     scores = centered @ components.T
     explained = (s[:2] ** 2) / (m - 1)
     return PCAProjection(

@@ -27,7 +27,7 @@ from . import linalg as linalg_mod
 from . import semantics as semantics_mod
 from . import tables
 from . import vectorizer as vectorizer_mod
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, DataError, PipelineError
 from .stopwords import DEFAULT_STOPWORDS
 
 logger = logging.getLogger(__name__)
@@ -167,7 +167,7 @@ class Artifacts:
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
-        self.ppmi = self.out_dir / "matrix" / "ppmi.tsv"
+        self.ppmi = self.out_dir / "matrix" / "ppmi.npy"
         self.row_vocab = self.out_dir / "matrix" / "row_vocab.tsv"
         self.col_vocab = self.out_dir / "matrix" / "col_vocab.tsv"
         self.embedding = self.out_dir / "svd" / "embedding.tsv"
@@ -217,7 +217,12 @@ class RunManifest:
     def load_or_create(cls, out_dir: Path, params: dict) -> "RunManifest":
         path = out_dir / "manifest.json"
         if path.exists():
-            data = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                data = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise DataError(f"{path}: not a readable JSON manifest: {exc}") from exc
+            if not isinstance(data, dict) or not all(isinstance(data.get(k), dict) for k in ("inputs", "stages")):
+                raise DataError(f"{path}: expected a JSON object with 'inputs' and 'stages' objects")
             if data.get("params") != params:
                 logger.warning(
                     "manifest parameters differ from current config; "

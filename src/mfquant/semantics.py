@@ -305,6 +305,8 @@ def load_loadings(path: str | Path) -> LoadingMatrix:
         values = [float(x) for x in fields[1:-2]]
         if not all(map(math.isfinite, values)):
             raise ValueError("loadings must be finite")
+        if fields[-1] not in ("0", "1"):
+            raise ValueError(f"degenerate flag must be 0 or 1, got {fields[-1]!r}")
         return fields[0], values, fields[-1] == "1"
 
     rows = list(tables.read_rows(

@@ -1,19 +1,23 @@
-"""Artifact tables: the one on-disk format that pipeline stages share.
+"""Artifact tables: the on-disk formats that pipeline stages share.
 
 An artifact is a UTF-8 text file with one record per line and fields
 joined by a single delimiter (tab or comma), optionally preceded by a
-header line. Writers stream their lines to ``<file>.tmp`` and rename it
-over the target, so a killed or failed write leaves the previous file
-intact instead of a truncated one. Readers skip blank lines, require
-every row to have as many fields as the first, and report every
-malformed row as a DataError naming ``path:line``.
+header line, or one 1-D numpy array in a ``.npy`` file (no pickled
+objects) for data too large to pass as text. Writers stream to
+``<file>.tmp`` and rename it over the target, so a killed or failed
+write leaves the previous file intact. Text readers skip blank lines,
+require every row to have as many fields as the first, and report every
+malformed row as a DataError naming ``path:line``; the array reader
+reports a missing, truncated or unreadable file, or the wrong dtype or
+shape, as a DataError naming the path.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,21 +26,47 @@ from .errors import DataError
 T = TypeVar("T")
 
 
-def write_lines(path: str | Path, lines: Iterable[str], header: str | None = None) -> None:
-    """Atomically replace ``path`` with ``header`` (if given) and ``lines``, one per line."""
+@contextmanager
+def _replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Handle on ``<path>.tmp``, renamed over ``path`` on success and removed on any failure."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            if header is not None:
-                handle.write(f"{header}\n")
-            for line in lines:
-                handle.write(f"{line}\n")
+        with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8") as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str], header: str | None = None) -> None:
+    """Atomically replace ``path`` with ``header`` (if given) and ``lines``, one per line."""
+    with _replacing(path) as handle:
+        if header is not None:
+            handle.write(f"{header}\n")
+        for line in lines:
+            handle.write(f"{line}\n")
+
+
+def write_array(path: str | Path, array: np.ndarray) -> None:
+    """Atomically replace ``path`` with ``array`` in ``.npy`` format (no pickled objects)."""
+    with _replacing(path, binary=True) as handle:
+        np.save(handle, array, allow_pickle=False)
+
+
+def read_array(path: str | Path, dtype: np.dtype) -> np.ndarray:
+    """The 1-D ``dtype`` array of a write_array file; anything else is a DataError naming the path."""
+    try:
+        with open(path, "rb") as handle:
+            array = np.load(handle, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataError(f"{path}: cannot read array: {exc}") from exc
+    if not isinstance(array, np.ndarray) or array.dtype != dtype or array.ndim != 1:
+        found = f"{array.ndim}-D {array.dtype}" if isinstance(array, np.ndarray) else "a .npz archive"
+        raise DataError(f"{path}: expected a 1-D {np.dtype(dtype)} array, found {found}")
+    return array
 
 
 def read_rows(

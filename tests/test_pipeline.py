@@ -1,10 +1,17 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import mfquant
 from mfquant.cli import main
 from mfquant.errors import ConfigError, DataError, PipelineError
+from mfquant.linalg import load_embedding
 from mfquant.pipeline import (
     STAGES,
     Artifacts,
@@ -189,8 +196,6 @@ class TestStages:
 
 # (artifact, stage that reads it, field to corrupt or None to add a field)
 CORRUPTIONS = [
-    ("matrix/ppmi.tsv", "svd", 2),
-    ("matrix/ppmi.tsv", "svd", None),
     ("svd/embedding.tsv", "vectors", 3),
     ("svd/embedding.tsv", "vectors", None),
     ("vectors/mf_vectors.tsv", "loadings", 1),
@@ -214,6 +219,51 @@ def test_corrupt_artifact_names_path_and_line(completed_run, tmp_path, artifact,
 @pytest.mark.parametrize("value", ["nan", "-inf"])
 def test_non_finite_loading_names_path_and_line(completed_run, tmp_path, value):
     corrupt_and_run(completed_run, tmp_path, "loadings/loadings.csv", "report", 3, value)
+
+
+def test_bad_degenerate_flag_names_path_and_line(completed_run, tmp_path):
+    corrupt_and_run(completed_run, tmp_path, "loadings/loadings.csv", "report", 7, "2")
+
+
+def _with_last(triplets, field, value):
+    """``triplets`` with ``field`` of the last entry set to ``value``; the entry order still holds."""
+    triplets[field][-1] = value
+    return triplets
+
+
+MATRIX_CORRUPTIONS = {
+    "float64-array": lambda triplets, n_rows, n_cols: triplets["value"],
+    "row-out-of-range": lambda triplets, n_rows, n_cols: _with_last(triplets, "row", n_rows),
+    "col-out-of-range": lambda triplets, n_rows, n_cols: _with_last(triplets, "col", n_cols),
+    "duplicate-entry": lambda triplets, n_rows, n_cols: np.insert(triplets, 3, triplets[2]),
+    "nan-value": lambda triplets, n_rows, n_cols: _with_last(triplets, "value", np.nan),
+}
+
+
+@pytest.mark.parametrize("corruption", ["truncated", *MATRIX_CORRUPTIONS])
+def test_corrupt_matrix_names_path(completed_run, tmp_path, corruption):
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    art = Artifacts(out_dir)
+    if corruption == "truncated":
+        art.ppmi.write_bytes(art.ppmi.read_bytes()[:-100])
+    else:
+        shape = (len(art.row_vocab.read_text().split()), len(art.col_vocab.read_text().split()))
+        np.save(art.ppmi, MATRIX_CORRUPTIONS[corruption](np.load(art.ppmi), *shape))
+    with pytest.raises(DataError, match="ppmi.npy: "):
+        run("svd", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+
+
+@pytest.mark.parametrize("text", ['{"stages": ', '["stages"]'])
+def test_corrupt_manifest_names_path(completed_run, tmp_path, text):
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match="manifest.json: "):
+        run("report", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+    assert (out_dir / "manifest.json").read_text(encoding="utf-8") == text
 
 
 def corrupt_and_run(completed_run, tmp_path, artifact, stage, field, value):
@@ -246,6 +296,35 @@ class TestDeterminism:
         hashes_a = manifest_a.artifact_hashes()
         hashes_b = manifest_b.artifact_hashes()
         assert hashes_a and hashes_a == hashes_b
+
+    def test_svd_stable_across_blas_threads(self, tmp_path):
+        """Embedding bytes are reproducible for a fixed BLAS thread count; across counts
+        they agree within 1e-9 (plus the relative rounding of 9 significant digits).
+
+        A 1500 x 5000 matrix at k=100 is about the smallest where OpenBLAS threads the
+        products, so one and two threads give different embedding bytes.
+        """
+        workdir = tmp_path / "ws"
+        sizes = ["--n1", "1500", "--n2", "5000", "--k", "100", "--topic-n", "5", "--extend-n", "20"]
+        main(["synth", "--out", str(workdir), "--tweets", "3000", "--topic-tweets", "60", "--seed", "5"])
+        config = str(workdir / "config.yaml")
+        for stage in ("ingest", "select", "matrix"):
+            assert main(["run", "--config", config, "--stage", stage, *sizes]) == 0
+        src = str(Path(mfquant.__file__).parents[1])
+        embeddings = {}
+        for name, threads in (("one", "1"), ("two", "2"), ("one-again", "1")):
+            out = workdir / f"out-{name}"
+            shutil.copytree(workdir / "out", out)
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run(
+                [sys.executable, "-m", "mfquant.cli", "svd", "--config", config, "--out", str(out), *sizes],
+                env=env, check=True, capture_output=True,
+            )
+            embeddings[name] = out / "svd" / "embedding.tsv"
+        assert embeddings["one"].read_bytes() == embeddings["one-again"].read_bytes()
+        one, two = (load_embedding(embeddings[name]) for name in ("one", "two"))
+        assert one.words == two.words
+        np.testing.assert_allclose(one.vectors, two.vectors, atol=1e-9)
 
     def test_run_all_equals_stage_by_stage(self, tmp_path):
         config_all = make_workspace(tmp_path, tweets=200, topic_tweets=60)

@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mfquant.corpus import TokenizedTweet
 from mfquant.errors import DataError
 from mfquant.vectorizer import (
     SelectionResult,
+    Vocabulary,
+    WeightedMatrix,
     build_cooccurrence,
     build_word_tweet_matrix,
     load_selection,
@@ -303,16 +306,25 @@ class TestPersistence:
         corpus = random_corpus(30, vocab_size=10, seed=2)
         scores = overlap_scores(tfidf(build_word_tweet_matrix(corpus)))
         sel = select_terms(scores, 4, 8)
-        weighted = ppmi(build_cooccurrence(corpus, sel))
-        save_triplets(weighted, tmp_path / "m.tsv")
-        save_vocabulary(weighted.row_vocab.words, tmp_path / "rows.tsv")
-        save_vocabulary(weighted.col_labels, tmp_path / "cols.tsv")
-        loaded = load_triplets(
-            tmp_path / "m.tsv",
-            load_vocabulary(tmp_path / "rows.tsv"),
-            load_vocabulary(tmp_path / "cols.tsv"),
+        counts = build_cooccurrence(corpus, sel)
+        weighted = ppmi(counts)
+        empty_rows = WeightedMatrix(
+            Vocabulary(("a", "b", "c", "d")), ("x", "y", "z"),
+            sparse.csr_matrix([[0.0, 0.0, 0.0], [1.5, 0.0, 2.25], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         )
-        np.testing.assert_array_equal(loaded.to_dense(), weighted.to_dense())
+        for matrix in (weighted, counts, empty_rows):
+            save_triplets(matrix, tmp_path / "m.npy")
+            save_vocabulary(matrix.row_vocab.words, tmp_path / "rows.tsv")
+            save_vocabulary(matrix.col_labels, tmp_path / "cols.tsv")
+            loaded = load_triplets(
+                tmp_path / "m.npy",
+                load_vocabulary(tmp_path / "rows.tsv"),
+                load_vocabulary(tmp_path / "cols.tsv"),
+            )
+            assert loaded.row_vocab.words == matrix.row_vocab.words
+            assert loaded.col_labels == matrix.col_labels
+            assert loaded.weights.dtype == np.float64
+            np.testing.assert_array_equal(loaded.to_dense(), matrix.to_dense())
 
     def test_selection_roundtrip(self, tmp_path):
         sel = select_terms({"a": 3.0, "b": 2.0, "c": 1.5}, 2, 3)
