@@ -37,7 +37,6 @@ from .semantics import (
     mf_vectors,
     score_corpus,
     topic_vector,
-    tweet_vector,
     vice_frequency_report,
 )
 from .vectorizer import (

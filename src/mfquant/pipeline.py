@@ -70,6 +70,12 @@ class PipelineConfig:
             problems.append("min_token_len must be >= 1")
         if not self.topic_n or any(n < 1 for n in self.topic_n):
             problems.append("topic_n must be a non-empty list of positive integers")
+        for name in sorted(self.topic_paths):
+            if not name or name == "immorality" or set(str(name)) & set("/\t,\n\r"):
+                problems.append(
+                    f"topic name {name!r} must be non-empty, not 'immorality', "
+                    "and free of '/', tabs, commas and line breaks"
+                )
         for name in ("immorality", *sorted(self.topic_paths)):
             if not self.query_words.get(name):
                 problems.append(f"query_words for corpus {name!r} must be non-empty")
@@ -120,10 +126,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = path.parent
 
     def _resolve(p: str | None) -> Path | None:
-        if p is None:
-            return None
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
+        return None if p is None else base / p  # an absolute p replaces base
 
     inputs = raw.get("inputs") or {}
     if not isinstance(inputs, dict) or not inputs.get("immorality"):
@@ -136,6 +139,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     query_raw = cleaning.get("query_words") or {}
     if not isinstance(query_raw, dict):
         raise ConfigError("cleaning.query_words must be a mapping of corpus -> words")
+    for name, words in query_raw.items():
+        if not isinstance(words, list):
+            raise ConfigError(f"cleaning.query_words.{name} must be a list of words, got {words!r}")
     out = raw.get("output")
     if not out:
         raise ConfigError("config must set output")
@@ -283,12 +289,18 @@ def _require(path: Path, producing_stage: str) -> Path:
     return path
 
 
-def _corpus_names(config: PipelineConfig) -> list[str]:
-    return ["immorality", *sorted(config.topic_paths)]
+def _remove_stale(files: list[Path]) -> None:
+    """Delete every regular file in the directories of ``files`` that is not one of them."""
+    for directory in {p.parent for p in files}:
+        for path in directory.iterdir():
+            if path.is_file() and path not in files:
+                logger.info("removing stale artifact %s", path)
+                path.unlink()
 
 
-def _input_path(config: PipelineConfig, name: str) -> Path:
-    return config.immorality_path if name == "immorality" else config.topic_paths[name]
+def _corpus_paths(config: PipelineConfig) -> dict[str, Path]:
+    """Input file of each corpus: ``immorality`` first, then the topics by name."""
+    return {"immorality": config.immorality_path, **dict(sorted(config.topic_paths.items()))}
 
 
 def _load_dictionary(config: PipelineConfig) -> lexicon_mod.MFDictionary:
@@ -299,8 +311,7 @@ def _load_dictionary(config: PipelineConfig) -> lexicon_mod.MFDictionary:
 
 def _stage_ingest(config: PipelineConfig, art: Artifacts) -> list[Path]:
     files: list[Path] = []
-    for name in _corpus_names(config):
-        source = _input_path(config, name)
+    for name, source in _corpus_paths(config).items():
         if not source.exists():
             raise PipelineError(f"input corpus {source} does not exist")
         records, _ = corpus_mod.load_records(source, lang_filter=config.lang_filter)
@@ -319,7 +330,7 @@ def _stage_ingest(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 def _stage_select(config: PipelineConfig, art: Artifacts) -> list[Path]:
     files: list[Path] = []
-    for name in _corpus_names(config):
+    for name in _corpus_paths(config):
         tokenized = corpus_mod.read_tokenized(_require(art.corpus(name), "ingest"))
         matrix = vectorizer_mod.build_word_tweet_matrix(tokenized)
         weighted = vectorizer_mod.tfidf(matrix)
@@ -361,32 +372,28 @@ def _stage_svd(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 def _stage_vectors(config: PipelineConfig, art: Artifacts) -> list[Path]:
     embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
-    dictionary = _load_dictionary(config)
-    mf = semantics_mod.mf_vectors(dictionary, embedding)
-    semantics_mod.save_context_vectors(list(mf.values()), art.mf_vectors)
-    files = [art.mf_vectors]
-    topic_cvs: list[semantics_mod.ContextVector] = []
+    mf = semantics_mod.mf_vectors(_load_dictionary(config), embedding)
+    tables.write_vectors(art.mf_vectors, lexicon_mod.FOUNDATIONS, mf)
+    labels, topic_vectors = [], []
     for name in sorted(config.topic_paths):
         selection = vectorizer_mod.load_selection(
             _require(art.terms(name), "select"), config.n1
         )
         for n in config.topic_n:
-            topic_cvs.append(
-                semantics_mod.topic_vector(selection, embedding, n, label=f"{name}:{n}")
-            )
-    semantics_mod.save_context_vectors(topic_cvs, art.topic_vectors)
-    files.append(art.topic_vectors)
-    return files
+            labels.append(f"{name}:{n}")
+            topic_vectors.append(semantics_mod.topic_vector(selection, embedding, n, label=labels[-1]))
+    tables.write_vectors(art.topic_vectors, labels, topic_vectors)
+    return [art.mf_vectors, art.topic_vectors]
 
 
-def _load_mf_vectors(art: Artifacts) -> dict[str, semantics_mod.ContextVector]:
-    """Foundation vectors in canonical order; contributing words are not persisted."""
-    labels, vectors = tables.read_vectors(_require(art.mf_vectors, "vectors"))
-    by_label = dict(zip(labels, vectors))
-    missing = [f for f in lexicon_mod.FOUNDATIONS if f not in by_label]
-    if missing:
-        raise PipelineError(f"mf_vectors artifact lacks foundations {missing}")
-    return {f: semantics_mod.ContextVector(f, by_label[f], ()) for f in lexicon_mod.FOUNDATIONS}
+def _load_mf_vectors(art: Artifacts) -> np.ndarray:
+    """The 5 x k foundation matrix; its rows must be labeled with the foundations in canonical order."""
+    labels, mf = tables.read_vectors(_require(art.mf_vectors, "vectors"))
+    if tuple(labels) != lexicon_mod.FOUNDATIONS:
+        raise PipelineError(
+            f"{art.mf_vectors}: expected rows {list(lexicon_mod.FOUNDATIONS)} in that order, found {labels}"
+        )
+    return mf
 
 
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> list[Path]:
@@ -421,9 +428,7 @@ def _stage_pca(config: PipelineConfig, art: Artifacts) -> list[Path]:
     extended = semantics_mod.load_extended_dictionary(_require(art.extended, "extend"))
     words = dict.fromkeys(w for entries in extended.per_foundation.values() for w, _ in entries)
     words = [w for w in words if w in embedding.words]
-    points = np.vstack([
-        embedding.vectors[[embedding.words.index[w] for w in words]], semantics_mod.foundation_matrix(mf)
-    ])
+    points = np.vstack([embedding.vectors[[embedding.words.index[w] for w in words]], mf])
     labels = words + [f"MF_{foundation}" for foundation in lexicon_mod.FOUNDATIONS]
     try:
         projection = linalg_mod.pca_2d(points, labels)
@@ -482,18 +487,14 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
     executed: dict[str, list[str]] = {}
     with output_lock(config.out_dir):
         manifest = RunManifest.load_or_create(config.out_dir, config.params_snapshot())
-        inputs = {"immorality": config.immorality_path}
-        inputs.update({name: p for name, p in config.topic_paths.items()})
-        if config.dictionary_path is not None:
-            inputs["dictionary"] = config.dictionary_path
-        else:
-            inputs["dictionary"] = lexicon_mod.packaged_dictionary_path()
-        existing = [p for p in inputs.values() if p.exists()]
-        if len(existing) == len(inputs):
+        dictionary = config.dictionary_path or lexicon_mod.packaged_dictionary_path()
+        inputs = {**_corpus_paths(config), "dictionary": dictionary}
+        if all(p.exists() for p in inputs.values()):
             manifest.record_inputs(inputs)
         for name in plan:
             logger.info("stage %s: starting", name)
             files = _STAGE_FUNCS[name](config, art)
+            _remove_stale(files)
             manifest.record_stage(name, art, files)
             executed[name] = [art.rel(p) for p in files]
             logger.info("stage %s: wrote %d artifacts", name, len(files))

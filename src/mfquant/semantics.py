@@ -2,10 +2,12 @@
 
 A text's context vector is the sum of its keywords' embedding vectors
 (per occurrence). A corpus is scored as one batch: its tweets x keywords
-count matrix times U_k gives every context vector (``corpus_vectors``),
-and one row-wise cosine kernel against the five foundation vectors
-gives every loading (``loading_matrix``, ``score_corpus``). Loadings are
-reported in canonical order (Care, Fairness, Ingroup, Authority, Purity).
+count matrix times U_k gives every context vector (``corpus_vectors``).
+The five foundation vectors are the rows of one 5 x k matrix, a
+foundations x keywords indicator times U_k (``mf_vectors``), and one
+row-wise cosine kernel against it gives every loading
+(``loading_matrix``, ``score_corpus``). Foundation rows and loadings
+are in canonical order (Care, Fairness, Ingroup, Authority, Purity).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -94,43 +97,33 @@ def corpus_vectors(
     return counts, np.asarray(counts @ embedding.vectors)
 
 
-def tweet_vector(tweet: TokenizedTweet, embedding: EmbeddingSpace) -> ContextVector:
-    """Sum the embeddings of the tweet's keyword tokens, once per occurrence.
-
-    Non-keyword tokens are skipped and counted; a tweet with no keyword
-    tokens yields the zero vector and is flagged degenerate.
-    """
-    return context_vectors_for_corpus([tweet], embedding)[0]
-
-
 def mf_vectors(
     dictionary: MFDictionary, embedding: EmbeddingSpace, polarity: str = VICE
-) -> dict[str, ContextVector]:
-    """One context vector per foundation: the sum of all matching keywords' embeddings.
+) -> np.ndarray:
+    """The 5 x k foundation matrix F, one row per foundation in canonical order.
 
-    A keyword matching several foundations contributes to each of them.
-    A foundation matched by no keyword raises DataError (its vector
-    would be undefined). MoralityGeneral never produces a vector.
+    Row f sums the embeddings of every keyword matching a ``polarity``
+    entry of foundation f: F is a 0/1 foundations x keywords indicator
+    times U_k, one sparse product. A keyword matching several foundations
+    contributes to each of them. A foundation matched by no keyword raises
+    DataError (its vector would be undefined). MoralityGeneral never
+    produces a vector.
     """
-    matched: dict[str, list[str]] = {f: [] for f in FOUNDATIONS}
-    for word in embedding.words.words:
-        for foundation in dictionary.match_word(word, polarity):
-            if foundation in matched:
-                matched[foundation].append(word)
-    vectors: dict[str, ContextVector] = {}
-    for foundation in FOUNDATIONS:
-        words = matched[foundation]
-        if not words:
+    rows, cols = [], []
+    for j, word in enumerate(embedding.words.words):
+        for foundation in dictionary.match_word(word, polarity) & set(FOUNDATIONS):
+            rows.append(FOUNDATIONS.index(foundation))
+            cols.append(j)
+    indicator = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(FOUNDATIONS), len(embedding.words.words))
+    )
+    for foundation, matches in zip(FOUNDATIONS, np.diff(indicator.indptr)):
+        if not matches:
             raise DataError(
                 f"no keywords match any {polarity} entry of foundation {foundation}; "
                 "its context vector is undefined"
             )
-        vectors[foundation] = ContextVector(
-            label=foundation,
-            vector=embedding.vectors[[embedding.words.index[w] for w in words]].sum(axis=0),
-            contributing_words=tuple((w, 1) for w in words),
-        )
-    return vectors
+    return np.asarray(indicator @ embedding.vectors)
 
 
 def topic_vector(
@@ -138,58 +131,41 @@ def topic_vector(
     embedding: EmbeddingSpace,
     n: int,
     label: str,
-) -> ContextVector:
+) -> np.ndarray:
     """Sum the first n topic words (in score order) that exist in the keyword space.
 
-    Topic words absent from the embedding are skipped and counted; if
-    fewer than n survive, all survivors are used with a warning.
+    Topic words absent from the embedding are skipped; if fewer than n
+    survive, all survivors are used with a warning naming ``label``.
     """
-    survivors: list[str] = []
-    skipped = 0
-    for word in topic_selection.context_words:
-        if word in embedding.words.index:
-            survivors.append(word)
-            if len(survivors) == n:
-                break
-        else:
-            skipped += 1
+    index = embedding.words.index
+    survivors = list(islice((w for w in topic_selection.context_words if w in index), n))
     if len(survivors) < n:
         logger.warning(
             "topic %s: only %d of the requested %d words are in the keyword space",
             label, len(survivors), n,
         )
-    return ContextVector(
-        label=label,
-        vector=embedding.vectors[[embedding.words.index[w] for w in survivors]].sum(axis=0),
-        contributing_words=tuple((w, 1) for w in survivors),
-        skipped=skipped,
-    )
-
-
-def foundation_matrix(mf: Mapping[str, ContextVector]) -> np.ndarray:
-    """5 x k matrix of the foundation vectors in canonical order."""
-    return np.array([mf[f].vector for f in FOUNDATIONS], dtype=np.float64)
+    return embedding.vectors[[index[w] for w in survivors]].sum(axis=0)
 
 
 def loading_matrix(
     labels: Sequence[str],
     vectors: np.ndarray,
-    mf: Mapping[str, ContextVector],
+    mf: np.ndarray,
     degenerate: Sequence[bool] | np.ndarray | None = None,
 ) -> LoadingMatrix:
-    """Cosine of every row of ``vectors`` against the five foundation vectors.
+    """Cosine of every row of ``vectors`` against each row of the foundation matrix ``mf``.
 
     Rows flagged in ``degenerate`` (default: none) get an all-zero
     loading row; so does any zero vector.
     """
     flags = np.asarray(np.zeros(len(labels)) if degenerate is None else degenerate, dtype=bool)
-    values = row_cosines(vectors, foundation_matrix(mf))
+    values = row_cosines(vectors, mf)
     values[flags] = 0.0
     return LoadingMatrix(row_labels=tuple(labels), values=values, degenerate=tuple(flags.tolist()))
 
 
 def score_corpus(
-    corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace, mf: Mapping[str, ContextVector]
+    corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace, mf: np.ndarray
 ) -> LoadingMatrix:
     """Loadings of every tweet, one row per tweet in corpus order, as one batch."""
     counts, vectors = corpus_vectors(corpus, embedding)
@@ -231,14 +207,13 @@ def foundation_counts(matrix: LoadingMatrix) -> dict[str, int]:
     return dict(zip(FOUNDATIONS, counts.tolist()))
 
 
-def mf_similarity_matrix(mf: Mapping[str, ContextVector]) -> np.ndarray:
-    """Symmetric 5x5 cosine matrix between foundation vectors, unit diagonal."""
-    vectors = foundation_matrix(mf)
-    return row_cosines(vectors, vectors)
+def mf_similarity_matrix(mf: np.ndarray) -> np.ndarray:
+    """Symmetric 5x5 cosine matrix between the rows of the foundation matrix, unit diagonal."""
+    return row_cosines(mf, mf)
 
 
 def extend_dictionary(
-    embedding: EmbeddingSpace, mf: Mapping[str, ContextVector], n: int
+    embedding: EmbeddingSpace, mf: np.ndarray, n: int
 ) -> ExtendedDictionary:
     """Top-n keywords by cosine to each foundation vector, ties broken by word.
 
@@ -249,7 +224,7 @@ def extend_dictionary(
     words = embedding.words.words
     if n > len(words):
         logger.warning("requested %d words per foundation but only %d keywords exist", n, len(words))
-    sims = row_cosines(embedding.vectors, foundation_matrix(mf))
+    sims = row_cosines(embedding.vectors, mf)
     word_keys = np.array(words)
     per_foundation = {}
     for j, foundation in enumerate(FOUNDATIONS):
@@ -383,11 +358,6 @@ def context_vectors_for_corpus(
         )
         for tweet, vector, cols, n in zip(corpus, vectors, rows.rows, rows.data)
     ]
-
-
-def save_context_vectors(vectors: Sequence[ContextVector], path: str | Path) -> None:
-    """TSV: label followed by the k vector values (9 significant digits)."""
-    tables.write_vectors(path, [cv.label for cv in vectors], [cv.vector for cv in vectors])
 
 
 def parse_topic_label(label: str) -> tuple[str, int]:

@@ -265,7 +265,7 @@ def test_criterion_06_extended_dictionary(announce, planted_5k):
         sims = [s for _, s in entries]
         assert all(sims[i] >= sims[i + 1] for i in range(len(sims) - 1))
         for word, sim in entries:
-            recomputed = cosine(embedding.vector(word), mf[foundation].vector)
+            recomputed = cosine(embedding.vector(word), mf[FOUNDATIONS.index(foundation)])
             assert abs(sim - recomputed) <= 1e-12
     announce(6, "extended dictionary: 500 entries, nonincreasing, cosines verified to 1e-12")
 

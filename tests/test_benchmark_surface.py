@@ -1,11 +1,18 @@
-"""The benchmark's tracer wraps mfquant functions by name; each name must exist."""
+"""The benchmark's tracer wraps mfquant functions by name and counts from their
+arguments and results; each name must exist and each counter must still read them."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mfquant.corpus import TokenizedTweet
+from mfquant.linalg import EmbeddingSpace
+from mfquant.vectorizer import SelectionResult, Vocabulary, build_cooccurrence, ppmi
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -18,12 +25,68 @@ def load_tracing():
     return module
 
 
-LAYER_FUNCTIONS = load_tracing().LAYER_FUNCTIONS
+tracing = load_tracing()
 
 
 @pytest.mark.parametrize(
-    "layer,name", [(layer, name) for layer, names in LAYER_FUNCTIONS.items() for name in names]
+    "layer,name", [(layer, name) for layer, names in tracing.LAYER_FUNCTIONS.items() for name in names]
 )
 def test_traced_name_is_callable(layer, name):
     module = importlib.import_module(f"mfquant.{layer}")
     assert callable(getattr(module, name, None)), f"mfquant.{layer}.{name}"
+
+
+# Tweet "3" repeats tweet "1" (one duplicate) and tweet "4" has no keyword (degenerate).
+TWEETS = [
+    TokenizedTweet("1", ("war", "sin", "god")),
+    TokenizedTweet("2", ("war", "kill", "war")),
+    TokenizedTweet("3", ("war", "sin", "god")),
+    TokenizedTweet("4", ("other",)),
+]
+SELECTION = SelectionResult(
+    keywords=("war", "sin"), context_words=("war", "sin", "god", "kill"),
+    scores={"war": 4.0, "sin": 3.0, "god": 2.0, "kill": 1.0},
+)
+
+
+def counter_arguments(name, tmp_path):
+    """Tiny positional arguments for the traced function ``name``."""
+    if name == "corpus.load_records":
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("".join(json.dumps({"id": str(i), "text": "war sin"}) + "\n" for i in range(3)))
+        return (path,)
+    if name == "corpus.deduplicate":
+        return (TWEETS,)
+    if name == "vectorizer.build_cooccurrence":
+        return (TWEETS, SELECTION)
+    if name == "vectorizer.ppmi":
+        return (build_cooccurrence(TWEETS, SELECTION),)
+    if name == "linalg.truncated_svd":
+        return (ppmi(build_cooccurrence(TWEETS, SELECTION)), 1, 0)
+    if name == "semantics.context_vectors_for_corpus":
+        return (TWEETS, EmbeddingSpace(Vocabulary(("war", "sin")), np.array([[1.0, 0.5], [-0.5, 2.0]])))
+    raise KeyError(name)
+
+
+COUNT_KEYS = {
+    "corpus.load_records": ("corpus.records_in",),
+    "corpus.deduplicate": ("dedup.in", "dedup.kept"),
+    "vectorizer.build_cooccurrence": ("vectorizer.cooc_nnz", "vectorizer.cooc_pairs"),
+    "vectorizer.ppmi": ("vectorizer.ppmi_nnz", "ppmi.cells"),
+    "linalg.truncated_svd": ("linalg.svd_flops_computed", "linalg.svd_bytes_computed", "linalg.svd_energy"),
+    "semantics.context_vectors_for_corpus": ("cv.tweets", "cv.degenerate", "cv.keyword_tokens", "cv.tokens"),
+}
+
+
+def test_every_counter_is_checked():
+    assert set(tracing._COUNTERS) == set(COUNT_KEYS)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_KEYS))
+def test_counter_reads_the_wrapped_call(name, tmp_path):
+    layer, fname = name.split(".")
+    fn = getattr(importlib.import_module(f"mfquant.{layer}"), fname)
+    tracer = tracing.Tracer()
+    tracer.wrap(name, fn, tracing._COUNTERS[name])(*counter_arguments(name, tmp_path))
+    counts = {key: tracer.counts.get(key, 0) for key in COUNT_KEYS[name]}
+    assert all(value > 0 for value in counts.values()), counts

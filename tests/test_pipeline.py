@@ -110,6 +110,29 @@ output: out
         with pytest.raises(ConfigError):
             load_config(self.write_config(tmp_path, "inputs: [unclosed"))
 
+    def test_string_query_words_rejected(self, tmp_path):
+        body = """
+inputs: {immorality: corpus.jsonl}
+output: out
+cleaning:
+  query_words: {immorality: immoral}
+"""
+        with pytest.raises(ConfigError, match="query_words.immorality"):
+            load_config(self.write_config(tmp_path, body))
+
+    @pytest.mark.parametrize(
+        "name", ["", "immorality", "../../escaped", "a/b", "a,b", "a\tb", "a\nb", "a\rb"]
+    )
+    def test_bad_topic_name_rejected(self, tmp_path, name):
+        config = PipelineConfig(
+            immorality_path=tmp_path / "x.jsonl",
+            out_dir=tmp_path / "out",
+            topic_paths={name: tmp_path / "t.jsonl"},
+            query_words={"immorality": ("immoral",), name: ("topic",)},
+        )
+        with pytest.raises(ConfigError, match="topic name"):
+            config.validate()
+
 
 class TestStages:
     def test_all_stages_execute_and_emit_artifacts(self, completed_run):
@@ -192,6 +215,39 @@ class TestStages:
         art = Artifacts(config.out_dir)
         lines = art.topics_csv.read_text(encoding="utf-8").splitlines()
         assert lines == ["topic,keywords_used,care,fairness,ingroup,authority,purity"]
+
+
+def test_rerun_removes_files_a_stage_no_longer_writes(tmp_path):
+    config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
+    dropped = sorted(config.topic_paths)[-1]
+    run("all", config)
+    art = Artifacts(config.out_dir)
+    assert art.corpus(dropped).exists() and art.terms(dropped).exists()
+    del config.topic_paths[dropped]
+    run("all", config)
+    assert not art.corpus(dropped).exists() and not art.terms(dropped).exists()
+    manifest = json.loads((config.out_dir / "manifest.json").read_text())
+    for stage in STAGES:
+        listed = set(manifest["stages"][stage]["artifacts"])
+        directories = {(config.out_dir / rel).parent for rel in listed}
+        on_disk = {art.rel(p) for d in directories for p in d.iterdir()}
+        assert on_disk == listed, stage
+
+
+@pytest.mark.parametrize("edit", ["rename", "reorder"])
+def test_mislabeled_mf_vectors_names_file(completed_run, tmp_path, edit):
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    target = Artifacts(out_dir).mf_vectors
+    lines = target.read_text(encoding="utf-8").splitlines()
+    if edit == "rename":
+        lines[0] = "Harm" + lines[0][len("Care"):]
+    else:
+        lines[0], lines[1] = lines[1], lines[0]
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match="mf_vectors.tsv"):
+        run("loadings", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
 
 
 # (artifact, stage that reads it, field to corrupt or None to add a field)

@@ -7,7 +7,6 @@ from mfquant.lexicon import FOUNDATIONS, VICE, MFDictionary, MFEntry, coverage
 from mfquant.linalg import EmbeddingSpace, cosine
 from mfquant.semantics import (
     UNCLASSIFIED,
-    ContextVector,
     LoadingMatrix,
     context_vectors_for_corpus,
     corpus_vectors,
@@ -21,7 +20,6 @@ from mfquant.semantics import (
     save_loadings,
     score_corpus,
     topic_vector,
-    tweet_vector,
     vice_frequency_report,
 )
 from mfquant.vectorizer import SelectionResult, Vocabulary
@@ -60,7 +58,7 @@ def orthogonal_embedding():
 class TestTweetVector:
     def test_sum_of_keyword_vectors(self, fixture_embedding):
         tweet = TokenizedTweet("1", ("sin", "disgust", "god"))
-        cv = tweet_vector(tweet, fixture_embedding)
+        cv = context_vectors_for_corpus([tweet], fixture_embedding)[0]
         expected = (
             fixture_embedding.vector("sin")
             + fixture_embedding.vector("disgust")
@@ -70,13 +68,13 @@ class TestTweetVector:
         assert not cv.degenerate
 
     def test_no_keywords_degenerate(self, fixture_embedding):
-        cv = tweet_vector(TokenizedTweet("1", ("nothing", "matches")), fixture_embedding)
+        cv = context_vectors_for_corpus([TokenizedTweet("1", ("nothing", "matches"))], fixture_embedding)[0]
         assert cv.degenerate
         assert cv.skipped == 2
         np.testing.assert_array_equal(cv.vector, 0.0)
 
     def test_repeats_add(self, fixture_embedding):
-        cv = tweet_vector(TokenizedTweet("1", ("war", "war")), fixture_embedding)
+        cv = context_vectors_for_corpus([TokenizedTweet("1", ("war", "war"))], fixture_embedding)[0]
         np.testing.assert_allclose(
             cv.vector, 2.0 * fixture_embedding.vector("war"), atol=1e-12
         )
@@ -86,10 +84,10 @@ class TestTweetVector:
         left = TokenizedTweet("l", ("kill", "war", "god"))
         right = TokenizedTweet("r", ("sin", "kill"))
         joint = TokenizedTweet("j", left.tokens + right.tokens)
-        combined = tweet_vector(joint, fixture_embedding).vector
+        combined = context_vectors_for_corpus([joint], fixture_embedding)[0].vector
         parts = (
-            tweet_vector(left, fixture_embedding).vector
-            + tweet_vector(right, fixture_embedding).vector
+            context_vectors_for_corpus([left], fixture_embedding)[0].vector
+            + context_vectors_for_corpus([right], fixture_embedding)[0].vector
         )
         np.testing.assert_allclose(combined, parts, atol=1e-9)
 
@@ -98,8 +96,8 @@ class TestMfVectors:
     def test_hand_assembly(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
         expected_care = fixture_embedding.vector("kill") + fixture_embedding.vector("war")
-        np.testing.assert_allclose(mf["Care"].vector, expected_care, atol=1e-12)
-        assert set(mf) == set(FOUNDATIONS)
+        np.testing.assert_allclose(mf[0], expected_care, atol=1e-12)
+        assert mf.shape == (len(FOUNDATIONS), 6)
 
     def test_unmatched_foundation_errors(self, fixture_dict):
         words = ("kill", "war", "unfair", "enemy", "illegal")  # nothing for Purity
@@ -110,8 +108,8 @@ class TestMfVectors:
     def test_multi_foundation_word_in_both_sums(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
         treason = fixture_embedding.vector("treason")
-        ingroup_without = mf["Ingroup"].vector - treason
-        authority_without = mf["Authority"].vector - treason
+        ingroup_without = mf[FOUNDATIONS.index("Ingroup")] - treason
+        authority_without = mf[FOUNDATIONS.index("Authority")] - treason
         np.testing.assert_allclose(
             ingroup_without, fixture_embedding.vector("enemy"), atol=1e-12
         )
@@ -130,46 +128,39 @@ class TestTopicVector:
 
     def test_no_filtering(self, fixture_embedding):
         words = list(fixture_embedding.words.words)[:5]
-        cv = topic_vector(self.selection(words), fixture_embedding, n=5, label="t")
+        vector = topic_vector(self.selection(words), fixture_embedding, n=5, label="t")
         expected = sum(fixture_embedding.vector(w) for w in words)
-        np.testing.assert_allclose(cv.vector, expected, atol=1e-12)
-        assert cv.skipped == 0
+        np.testing.assert_allclose(vector, expected, atol=1e-12)
 
     def test_absent_words_skipped(self, fixture_embedding):
         # 3 of the top 6 are absent; survivors among the ranking fill n=3
         words = ["kill", "absent1", "war", "absent2", "absent3", "sin", "god"]
-        cv = topic_vector(self.selection(words), fixture_embedding, n=3, label="t")
+        vector = topic_vector(self.selection(words), fixture_embedding, n=3, label="t")
         expected = (
             fixture_embedding.vector("kill")
             + fixture_embedding.vector("war")
             + fixture_embedding.vector("sin")
         )
-        np.testing.assert_allclose(cv.vector, expected, atol=1e-12)
-        assert cv.skipped == 3
-        assert [w for w, _ in cv.contributing_words] == ["kill", "war", "sin"]
+        np.testing.assert_allclose(vector, expected, atol=1e-12)
 
     def test_fewer_survivors_than_n(self, fixture_embedding):
         words = ["kill", "absent1", "absent2"]
-        cv = topic_vector(self.selection(words), fixture_embedding, n=10, label="t")
+        vector = topic_vector(self.selection(words), fixture_embedding, n=10, label="t")
         np.testing.assert_allclose(
-            cv.vector, fixture_embedding.vector("kill"), atol=1e-12
+            vector, fixture_embedding.vector("kill"), atol=1e-12
         )
-        assert len(cv.contributing_words) == 1
 
 
 class TestLoadingMatrix:
     def test_self_similarity_row(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        matrix = loading_matrix(["copy"], mf["Care"].vector.copy()[None, :], mf)
+        matrix = loading_matrix(["copy"], mf[0].copy()[None, :], mf)
         assert matrix.values[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert matrix.shape == (1, 5)
 
     def test_orthogonal_row_is_zero(self):
         space = orthogonal_embedding()
-        mf = {
-            f: ContextVector(f, space.vectors[i].copy(), ((space.words.words[i], 1),))
-            for i, f in enumerate(FOUNDATIONS)
-        }
+        mf = space.vectors.copy()
         matrix = loading_matrix(["x"], np.zeros((1, 5)), mf)
         np.testing.assert_array_equal(matrix.values[0], np.zeros(5))
 
@@ -221,7 +212,7 @@ class TestScoreCorpus:
             expected = np.zeros(5)
             if found:
                 summed = np.sum(found, axis=0)
-                expected = np.array([cosine(summed, mf[f].vector) for f in FOUNDATIONS])
+                expected = np.array([cosine(summed, row) for row in mf])
             np.testing.assert_allclose(matrix.values[i], expected, rtol=0, atol=1e-12)
         assert matrix.degenerate[-4:] == (False, True, True, False)
         np.testing.assert_array_equal(matrix.values[-4], np.zeros(5))
@@ -265,7 +256,7 @@ class TestDominantFoundation:
 class TestFoundationCounts:
     def test_direct_count(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        vectors = np.tile(mf["Care"].vector, (3, 1))
+        vectors = np.tile(mf[0], (3, 1))
         counts = foundation_counts(loading_matrix(["0", "1", "2"], vectors, mf))
         assert counts == {"Care": 3, "Fairness": 0, "Ingroup": 0, "Authority": 0, "Purity": 0}
 
@@ -303,15 +294,12 @@ class TestFoundationCounts:
 class TestMfSimilarityMatrix:
     def test_identical_vectors_all_ones(self):
         v = np.array([1.0, 2.0, 3.0])
-        mf = {f: ContextVector(f, v.copy(), (("w", 1),)) for f in FOUNDATIONS}
+        mf = np.tile(v, (len(FOUNDATIONS), 1))
         np.testing.assert_allclose(mf_similarity_matrix(mf), np.ones((5, 5)), atol=1e-12)
 
     def test_orthogonal_vectors_identity(self):
         space = orthogonal_embedding()
-        mf = {
-            f: ContextVector(f, space.vectors[i].copy(), ((space.words.words[i], 1),))
-            for i, f in enumerate(FOUNDATIONS)
-        }
+        mf = space.vectors.copy()
         np.testing.assert_array_equal(mf_similarity_matrix(mf), np.eye(5))
 
     def test_symmetric_unit_diagonal(self, fixture_dict, fixture_embedding):
@@ -332,7 +320,7 @@ class TestExtendDictionary:
         extended = extend_dictionary(fixture_embedding, mf, 1)
         for foundation in FOUNDATIONS:
             sims = {
-                w: cosine(fixture_embedding.vector(w), mf[foundation].vector)
+                w: cosine(fixture_embedding.vector(w), mf[FOUNDATIONS.index(foundation)])
                 for w in fixture_embedding.words.words
             }
             best = max(sorted(sims), key=lambda w: sims[w])
@@ -351,7 +339,7 @@ class TestExtendDictionary:
             sims = [s for _, s in entries]
             assert all(sims[i] >= sims[i + 1] for i in range(len(sims) - 1))
             for word, sim in entries[:10]:
-                recomputed = cosine(space.vector(word), mf[foundation].vector)
+                recomputed = cosine(space.vector(word), mf[FOUNDATIONS.index(foundation)])
                 assert sim == pytest.approx(recomputed, abs=1e-12)
 
     def test_n_larger_than_vocab_takes_all(self, fixture_dict, fixture_embedding):
