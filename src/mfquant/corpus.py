@@ -85,6 +85,7 @@ def _parse_line(obj: dict) -> TweetRecord:
         raise ValueError("missing or empty 'id'")
     if any(ch in rec_id for ch in _ID_DELIMITERS):
         raise ValueError(f"id {rec_id!r} contains a tab, comma or newline")
+    rec_id.encode("utf-8")  # a lone surrogate (JSON "\ud800") cannot reach a UTF-8 artifact
     if not isinstance(text, str):
         raise ValueError("missing 'text'")
     retweeted = obj.get("retweeted_status")
@@ -103,7 +104,7 @@ def load_records(
     """Read line-delimited JSON records in file order.
 
     Malformed lines (bad JSON, missing id/text, an id containing a tab,
-    comma or newline) and duplicate ids are logged with their line number
+    comma, newline or lone surrogate) and duplicate ids are logged with their line number
     and skipped; records failing ``lang_filter`` are dropped silently. An unreadable file raises CorpusError.
     """
     path = Path(path)

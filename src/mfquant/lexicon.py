@@ -1,24 +1,25 @@
 """Moral-foundation dictionary: loading, wildcard matching, coverage.
 
-Entries are (pattern, foundation, polarity) rows in a TSV file. A
-trailing '*' marks a stem pattern that matches itself and any extension
-by prefix; all other patterns match exactly. MoralityGeneral entries are
-loaded but sit outside the five foundations used for context vectors.
+Entries are (pattern, foundation, polarity) rows in a TSV file. One rule,
+``match_matrix``, matches them: over the sorted words, a stem (trailing
+'*') matches the range of words it prefixes, itself included, and an exact
+pattern matches by equality. MoralityGeneral is in no five-foundation product.
 """
 
 from __future__ import annotations
 
-import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+from scipy import sparse
 
 from . import tables
 from .errors import LexiconError
-
-logger = logging.getLogger(__name__)
 
 FOUNDATIONS = ("Care", "Fairness", "Ingroup", "Authority", "Purity")
 MORALITY_GENERAL = "MoralityGeneral"
@@ -45,36 +46,51 @@ class MFEntry:
         return self.pattern[:-1] if self.is_stem else self.pattern
 
 
+def match_matrix(entries: Sequence[MFEntry], words: Sequence[str]) -> sparse.csr_matrix:
+    """Entries x words 0/1 matrix, columns in ``words`` order: one sort, then one ``bisect`` range per entry."""
+    order = sorted(range(len(words)), key=words.__getitem__)
+    ordered = [words[i] for i in order]
+    indptr, indices = [0], []
+    for entry in entries:
+        start = bisect_left(ordered, entry.stem)
+        if entry.is_stem:
+            stop = bisect_left(ordered, True, start, key=lambda w: not w.startswith(entry.stem))
+        else:
+            stop = bisect_right(ordered, entry.pattern, start)
+        indices.extend(order[start:stop])
+        indptr.append(len(indices))
+    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(entries), len(words)))
+
+
+def matched_foundations(entries: Sequence[MFEntry], matches: sparse.csr_matrix) -> list[set[str]]:
+    """Per word (column) of ``entries``' match matrix, the foundations of the entries matching it."""
+    columns = matches.tocsc()
+    return [{entries[i].foundation for i in columns.indices[a:b]} for a, b in pairwise(columns.indptr)]
+
+
 class MFDictionary:
     """Immutable foundation dictionary with wildcard-stem matching."""
 
     def __init__(self, entries: Iterable[MFEntry]):
         self.entries: tuple[MFEntry, ...] = tuple(entries)
-        self._exact: dict[tuple[str, str], set[str]] = {}
-        self._stems: dict[str, list[MFEntry]] = {VIRTUE: [], VICE: []}
-        for entry in self.entries:
-            if entry.is_stem:
-                self._stems[entry.polarity].append(entry)
-            else:
-                key = (entry.pattern, entry.polarity)
-                self._exact.setdefault(key, set()).add(entry.foundation)
+
+    def select(self, polarity: str, foundations: Sequence[str] = FOUNDATIONS) -> list[MFEntry]:
+        """Entries of ``polarity`` whose foundation is one of ``foundations``, in file order."""
+        return [e for e in self.entries if e.polarity == polarity and e.foundation in foundations]
 
     @property
     def vice_count(self) -> int:
         """Number of vice entries across the five foundations."""
-        return sum(e.polarity == VICE and e.foundation in FOUNDATIONS for e in self.entries)
+        return len(self.select(VICE))
+
+    def foundation_sets(self, words: Sequence[str], polarity: str = VICE) -> list[set[str]]:
+        """Per word, the foundations (MoralityGeneral included) whose ``polarity`` entries match it."""
+        entries = self.select(polarity, ALL_FOUNDATIONS)
+        return matched_foundations(entries, match_matrix(entries, words))
 
     def match_word(self, word: str, polarity: str = VICE) -> set[str]:
-        """Foundations whose entries of ``polarity`` match ``word``.
-
-        Exact patterns must equal the word; stem patterns match when the
-        word starts with the stem. Returns an empty set on no match.
-        """
-        matched = set(self._exact.get((word, polarity), ()))
-        for entry in self._stems[polarity]:
-            if word.startswith(entry.stem):
-                matched.add(entry.foundation)
-        return matched
+        """Foundations whose entries of ``polarity`` match ``word``; empty on no match."""
+        return self.foundation_sets([word], polarity)[0]
 
 
 @dataclass
@@ -88,6 +104,8 @@ class EntryCoverage:
 class CoverageResult:
     fraction: float
     entries: list[EntryCoverage]
+    words: list[str]
+    matches: sparse.csr_matrix
 
     @property
     def matched_count(self) -> int:
@@ -140,26 +158,18 @@ def coverage(
     ``vocabulary`` may be a plain set of words or a word -> frequency
     mapping; with a mapping the per-entry matched-word frequencies are
     filled in (the data behind the frequency report). MoralityGeneral
-    entries are not part of the five-foundation coverage.
+    entries are not part of the five-foundation coverage. The result keeps
+    the entries x ``words`` match matrix over the sorted vocabulary.
     """
     freqs: Mapping[str, int] = vocabulary if isinstance(vocabulary, Mapping) else {}
-    words = sorted(vocabulary)
-    relevant = [
-        e
-        for e in dictionary.entries
-        if e.polarity == polarity and e.foundation in FOUNDATIONS
-    ]
+    relevant = dictionary.select(polarity)
     if not relevant:
         raise LexiconError(f"dictionary has no {polarity} entries; coverage undefined")
-    results: list[EntryCoverage] = []
-    for entry in relevant:
-        if entry.is_stem:
-            matched = [w for w in words if w.startswith(entry.stem)]
-        else:
-            matched = [w for w in words if w == entry.pattern]
-        results.append(EntryCoverage(entry, matched, [freqs.get(w, 0) for w in matched]))
-    matched_count = sum(1 for r in results if r.matched_words)
-    return CoverageResult(fraction=matched_count / len(relevant), entries=results)
+    words = sorted(vocabulary)
+    matches = match_matrix(relevant, words)
+    matched = [[words[j] for j in matches.indices[a:b]] for a, b in pairwise(matches.indptr)]
+    results = [EntryCoverage(e, m, [freqs.get(w, 0) for w in m]) for e, m in zip(relevant, matched)]
+    return CoverageResult(sum(map(bool, matched)) / len(relevant), results, words, matches)
 
 
 def write_coverage_report(result: CoverageResult, path: str | Path) -> None:

@@ -3,8 +3,8 @@
 Stages run in a fixed order (ingest, select, matrix, svd, vectors,
 loadings, extend, pca, report), each persisting its artifacts under the
 output directory and recording content hashes in manifest.json. A rerun
-with identical inputs, parameters, and seed reproduces identical
-artifact bytes on the same platform/build.
+with identical inputs, parameters, seed and BLAS thread count reproduces
+identical artifact bytes on the same platform/build.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ class PipelineConfig:
             problems.append("min_token_len must be >= 1")
         if not self.topic_n or any(n < 1 for n in self.topic_n):
             problems.append("topic_n must be a non-empty list of positive integers")
+        repeated = sorted({n for n in self.topic_n if self.topic_n.count(n) > 1})
+        if repeated:
+            problems.append(f"topic_n values must be distinct; repeated: {repeated}")
         for name in sorted(self.topic_paths):
             if not name or name == "immorality" or set(str(name)) & set("/\t,\n\r"):
                 problems.append(

@@ -25,7 +25,7 @@ from scipy import sparse
 from . import tables
 from .corpus import TokenizedTweet
 from .errors import DataError
-from .lexicon import FOUNDATIONS, VICE, CoverageResult, MFDictionary, coverage
+from .lexicon import FOUNDATIONS, VICE, CoverageResult, MFDictionary, coverage, match_matrix, matched_foundations
 from .linalg import EmbeddingSpace, row_cosines
 from .vectorizer import SelectionResult, tweet_term_counts
 
@@ -79,11 +79,10 @@ class ExtendedDictionary:
 
 @dataclass
 class ViceFrequencyReport:
-    """Word-level rows (word, foundations, corpus frequency) plus the coverage fraction."""
+    """Word-level rows (word, foundations, corpus frequency) plus the coverage they come from."""
 
     rows: list[tuple[str, tuple[str, ...], int]]
-    coverage_fraction: float
-    coverage: CoverageResult | None = field(repr=False, default=None)
+    coverage: CoverageResult = field(repr=False)
 
 
 def corpus_vectors(
@@ -109,14 +108,11 @@ def mf_vectors(
     DataError (its vector would be undefined). MoralityGeneral never
     produces a vector.
     """
-    rows, cols = [], []
-    for j, word in enumerate(embedding.words.words):
-        for foundation in dictionary.match_word(word, polarity) & set(FOUNDATIONS):
-            rows.append(FOUNDATIONS.index(foundation))
-            cols.append(j)
-    indicator = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(FOUNDATIONS), len(embedding.words.words))
-    )
+    entries = dictionary.select(polarity)
+    columns = [FOUNDATIONS.index(e.foundation) for e in entries]  # one-hot foundation of each entry
+    onehot = sparse.csr_matrix(np.eye(len(FOUNDATIONS))[:, columns])
+    indicator = (onehot @ match_matrix(entries, embedding.words.words) > 0).astype(np.float64)
+    indicator.sort_indices()  # keyword order fixes the summation order, so F is reproducible bit for bit
     for foundation, matches in zip(FOUNDATIONS, np.diff(indicator.indptr)):
         if not matches:
             raise DataError(
@@ -244,16 +240,9 @@ def vice_frequency_report(
     occurrence count. Unmatched dictionary entries contribute no rows.
     """
     cov = coverage(dictionary, vocabulary_frequencies, polarity)
-    by_word: dict[str, set[str]] = {}
-    for item in cov.entries:
-        for word in item.matched_words:
-            by_word.setdefault(word, set()).add(item.entry.foundation)
-    rows = [
-        (word, tuple(sorted(foundations)), int(vocabulary_frequencies.get(word, 0)))
-        for word, foundations in by_word.items()
-    ]
-    rows.sort(key=lambda r: (-r[2], r[0]))
-    return ViceFrequencyReport(rows=rows, coverage_fraction=cov.fraction, coverage=cov)
+    by_word = matched_foundations([item.entry for item in cov.entries], cov.matches)
+    rows = [(w, tuple(sorted(f)), int(vocabulary_frequencies[w])) for w, f in zip(cov.words, by_word) if f]
+    return ViceFrequencyReport(rows=sorted(rows, key=lambda r: (-r[2], r[0])), coverage=cov)
 
 
 def _csv_values(values: np.ndarray) -> str:
@@ -341,7 +330,7 @@ def save_foundation_counts(counts: Mapping[str, int], path: str | Path) -> None:
 def save_vice_report(report: ViceFrequencyReport, path: str | Path) -> None:
     """TSV rows (word, foundations, frequency) preceded by the coverage fraction."""
     rows = (f"{word}\t{'|'.join(foundations)}\t{freq}" for word, foundations, freq in report.rows)
-    header = f"# vice_coverage\t{report.coverage_fraction!r}\nword\tfoundations\tfrequency"
+    header = f"# vice_coverage\t{report.coverage.fraction!r}\nword\tfoundations\tfrequency"
     tables.write_lines(path, rows, header=header)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .lexicon import MFDictionary, load_packaged_dictionary
+from .lexicon import VICE, MFDictionary, load_packaged_dictionary
 
 logger = logging.getLogger(__name__)
 
@@ -122,25 +122,19 @@ def default_plan(
     """Five foundation clusters with verified single-foundation anchors."""
     if dictionary is None:
         dictionary = load_packaged_dictionary()
-    clusters = []
-    for name, anchors in _ANCHORS.items():
-        foundation = _CLUSTER_FOUNDATION[name]
-        for word in anchors:
-            matched = dictionary.match_word(word, "vice")
-            if matched != {foundation}:
-                raise ConfigError(
-                    f"anchor {word!r} matches {sorted(matched)}, expected only {foundation}"
-                )
-        tag = _FILLER_TAGS[name]
-        fillers = tuple(f"{tag}{_letters(i)}" for i in range(fillers_per_cluster))
-        clusters.append(
-            ClusterSpec(name=name, foundation=foundation, anchors=anchors, fillers=fillers)
-        )
+    clusters = tuple(
+        ClusterSpec(name, _CLUSTER_FOUNDATION[name], anchors,
+                    tuple(f"{_FILLER_TAGS[name]}{_letters(i)}" for i in range(fillers_per_cluster)))
+        for name, anchors in _ANCHORS.items()
+    )
     noise = tuple(f"golf{_letters(i)}" for i in range(noise_pool))
-    for word in noise + tuple(w for c in clusters for w in c.fillers):
-        if dictionary.match_word(word, "vice"):
-            raise ConfigError(f"generated word {word!r} collides with a dictionary entry")
-    return SynthPlan(clusters=tuple(clusters), noise_words=noise)
+    expected = {word: {c.foundation} for c in clusters for word in c.anchors}
+    words = [*expected, *noise, *(w for c in clusters for w in c.fillers)]
+    for word, found in zip(words, dictionary.foundation_sets(words, VICE)):
+        want = expected.get(word, set())
+        if found != want:
+            raise ConfigError(f"planted word {word!r} matches {sorted(found)}, expected {sorted(want)}")
+    return SynthPlan(clusters=clusters, noise_words=noise)
 
 
 def _decorate(words: list[str], rng: random.Random, plan: SynthPlan) -> str:

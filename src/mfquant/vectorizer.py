@@ -229,10 +229,11 @@ def save_triplets(matrix: SparseCountMatrix | WeightedMatrix, path: str | Path) 
     Rows and columns index the vocabulary sidecars; integer counts become exact float64 values.
     """
     mat = matrix.counts if isinstance(matrix, SparseCountMatrix) else matrix.weights
-    mat = mat.tocsr(copy=True)
-    mat.sum_duplicates()
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
     triplets = np.empty(mat.nnz, dtype=TRIPLET_DTYPE)
-    triplets["row"] = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    triplets["row"] = np.repeat(np.arange(mat.shape[0], dtype=np.int32), np.diff(mat.indptr))
     triplets["col"] = mat.indices
     triplets["value"] = mat.data
     tables.write_array(path, triplets)

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 
 from mfquant.corpus import TokenizedTweet
 from mfquant.linalg import EmbeddingSpace
+from mfquant.pipeline import PipelineConfig
 from mfquant.vectorizer import SelectionResult, Vocabulary, build_cooccurrence, ppmi
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -90,3 +93,14 @@ def test_counter_reads_the_wrapped_call(name, tmp_path):
     tracer.wrap(name, fn, tracing._COUNTERS[name])(*counter_arguments(name, tmp_path))
     counts = {key: tracer.counts.get(key, 0) for key in COUNT_KEYS[name]}
     assert all(value > 0 for value in counts.values()), counts
+
+
+def test_every_workload_config_validates(monkeypatch, tmp_path):
+    """The untraced benchmark path builds each workload's PipelineConfig in child.make_config."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench_run = importlib.import_module("run")
+    child = importlib.import_module("child")
+    for name, workload in bench_run.WORKLOADS.items():
+        config = child.make_config(asdict(workload), tmp_path / name)
+        assert isinstance(config, PipelineConfig), name
+        config.validate()

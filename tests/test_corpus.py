@@ -179,10 +179,10 @@ class TestLoadRecords:
         lines = [json.dumps({"id": "1"}), json.dumps({"text": "no id"})]
         lines += [
             json.dumps({"id": bad, "text": "text"})
-            for bad in ("a,b\tc", "a\tb", "a,b", "a\nb", "a\rb")
+            for bad in ("a,b\tc", "a\tb", "a,b", "a\nb", "a\rb", "a\ud800b")
         ]
         records, stats = load_records(self.write(tmp_path, lines))
-        assert records == [] and stats.malformed == 7
+        assert records == [] and stats.malformed == 8
 
     def test_duplicate_ids_skipped(self, tmp_path):
         lines = [

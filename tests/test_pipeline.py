@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mfquant
 from mfquant.cli import main
@@ -133,6 +136,16 @@ cleaning:
         with pytest.raises(ConfigError, match="topic name"):
             config.validate()
 
+    def test_repeated_topic_n_rejected(self, tmp_path):
+        config = PipelineConfig(
+            immorality_path=tmp_path / "x.jsonl",
+            out_dir=tmp_path / "out",
+            topic_n=(10, 5, 10),
+            query_words={"immorality": ("immoral",)},
+        )
+        with pytest.raises(ConfigError, match=r"topic_n .*repeated: \[10\]"):
+            config.validate()
+
 
 class TestStages:
     def test_all_stages_execute_and_emit_artifacts(self, completed_run):
@@ -232,6 +245,56 @@ def test_rerun_removes_files_a_stage_no_longer_writes(tmp_path):
         directories = {(config.out_dir / rel).parent for rel in listed}
         on_disk = {art.rel(p) for d in directories for p in d.iterdir()}
         assert on_disk == listed, stage
+
+
+@pytest.fixture(scope="module")
+def planted_corpus(tmp_path_factory):
+    """A small planted corpus, its ids, and the ids ingest keeps from it."""
+    tmp_path = tmp_path_factory.mktemp("planted")
+    config = make_workspace(tmp_path, tweets=200, topics=())
+    run("ingest", config)
+    text = config.immorality_path.read_text(encoding="utf-8")
+    ids = {json.loads(line)["id"] for line in text.splitlines()}
+    rows = Artifacts(config.out_dir).corpus("immorality").read_text(encoding="utf-8").split("\n")[:-1]
+    return config, text, ids, [row.split("\t")[0] for row in rows]
+
+
+RECORD_IDS = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63),
+    # any code point, lone surrogates and delimiters included: ingest rejects those
+    st.text(st.one_of(st.characters(), st.characters(categories=("Cs",))), min_size=1, max_size=8),
+    st.text(min_size=1, max_size=6).map(lambda s: f"  {s} "),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(RECORD_IDS, st.integers(0, 3)), min_size=1, max_size=6))
+def test_accepted_ids_reach_loadings_unchanged(planted_corpus, records):
+    """Appended records, text t being "war kill uniq<t>": every id load_records accepts
+    appears once per deduplicated tweet, unchanged and in order, in the corpus and the loadings."""
+    config, planted_text, planted_ids, planted_kept = planted_corpus
+    lines = [json.dumps({"id": rec_id, "text": f"war kill uniq{'abcd'[t]}"}) for rec_id, t in records]
+    expected, seen_ids, seen_texts = list(planted_kept), set(planted_ids), set()
+    for line, (_, t) in zip(lines, records):
+        rec_id = json.loads(line)["id"]  # JSON joins an escaped surrogate pair into one character
+        rec_id = str(rec_id) if isinstance(rec_id, int) else rec_id
+        if set(rec_id) & set("\t,\n\r") or any(0xD800 <= ord(c) <= 0xDFFF for c in rec_id):
+            continue
+        if rec_id not in seen_ids and t not in seen_texts:
+            expected.append(rec_id)
+            seen_texts.add(t)
+        seen_ids.add(rec_id)
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "immorality.jsonl"
+        source.write_text(planted_text + "\n".join(lines) + "\n", encoding="utf-8")
+        config = dataclasses.replace(config, immorality_path=source, out_dir=Path(tmp) / "out")
+        for stage in STAGES[: STAGES.index("loadings") + 1]:
+            run(stage, config)
+        art = Artifacts(config.out_dir)
+        corpus_rows = art.corpus("immorality").read_text(encoding="utf-8").split("\n")[:-1]
+        loading_rows = art.loadings.read_text(encoding="utf-8").split("\n")[1:-1]
+    assert [row.split("\t")[0] for row in corpus_rows] == expected
+    assert [row.split(",")[0] for row in loading_rows] == expected
 
 
 @pytest.mark.parametrize("edit", ["rename", "reorder"])
@@ -438,6 +501,14 @@ class TestCli:
             "immorality": ("immoral", "immorality"),
             **{t: (t.replace("_", ""),) for t, _ in DEFAULT_TOPICS},
         }
+
+    def test_repeated_topic_n_is_usage_error(self, tmp_path, capsys):
+        workdir = tmp_path / "ws"
+        main(["synth", "--out", str(workdir), "--tweets", "30", "--topic-tweets", "10"])
+        code = main(["run", "--config", str(workdir / "config.yaml"), "--topic-n", "5", "--topic-n", "5"])
+        assert code == 1
+        assert "repeated: [5]" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
 
     def test_stage_subcommands_exist(self):
         from mfquant.cli import cli

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfquant.corpus import TokenizedTweet
-from mfquant.errors import DataError
-from mfquant.lexicon import FOUNDATIONS, VICE, MFDictionary, MFEntry, coverage
+from mfquant.errors import DataError, LexiconError
+from mfquant.lexicon import (
+    ALL_FOUNDATIONS, FOUNDATIONS, POLARITIES, VICE, MFDictionary, MFEntry, coverage, match_matrix,
+)
 from mfquant.linalg import EmbeddingSpace, cosine
 from mfquant.semantics import (
     UNCLASSIFIED,
@@ -360,11 +363,77 @@ class TestViceFrequencyReport:
     def test_fraction_consistent_with_coverage(self, fixture_dict):
         vocab = {"war": 7, "killing": 2, "sin": 1}
         report = vice_frequency_report(fixture_dict, vocab)
-        assert report.coverage_fraction == coverage(fixture_dict, vocab, VICE).fraction
+        assert report.coverage.fraction == coverage(fixture_dict, vocab, VICE).fraction
 
     def test_multi_foundation_word_listed_once(self, fixture_dict):
         report = vice_frequency_report(fixture_dict, {"treasonous": 4})
         assert ("treasonous", ("Authority", "Ingroup"), 4) in report.rows
+
+
+def brute_matches(entry, word):
+    """Independent matcher: a stem pattern prefixes the word, an exact one equals it."""
+    return word.startswith(entry.pattern[:-1]) if entry.pattern.endswith("*") else word == entry.pattern
+
+
+# a two-letter ASCII alphabet makes nested stems likely; the rest are non-ASCII
+LETTERS = "ab\u00e9\u00df\u4e2d"
+PATTERNS = st.one_of(
+    st.text(LETTERS, min_size=1, max_size=3),
+    st.text(LETTERS, max_size=2).map(lambda stem: stem + "*"),  # "" gives the bare "*"
+)
+DICTIONARY_ROWS = st.lists(
+    st.tuples(
+        PATTERNS,
+        st.lists(st.sampled_from(ALL_FOUNDATIONS), min_size=1, max_size=3, unique=True),
+        st.sampled_from(POLARITIES),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DICTIONARY_ROWS, st.lists(st.text(LETTERS, min_size=1, max_size=4), max_size=12))
+def test_matching_agrees_with_brute_force(rows, drawn_words):
+    """One pattern may sit under several foundations, and every stem is also a word."""
+    entries = [MFEntry(pattern, f, polarity) for pattern, foundations, polarity in rows for f in foundations]
+    dictionary = MFDictionary(entries)
+    words = list(dict.fromkeys(drawn_words + [e.stem for e in entries if e.stem]))
+    expected = [[float(brute_matches(e, w)) for w in words] for e in entries]
+    np.testing.assert_array_equal(
+        match_matrix(entries, words).toarray(), np.reshape(expected, (len(entries), len(words)))
+    )
+    for polarity in POLARITIES:
+        for word in words:
+            assert dictionary.match_word(word, polarity) == {
+                e.foundation for e in entries if e.polarity == polarity and brute_matches(e, word)
+            }
+
+    vice = [e for e in entries if e.polarity == VICE and e.foundation in FOUNDATIONS]
+    freqs = {w: 3 * j % 4 for j, w in enumerate(words)}  # ties exercise the report's word order
+    if not vice:
+        with pytest.raises(LexiconError):
+            coverage(dictionary, freqs, VICE)
+    else:
+        cov = coverage(dictionary, freqs, VICE)
+        matched = [sorted(w for w in words if brute_matches(e, w)) for e in vice]
+        assert [item.entry for item in cov.entries] == vice
+        assert [item.matched_words for item in cov.entries] == matched
+        assert [item.frequencies for item in cov.entries] == [[freqs[w] for w in m] for m in matched]
+        assert cov.fraction == sum(map(bool, matched)) / len(vice)
+        by_word = {w: tuple(sorted({e.foundation for e in vice if brute_matches(e, w)})) for w in words}
+        report_rows = sorted(((w, f, freqs[w]) for w, f in by_word.items() if f), key=lambda r: (-r[2], r[0]))
+        assert vice_frequency_report(dictionary, freqs).rows == report_rows
+
+    # small integer embeddings keep every sum exact
+    space = EmbeddingSpace(Vocabulary(tuple(words)), (np.arange(3 * len(words)) % 7 - 3.0).reshape(-1, 3))
+    hits = [[j for j, w in enumerate(words) if any(e.foundation == f and brute_matches(e, w) for e in vice)]
+            for f in FOUNDATIONS]
+    if all(hits):
+        expected_mf = np.array([space.vectors[h].sum(axis=0) for h in hits])
+        np.testing.assert_array_equal(mf_vectors(dictionary, space), expected_mf)
+    else:
+        with pytest.raises(DataError, match="no keywords match"):
+            mf_vectors(dictionary, space)
 
 
 class TestLoadingsPersistence:

@@ -4,7 +4,7 @@ import pytest
 
 from mfquant.corpus import CleaningConfig, clean_and_tokenize, deduplicate, load_records
 from mfquant.errors import ConfigError
-from mfquant.lexicon import load_packaged_dictionary
+from mfquant.lexicon import MFDictionary, MFEntry, load_packaged_dictionary
 from mfquant.linalg import EmbeddingSpace, truncated_svd
 from mfquant.semantics import dominant_foundation, mf_vectors, score_corpus
 from mfquant.synth import default_plan, synth_corpus, synth_topic_corpus
@@ -77,6 +77,24 @@ class TestGenerator:
                 assert dictionary.match_word(anchor) == {cluster.foundation}
             for filler in cluster.fillers:
                 assert dictionary.match_word(filler) == set()
+
+    @pytest.mark.parametrize(
+        "extra,word",
+        [
+            (MFEntry("kill*", "Purity", "vice"), "kill"),  # an anchor under a second foundation
+            (MFEntry("sin", "MoralityGeneral", "vice"), "sin"),
+            (MFEntry("golf*", "Care", "vice"), "golfaa"),  # a noise word
+            (MFEntry("echoab", "Fairness", "vice"), "echoab"),  # a filler
+        ],
+    )
+    def test_plan_rejects_a_word_the_dictionary_misclassifies(self, extra, word):
+        dictionary = MFDictionary(load_packaged_dictionary().entries + (extra,))
+        with pytest.raises(ConfigError, match=f"'{word}'"):
+            default_plan(fillers_per_cluster=60, noise_pool=120, dictionary=dictionary)
+
+    def test_virtue_entries_do_not_constrain_the_plan(self):
+        dictionary = MFDictionary(load_packaged_dictionary().entries + (MFEntry("golf*", "Care", "virtue"),))
+        assert default_plan(fillers_per_cluster=60, noise_pool=120, dictionary=dictionary).noise_words
 
     def test_topic_corpus_deterministic(self, plan, tmp_path):
         first = tmp_path / "t1.jsonl"

@@ -326,6 +326,23 @@ class TestPersistence:
             assert loaded.weights.dtype == np.float64
             np.testing.assert_array_equal(loaded.to_dense(), matrix.to_dense())
 
+    def test_non_canonical_input_saved_as_canonical_and_left_unmodified(self, tmp_path):
+        # row 0 holds column 2 twice and out of order; row 1 is empty
+        messy = sparse.csr_matrix(
+            (np.array([1.5, 0.25, 2.0, 0.5]), np.array([2, 0, 2, 1]), np.array([0, 3, 3, 4])), shape=(3, 3)
+        )
+        arrays = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
+        canonical = messy.copy()
+        canonical.sum_duplicates()
+        labels = (Vocabulary(("a", "b", "c")), ("x", "y", "z"))
+        save_triplets(WeightedMatrix(*labels, messy), tmp_path / "messy.npy")
+        save_triplets(WeightedMatrix(*labels, canonical), tmp_path / "canonical.npy")
+        assert (tmp_path / "messy.npy").read_bytes() == (tmp_path / "canonical.npy").read_bytes()
+        for before, after in zip(arrays, (messy.data, messy.indices, messy.indptr)):
+            np.testing.assert_array_equal(after, before)
+        loaded = load_triplets(tmp_path / "messy.npy", ("a", "b", "c"), ("x", "y", "z"))
+        np.testing.assert_array_equal(loaded.to_dense(), [[0.25, 0.0, 3.5], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+
     def test_selection_roundtrip(self, tmp_path):
         sel = select_terms({"a": 3.0, "b": 2.0, "c": 1.5}, 2, 3)
         save_selection(sel, tmp_path / "sel.tsv")
