@@ -3,15 +3,17 @@
 Records arrive as line-delimited JSON (one object per line with at least
 ``id`` and ``text``; retweets carry the original text under
 ``retweeted_status.text``). Cleaning applies, in order: effective-text
-selection, URL removal, screen-name removal, hashtag-symbol stripping,
-special-character and digit removal, lowercasing, whitespace splitting,
-and the stopword / query-word / minimum-length filter.
+selection, whitespace chunking, dropping URL and screen-name chunks,
+lowercasing, one code-point rule (delete '#', digits and apostrophes; keep
+letters; blank the rest), whitespace splitting, and the minimum-length /
+stopword / query-word filter.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from .stopwords import DEFAULT_STOPWORDS
 
 logger = logging.getLogger(__name__)
 
-_URL_MARKERS = ("http://", "https://", "www.")
+_URL_MARKER = re.compile(r"https?://|www\.")
 _APOSTROPHES = ("'", "’", "ʼ")
 # field and line separators of the artifact tables that carry ids downstream
 _ID_DELIMITERS = ("\t", ",", "\n", "\r")
@@ -103,16 +105,16 @@ def load_records(
 ) -> tuple[list[TweetRecord], IngestStats]:
     """Read line-delimited JSON records in file order.
 
-    Malformed lines (bad JSON, missing id/text, an id containing a tab,
-    comma, newline or lone surrogate) and duplicate ids are logged with their line number
-    and skipped; records failing ``lang_filter`` are dropped silently. An unreadable file raises CorpusError.
+    Malformed lines (bytes that are not UTF-8, bad JSON, missing id/text, an id containing
+    a tab, comma, newline or lone surrogate) and duplicate ids are logged with their line
+    number and skipped; records failing ``lang_filter`` are dropped silently. An unreadable file raises CorpusError.
     """
     path = Path(path)
     stats = IngestStats()
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     try:
-        handle = path.open("r", encoding="utf-8")
+        handle = path.open("r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     with handle:
@@ -120,6 +122,7 @@ def load_records(
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8")  # a byte that is not UTF-8 was decoded to a lone surrogate
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("line is not an object")
@@ -145,17 +148,18 @@ def load_records(
     return records, stats
 
 
-def _clean_chunk(chunk: str) -> str:
-    """Strip '#', delete digits/apostrophes in place, blank other non-letters."""
-    out: list[str] = []
-    for ch in chunk:
-        if ch == "#" or ch.isdigit() or ch in _APOSTROPHES:
-            continue
-        if ch.isalpha():
-            out.append(ch)
-        else:
-            out.append(" ")
-    return "".join(out)
+class _CodePointRule(dict):
+    """``str.translate`` table that classifies each code point on first use:
+    '#', digits and apostrophes are deleted, letters kept, anything else becomes a space."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        deleted = ch == "#" or ch.isdigit() or ch in _APOSTROPHES
+        self[code] = "" if deleted else ch if ch.isalpha() else " "
+        return self[code]
+
+
+_CODE_POINT_RULE = _CodePointRule()
 
 
 def clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> TokenizedTweet:
@@ -166,24 +170,19 @@ def clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> Tokenized
     punctuation splits tokens, and the stopword / query-word /
     min-length filter runs on the lowercased results.
     """
-    tokens: list[str] = []
-    for chunk in record.effective_text.split():
-        if chunk.startswith("@"):
-            continue
-        if any(marker in chunk.lower() for marker in _URL_MARKERS):
-            continue
-        if config.lowercase:
-            # lowercase before the letter filter: some uppercase letters
-            # lower to letter + combining mark, which must not survive
-            chunk = chunk.lower()
-        cleaned = _clean_chunk(chunk)
-        for token in cleaned.split():
-            if len(token) < config.min_token_len:
-                continue
-            if token in config.stopwords or token in config.query_words:
-                continue
-            tokens.append(token)
-    return TokenizedTweet(id=record.id, tokens=tuple(tokens))
+    text = " ".join([
+        chunk for chunk in record.effective_text.split()
+        if not chunk.startswith("@") and not _URL_MARKER.search(chunk.lower())
+    ])
+    if config.lowercase:
+        # lowercase before the letter filter: some uppercase letters
+        # lower to letter + combining mark, which must not survive
+        text = text.lower()
+    kept = (
+        token for token in text.translate(_CODE_POINT_RULE).split()
+        if len(token) >= config.min_token_len and token not in config.stopwords and token not in config.query_words
+    )
+    return TokenizedTweet(id=record.id, tokens=tuple(kept))
 
 
 def deduplicate(corpus: list[TokenizedTweet]) -> tuple[list[TokenizedTweet], int]:

@@ -492,6 +492,8 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
         manifest = RunManifest.load_or_create(config.out_dir, config.params_snapshot())
         dictionary = config.dictionary_path or lexicon_mod.packaged_dictionary_path()
         inputs = {**_corpus_paths(config), "dictionary": dictionary}
+        if config.stopwords_path is not None:
+            inputs["stopwords"] = config.stopwords_path
         if all(p.exists() for p in inputs.values()):
             manifest.record_inputs(inputs)
         for name in plan:
@@ -501,5 +503,4 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
             manifest.record_stage(name, art, files)
             executed[name] = [art.rel(p) for p in files]
             logger.info("stage %s: wrote %d artifacts", name, len(files))
-        manifest.save()
     return executed

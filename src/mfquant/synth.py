@@ -85,7 +85,6 @@ class ClusterSpec:
 class SynthPlan:
     clusters: tuple[ClusterSpec, ...]
     noise_words: tuple[str, ...]
-    query_words: tuple[str, ...] = ("immoral", "immorality")
     mention_rate: float = 0.15
     url_rate: float = 0.15
     hashtag_rate: float = 0.10

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfquant.corpus import TokenizedTweet
+import mfquant.corpus
+from mfquant.corpus import TokenizedTweet, load_records
 from mfquant.linalg import EmbeddingSpace
-from mfquant.pipeline import PipelineConfig
+from mfquant.pipeline import PipelineConfig, run
+from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
 from mfquant.vectorizer import SelectionResult, Vocabulary, build_cooccurrence, ppmi
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -37,6 +39,33 @@ tracing = load_tracing()
 def test_traced_name_is_callable(layer, name):
     module = importlib.import_module(f"mfquant.{layer}")
     assert callable(getattr(module, name, None)), f"mfquant.{layer}.{name}"
+
+
+def test_ingest_cleans_each_loaded_record_through_the_module_attribute(monkeypatch, tmp_path):
+    """The tracer's per-record wrapper counts calls to ``corpus.clean_and_tokenize``: ingest must
+    make exactly one such call per loaded record, in every corpus."""
+    plan = default_plan(fillers_per_cluster=60, noise_pool=100)
+    synth_corpus(plan, 120, 3, tmp_path / "immorality.jsonl")
+    query_words = {"immorality": ("immoral", "immorality")}
+    for i, (topic, cluster) in enumerate(DEFAULT_TOPICS[:2]):
+        synth_topic_corpus(plan, cluster, 40, 10 + i, tmp_path / f"{topic}.jsonl", topic)
+        query_words[topic] = (topic,)
+    config = PipelineConfig(
+        immorality_path=tmp_path / "immorality.jsonl", out_dir=tmp_path / "out",
+        topic_paths={topic: tmp_path / f"{topic}.jsonl" for topic, _ in DEFAULT_TOPICS[:2]},
+        query_words=query_words,
+    )
+    cleaned = []
+    clean = mfquant.corpus.clean_and_tokenize
+
+    def counting(record, cleaning):
+        cleaned.append(record.id)
+        return clean(record, cleaning)
+
+    monkeypatch.setattr(mfquant.corpus, "clean_and_tokenize", counting)
+    run("ingest", config)
+    loaded = [r.id for p in (config.immorality_path, *config.topic_paths.values()) for r in load_records(p)[0]]
+    assert len(loaded) == 200 and cleaned == loaded
 
 
 # Tweet "3" repeats tweet "1" (one duplicate) and tweet "4" has no keyword (degenerate).

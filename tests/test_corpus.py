@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfquant.corpus import (
     CleaningConfig,
@@ -30,6 +30,65 @@ WORKED_TOKENS = (
 
 def tok(text, config=IMMORALITY_CONFIG, tweet_id="t"):
     return clean_and_tokenize(TweetRecord(id=tweet_id, text=text), config)
+
+
+# The per-character tokenizer that clean_and_tokenize replaced, kept verbatim as its oracle.
+_URL_MARKERS = ("http://", "https://", "www.")
+_APOSTROPHES = ("'", "’", "ʼ")
+
+
+def _clean_chunk(chunk: str) -> str:
+    """Strip '#', delete digits/apostrophes in place, blank other non-letters."""
+    out: list[str] = []
+    for ch in chunk:
+        if ch == "#" or ch.isdigit() or ch in _APOSTROPHES:
+            continue
+        if ch.isalpha():
+            out.append(ch)
+        else:
+            out.append(" ")
+    return "".join(out)
+
+
+def oracle_clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> TokenizedTweet:
+    """Clean one record into a TokenizedTweet (pure; empty output is valid).
+
+    Whitespace chunks containing a URL marker or starting with '@' are
+    dropped wholesale. Apostrophes and digits are deleted in place, other
+    punctuation splits tokens, and the stopword / query-word /
+    min-length filter runs on the lowercased results.
+    """
+    tokens: list[str] = []
+    for chunk in record.effective_text.split():
+        if chunk.startswith("@"):
+            continue
+        if any(marker in chunk.lower() for marker in _URL_MARKERS):
+            continue
+        if config.lowercase:
+            # lowercase before the letter filter: some uppercase letters
+            # lower to letter + combining mark, which must not survive
+            chunk = chunk.lower()
+        cleaned = _clean_chunk(chunk)
+        for token in cleaned.split():
+            if len(token) < config.min_token_len:
+                continue
+            if token in config.stopwords or token in config.query_words:
+                continue
+            tokens.append(token)
+    return TokenizedTweet(id=record.id, tokens=tuple(tokens))
+
+
+MIXED_CASE_URL_MARKERS = st.sampled_from(_URL_MARKERS).flatmap(
+    lambda marker: st.tuples(*(st.sampled_from((c.lower(), c.upper())) for c in marker)).map("".join)
+)
+TWEET_PIECES = st.one_of(
+    st.characters(blacklist_categories=("Cs",)),  # any code point but a lone surrogate
+    MIXED_CASE_URL_MARKERS,
+    st.sampled_from(_APOSTROPHES + ("@", "#", "İ", "Σ", "ΟΔΟΣ", "σς", "the", "Aren't", "immoral")),
+    st.sampled_from((" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000")),
+    st.characters(categories=("Nd", "No", "Nl")),
+    st.text(st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo", "Mn")), min_size=1, max_size=6),
+)
 
 
 class TestCleanAndTokenize:
@@ -80,6 +139,18 @@ class TestCleanAndTokenize:
         first = clean_and_tokenize(record, IMMORALITY_CONFIG)
         second = clean_and_tokenize(record, IMMORALITY_CONFIG)
         assert first == second
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    @pytest.mark.parametrize("min_token_len", [1, 3])
+    @settings(max_examples=250, deadline=None)
+    @given(text=st.lists(TWEET_PIECES, max_size=60).map("".join))
+    @example(text="ΟΔΟΣ ΣΑΣ. İİİ HTTP://x wWw.y @İ #Σσ ’tis 3rd ʼa’b'c")
+    def test_matches_per_character_oracle(self, text, lowercase, min_token_len):
+        config = CleaningConfig(
+            query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len, lowercase=lowercase
+        )
+        record = TweetRecord(id="o", text=text)
+        assert clean_and_tokenize(record, config) == oracle_clean_and_tokenize(record, config)
 
     @given(st.text(max_size=280))
     def test_output_token_invariants(self, text):
@@ -196,6 +267,17 @@ class TestLoadRecords:
         lines = [json.dumps({"id": "1", "text": "RT", "retweeted_status": {"text": "orig"}})]
         records, _ = load_records(self.write(tmp_path, lines))
         assert records[0].effective_text == "orig"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_line_that_is_not_utf8_is_malformed(self, tmp_path, caplog, newline):
+        lines = [json.dumps({"id": str(i), "text": f"tweet {i}"}).encode() for i in range(3)]
+        lines[1] = lines[1].replace(b"tweet", b"tw\xffeet")
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(newline.join(lines) + newline)
+        records, stats = load_records(path)
+        assert [r.id for r in records] == ["0", "2"]
+        assert stats.malformed == 1
+        assert f"{path}:2: skipping malformed line" in caplog.text
 
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(CorpusError):

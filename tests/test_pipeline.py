@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -245,6 +246,32 @@ def test_rerun_removes_files_a_stage_no_longer_writes(tmp_path):
         directories = {(config.out_dir / rel).parent for rel in listed}
         on_disk = {art.rel(p) for d in directories for p in d.iterdir()}
         assert on_disk == listed, stage
+
+
+def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
+    config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
+    with config.immorality_path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "extra", "text": "the war and the peace"}) + "\n")
+    art = Artifacts(config.out_dir)
+    names = ["immorality", *config.topic_paths]
+
+    def corpus_words():
+        rows = [art.corpus(name).read_text(encoding="utf-8").splitlines() for name in names]
+        return [{w for row in lines for w in row.split("\t")[1].split()} for lines in rows]
+
+    listed = {"war", "kill", "unfair"}
+    run("ingest", config)
+    assert all(words & listed for words in corpus_words())
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("war\nkill\n\nunfair\n", encoding="utf-8")
+    config.stopwords_path = stopwords
+    run("ingest", config)
+    words = corpus_words()
+    assert all(not found & listed for found in words)
+    assert {"the", "and", "peace"} <= words[0]
+    manifest = json.loads((config.out_dir / "manifest.json").read_text())
+    digest = hashlib.sha256(stopwords.read_bytes()).hexdigest()
+    assert manifest["inputs"]["stopwords"] == {"path": str(stopwords), "sha256": digest}
 
 
 @pytest.fixture(scope="module")
