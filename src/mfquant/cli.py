@@ -38,7 +38,6 @@ def _shared_options(func):
     options = [
         click.option("--config", "config_path", required=True, type=click.Path(), help="YAML pipeline config."),
         click.option("--out", type=click.Path(), default=None, help="Override the output directory."),
-        click.option("--seed", type=int, default=None, help="Override the random seed."),
         click.option("--n1", type=int, default=None, help="Override the keyword count."),
         click.option("--n2", type=int, default=None, help="Override the context-word count."),
         click.option("--k", type=int, default=None, help="Override the embedding rank."),
@@ -51,12 +50,10 @@ def _shared_options(func):
     return func
 
 
-def _run_stage(stage, config_path, out, seed, n1, n2, k, topic_n, extend_n, verbose):
+def _run_stage(stage, config_path, out, n1, n2, k, topic_n, extend_n, verbose):
     _setup_logging(verbose)
     config = pipeline.load_config(config_path)
-    _apply_overrides(
-        config, out=out, seed=seed, n1=n1, n2=n2, k=k, topic_n=topic_n, extend_n=extend_n
-    )
+    _apply_overrides(config, out=out, n1=n1, n2=n2, k=k, topic_n=topic_n, extend_n=extend_n)
     executed = pipeline.run(stage, config)
     for name, files in executed.items():
         click.echo(f"{name}: {', '.join(files)}")

@@ -1,8 +1,11 @@
-"""Numerical kernels: truncated randomized SVD, row-wise cosine similarity, 2D PCA.
+"""Numerical kernels: exact truncated SVD, row-wise cosine similarity, 2D PCA.
 
-The SVD uses a seeded Gaussian range finder with oversampling 10 and 4
-power iterations (QR re-orthonormalized each half-step), keeping only
-U_k and the singular values. All kernels are pure.
+The SVD is exact: it takes the top-k eigenpairs of the Gram matrix on the
+smaller side of the input (``A @ A.T``, 2000 x 2000, at the paper
+defaults) and keeps only U_k and the singular values. Each singular
+vector's sign is fixed so that its largest-magnitude entry is positive,
+as in the PCA. U_k is persisted as one binary array whose rows follow a
+word list kept elsewhere. All kernels are pure.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 
 from . import tables
@@ -54,20 +58,26 @@ class PCAProjection:
 def truncated_svd(
     matrix: WeightedMatrix | sparse.spmatrix | np.ndarray,
     k: int,
-    seed: int,
+    seed: int | None = None,
     oversample: int = DEFAULT_OVERSAMPLE,
     power_iters: int = DEFAULT_POWER_ITERS,
 ) -> SVDResult:
-    """Randomized truncated SVD of a (possibly sparse) real matrix.
+    """Exact top-k singular values and left singular vectors of a (possibly sparse) real m x n matrix A.
 
-    Deterministic for fixed (matrix, k, seed) on one platform/build and
-    BLAS thread count; another thread count rounds differently (about 1e-13).
-    Raises ValueError for k out of range or non-finite entries.
+    One symmetric eigendecomposition of the smaller Gram matrix gives
+    them: U and Sigma^2 from ``A @ A.T`` when m <= n; otherwise V and
+    Sigma^2 from ``A.T @ A``, with U the Q factor of A V, so that its
+    columns stay orthonormal where sigma is 0. Sigma is the square root
+    of the eigenvalues clipped at 0, in descending order, and each column
+    of U_k has its largest-magnitude entry made positive.
+
+    ``seed``, ``oversample`` and ``power_iters`` are ignored; they remain
+    only because callers still pass them. Deterministic for a fixed matrix
+    and k on one platform/build and BLAS thread count; another thread
+    count rounds differently (about 1e-14). Raises ValueError for k out of
+    range or non-finite entries.
     """
-    if isinstance(matrix, WeightedMatrix):
-        mat = matrix.weights
-    else:
-        mat = matrix
+    mat = matrix.weights if isinstance(matrix, WeightedMatrix) else matrix
     m, n = mat.shape
     if k < 1 or k > min(m, n):
         raise ValueError(f"k={k} out of range for matrix of shape {m}x{n}")
@@ -75,16 +85,19 @@ def truncated_svd(
     if not np.all(np.isfinite(data)):
         raise ValueError("matrix contains non-finite entries")
 
-    rng = np.random.default_rng(seed)
-    n_probe = min(k + oversample, min(m, n))
-    omega = rng.standard_normal((n, n_probe))
-    q, _ = np.linalg.qr(mat @ omega)
-    for _ in range(power_iters):
-        z, _ = np.linalg.qr(mat.T @ q)
-        q, _ = np.linalg.qr(mat @ z)
-    b = np.ascontiguousarray((mat.T @ q).T)  # equals Q^T A
-    u_b, s, _ = np.linalg.svd(b, full_matrices=False)
-    return SVDResult(u_k=np.asarray(q @ u_b[:, :k]), singular_values=s[:k].copy())
+    gram = mat @ mat.T if m <= n else mat.T @ mat
+    gram = gram.toarray() if sparse.issparse(gram) else np.asarray(gram, dtype=np.float64)
+    size = len(gram)
+    eigenvalues, vectors = scipy.linalg.eigh(
+        gram, subset_by_index=[size - k, size - 1], driver="evr", overwrite_a=True
+    )
+    singular_values = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
+    vectors = vectors[:, ::-1]
+    if m > n:
+        vectors, _ = np.linalg.qr(mat @ vectors)
+    pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(k)]
+    u_k = np.ascontiguousarray(vectors * np.where(pivots < 0, -1.0, 1.0))
+    return SVDResult(u_k=u_k, singular_values=singular_values)
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -144,14 +157,22 @@ def pca_2d(points: np.ndarray, labels: list[str]) -> PCAProjection:
 
 
 def save_embedding(space: EmbeddingSpace, path: str | Path) -> None:
-    """Persist as TSV: word followed by k values at 9 significant digits."""
-    tables.write_vectors(path, space.words.words, space.vectors)
+    """Persist U_k as one 2-D float64 ``.npy`` array, one row per word of ``space.words``.
+
+    The words are not stored with it; the caller keeps them in their own file.
+    """
+    tables.write_array(path, np.ascontiguousarray(space.vectors, dtype=np.float64))
 
 
-def load_embedding(path: str | Path) -> EmbeddingSpace:
-    words, vectors = tables.read_vectors(path)
-    if not words:
-        raise DataError(f"{path}: embedding file is empty")
+def load_embedding(path: str | Path, words: tuple[str, ...]) -> EmbeddingSpace:
+    """The save_embedding array at ``path`` as the vectors of ``words``, row i for words[i].
+
+    An array of another ndim or dtype, a row count other than
+    ``len(words)``, or a non-finite value is a DataError naming the path.
+    """
+    vectors = tables.read_array(path, np.dtype(np.float64), shape=(len(words), None))
+    if not np.isfinite(vectors).all():
+        raise DataError(f"{path}: non-finite value in the embedding")
     return EmbeddingSpace(words=Vocabulary(tuple(words)), vectors=vectors)
 
 

@@ -2,9 +2,13 @@
 
 Stages run in a fixed order (ingest, select, matrix, svd, vectors,
 loadings, extend, pca, report), each persisting its artifacts under the
-output directory and recording content hashes in manifest.json. A rerun
-with identical inputs, parameters, seed and BLAS thread count reproduces
-identical artifact bytes on the same platform/build.
+output directory and recording content hashes in manifest.json. The svd
+stage hands U_k on as one binary array, ``svd/embedding.npy``, whose rows
+follow ``matrix/row_vocab.tsv``; its manifest entry records the hash of
+that word list, and the stages that read the embedding refuse it when the
+current ``row_vocab.tsv`` differs. A rerun with identical inputs,
+parameters and BLAS thread count reproduces identical artifact bytes on
+the same platform/build. The SVD is exact, so ``seed`` changes no artifact.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ STAGES = (
     "ingest", "select", "matrix", "svd", "vectors",
     "loadings", "extend", "pca", "report",
 )
+
+# manifest.json keys its inputs by corpus name, next to "dictionary" and "stopwords"
+_RESERVED_TOPIC_NAMES = ("immorality", "dictionary", "stopwords")
 
 
 @dataclass
@@ -74,9 +81,9 @@ class PipelineConfig:
         if repeated:
             problems.append(f"topic_n values must be distinct; repeated: {repeated}")
         for name in sorted(self.topic_paths):
-            if not name or name == "immorality" or set(str(name)) & set("/\t,\n\r"):
+            if not name or name in _RESERVED_TOPIC_NAMES or set(str(name)) & set("/\t,\n\r"):
                 problems.append(
-                    f"topic name {name!r} must be non-empty, not 'immorality', "
+                    f"topic name {name!r} must be non-empty, not one of {list(_RESERVED_TOPIC_NAMES)}, "
                     "and free of '/', tabs, commas and line breaks"
                 )
         for name in ("immorality", *sorted(self.topic_paths)):
@@ -179,7 +186,7 @@ class Artifacts:
         self.ppmi = self.out_dir / "matrix" / "ppmi.npy"
         self.row_vocab = self.out_dir / "matrix" / "row_vocab.tsv"
         self.col_vocab = self.out_dir / "matrix" / "col_vocab.tsv"
-        self.embedding = self.out_dir / "svd" / "embedding.tsv"
+        self.embedding = self.out_dir / "svd" / "embedding.npy"
         self.singular_values = self.out_dir / "svd" / "singular_values.tsv"
         self.mf_vectors = self.out_dir / "vectors" / "mf_vectors.tsv"
         self.topic_vectors = self.out_dir / "vectors" / "topic_vectors.tsv"
@@ -222,16 +229,25 @@ class RunManifest:
         self.path = path
         self.data = data
 
+    @staticmethod
+    def read(out_dir: Path) -> dict | None:
+        """The manifest data under ``out_dir``, or None if there is none; a malformed file is a DataError."""
+        path = out_dir / "manifest.json"
+        if not path.exists():
+            return None
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise DataError(f"{path}: not a readable JSON manifest: {exc}") from exc
+        if not isinstance(data, dict) or not all(isinstance(data.get(k), dict) for k in ("inputs", "stages")):
+            raise DataError(f"{path}: expected a JSON object with 'inputs' and 'stages' objects")
+        return data
+
     @classmethod
     def load_or_create(cls, out_dir: Path, params: dict) -> "RunManifest":
         path = out_dir / "manifest.json"
-        if path.exists():
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise DataError(f"{path}: not a readable JSON manifest: {exc}") from exc
-            if not isinstance(data, dict) or not all(isinstance(data.get(k), dict) for k in ("inputs", "stages")):
-                raise DataError(f"{path}: expected a JSON object with 'inputs' and 'stages' objects")
+        data = cls.read(out_dir)
+        if data is not None:
             if data.get("params") != params:
                 logger.warning(
                     "manifest parameters differ from current config; "
@@ -252,11 +268,17 @@ class RunManifest:
         for name, p in sorted(inputs.items()):
             self.data["inputs"][name] = {"path": str(p), "sha256": sha256_file(p)}
 
-    def record_stage(self, stage: str, artifacts: Artifacts, files: list[Path]) -> None:
-        self.data["stages"][stage] = {
+    def record_stage(
+        self, stage: str, artifacts: Artifacts, files: list[Path], inputs: tuple[Path, ...] = ()
+    ) -> None:
+        """Hash the stage's artifacts ``files``, and under ``inputs`` the upstream files they are tied to."""
+        entry = {
             "completed": _now(),
             "artifacts": {artifacts.rel(p): sha256_file(p) for p in sorted(files)},
         }
+        if inputs:
+            entry["inputs"] = {artifacts.rel(p): sha256_file(p) for p in inputs}
+        self.data["stages"][stage] = entry
         self.data["updated"] = _now()
         self.save()
 
@@ -366,15 +388,34 @@ def _stage_svd(config: PipelineConfig, art: Artifacts) -> list[Path]:
         raise PipelineError(
             f"k={config.k} exceeds matrix rank bound min{weighted.shape}; lower k"
         )
-    result = linalg_mod.truncated_svd(weighted, config.k, config.seed)
+    result = linalg_mod.truncated_svd(weighted, config.k)
     space = linalg_mod.EmbeddingSpace(words=weighted.row_vocab, vectors=result.u_k)
     linalg_mod.save_embedding(space, art.embedding)
     tables.write_lines(art.singular_values, (f"{s:.9g}" for s in result.singular_values))
     return [art.embedding, art.singular_values]
 
 
+def _load_embedding(art: Artifacts) -> linalg_mod.EmbeddingSpace:
+    """U_k from ``embedding.npy``, row i for word i of ``row_vocab.tsv``.
+
+    The array carries no words, so ``row_vocab.tsv`` must be the file the
+    svd stage read: its hash must equal the one the manifest records for
+    that stage, or the embedding is refused as a DataError.
+    """
+    path = _require(art.embedding, "svd")
+    words_path = _require(art.row_vocab, "matrix")
+    manifest = RunManifest.read(art.out_dir) or {"stages": {}}
+    recorded = manifest["stages"].get("svd", {}).get("inputs", {}).get(art.rel(words_path))
+    if recorded != sha256_file(words_path):
+        raise DataError(
+            f"{path}: not built from the current {art.rel(words_path)} (manifest.json records "
+            f"{'another' if recorded else 'no'} hash of it); rerun stage 'svd'"
+        )
+    return linalg_mod.load_embedding(path, vectorizer_mod.load_vocabulary(words_path))
+
+
 def _stage_vectors(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
+    embedding = _load_embedding(art)
     mf = semantics_mod.mf_vectors(_load_dictionary(config), embedding)
     tables.write_vectors(art.mf_vectors, lexicon_mod.FOUNDATIONS, mf)
     labels, topic_vectors = [], []
@@ -400,7 +441,7 @@ def _load_mf_vectors(art: Artifacts) -> np.ndarray:
 
 
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
+    embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
     tokenized = corpus_mod.read_tokenized(_require(art.corpus("immorality"), "ingest"))
     semantics_mod.save_loadings(semantics_mod.score_corpus(tokenized, embedding, mf), art.loadings)
@@ -418,7 +459,7 @@ def _stage_loadings(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _stage_extend(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
+    embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
     extended = semantics_mod.extend_dictionary(embedding, mf, config.extend_n)
     semantics_mod.save_extended_dictionary(extended, art.extended)
@@ -426,7 +467,7 @@ def _stage_extend(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _stage_pca(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    embedding = linalg_mod.load_embedding(_require(art.embedding, "svd"))
+    embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
     extended = semantics_mod.load_extended_dictionary(_require(art.extended, "extend"))
     words = dict.fromkeys(w for entries in extended.per_foundation.values() for w, _ in entries)
@@ -500,7 +541,8 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
             logger.info("stage %s: starting", name)
             files = _STAGE_FUNCS[name](config, art)
             _remove_stale(files)
-            manifest.record_stage(name, art, files)
+            # the rows of embedding.npy are the words of row_vocab.tsv; _load_embedding checks its hash
+            manifest.record_stage(name, art, files, (art.row_vocab,) if name == "svd" else ())
             executed[name] = [art.rel(p) for p in files]
             logger.info("stage %s: wrote %d artifacts", name, len(files))
     return executed

@@ -1,8 +1,10 @@
 """Context vectors and moral loadings.
 
 A text's context vector is the sum of its keywords' embedding vectors
-(per occurrence). A corpus is scored as one batch: its tweets x keywords
-count matrix times U_k gives every context vector (``corpus_vectors``).
+(per occurrence). A corpus is scored with matrix products: its tweets x
+keywords count matrix times U_k gives every context vector
+(``corpus_vectors``); ``score_corpus`` forms that product one block of
+rows at a time, so that only one block's vectors are held.
 The five foundation vectors are the rows of one 5 x k matrix, a
 foundations x keywords indicator times U_k (``mf_vectors``), and one
 row-wise cosine kernel against it gives every loading
@@ -35,6 +37,8 @@ UNCLASSIFIED = "unclassified"
 _DOMINANT_NAMES = np.array([*FOUNDATIONS, UNCLASSIFIED])
 _EXTENDED_HEADER = "foundation\trank\tword\tsimilarity"
 _FOUNDATION_COLUMNS = ",".join(f.lower() for f in FOUNDATIONS)
+# tweets per block in score_corpus: bounds its tweets x k temporaries at 4096 x k floats
+SCORE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -163,12 +167,23 @@ def loading_matrix(
 def score_corpus(
     corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace, mf: np.ndarray
 ) -> LoadingMatrix:
-    """Loadings of every tweet, one row per tweet in corpus order, as one batch."""
-    counts, vectors = corpus_vectors(corpus, embedding)
+    """Loadings of every tweet, one row per tweet in corpus order.
+
+    Equal to ``loading_matrix`` of the ``corpus_vectors``, computed
+    SCORE_BLOCK_ROWS tweets at a time; a tweet with no keywords is degenerate.
+    """
+    counts = tweet_term_counts(corpus, embedding.words)
     degenerate = np.diff(counts.indptr) == 0
     if degenerate.any():
         logger.info("%d of %d tweets have no keywords (degenerate)", degenerate.sum(), len(corpus))
-    return loading_matrix([t.id for t in corpus], vectors, mf, degenerate)
+    values = np.empty((len(corpus), len(mf)))
+    for start in range(0, len(corpus), SCORE_BLOCK_ROWS):
+        block = slice(start, start + SCORE_BLOCK_ROWS)
+        values[block] = row_cosines(counts[block] @ embedding.vectors, mf)
+    values[degenerate] = 0.0
+    return LoadingMatrix(
+        row_labels=tuple(t.id for t in corpus), values=values, degenerate=tuple(degenerate.tolist())
+    )
 
 
 def dominant_foundation(row: np.ndarray | Sequence[float]) -> str:

@@ -2,14 +2,14 @@
 
 An artifact is a UTF-8 text file with one record per line and fields
 joined by a single delimiter (tab or comma), optionally preceded by a
-header line, or one 1-D numpy array in a ``.npy`` file (no pickled
-objects) for data too large to pass as text. Writers stream to
+header line, or one numpy array in a ``.npy`` file (no pickled objects)
+for data too large to pass as text. Writers stream to
 ``<file>.tmp`` and rename it over the target, so a killed or failed
 write leaves the previous file intact. Text readers skip blank lines,
 require every row to have as many fields as the first, and report every
 malformed row as a DataError naming ``path:line``; the array reader
-reports a missing, truncated or unreadable file, or the wrong dtype or
-shape, as a DataError naming the path.
+reports a missing, truncated or unreadable file, or a dtype, ndim or
+length other than the caller expects, as a DataError naming the path.
 """
 
 from __future__ import annotations
@@ -56,16 +56,24 @@ def write_array(path: str | Path, array: np.ndarray) -> None:
         np.save(handle, array, allow_pickle=False)
 
 
-def read_array(path: str | Path, dtype: np.dtype) -> np.ndarray:
-    """The 1-D ``dtype`` array of a write_array file; anything else is a DataError naming the path."""
+def read_array(path: str | Path, dtype: np.dtype, shape: tuple[int | None, ...] = (None,)) -> np.ndarray:
+    """The ``dtype`` array of ``shape`` in a write_array file; anything else is a DataError naming the path.
+
+    ``shape`` gives the expected length of each axis, None for any length.
+    """
     try:
         with open(path, "rb") as handle:
             array = np.load(handle, allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise DataError(f"{path}: cannot read array: {exc}") from exc
-    if not isinstance(array, np.ndarray) or array.dtype != dtype or array.ndim != 1:
-        found = f"{array.ndim}-D {array.dtype}" if isinstance(array, np.ndarray) else "a .npz archive"
-        raise DataError(f"{path}: expected a 1-D {np.dtype(dtype)} array, found {found}")
+    expected = " x ".join("*" if n is None else str(n) for n in shape)
+    if not isinstance(array, np.ndarray):
+        raise DataError(f"{path}: expected a {expected} {np.dtype(dtype)} array, found a .npz archive")
+    if array.dtype != dtype or array.ndim != len(shape) or any(
+        n is not None and found != n for found, n in zip(array.shape, shape)
+    ):
+        found = " x ".join(map(str, array.shape)) or "scalar"
+        raise DataError(f"{path}: expected a {expected} {np.dtype(dtype)} array, found a {found} {array.dtype} array")
     return array
 
 

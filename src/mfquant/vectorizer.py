@@ -203,17 +203,25 @@ def build_cooccurrence(
 
 
 def ppmi(matrix: SparseCountMatrix) -> WeightedMatrix:
-    """max(log2(P(i,j) / (P(i) P(j))), 0) per nonzero entry; zero counts stay zero."""
-    counts = matrix.counts.tocoo()
-    total = float(matrix.counts.sum())
+    """max(log2(P(i,j) / (P(i) P(j))), 0) per nonzero entry; zero counts stay zero.
+
+    Computed in place on a float64 copy of the counts, as
+    (count * total) / (row sum * column sum), the order ppmi.npy's bytes depend on.
+    """
+    counts = matrix.counts
+    total = float(counts.sum())
     if total <= 0:
         raise DataError("co-occurrence matrix is all zero; PPMI undefined")
-    row_sums = np.asarray(matrix.counts.sum(axis=1)).ravel().astype(np.float64)
-    col_sums = np.asarray(matrix.counts.sum(axis=0)).ravel().astype(np.float64)
-    values = counts.data.astype(np.float64)
-    pmi = np.log2(values * total / (row_sums[counts.row] * col_sums[counts.col]))
+    row_sums = np.asarray(counts.sum(axis=1)).ravel().astype(np.float64)
+    col_sums = np.asarray(counts.sum(axis=0)).ravel().astype(np.float64)
+    weights = counts.astype(np.float64)
+    denominators = np.repeat(row_sums, np.diff(weights.indptr))
+    denominators *= col_sums[weights.indices]
+    pmi = weights.data
+    pmi *= total
+    pmi /= denominators
+    np.log2(pmi, out=pmi)
     np.maximum(pmi, 0.0, out=pmi)
-    weights = sparse.coo_matrix((pmi, (counts.row, counts.col)), shape=matrix.shape).tocsr()
     weights.eliminate_zeros()
     return WeightedMatrix(
         row_vocab=matrix.row_vocab, col_labels=matrix.col_labels, weights=weights

@@ -68,7 +68,7 @@ def planted_5k(tmp_path_factory):
     selection = select_terms(scores, 2000, 20000)
     weighted = ppmi(build_cooccurrence(corpus, selection))
     k = min(100, min(weighted.shape))
-    svd = truncated_svd(weighted, k=k, seed=42)
+    svd = truncated_svd(weighted, k=k)
     embedding = EmbeddingSpace(words=weighted.row_vocab, vectors=svd.u_k)
     mf = mf_vectors(load_packaged_dictionary(), embedding)
     matrix = score_corpus(corpus, embedding, mf)
@@ -212,7 +212,7 @@ def test_criterion_04_svd_accuracy(announce):
         spectrum = 0.8 ** np.arange(50)
         matrix = (left * spectrum) @ right.T
         oracle = np.linalg.svd(matrix, compute_uv=False)
-        result = truncated_svd(matrix, k=20, seed=seed + 10)
+        result = truncated_svd(matrix, k=20)
         np.testing.assert_allclose(result.singular_values, oracle[:20], rtol=1e-6)
         gram = result.u_k.T @ result.u_k
         assert np.max(np.abs(gram - np.eye(20))) <= 1e-8

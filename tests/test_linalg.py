@@ -23,26 +23,46 @@ def planted_rank_matrix(m, n, rank, seed, decay=0.8):
     return (left * spectrum) @ right.T
 
 
+def flat_spectrum_matrix(m, n, blocks, seed):
+    """Random m x n matrix whose singular values fall by only 0.2% from one to the next.
+
+    It is block diagonal in a random order of rows and columns, with ``blocks``
+    dense blocks that share the spectrum out in turn, so blocks > 1 leaves all but
+    1/blocks of the entries zero.
+    """
+    rng = np.random.default_rng(seed)
+    spectrum = 1.002 ** -np.arange(min(m, n))
+    out = np.zeros((m, n))
+    row_sets = np.array_split(rng.permutation(m), blocks)
+    col_sets = np.array_split(rng.permutation(n), blocks)
+    for b, (rows, cols) in enumerate(zip(row_sets, col_sets)):
+        rank = min(len(rows), len(cols))
+        left, _ = np.linalg.qr(rng.standard_normal((len(rows), rank)))
+        right, _ = np.linalg.qr(rng.standard_normal((len(cols), rank)))
+        out[np.ix_(rows, cols)] = (left * spectrum[b::blocks]) @ right.T
+    return out
+
+
 class TestTruncatedSvd:
     def test_identity_spectrum(self):
-        result = truncated_svd(np.eye(5), k=2, seed=0)
+        result = truncated_svd(np.eye(5), k=2)
         np.testing.assert_allclose(result.singular_values, [1.0, 1.0], atol=1e-12)
 
     def test_diagonal_spectrum(self):
-        result = truncated_svd(np.diag([3.0, 2.0, 1.0]), k=2, seed=0)
+        result = truncated_svd(np.diag([3.0, 2.0, 1.0]), k=2)
         np.testing.assert_allclose(result.singular_values, [3.0, 2.0], atol=1e-12)
 
     def test_rank50_matches_dense_oracle(self):
         matrix = planted_rank_matrix(200, 300, rank=50, seed=42)
         oracle = np.linalg.svd(matrix, compute_uv=False)
-        result = truncated_svd(matrix, k=20, seed=1)
+        result = truncated_svd(matrix, k=20)
         np.testing.assert_allclose(
             result.singular_values, oracle[:20], rtol=1e-6
         )
 
     def test_orthonormal_columns(self):
         matrix = planted_rank_matrix(120, 180, rank=40, seed=3)
-        result = truncated_svd(matrix, k=15, seed=2)
+        result = truncated_svd(matrix, k=15)
         gram = result.u_k.T @ result.u_k
         assert np.max(np.abs(gram - np.eye(15))) <= 1e-8
 
@@ -50,33 +70,49 @@ class TestTruncatedSvd:
         dense = planted_rank_matrix(60, 80, rank=10, seed=4)
         dense[np.abs(dense) < 0.02] = 0.0
         oracle = np.linalg.svd(dense, compute_uv=False)
-        result = truncated_svd(sparse.csr_matrix(dense), k=5, seed=5)
+        result = truncated_svd(sparse.csr_matrix(dense), k=5)
         np.testing.assert_allclose(result.singular_values, oracle[:5], rtol=1e-6)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            truncated_svd(np.eye(4), k=5, seed=0)
+            truncated_svd(np.eye(4), k=5)
         with pytest.raises(ValueError):
-            truncated_svd(np.eye(4), k=0, seed=0)
+            truncated_svd(np.eye(4), k=0)
 
     def test_non_finite_rejected(self):
         bad = np.eye(4)
         bad[1, 1] = np.nan
         with pytest.raises(ValueError):
-            truncated_svd(bad, k=2, seed=0)
+            truncated_svd(bad, k=2)
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic_for_fixed_matrix(self):
         matrix = planted_rank_matrix(50, 70, rank=20, seed=6)
-        first = truncated_svd(matrix, k=8, seed=77)
-        second = truncated_svd(matrix, k=8, seed=77)
+        first = truncated_svd(matrix, k=8)
+        second = truncated_svd(matrix, k=8)
         np.testing.assert_array_equal(first.u_k, second.u_k)
         np.testing.assert_array_equal(first.singular_values, second.singular_values)
 
     def test_singular_values_nonincreasing(self):
         matrix = planted_rank_matrix(80, 60, rank=30, seed=8)
-        result = truncated_svd(matrix, k=10, seed=9)
+        result = truncated_svd(matrix, k=10)
         assert (np.diff(result.singular_values) <= 1e-12).all()
         assert (result.singular_values >= 0).all()
+
+
+    @pytest.mark.parametrize("m,n", [(60, 90), (90, 60)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("blocks", [1, 3], ids=["dense", "sparse"])
+    def test_exact_on_flat_spectrum(self, m, n, blocks):
+        """Singular values and the span of U_k match the dense SVD where sigma_k / sigma_k+1 is 1.002."""
+        k = 20
+        matrix = flat_spectrum_matrix(m, n, blocks, seed=m + blocks)
+        u_oracle, s_oracle, _ = np.linalg.svd(matrix)
+        assert 1.0 < s_oracle[k - 1] / s_oracle[k] < 1.003
+        result = truncated_svd(matrix if blocks == 1 else sparse.csr_matrix(matrix), k=k)
+        assert np.max(np.abs(result.singular_values - s_oracle[:k])) <= 1e-10 * s_oracle[0]
+        cosines = np.linalg.svd(u_oracle[:, :k].T @ result.u_k, compute_uv=False)
+        assert cosines.min() >= 1 - 1e-8
+        pivots = result.u_k[np.abs(result.u_k).argmax(axis=0), np.arange(k)]
+        assert (pivots > 0).all()
 
 
 class TestCosine:
@@ -177,12 +213,12 @@ class TestPca2d:
 
 
 class TestEmbeddingPersistence:
-    def test_roundtrip_9_significant_digits(self, tmp_path, rng):
+    def test_roundtrip_exact(self, tmp_path, rng):
         space = EmbeddingSpace(
             words=Vocabulary(("alpha", "beta", "gamma")),
             vectors=rng.standard_normal((3, 7)),
         )
-        save_embedding(space, tmp_path / "emb.tsv")
-        loaded = load_embedding(tmp_path / "emb.tsv")
-        assert loaded.words.words == space.words.words
-        np.testing.assert_allclose(loaded.vectors, space.vectors, rtol=1e-8)
+        save_embedding(space, tmp_path / "emb.npy")
+        loaded = load_embedding(tmp_path / "emb.npy", space.words.words)
+        assert loaded.words == space.words
+        np.testing.assert_array_equal(loaded.vectors, space.vectors)

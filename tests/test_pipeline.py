@@ -125,7 +125,8 @@ cleaning:
             load_config(self.write_config(tmp_path, body))
 
     @pytest.mark.parametrize(
-        "name", ["", "immorality", "../../escaped", "a/b", "a,b", "a\tb", "a\nb", "a\rb"]
+        "name",
+        ["", "immorality", "dictionary", "stopwords", "../../escaped", "a/b", "a,b", "a\tb", "a\nb", "a\rb"],
     )
     def test_bad_topic_name_rejected(self, tmp_path, name):
         config = PipelineConfig(
@@ -342,8 +343,6 @@ def test_mislabeled_mf_vectors_names_file(completed_run, tmp_path, edit):
 
 # (artifact, stage that reads it, field to corrupt or None to add a field)
 CORRUPTIONS = [
-    ("svd/embedding.tsv", "vectors", 3),
-    ("svd/embedding.tsv", "vectors", None),
     ("vectors/mf_vectors.tsv", "loadings", 1),
     ("vectors/topic_vectors.tsv", "loadings", 4),
     ("vectors/topic_vectors.tsv", "loadings", 0),
@@ -401,6 +400,62 @@ def test_corrupt_matrix_names_path(completed_run, tmp_path, corruption):
         run("svd", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
 
 
+def _with_nan(u_k):
+    u_k[-1, -1] = np.nan
+    return u_k
+
+
+EMBEDDING_CORRUPTIONS = {
+    "1-d-array": lambda u_k: u_k[0],
+    "float32-array": lambda u_k: u_k.astype(np.float32),
+    "wrong-row-count": lambda u_k: u_k[:-1],
+    "nan-value": _with_nan,
+}
+
+
+@pytest.mark.parametrize("corruption", ["truncated", *EMBEDDING_CORRUPTIONS])
+def test_corrupt_embedding_names_path(completed_run, tmp_path, corruption):
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    art = Artifacts(out_dir)
+    if corruption == "truncated":
+        art.embedding.write_bytes(art.embedding.read_bytes()[:-100])
+    else:
+        np.save(art.embedding, EMBEDDING_CORRUPTIONS[corruption](np.load(art.embedding)))
+    with pytest.raises(DataError, match="embedding.npy: "):
+        run("vectors", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+
+
+def test_embedding_from_another_matrix_rejected(completed_run, tmp_path):
+    """embedding.npy carries no words: after matrix runs on another corpus with as many
+    keywords, the stages that read it refuse it until svd runs again."""
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    art = Artifacts(out_dir)
+    words = art.row_vocab.read_text(encoding="utf-8")
+    synth_corpus(default_plan(fillers_per_cluster=120, noise_pool=300), 400, 14, tmp_path / "other.jsonl")
+    other = PipelineConfig(**{**config.__dict__, "out_dir": out_dir, "immorality_path": tmp_path / "other.jsonl"})
+    for stage in ("ingest", "select", "matrix"):
+        run(stage, other)
+    new_words = art.row_vocab.read_text(encoding="utf-8")
+    assert new_words != words and len(new_words.split()) == len(words.split())
+    with pytest.raises(DataError, match=r"embedding.npy: .*rerun stage 'svd'"):
+        run("vectors", other)
+    run("svd", other)
+    run("vectors", other)
+
+
+def test_embedding_without_manifest_rejected(completed_run, tmp_path):
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    (out_dir / "manifest.json").unlink()
+    with pytest.raises(DataError, match=r"embedding.npy: .*records no hash.*rerun stage 'svd'"):
+        run("extend", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+
+
 @pytest.mark.parametrize("text", ['{"stages": ', '["stages"]'])
 def test_corrupt_manifest_names_path(completed_run, tmp_path, text):
     config, _ = completed_run
@@ -445,10 +500,10 @@ class TestDeterminism:
 
     def test_svd_stable_across_blas_threads(self, tmp_path):
         """Embedding bytes are reproducible for a fixed BLAS thread count; across counts
-        they agree within 1e-9 (plus the relative rounding of 9 significant digits).
+        they agree within 1e-9.
 
-        A 1500 x 5000 matrix at k=100 is about the smallest where OpenBLAS threads the
-        products, so one and two threads give different embedding bytes.
+        At 1500 x 5000 and k=100 OpenBLAS threads the eigensolver, so one and two
+        threads give different embedding bytes (about 2e-14 apart).
         """
         workdir = tmp_path / "ws"
         sizes = ["--n1", "1500", "--n2", "5000", "--k", "100", "--topic-n", "5", "--extend-n", "20"]
@@ -466,10 +521,10 @@ class TestDeterminism:
                 [sys.executable, "-m", "mfquant.cli", "svd", "--config", config, "--out", str(out), *sizes],
                 env=env, check=True, capture_output=True,
             )
-            embeddings[name] = out / "svd" / "embedding.tsv"
+            embeddings[name] = out / "svd" / "embedding.npy"
         assert embeddings["one"].read_bytes() == embeddings["one-again"].read_bytes()
-        one, two = (load_embedding(embeddings[name]) for name in ("one", "two"))
-        assert one.words == two.words
+        words = (workdir / "out" / "matrix" / "row_vocab.tsv").read_text(encoding="utf-8").split()
+        one, two = (load_embedding(embeddings[name], words) for name in ("one", "two"))
         np.testing.assert_allclose(one.vectors, two.vectors, atol=1e-9)
 
     def test_run_all_equals_stage_by_stage(self, tmp_path):
@@ -493,6 +548,10 @@ class TestCli:
 
     def test_unknown_stage_is_usage_error(self, tmp_path):
         assert main(["run", "--config", "x.yaml", "--stage", "polish"]) == 1
+
+    def test_seed_is_not_a_stage_option(self):
+        assert main(["run", "--config", "x.yaml", "--seed", "3"]) == 1
+        assert main(["svd", "--config", "x.yaml", "--seed", "3"]) == 1
 
     def test_data_error_exit_code(self, tmp_path):
         config = tmp_path / "config.yaml"

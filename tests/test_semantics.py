@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mfquant.semantics
 from mfquant.corpus import TokenizedTweet
 from mfquant.errors import DataError, LexiconError
 from mfquant.lexicon import (
@@ -219,6 +220,22 @@ class TestScoreCorpus:
             np.testing.assert_allclose(matrix.values[i], expected, rtol=0, atol=1e-12)
         assert matrix.degenerate[-4:] == (False, True, True, False)
         np.testing.assert_array_equal(matrix.values[-4], np.zeros(5))
+
+    def test_row_blocks_match_one_batch(self, fixture_dict, fixture_embedding, rng, monkeypatch):
+        pool = fixture_embedding.words.words + ("other", "noise")
+        corpus = [
+            TokenizedTweet(str(i), tuple(rng.choice(pool, size=rng.integers(0, 6)).tolist()))
+            for i in range(100)
+        ]
+        mf = mf_vectors(fixture_dict, fixture_embedding)
+        counts, vectors = corpus_vectors(corpus, fixture_embedding)
+        one_batch = loading_matrix([t.id for t in corpus], vectors, mf, np.diff(counts.indptr) == 0)
+        monkeypatch.setattr(mfquant.semantics, "SCORE_BLOCK_ROWS", 7)
+        blocked = score_corpus(corpus, fixture_embedding, mf)
+        assert any(one_batch.degenerate) and not all(one_batch.degenerate)
+        assert blocked.row_labels == one_batch.row_labels
+        assert blocked.degenerate == one_batch.degenerate
+        np.testing.assert_array_equal(blocked.values, one_batch.values)
 
     def test_context_vectors_share_the_batch(self, fixture_embedding):
         corpus = [TokenizedTweet("a", ("war", "x", "sin", "war")), TokenizedTweet("b", ("x",))]

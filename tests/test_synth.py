@@ -123,7 +123,7 @@ class TestPlantedStructure:
         from mfquant.vectorizer import ppmi
 
         weighted = ppmi(weighted_cooc)
-        result = truncated_svd(weighted, k=20, seed=1)
+        result = truncated_svd(weighted, k=20)
         space = EmbeddingSpace(words=weighted.row_vocab, vectors=result.u_k)
         mf = mf_vectors(load_packaged_dictionary(), space)
         care_rows = [t for t in tokenized if t.id.startswith("care-")]
