@@ -40,12 +40,14 @@ from .semantics import (
     vice_frequency_report,
 )
 from .vectorizer import (
+    CorpusCounts,
     SelectionResult,
     SparseCountMatrix,
     Vocabulary,
     WeightedMatrix,
     build_cooccurrence,
     build_word_tweet_matrix,
+    count_corpus,
     overlap_scores,
     ppmi,
     select_terms,

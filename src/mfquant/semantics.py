@@ -2,9 +2,10 @@
 
 A text's context vector is the sum of its keywords' embedding vectors
 (per occurrence). A corpus is scored with matrix products: its tweets x
-keywords count matrix times U_k gives every context vector
-(``corpus_vectors``); ``score_corpus`` forms that product one block of
-rows at a time, so that only one block's vectors are held.
+keywords count matrix, the keyword columns of its ``CorpusCounts``, times
+U_k gives every context vector (``corpus_vectors``); ``score_corpus``
+forms that product one block of rows at a time, so that only one block's
+vectors are held.
 The five foundation vectors are the rows of one 5 x k matrix, a
 foundations x keywords indicator times U_k (``mf_vectors``), and one
 row-wise cosine kernel against it gives every loading
@@ -25,11 +26,10 @@ import numpy as np
 from scipy import sparse
 
 from . import tables
-from .corpus import TokenizedTweet
 from .errors import DataError
 from .lexicon import FOUNDATIONS, VICE, CoverageResult, MFDictionary, coverage, match_matrix, matched_foundations
 from .linalg import EmbeddingSpace, row_cosines
-from .vectorizer import SelectionResult, tweet_term_counts
+from .vectorizer import CorpusCounts, SelectionResult
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +37,7 @@ UNCLASSIFIED = "unclassified"
 _DOMINANT_NAMES = np.array([*FOUNDATIONS, UNCLASSIFIED])
 _EXTENDED_HEADER = "foundation\trank\tword\tsimilarity"
 _FOUNDATION_COLUMNS = ",".join(f.lower() for f in FOUNDATIONS)
+_LOADINGS_HEADER = f"id,{_FOUNDATION_COLUMNS},dominant,degenerate"
 # tweets per block in score_corpus: bounds its tweets x k temporaries at 4096 x k floats
 SCORE_BLOCK_ROWS = 4096
 
@@ -90,13 +91,13 @@ class ViceFrequencyReport:
 
 
 def corpus_vectors(
-    corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace
+    corpus: CorpusCounts, embedding: EmbeddingSpace
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Keyword counts (tweets x keywords) and context vectors counts @ U_k (tweets x k).
 
     A tweet with no keyword tokens has an empty counts row and is degenerate.
     """
-    counts = tweet_term_counts(corpus, embedding.words)
+    counts = corpus.select(embedding.words)
     return counts, np.asarray(counts @ embedding.vectors)
 
 
@@ -164,26 +165,29 @@ def loading_matrix(
     return LoadingMatrix(row_labels=tuple(labels), values=values, degenerate=tuple(flags.tolist()))
 
 
-def score_corpus(
-    corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace, mf: np.ndarray
-) -> LoadingMatrix:
-    """Loadings of every tweet, one row per tweet in corpus order.
+def _tweet_ids(corpus: CorpusCounts) -> tuple[str, ...]:
+    if corpus.ids is None:
+        raise ValueError("scoring a corpus needs its tweet ids; load it with its ids file")
+    return corpus.ids
+
+
+def score_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace, mf: np.ndarray) -> LoadingMatrix:
+    """Loadings of every tweet, one row per tweet in corpus order, labeled with its id.
 
     Equal to ``loading_matrix`` of the ``corpus_vectors``, computed
     SCORE_BLOCK_ROWS tweets at a time; a tweet with no keywords is degenerate.
     """
-    counts = tweet_term_counts(corpus, embedding.words)
+    ids = _tweet_ids(corpus)
+    counts = corpus.select(embedding.words)
     degenerate = np.diff(counts.indptr) == 0
     if degenerate.any():
-        logger.info("%d of %d tweets have no keywords (degenerate)", degenerate.sum(), len(corpus))
-    values = np.empty((len(corpus), len(mf)))
-    for start in range(0, len(corpus), SCORE_BLOCK_ROWS):
+        logger.info("%d of %d tweets have no keywords (degenerate)", degenerate.sum(), len(ids))
+    values = np.empty((len(ids), len(mf)))
+    for start in range(0, len(ids), SCORE_BLOCK_ROWS):
         block = slice(start, start + SCORE_BLOCK_ROWS)
         values[block] = row_cosines(counts[block] @ embedding.vectors, mf)
     values[degenerate] = 0.0
-    return LoadingMatrix(
-        row_labels=tuple(t.id for t in corpus), values=values, degenerate=tuple(degenerate.tolist())
-    )
+    return LoadingMatrix(row_labels=ids, values=values, degenerate=tuple(degenerate.tolist()))
 
 
 def dominant_foundation(row: np.ndarray | Sequence[float]) -> str:
@@ -274,7 +278,7 @@ def save_loadings(
         f"{label},{_csv_values(values)},{name},{int(flag)}"
         for label, values, name, flag in zip(matrix.row_labels, matrix.values, dominant, matrix.degenerate)
     )
-    tables.write_lines(path, rows, header=f"id,{_FOUNDATION_COLUMNS},dominant,degenerate")
+    tables.write_lines(path, rows, header=_LOADINGS_HEADER)
 
 
 def load_loadings(path: str | Path) -> LoadingMatrix:
@@ -288,13 +292,34 @@ def load_loadings(path: str | Path) -> LoadingMatrix:
             raise ValueError(f"degenerate flag must be 0 or 1, got {fields[-1]!r}")
         return fields[0], values, fields[-1] == "1"
 
-    rows = list(tables.read_rows(
-        path, parse, sep=",", ncols=len(FOUNDATIONS) + 3,
-        header=f"id,{_FOUNDATION_COLUMNS},dominant,degenerate",
-    ))
+    rows = list(tables.read_rows(path, parse, sep=",", ncols=len(FOUNDATIONS) + 3, header=_LOADINGS_HEADER))
     labels, values, flags = zip(*rows) if rows else ((), (), ())
     values = np.array(values, dtype=np.float64).reshape(len(rows), len(FOUNDATIONS))
     return LoadingMatrix(row_labels=labels, values=values, degenerate=flags)
+
+
+def load_foundation_counts(path: str | Path) -> dict[str, int]:
+    """``foundation_counts`` of a save_loadings CSV, from its dominant and degenerate columns alone.
+
+    Every row must have the CSV's field count, a ``dominant`` that is a
+    foundation or ``unclassified`` (always the latter on a degenerate row)
+    and a flag of 0 or 1; the loadings themselves are not parsed.
+    """
+    index = {name: i for i, name in enumerate(_DOMINANT_NAMES.tolist())}
+
+    def parse(fields: list[str]) -> int:
+        dominant, flag = fields[-2:]
+        if flag not in ("0", "1"):
+            raise ValueError(f"degenerate flag must be 0 or 1, got {flag!r}")
+        if dominant not in index:
+            raise ValueError(f"dominant must be a foundation or {UNCLASSIFIED!r}, got {dominant!r}")
+        if flag == "1" and dominant != UNCLASSIFIED:
+            raise ValueError(f"a degenerate row must be {UNCLASSIFIED!r}, got {dominant!r}")
+        return index[dominant]
+
+    rows = tables.read_rows(path, parse, sep=",", ncols=len(FOUNDATIONS) + 3, header=_LOADINGS_HEADER)
+    counts = np.bincount(np.fromiter(rows, dtype=np.int64), minlength=len(_DOMINANT_NAMES))
+    return dict(zip(FOUNDATIONS, counts.tolist()))
 
 
 def save_topic_loadings(
@@ -349,18 +374,16 @@ def save_vice_report(report: ViceFrequencyReport, path: str | Path) -> None:
     tables.write_lines(path, rows, header=header)
 
 
-def context_vectors_for_corpus(
-    corpus: Sequence[TokenizedTweet], embedding: EmbeddingSpace
-) -> list[ContextVector]:
+def context_vectors_for_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace) -> list[ContextVector]:
     """One ContextVector per tweet, with its keyword counts, from ``corpus_vectors``."""
+    ids = _tweet_ids(corpus)
     counts, vectors = corpus_vectors(corpus, embedding)
+    lengths = corpus.lengths.tolist()
     words = embedding.words.words
     rows = counts.tolil()
     return [
-        ContextVector(
-            tweet.id, vector, tuple(zip(map(words.__getitem__, cols), n)), len(tweet.tokens) - sum(n)
-        )
-        for tweet, vector, cols, n in zip(corpus, vectors, rows.rows, rows.data)
+        ContextVector(tweet_id, vector, tuple(zip(map(words.__getitem__, cols), n)), length - sum(n))
+        for tweet_id, vector, cols, n, length in zip(ids, vectors, rows.rows, rows.data, lengths)
     ]
 
 

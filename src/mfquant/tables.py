@@ -2,22 +2,24 @@
 
 An artifact is a UTF-8 text file with one record per line and fields
 joined by a single delimiter (tab or comma), optionally preceded by a
-header line, or one numpy array in a ``.npy`` file (no pickled objects)
-for data too large to pass as text. Writers stream to
-``<file>.tmp`` and rename it over the target, so a killed or failed
-write leaves the previous file intact. Text readers skip blank lines,
-require every row to have as many fields as the first, and report every
-malformed row as a DataError naming ``path:line``; the array reader
-reports a missing, truncated or unreadable file, or a dtype, ndim or
-length other than the caller expects, as a DataError naming the path.
+header line, or numpy arrays (no pickled objects) for data too large to
+pass as text: one array in a ``.npy`` file, or several named 1-D arrays
+in one uncompressed ``.npz`` archive. Writers stream to ``<file>.tmp``
+and rename it over the target, so a killed or failed write leaves the
+previous file intact. Text readers skip blank lines, require every row to
+have as many fields as the first, and report every malformed row as a
+DataError naming ``path:line``; the array readers report a missing,
+truncated or unreadable file, a missing archive member, or a dtype, ndim
+or length other than the caller expects, as a DataError naming the path.
 """
 
 from __future__ import annotations
 
 import os
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -75,6 +77,36 @@ def read_array(path: str | Path, dtype: np.dtype, shape: tuple[int | None, ...] 
         found = " x ".join(map(str, array.shape)) or "scalar"
         raise DataError(f"{path}: expected a {expected} {np.dtype(dtype)} array, found a {found} {array.dtype} array")
     return array
+
+
+def write_arrays(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Atomically replace ``path`` with an uncompressed ``.npz`` archive of the named ``arrays``."""
+    with _replacing(path, binary=True) as handle:
+        np.savez(handle, allow_pickle=False, **arrays)
+
+
+def read_arrays(path: str | Path, dtypes: Mapping[str, str]) -> dict[str, np.ndarray]:
+    """The 1-D arrays that ``dtypes`` names in a write_arrays archive; anything else is a DataError naming the path.
+
+    Each value of ``dtypes`` is a dtype (``"<i4"``) or a one-letter dtype kind (``"u"``: any unsigned integer).
+    """
+    try:
+        with open(path, "rb") as handle:
+            archive = np.load(handle, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise DataError(f"{path}: expected a .npz archive, found a .npy array")
+            missing = sorted(set(dtypes) - set(archive.files))
+            if missing:
+                raise DataError(f"{path}: archive lacks the arrays {missing}")
+            arrays = {name: archive[name] for name in dtypes}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: cannot read archive: {exc}") from exc
+    for name, expected in dtypes.items():
+        array = arrays[name]
+        kind_ok = array.dtype.kind == expected if len(expected) == 1 else array.dtype == np.dtype(expected)
+        if array.ndim != 1 or not kind_ok:
+            raise DataError(f"{path}: array {name!r} is {array.ndim}-D {array.dtype}, expected 1-D {expected}")
+    return arrays
 
 
 def read_rows(

@@ -1,10 +1,13 @@
-"""Term weighting and matrix construction.
+"""Corpus counts, term weighting and matrix construction.
 
-Builds the word-tweet count matrix, converts it to tf-idf weights
-(natural log), ranks words by overlap score (row sum of tf-idf), selects
-keywords / context words, builds the presence-based word-context
-co-occurrence matrix (keywords as rows), and applies PPMI (base-2 log,
-clamped at zero).
+A deduplicated corpus is counted once, over its sorted vocabulary, into a
+tweets x words count matrix (``count_corpus``), which ingest saves as one
+``.npz`` archive plus an ids file. Every later use of the corpus selects
+word columns from that matrix (``CorpusCounts.select``): the word-tweet
+count matrix, its tf-idf weights (natural log), the overlap score ranking
+(row sum of tf-idf) that selects keywords / context words, and the
+presence-based word-context co-occurrence matrix (keywords as rows), to
+which PPMI (base-2 log, clamped at zero) is applied.
 """
 
 from __future__ import annotations
@@ -86,40 +89,147 @@ class SelectionResult:
     scores: dict[str, float]
 
 
-def tweet_term_counts(corpus: Sequence[TokenizedTweet], vocab: Vocabulary) -> sparse.csr_matrix:
-    """Tweets x vocab int64 matrix: M[j, i] = occurrences of word i in tweet j.
+@dataclass
+class CorpusCounts:
+    """A corpus as counts: counts[j, i] = occurrences of word i of ``vocab`` in tweet j.
 
-    Tokens outside ``vocab`` are dropped, so a tweet with none of its
-    words has an empty row.
+    ``vocab`` holds every word of the corpus in sorted order, and ``counts``
+    is a canonical CSR matrix (sorted indices, no duplicates, no zeros).
+    ``ids`` are the tweet ids in row order, or None when the corpus was
+    loaded without its ids file.
     """
+
+    vocab: Vocabulary
+    counts: sparse.csr_matrix
+    ids: tuple[str, ...] | None = None
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Kept tokens per tweet: the row sums of ``counts``."""
+        return np.asarray(self.counts.sum(axis=1)).ravel()
+
+    def select(self, words: Vocabulary) -> sparse.csr_matrix:
+        """Tweets x ``words`` int64 counts with sorted indices; a word outside the corpus has an empty column.
+
+        Equal to counting each tweet's tokens over ``words`` and dropping the rest.
+        """
+        positions = map(words.index.get, self.vocab.words, repeat(-1))
+        columns = np.fromiter(positions, dtype=np.int32, count=len(self.vocab))
+        cols = columns[self.counts.indices]
+        keep = cols >= 0
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.counts.indptr]
+        selected = sparse.csr_matrix(
+            (self.counts.data[keep].astype(np.int64), cols[keep], indptr),
+            shape=(self.counts.shape[0], len(words)),
+        )
+        selected.sort_indices()  # counts @ U_k sums in stored order, so column order fixes its bits
+        return selected
+
+
+def count_corpus(corpus: Sequence[TokenizedTweet]) -> CorpusCounts:
+    """Count every tweet's tokens over the corpus's sorted vocabulary, one row per tweet in corpus order."""
+    vocab = Vocabulary(tuple(sorted({t for tweet in corpus for t in tweet.tokens})))
     lengths = np.fromiter((len(t.tokens) for t in corpus), dtype=np.int64, count=len(corpus))
-    columns = map(vocab.index.get, chain.from_iterable(t.tokens for t in corpus), repeat(-1))
-    cols = np.fromiter(columns, dtype=np.int32, count=int(lengths.sum()))
-    rows = np.repeat(np.arange(len(corpus), dtype=np.int32), lengths)
-    keep = cols >= 0
-    return sparse.csr_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int64), (rows[keep], cols[keep])),
-        shape=(len(corpus), len(vocab)),
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    tokens = map(vocab.index.__getitem__, chain.from_iterable(t.tokens for t in corpus))
+    indices = np.fromiter(tokens, dtype=np.int32, count=int(indptr[-1]))
+    counts = sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(len(corpus), len(vocab))
     )
+    counts.sum_duplicates()
+    return CorpusCounts(vocab=vocab, counts=counts, ids=tuple(t.id for t in corpus))
 
 
-def build_word_tweet_matrix(corpus: Sequence[TokenizedTweet]) -> SparseCountMatrix:
+# the arrays of a save_corpus_counts archive; "u": the narrowest unsigned integer dtype holding every count
+_CORPUS_ARRAYS = {"vocab": "u1", "shape": "<i8", "indptr": "<i8", "indices": "<i4", "data": "u"}
+
+
+def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: str | Path) -> None:
+    """Write the counts as one ``.npz`` archive and the ids as ``id<TAB>kept-token count`` lines.
+
+    The archive holds the vocabulary as newline-joined UTF-8 bytes, the matrix shape and its CSR arrays.
+    """
+    counts = corpus.counts
+    tables.write_arrays(counts_path, {
+        "vocab": np.frombuffer("\n".join(corpus.vocab.words).encode("utf-8"), dtype=np.uint8),
+        "shape": np.array(counts.shape, dtype="<i8"),
+        "indptr": counts.indptr.astype("<i8"),
+        "indices": counts.indices.astype("<i4", copy=False),
+        "data": counts.data.astype(np.min_scalar_type(int(counts.data.max(initial=0)))),
+    })
+    lengths = corpus.lengths.tolist()
+    tables.write_lines(ids_path, (f"{tweet_id}\t{n}" for tweet_id, n in zip(corpus.ids, lengths)))
+
+
+def load_corpus_counts(counts_path: str | Path, ids_path: str | Path | None = None) -> CorpusCounts:
+    """Read a save_corpus_counts archive, and its ids file when ``ids_path`` is given.
+
+    An unreadable archive, a missing array, a vocabulary that is not sorted
+    and unique, a shape that disagrees with it, an index outside it, indices
+    out of strictly increasing order within a row, or a zero count is a
+    DataError naming the archive. An ids file with another row count, or
+    with a kept-token count other than its row's sum, is a DataError naming
+    that file.
+    """
+    arrays = tables.read_arrays(counts_path, _CORPUS_ARRAYS)
+    shape, indptr, indices, data = (arrays[name] for name in ("shape", "indptr", "indices", "data"))
+    try:
+        text = arrays["vocab"].tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{counts_path}: vocabulary is not UTF-8: {exc}") from exc
+    words = tuple(text.split("\n")) if text else ()
+    if any(a >= b for a, b in zip(words, words[1:])):
+        raise DataError(f"{counts_path}: vocabulary is not sorted and unique")
+    if len(shape) != 2 or shape[1] != len(words):
+        raise DataError(f"{counts_path}: shape {shape.tolist()} disagrees with the {len(words)}-word vocabulary")
+    n_tweets = int(shape[0])
+    if (
+        n_tweets < 0 or len(indptr) != n_tweets + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
+        or len(data) != len(indices) or (np.diff(indptr) < 0).any()
+    ):
+        raise DataError(f"{counts_path}: indptr does not split {len(indices)} entries into {n_tweets} rows")
+    if ((indices < 0) | (indices >= len(words))).any():
+        raise DataError(f"{counts_path}: index outside the {len(words)}-word vocabulary")
+    rows = np.repeat(np.arange(n_tweets, dtype=np.int64), np.diff(indptr))
+    if (np.diff(rows * len(words) + indices) <= 0).any():
+        raise DataError(f"{counts_path}: indices not strictly increasing within a row")
+    if not data.all():
+        raise DataError(f"{counts_path}: zero count")
+    corpus = CorpusCounts(
+        vocab=Vocabulary(words), counts=sparse.csr_matrix((data, indices, indptr), shape=(n_tweets, len(words)))
+    )
+    if ids_path is not None:
+        corpus.ids = _load_ids(ids_path, corpus.lengths, counts_path)
+    return corpus
+
+
+def _load_ids(ids_path: str | Path, sums: np.ndarray, counts_path: str | Path) -> tuple[str, ...]:
+    """Tweet ids of an ids file whose kept-token counts equal ``sums``, the row sums of the archive."""
+    rows = list(tables.read_rows(ids_path, lambda f: (f[0], int(f[1])), ncols=2))
+    if len(rows) != len(sums):
+        raise DataError(f"{ids_path}: {len(rows)} ids for the {len(sums)} tweets of {counts_path}")
+    ids, lengths = zip(*rows) if rows else ((), ())
+    wrong = np.flatnonzero(np.array(lengths, dtype=np.int64) != sums)
+    if wrong.size:
+        i = int(wrong[0])
+        raise DataError(f"{ids_path}:{i + 1}: {lengths[i]} kept tokens, but {counts_path} holds {sums[i]}")
+    return ids
+
+
+def build_word_tweet_matrix(corpus: CorpusCounts) -> SparseCountMatrix:
     """Count matrix X with X[i, j] = occurrences of word i in tweet j.
 
-    Vocabulary covers every token seen at least once, ordered
-    lexicographically for determinism. Raises on an empty corpus; a
-    corpus whose tweets are all empty yields a 0-row matrix with a
-    warning.
+    Rows follow the corpus's sorted vocabulary and columns its tweets,
+    labeled with their ids when the corpus carries them. Raises on a
+    corpus of no tweets; a corpus whose tweets are all empty yields a
+    0-row matrix with a warning.
     """
-    if not corpus:
+    if corpus.counts.shape[0] == 0:
         raise DataError("cannot build word-tweet matrix from an empty corpus")
-    vocab = Vocabulary(tuple(sorted({t for tweet in corpus for t in tweet.tokens})))
-    if not vocab.words:
+    if not corpus.vocab.words:
         logger.warning("corpus contains no tokens; word-tweet matrix has 0 rows")
     return SparseCountMatrix(
-        row_vocab=vocab,
-        col_labels=tuple(t.id for t in corpus),
-        counts=tweet_term_counts(corpus, vocab).T.tocsr(),
+        row_vocab=corpus.vocab, col_labels=corpus.ids or (), counts=corpus.counts.T.tocsr()
     )
 
 
@@ -172,9 +282,7 @@ def select_terms(scores: dict[str, float], n1: int, n2: int) -> SelectionResult:
     )
 
 
-def build_cooccurrence(
-    corpus: Sequence[TokenizedTweet], selection: SelectionResult
-) -> SparseCountMatrix:
+def build_cooccurrence(corpus: CorpusCounts, selection: SelectionResult) -> SparseCountMatrix:
     """Presence-based co-occurrence: C[i, j] = tweets containing keyword i and context word j.
 
     With P the tweets x context-words presence matrix, C = P[:, :n1]^T P,
@@ -187,7 +295,7 @@ def build_cooccurrence(
     n1 = len(selection.keywords)
     if selection.context_words[:n1] != selection.keywords:
         raise DataError("keywords must be a prefix of the context words")
-    counts = tweet_term_counts(corpus, Vocabulary(selection.context_words))
+    counts = corpus.select(Vocabulary(selection.context_words))
     presence = counts.sign()
     # the product pairs a keyword with itself in every tweet containing it: drop single occurrences
     once = np.bincount(counts.indices[counts.data == 1], minlength=n1)[:n1]

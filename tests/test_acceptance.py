@@ -31,6 +31,7 @@ from mfquant.vectorizer import (
     Vocabulary,
     build_cooccurrence,
     build_word_tweet_matrix,
+    count_corpus,
     overlap_scores,
     ppmi,
     select_terms,
@@ -53,7 +54,7 @@ def load_planted_corpus(path):
     records, _ = load_records(path)
     tokenized = [clean_and_tokenize(r, IMMORALITY_CLEANING) for r in records]
     deduped, _ = deduplicate(tokenized)
-    return deduped
+    return count_corpus(deduped)
 
 
 @pytest.fixture(scope="session")
@@ -232,7 +233,7 @@ def test_criterion_05_loading_properties(announce, planted_5k):
     assert live_values.shape == (len(non_degenerate), 5)
 
     care_idx = [
-        i for i in non_degenerate if corpus[i].id.startswith("care-")
+        i for i in non_degenerate if corpus.ids[i].startswith("care-")
     ]
     assert len(care_idx) > 500
     assigned = [dominant_foundation(matrix.values[i]) for i in care_idx]

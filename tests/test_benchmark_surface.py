@@ -16,7 +16,7 @@ from mfquant.corpus import TokenizedTweet, load_records
 from mfquant.linalg import EmbeddingSpace
 from mfquant.pipeline import PipelineConfig, run
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
-from mfquant.vectorizer import SelectionResult, Vocabulary, build_cooccurrence, ppmi
+from mfquant.vectorizer import SelectionResult, Vocabulary, build_cooccurrence, count_corpus, ppmi
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -75,6 +75,7 @@ TWEETS = [
     TokenizedTweet("3", ("war", "sin", "god")),
     TokenizedTweet("4", ("other",)),
 ]
+COUNTS = count_corpus(TWEETS)
 SELECTION = SelectionResult(
     keywords=("war", "sin"), context_words=("war", "sin", "god", "kill"),
     scores={"war": 4.0, "sin": 3.0, "god": 2.0, "kill": 1.0},
@@ -90,13 +91,13 @@ def counter_arguments(name, tmp_path):
     if name == "corpus.deduplicate":
         return (TWEETS,)
     if name == "vectorizer.build_cooccurrence":
-        return (TWEETS, SELECTION)
+        return (COUNTS, SELECTION)
     if name == "vectorizer.ppmi":
-        return (build_cooccurrence(TWEETS, SELECTION),)
+        return (build_cooccurrence(COUNTS, SELECTION),)
     if name == "linalg.truncated_svd":
-        return (ppmi(build_cooccurrence(TWEETS, SELECTION)), 1, 0)
+        return (ppmi(build_cooccurrence(COUNTS, SELECTION)), 1, 0)
     if name == "semantics.context_vectors_for_corpus":
-        return (TWEETS, EmbeddingSpace(Vocabulary(("war", "sin")), np.array([[1.0, 0.5], [-0.5, 2.0]])))
+        return (COUNTS, EmbeddingSpace(Vocabulary(("war", "sin")), np.array([[1.0, 0.5], [-0.5, 2.0]])))
     raise KeyError(name)
 
 
@@ -133,3 +134,27 @@ def test_every_workload_config_validates(monkeypatch, tmp_path):
         config = child.make_config(asdict(workload), tmp_path / name)
         assert isinstance(config, PipelineConfig), name
         config.validate()
+
+
+def test_pipeline_output_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    """perfbench/checks.py reads the pipeline's output files directly (ids from the corpus
+    files, loadings, topics, the manifest): a full run must pass every one of its checks."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    floor = importlib.import_module("run").ACCURACY_FLOOR
+    plan = default_plan(fillers_per_cluster=120, noise_pool=300)
+    synth_corpus(plan, 400, 13, tmp_path / "immorality.jsonl")
+    topics = DEFAULT_TOPICS[:2]
+    query_words = {"immorality": ("immoral", "immorality")}
+    for i, (topic, cluster) in enumerate(topics):
+        synth_topic_corpus(plan, cluster, 120, 100 + i, tmp_path / f"{topic}.jsonl", topic.replace("_", ""))
+        query_words[topic] = (topic.replace("_", ""),)
+    config = PipelineConfig(
+        immorality_path=tmp_path / "immorality.jsonl", out_dir=tmp_path / "out",
+        topic_paths={topic: tmp_path / f"{topic}.jsonl" for topic, _ in topics},
+        query_words=query_words, n1=300, n2=1500, k=25, topic_n=(5, 20),
+    )
+    run("all", config)
+    problems, hashes, accuracy = checks.check_operation(config.out_dir, [t for t, _ in topics], floor)
+    assert problems == []
+    assert "corpus/immorality.tsv" in hashes and accuracy >= floor

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import mfquant
 from mfquant.cli import main
 from mfquant.errors import ConfigError, DataError, PipelineError
+from mfquant.lexicon import FOUNDATIONS
 from mfquant.linalg import load_embedding
 from mfquant.pipeline import (
     STAGES,
@@ -26,6 +27,7 @@ from mfquant.pipeline import (
     run,
 )
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
+from mfquant.vectorizer import load_corpus_counts
 
 SMALL_PARAMS = dict(n1=300, n2=1500, k=25, topic_n=(5, 20), extend_n=30, seed=7)
 
@@ -155,7 +157,7 @@ class TestStages:
         assert list(executed) == list(STAGES)
         art = Artifacts(config.out_dir)
         expected = [
-            art.corpus("immorality"),
+            art.corpus("immorality"), art.corpus_counts("immorality"),
             art.terms("immorality"),
             art.ppmi, art.row_vocab, art.col_vocab,
             art.embedding, art.singular_values,
@@ -257,8 +259,7 @@ def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
     names = ["immorality", *config.topic_paths]
 
     def corpus_words():
-        rows = [art.corpus(name).read_text(encoding="utf-8").splitlines() for name in names]
-        return [{w for row in lines for w in row.split("\t")[1].split()} for lines in rows]
+        return [set(load_corpus_counts(art.corpus_counts(name)).vocab.words) for name in names]
 
     listed = {"war", "kill", "unfair"}
     run("ingest", config)
@@ -346,11 +347,12 @@ CORRUPTIONS = [
     ("vectors/mf_vectors.tsv", "loadings", 1),
     ("vectors/topic_vectors.tsv", "loadings", 4),
     ("vectors/topic_vectors.tsv", "loadings", 0),
-    ("loadings/loadings.csv", "report", 2),
+    ("loadings/loadings.csv", "report", 6),
     ("loadings/loadings.csv", "report", None),
     ("select/immorality_terms.tsv", "matrix", 2),
     (f"select/{DEFAULT_TOPICS[0][0]}_terms.tsv", "vectors", None),
-    ("corpus/immorality.tsv", "select", None),
+    ("corpus/immorality.tsv", "loadings", 1),
+    ("corpus/immorality.tsv", "loadings", None),
     ("extend/extended_dict.tsv", "pca", 3),
     ("extend/extended_dict.tsv", "pca", None),
 ]
@@ -361,9 +363,13 @@ def test_corrupt_artifact_names_path_and_line(completed_run, tmp_path, artifact,
     corrupt_and_run(completed_run, tmp_path, artifact, stage, field, "x1")
 
 
-@pytest.mark.parametrize("value", ["nan", "-inf"])
-def test_non_finite_loading_names_path_and_line(completed_run, tmp_path, value):
-    corrupt_and_run(completed_run, tmp_path, "loadings/loadings.csv", "report", 3, value)
+def test_foundation_on_degenerate_row_names_path_and_line(completed_run, tmp_path):
+    """report counts foundations from the dominant column alone, so a row flagged
+    degenerate must be unclassified there."""
+    config, _ = completed_run
+    row = Artifacts(config.out_dir).loadings.read_text(encoding="utf-8").split("\n")[2].split(",")
+    assert row[6] in FOUNDATIONS and row[7] == "0"
+    corrupt_and_run(completed_run, tmp_path, "loadings/loadings.csv", "report", 7, "1")
 
 
 def test_bad_degenerate_flag_names_path_and_line(completed_run, tmp_path):
@@ -398,6 +404,99 @@ def test_corrupt_matrix_names_path(completed_run, tmp_path, corruption):
         np.save(art.ppmi, MATRIX_CORRUPTIONS[corruption](np.load(art.ppmi), *shape))
     with pytest.raises(DataError, match="ppmi.npy: "):
         run("svd", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+
+
+def _first_pair(arrays):
+    """Position of the first entry whose row holds a second entry after it."""
+    indptr = arrays["indptr"]
+    row = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+    return int(indptr[row])
+
+
+def _with(arrays, name, edit):
+    arrays = dict(arrays)
+    arrays[name] = edit(arrays[name].copy(), arrays)
+    return arrays
+
+
+def _set(array, position, value):
+    array[position] = value
+    return array
+
+
+def _swap_pair(indices, arrays):
+    j = _first_pair(arrays)
+    indices[j], indices[j + 1] = indices[j + 1], indices[j]
+    return indices
+
+
+CORPUS_CORRUPTIONS = {
+    "missing-key": lambda arrays: {k: v for k, v in arrays.items() if k != "data"},
+    "index-outside-vocabulary": lambda arrays: _with(arrays, "indices", lambda a, r: _set(a, -1, r["shape"][1])),
+    "unsorted-row": lambda arrays: _with(arrays, "indices", _swap_pair),
+    "repeated-index": lambda arrays: _with(
+        arrays, "indices", lambda a, r: _set(a, _first_pair(r) + 1, a[_first_pair(r)])
+    ),
+    "zero-count": lambda arrays: _with(arrays, "data", lambda a, r: _set(a, -1, 0)),
+    "shape-disagrees-with-vocabulary": lambda arrays: _with(arrays, "shape", lambda a, r: _set(a, 1, a[1] + 1)),
+}
+
+
+@pytest.mark.parametrize("corruption", ["truncated", *CORPUS_CORRUPTIONS])
+def test_corrupt_corpus_counts_names_path(completed_run, tmp_path, corruption):
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    target = Artifacts(out_dir).corpus_counts("immorality")
+    if corruption == "truncated":
+        target.write_bytes(target.read_bytes()[:-100])
+    else:
+        with np.load(target) as archive:
+            arrays = dict(archive)
+        np.savez(target, **CORPUS_CORRUPTIONS[corruption](arrays))
+    with pytest.raises(DataError, match="immorality.npz: "):
+        run("select", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+
+
+@pytest.mark.parametrize("edit", ["extra-row", "token-count"])
+def test_ids_that_disagree_with_the_counts_name_path(completed_run, tmp_path, edit):
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    target = Artifacts(out_dir).corpus("immorality")
+    lines = target.read_text(encoding="utf-8").split("\n")[:-1]
+    if edit == "extra-row":
+        lines.append(lines[-1])
+    else:
+        tweet_id, count = lines[2].split("\t")
+        lines[2] = f"{tweet_id}\t{int(count) + 1}"
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="immorality.tsv:" + ("3: " if edit == "token-count" else " ")):
+        run("loadings", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+
+
+def test_corpus_of_no_tweets_fails_select(tmp_path):
+    config = make_workspace(tmp_path, tweets=50, topics=())
+    config.immorality_path.write_text('{"id": "1"}\nnot json\n', encoding="utf-8")
+    run("ingest", config)
+    assert load_corpus_counts(Artifacts(config.out_dir).corpus_counts("immorality")).counts.shape == (0, 0)
+    with pytest.raises(DataError, match="empty corpus"):
+        run("select", config)
+
+
+@pytest.mark.parametrize("other", ["t_vocab", "t.vocab"])
+def test_topic_names_keep_their_own_corpus_files(tmp_path, other):
+    """A topic's corpus files are named after it alone: ``t`` and ``t_vocab`` (or ``t.vocab``) never share one."""
+    config = make_workspace(tmp_path, tweets=200, topic_tweets=60, topics=(("t", "care"), (other, "fairness")))
+    run("all", config)
+    art = Artifacts(config.out_dir)
+    names = {"immorality", "t", other}
+    assert sorted(p.name for p in (config.out_dir / "corpus").iterdir()) == sorted(
+        f"{name}{suffix}" for name in names for suffix in (".npz", ".tsv")
+    )
+    for name, cluster in (("t", "care"), (other, "fairness")):
+        corpus = load_corpus_counts(art.corpus_counts(name), art.corpus(name))
+        assert corpus.ids and all(i.startswith(f"{cluster}-topic-") for i in corpus.ids), name
 
 
 def _with_nan(u_k):

@@ -26,7 +26,7 @@ from mfquant.semantics import (
     topic_vector,
     vice_frequency_report,
 )
-from mfquant.vectorizer import SelectionResult, Vocabulary
+from mfquant.vectorizer import SelectionResult, Vocabulary, count_corpus
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ def orthogonal_embedding():
 class TestTweetVector:
     def test_sum_of_keyword_vectors(self, fixture_embedding):
         tweet = TokenizedTweet("1", ("sin", "disgust", "god"))
-        cv = context_vectors_for_corpus([tweet], fixture_embedding)[0]
+        cv = context_vectors_for_corpus(count_corpus([tweet]), fixture_embedding)[0]
         expected = (
             fixture_embedding.vector("sin")
             + fixture_embedding.vector("disgust")
@@ -72,13 +72,14 @@ class TestTweetVector:
         assert not cv.degenerate
 
     def test_no_keywords_degenerate(self, fixture_embedding):
-        cv = context_vectors_for_corpus([TokenizedTweet("1", ("nothing", "matches"))], fixture_embedding)[0]
+        corpus = count_corpus([TokenizedTweet("1", ("nothing", "matches"))])
+        cv = context_vectors_for_corpus(corpus, fixture_embedding)[0]
         assert cv.degenerate
         assert cv.skipped == 2
         np.testing.assert_array_equal(cv.vector, 0.0)
 
     def test_repeats_add(self, fixture_embedding):
-        cv = context_vectors_for_corpus([TokenizedTweet("1", ("war", "war"))], fixture_embedding)[0]
+        cv = context_vectors_for_corpus(count_corpus([TokenizedTweet("1", ("war", "war"))]), fixture_embedding)[0]
         np.testing.assert_allclose(
             cv.vector, 2.0 * fixture_embedding.vector("war"), atol=1e-12
         )
@@ -88,10 +89,10 @@ class TestTweetVector:
         left = TokenizedTweet("l", ("kill", "war", "god"))
         right = TokenizedTweet("r", ("sin", "kill"))
         joint = TokenizedTweet("j", left.tokens + right.tokens)
-        combined = context_vectors_for_corpus([joint], fixture_embedding)[0].vector
+        combined = context_vectors_for_corpus(count_corpus([joint]), fixture_embedding)[0].vector
         parts = (
-            context_vectors_for_corpus([left], fixture_embedding)[0].vector
-            + context_vectors_for_corpus([right], fixture_embedding)[0].vector
+            context_vectors_for_corpus(count_corpus([left]), fixture_embedding)[0].vector
+            + context_vectors_for_corpus(count_corpus([right]), fixture_embedding)[0].vector
         )
         np.testing.assert_allclose(combined, parts, atol=1e-9)
 
@@ -207,7 +208,7 @@ class TestScoreCorpus:
             TokenizedTweet("empty", ()),
             TokenizedTweet("repeat", ("war", "war", "war", "sin")),
         ]
-        matrix = score_corpus(corpus, space, mf)
+        matrix = score_corpus(count_corpus(corpus), space, mf)
 
         for i, tweet in enumerate(corpus):
             found = [space.vector(t) for t in tweet.tokens if space.vector(t) is not None]
@@ -228,10 +229,10 @@ class TestScoreCorpus:
             for i in range(100)
         ]
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        counts, vectors = corpus_vectors(corpus, fixture_embedding)
+        counts, vectors = corpus_vectors(count_corpus(corpus), fixture_embedding)
         one_batch = loading_matrix([t.id for t in corpus], vectors, mf, np.diff(counts.indptr) == 0)
         monkeypatch.setattr(mfquant.semantics, "SCORE_BLOCK_ROWS", 7)
-        blocked = score_corpus(corpus, fixture_embedding, mf)
+        blocked = score_corpus(count_corpus(corpus), fixture_embedding, mf)
         assert any(one_batch.degenerate) and not all(one_batch.degenerate)
         assert blocked.row_labels == one_batch.row_labels
         assert blocked.degenerate == one_batch.degenerate
@@ -239,8 +240,8 @@ class TestScoreCorpus:
 
     def test_context_vectors_share_the_batch(self, fixture_embedding):
         corpus = [TokenizedTweet("a", ("war", "x", "sin", "war")), TokenizedTweet("b", ("x",))]
-        vectors = context_vectors_for_corpus(corpus, fixture_embedding)
-        _, batch = corpus_vectors(corpus, fixture_embedding)
+        vectors = context_vectors_for_corpus(count_corpus(corpus), fixture_embedding)
+        _, batch = corpus_vectors(count_corpus(corpus), fixture_embedding)
         np.testing.assert_array_equal(np.stack([cv.vector for cv in vectors]), batch)
         assert dict(vectors[0].contributing_words) == {"war": 2, "sin": 1}
         assert vectors[0].skipped == 1 and vectors[1].degenerate

@@ -11,6 +11,7 @@ from mfquant.synth import default_plan, synth_corpus, synth_topic_corpus
 from mfquant.vectorizer import (
     build_cooccurrence,
     build_word_tweet_matrix,
+    count_corpus,
     overlap_scores,
     select_terms,
     tfidf,
@@ -116,9 +117,10 @@ class TestPlantedStructure:
         records, _ = load_records(path)
         config = CleaningConfig(query_words=frozenset({"immoral", "immorality"}))
         tokenized, _ = deduplicate([clean_and_tokenize(r, config) for r in records])
-        scores = overlap_scores(tfidf(build_word_tweet_matrix(tokenized)))
+        counts = count_corpus(tokenized)
+        scores = overlap_scores(tfidf(build_word_tweet_matrix(counts)))
         selection = select_terms(scores, 300, 800)
-        weighted_cooc = build_cooccurrence(tokenized, selection)
+        weighted_cooc = build_cooccurrence(counts, selection)
 
         from mfquant.vectorizer import ppmi
 
@@ -127,7 +129,7 @@ class TestPlantedStructure:
         space = EmbeddingSpace(words=weighted.row_vocab, vectors=result.u_k)
         mf = mf_vectors(load_packaged_dictionary(), space)
         care_rows = [t for t in tokenized if t.id.startswith("care-")]
-        matrix = score_corpus(care_rows, space, mf)
+        matrix = score_corpus(count_corpus(care_rows), space, mf)
         assignments = [
             dominant_foundation(matrix.values[i])
             for i in range(matrix.shape[0])

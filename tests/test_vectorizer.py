@@ -1,8 +1,12 @@
 import math
 import random
+import tempfile
+from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from mfquant.corpus import TokenizedTweet
@@ -13,11 +17,14 @@ from mfquant.vectorizer import (
     WeightedMatrix,
     build_cooccurrence,
     build_word_tweet_matrix,
+    count_corpus,
+    load_corpus_counts,
     load_selection,
     load_triplets,
     load_vocabulary,
     overlap_scores,
     ppmi,
+    save_corpus_counts,
     save_selection,
     save_triplets,
     save_vocabulary,
@@ -37,6 +44,20 @@ def random_corpus(n_tweets, vocab_size=30, max_len=12, seed=7):
         [rng.choice(words) for _ in range(rng.randint(1, max_len))]
         for _ in range(n_tweets)
     ])
+
+
+def tweet_term_counts(corpus, vocab):
+    """Tweets x vocab int64 matrix: M[j, i] = occurrences of word i in tweet j, built
+    from the tokens through COO; tokens outside ``vocab`` are dropped."""
+    lengths = np.fromiter((len(t.tokens) for t in corpus), dtype=np.int64, count=len(corpus))
+    columns = map(vocab.index.get, chain.from_iterable(t.tokens for t in corpus), repeat(-1))
+    cols = np.fromiter(columns, dtype=np.int32, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(len(corpus), dtype=np.int32), lengths)
+    keep = cols >= 0
+    return sparse.csr_matrix(
+        (np.ones(int(keep.sum()), dtype=np.int64), (rows[keep], cols[keep])),
+        shape=(len(corpus), len(vocab)),
+    )
 
 
 def dense_counts_oracle(corpus):
@@ -96,7 +117,7 @@ def brute_cooccurrence_oracle(corpus, keywords, context_words):
 
 class TestWordTweetMatrix:
     def test_direct_counts(self):
-        matrix = build_word_tweet_matrix(tweets(["a", "b", "a"], ["b"]))
+        matrix = build_word_tweet_matrix(count_corpus(tweets(["a", "b", "a"], ["b"])))
         dense = matrix.to_dense()
         idx = matrix.row_vocab.index
         assert dense[idx["a"], 0] == 2
@@ -106,15 +127,15 @@ class TestWordTweetMatrix:
 
     def test_empty_corpus_errors(self):
         with pytest.raises(DataError):
-            build_word_tweet_matrix([])
+            build_word_tweet_matrix(count_corpus([]))
 
     def test_all_empty_tweets_give_zero_rows(self):
-        matrix = build_word_tweet_matrix(tweets([]))
+        matrix = build_word_tweet_matrix(count_corpus(tweets([])))
         assert matrix.shape == (0, 1)
 
     def test_matches_brute_force_counter(self):
         corpus = random_corpus(100)
-        matrix = build_word_tweet_matrix(corpus)
+        matrix = build_word_tweet_matrix(count_corpus(corpus))
         vocab, dense = dense_counts_oracle(corpus)
         assert matrix.row_vocab.words == tuple(vocab)
         np.testing.assert_array_equal(matrix.to_dense(), dense)
@@ -122,14 +143,14 @@ class TestWordTweetMatrix:
 
 class TestTfidf:
     def test_single_cell(self):
-        matrix = build_word_tweet_matrix(tweets(["abc"]))
+        matrix = build_word_tweet_matrix(count_corpus(tweets(["abc"])))
         weighted = tfidf(matrix)
         assert weighted.to_dense()[0, 0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_value(self):
         # tf=2, M=4, df=2 -> 2 (ln 5 - ln 2)
         corpus = tweets(["x", "x"], ["x"], ["y"], ["y"])
-        weighted = tfidf(build_word_tweet_matrix(corpus))
+        weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
         idx = weighted.row_vocab.index
         assert weighted.to_dense()[idx["x"], 0] == pytest.approx(
             2 * (math.log(5) - math.log(2)), abs=1e-12
@@ -137,7 +158,7 @@ class TestTfidf:
 
     def test_zeros_preserved_and_pattern_kept(self):
         corpus = random_corpus(40)
-        matrix = build_word_tweet_matrix(corpus)
+        matrix = build_word_tweet_matrix(count_corpus(corpus))
         weighted = tfidf(matrix)
         assert (weighted.weights.indptr == matrix.counts.indptr).all()
         assert (weighted.weights.indices == matrix.counts.indices).all()
@@ -145,7 +166,7 @@ class TestTfidf:
 
     def test_matches_dense_oracle(self):
         corpus = random_corpus(100)
-        weighted = tfidf(build_word_tweet_matrix(corpus))
+        weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
         _, dense = dense_counts_oracle(corpus)
         np.testing.assert_allclose(
             weighted.to_dense(), dense_tfidf_oracle(dense), atol=1e-12
@@ -154,18 +175,18 @@ class TestTfidf:
 
 class TestOverlapScores:
     def test_single_entry(self):
-        weighted = tfidf(build_word_tweet_matrix(tweets(["abc"])))
+        weighted = tfidf(build_word_tweet_matrix(count_corpus(tweets(["abc"]))))
         assert overlap_scores(weighted)["abc"] == pytest.approx(math.log(2))
 
     def test_zero_row_scores_zero(self):
         corpus = tweets(["a"], [])
-        weighted = tfidf(build_word_tweet_matrix(corpus))
+        weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
         scores = overlap_scores(weighted)
         assert set(scores) == {"a"}
 
     def test_matches_dense_row_sums(self):
         corpus = random_corpus(100)
-        weighted = tfidf(build_word_tweet_matrix(corpus))
+        weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
         scores = overlap_scores(weighted)
         _, dense = dense_counts_oracle(corpus)
         oracle = dense_tfidf_oracle(dense).sum(axis=1)
@@ -174,7 +195,7 @@ class TestOverlapScores:
 
     def test_ranking_invariant_under_log_base(self):
         corpus = random_corpus(80, seed=11)
-        weighted = tfidf(build_word_tweet_matrix(corpus))
+        weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
         scores_ln = overlap_scores(weighted)
         scores_log2 = {w: s / math.log(2) for w, s in scores_ln.items()}
         rank_ln = sorted(scores_ln, key=lambda w: (-scores_ln[w], w))
@@ -213,7 +234,7 @@ class TestCooccurrence:
     def test_hand_enumeration(self):
         corpus = tweets(["a", "b"], ["a", "b"], ["a", "c"])
         sel = SelectionResult(("a",), ("a", "b", "c"), {"a": 3.0, "b": 2.0, "c": 1.0})
-        matrix = build_cooccurrence(corpus, sel)
+        matrix = build_cooccurrence(count_corpus(corpus), sel)
         dense = matrix.to_dense()
         assert dense[0, 0] == 0  # 'a' never repeats within a tweet
         assert dense[0, 1] == 2
@@ -222,35 +243,35 @@ class TestCooccurrence:
     def test_one_token_tweets_all_zero(self):
         corpus = tweets(["a"], ["b"], ["c"])
         sel = SelectionResult(("a", "b"), ("a", "b", "c"), {"a": 3, "b": 2, "c": 1})
-        assert build_cooccurrence(corpus, sel).to_dense().sum() == 0
+        assert build_cooccurrence(count_corpus(corpus), sel).to_dense().sum() == 0
 
     def test_same_word_needs_two_occurrences(self):
         corpus = tweets(["a", "a", "b"])
         sel = SelectionResult(("a", "b"), ("a", "b"), {"a": 2, "b": 1})
-        dense = build_cooccurrence(corpus, sel).to_dense()
+        dense = build_cooccurrence(count_corpus(corpus), sel).to_dense()
         assert dense[0, 0] == 1  # 'a' twice in one tweet
         assert dense[1, 1] == 0  # 'b' only once
         assert dense[0, 1] == 1 and dense[1, 0] == 1
 
     def test_matches_brute_force_pair_counter(self):
         corpus = random_corpus(100, vocab_size=20, seed=5)
-        scores = overlap_scores(tfidf(build_word_tweet_matrix(corpus)))
+        scores = overlap_scores(tfidf(build_word_tweet_matrix(count_corpus(corpus))))
         sel = select_terms(scores, 8, 15)
-        matrix = build_cooccurrence(corpus, sel)
+        matrix = build_cooccurrence(count_corpus(corpus), sel)
         oracle = brute_cooccurrence_oracle(corpus, sel.keywords, sel.context_words)
         np.testing.assert_array_equal(matrix.to_dense(), oracle)
 
     def test_order_independent(self):
         corpus = random_corpus(60, vocab_size=15, seed=9)
-        scores = overlap_scores(tfidf(build_word_tweet_matrix(corpus)))
+        scores = overlap_scores(tfidf(build_word_tweet_matrix(count_corpus(corpus))))
         sel = select_terms(scores, 5, 10)
-        forward = build_cooccurrence(corpus, sel).to_dense()
-        backward = build_cooccurrence(list(reversed(corpus)), sel).to_dense()
+        forward = build_cooccurrence(count_corpus(corpus), sel).to_dense()
+        backward = build_cooccurrence(count_corpus(list(reversed(corpus))), sel).to_dense()
         np.testing.assert_array_equal(forward, backward)
 
     def test_empty_selection_errors(self):
         with pytest.raises(DataError):
-            build_cooccurrence(tweets(["a"]), SelectionResult((), (), {}))
+            build_cooccurrence(count_corpus(tweets(["a"])), SelectionResult((), (), {}))
 
 
 class TestPpmi:
@@ -304,9 +325,9 @@ class TestPpmi:
 class TestPersistence:
     def test_triplet_roundtrip(self, tmp_path):
         corpus = random_corpus(30, vocab_size=10, seed=2)
-        scores = overlap_scores(tfidf(build_word_tweet_matrix(corpus)))
+        scores = overlap_scores(tfidf(build_word_tweet_matrix(count_corpus(corpus))))
         sel = select_terms(scores, 4, 8)
-        counts = build_cooccurrence(corpus, sel)
+        counts = build_cooccurrence(count_corpus(corpus), sel)
         weighted = ppmi(counts)
         empty_rows = WeightedMatrix(
             Vocabulary(("a", "b", "c", "d")), ("x", "y", "z"),
@@ -350,3 +371,64 @@ class TestPersistence:
         assert loaded.keywords == sel.keywords
         assert loaded.context_words == sel.context_words
         assert loaded.scores == sel.scores
+
+
+def saved_and_loaded(corpus):
+    """``count_corpus(corpus)`` written by save_corpus_counts and read back with its ids."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus_counts(count_corpus(corpus), Path(tmp) / "c.npz", Path(tmp) / "c.tsv")
+        return load_corpus_counts(Path(tmp) / "c.npz", Path(tmp) / "c.tsv")
+
+
+def assert_same_counts(found, expected):
+    assert found.shape == expected.shape
+    assert (found != expected).nnz == 0
+
+
+# a few common words plus arbitrary letters, so tweets repeat words and share some
+WORDS = st.one_of(
+    st.sampled_from(("war", "sin", "kill", "ünfair")), st.text(st.characters(categories=("L",)), min_size=1, max_size=3)
+)
+
+
+class TestCorpusCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(WORDS, max_size=8), max_size=10), st.lists(WORDS, unique=True, max_size=8))
+    def test_saved_counts_and_selections_equal_the_token_oracle(self, token_lists, words):
+        corpus = tweets(*token_lists)
+        loaded = saved_and_loaded(corpus)
+        assert loaded.ids == tuple(t.id for t in corpus)
+        assert loaded.vocab.words == tuple(sorted({w for toks in token_lists for w in toks}))
+        assert_same_counts(loaded.counts, tweet_term_counts(corpus, loaded.vocab))
+        selection = Vocabulary(tuple(words))  # words absent from the corpus included
+        for source in (count_corpus(corpus), loaded):
+            selected = source.select(selection)
+            assert selected.has_sorted_indices and selected.dtype == np.int64
+            assert_same_counts(selected, tweet_term_counts(corpus, selection))
+
+    def test_counts_above_255_survive(self):
+        corpus = tweets(["war"] * 300 + ["sin"], ["war"] * 70000)
+        loaded = saved_and_loaded(corpus)
+        assert loaded.counts.dtype == np.uint32
+        assert_same_counts(loaded.counts, tweet_term_counts(corpus, loaded.vocab))
+        assert loaded.select(Vocabulary(("war",))).toarray().ravel().tolist() == [300, 70000]
+
+    def test_corpus_of_empty_tweets_roundtrips(self):
+        loaded = saved_and_loaded(tweets([], [], []))
+        assert loaded.ids == ("0", "1", "2") and loaded.vocab.words == ()
+        assert loaded.counts.shape == (3, 0)
+        assert loaded.select(Vocabulary(("war",))).shape == (3, 1)
+
+    def test_corpus_of_no_tweets_roundtrips_and_cannot_be_selected_from(self):
+        loaded = saved_and_loaded([])
+        assert loaded.ids == () and loaded.counts.shape == (0, 0)
+        with pytest.raises(DataError, match="empty corpus"):
+            build_word_tweet_matrix(loaded)
+
+    def test_word_tweet_matrix_is_the_transposed_oracle(self):
+        corpus = random_corpus(80, seed=4)
+        matrix = build_word_tweet_matrix(saved_and_loaded(corpus))
+        oracle = tweet_term_counts(corpus, matrix.row_vocab).T.tocsr()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(matrix.counts, name), getattr(oracle, name))
+        assert matrix.col_labels == tuple(t.id for t in corpus)
