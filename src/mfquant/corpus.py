@@ -8,6 +8,12 @@ lowercasing, one code-point rule (delete '#', digits and apostrophes; keep
 letters; blank the rest), whitespace splitting, and the minimum-length /
 stopword / query-word filter.
 
+The filter is a word table that each ``CleaningConfig`` carries: it maps
+every stopword and query word to None and every other word to the first
+``str`` cleaned for it, so each occurrence of a word in the corpus shares
+one object. The pipeline builds one config per corpus, which bounds the
+table to that corpus's ingest.
+
 The pipeline hands a cleaned, deduplicated corpus on as counts
 (``vectorizer.count_corpus``), since token order plays no part after
 cleaning. ``write_tokenized`` and ``read_tokenized`` keep a token-level
@@ -31,7 +37,7 @@ logger = logging.getLogger(__name__)
 _URL_MARKER = re.compile(r"https?://|www\.")
 _APOSTROPHES = ("'", "’", "ʼ")
 # field and line separators of the artifact tables that carry ids downstream
-_ID_DELIMITERS = ("\t", ",", "\n", "\r")
+_ID_DELIMITER = re.compile(r"[\t,\n\r]")
 
 
 # slots: ingest holds every record, then every tokenized tweet, of a corpus at once
@@ -58,7 +64,11 @@ class TokenizedTweet:
 
 @dataclass(frozen=True)
 class CleaningConfig:
-    """Cleaning parameters. ``query_words`` are the corpus search terms to drop."""
+    """Cleaning parameters. ``query_words`` are the corpus search terms to drop.
+
+    Each instance also holds the word table ``clean_and_tokenize`` filters
+    through; it is not a field, so equality, hashing and repr ignore it.
+    """
 
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
     query_words: frozenset[str] = frozenset()
@@ -68,6 +78,10 @@ class CleaningConfig:
     def __post_init__(self) -> None:
         if self.min_token_len < 1:
             raise ValueError("min_token_len must be >= 1")
+        # dropped words map to None; every other word to the first str seen for it
+        object.__setattr__(self, "_words", dict.fromkeys(self.stopwords | self.query_words))
+        # cleaned text holds only letters and spaces, so this is split() plus the length filter
+        object.__setattr__(self, "_tokens", re.compile(f"[^ ]{{{self.min_token_len},}}").findall)
 
 
 @dataclass
@@ -86,12 +100,12 @@ class IngestStats:
 
 def _parse_line(obj: dict) -> TweetRecord:
     rec_id = obj.get("id")
-    if isinstance(rec_id, int):
+    if type(rec_id) is int:  # not isinstance: a JSON true or false is a bool, which is an int
         rec_id = str(rec_id)
     text = obj.get("text")
     if not isinstance(rec_id, str) or not rec_id:
-        raise ValueError("missing or empty 'id'")
-    if any(ch in rec_id for ch in _ID_DELIMITERS):
+        raise ValueError("'id' is missing, empty, or neither a string nor an integer")
+    if _ID_DELIMITER.search(rec_id):
         raise ValueError(f"id {rec_id!r} contains a tab, comma or newline")
     rec_id.encode("utf-8")  # a lone surrogate (JSON "\ud800") cannot reach a UTF-8 artifact
     if not isinstance(text, str):
@@ -111,9 +125,10 @@ def load_records(
 ) -> tuple[list[TweetRecord], IngestStats]:
     """Read line-delimited JSON records in file order.
 
-    Malformed lines (bytes that are not UTF-8, bad JSON, missing id/text, an id containing
-    a tab, comma, newline or lone surrogate) and duplicate ids are logged with their line
-    number and skipped; records failing ``lang_filter`` are dropped silently. An unreadable file raises CorpusError.
+    Malformed lines (bytes that are not UTF-8, bad JSON, missing id/text, an id that is a
+    boolean or contains a tab, comma, newline or lone surrogate) and duplicate ids are
+    logged with their line number and skipped; records failing ``lang_filter`` are dropped
+    silently. An unreadable file raises CorpusError.
     """
     path = Path(path)
     stats = IngestStats()
@@ -169,25 +184,33 @@ _CODE_POINT_RULE = _CodePointRule()
 
 
 def clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> TokenizedTweet:
-    """Clean one record into a TokenizedTweet (pure; empty output is valid).
+    """Clean one record into a TokenizedTweet (empty output is valid).
 
     Whitespace chunks containing a URL marker or starting with '@' are
     dropped wholesale. Apostrophes and digits are deleted in place, other
     punctuation splits tokens, and the stopword / query-word /
     min-length filter runs on the lowercased results.
+
+    Pure in its results: equal inputs give equal outputs. Each kept token
+    is the word's entry in ``config``'s word table, which this call extends
+    with the words it sees first.
     """
-    text = " ".join([
-        chunk for chunk in record.effective_text.split()
-        if not chunk.startswith("@") and not _URL_MARKER.search(chunk.lower())
-    ])
+    text = record.effective_text
+    lowered = text.lower()
+    # '@' and the URL markers hold no whitespace, so a text without them keeps every chunk,
+    # and re-joining the chunks is moot: the code-point rule blanks all whitespace anyway
+    if "@" in text or _URL_MARKER.search(lowered):
+        text = " ".join([
+            chunk for chunk in text.split()
+            if not chunk.startswith("@") and not _URL_MARKER.search(chunk.lower())
+        ])
+        lowered = text.lower()
     if config.lowercase:
         # lowercase before the letter filter: some uppercase letters
         # lower to letter + combining mark, which must not survive
-        text = text.lower()
-    kept = (
-        token for token in text.translate(_CODE_POINT_RULE).split()
-        if len(token) >= config.min_token_len and token not in config.stopwords and token not in config.query_words
-    )
+        text = lowered
+    tokens = config._tokens(text.translate(_CODE_POINT_RULE))
+    kept = filter(None, map(config._words.setdefault, tokens, tokens))  # None marks a dropped word
     return TokenizedTweet(id=record.id, tokens=tuple(kept))
 
 

@@ -2,7 +2,8 @@
 
 The SVD is exact: it takes the top-k eigenpairs of the Gram matrix on the
 smaller side of the input (``A @ A.T``, 2000 x 2000, at the paper
-defaults) and keeps only U_k and the singular values. Each singular
+defaults), filled in row blocks straight into the Fortran-order array
+LAPACK works in, and keeps only U_k and the singular values. Each singular
 vector's sign is fixed so that its largest-magnitude entry is positive,
 as in the PCA. U_k is persisted as one binary array whose rows follow a
 word list kept elsewhere. All kernels are pure.
@@ -23,6 +24,8 @@ from .vectorizer import Vocabulary, WeightedMatrix
 
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
+# rows of the sparse Gram product formed at once: bounds that temporary at 256 x min(m, n)
+GRAM_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -55,6 +58,27 @@ class PCAProjection:
     explained_variance: tuple[float, float]
 
 
+def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of A, ``A @ A.T`` if A has no more rows than columns, else ``A.T @ A``.
+
+    Returned as a dense float64 array in Fortran order. A sparse A's
+    product is formed GRAM_BLOCK_ROWS rows at a time, each row equal bit
+    for bit to that row of the whole sparse product.
+    """
+    m, n = matrix.shape
+    left = matrix if m <= n else matrix.T
+    if not sparse.issparse(left):
+        return np.asarray(left @ left.T, dtype=np.float64, order="F")
+    left = sparse.csr_matrix(left)
+    right = left.T.tocsr()
+    size = left.shape[0]
+    gram = np.empty((size, size), order="F")
+    for start in range(0, size, GRAM_BLOCK_ROWS):
+        stop = start + GRAM_BLOCK_ROWS
+        gram[start:stop] = (left[start:stop] @ right).toarray()
+    return gram
+
+
 def truncated_svd(
     matrix: WeightedMatrix | sparse.spmatrix | np.ndarray,
     k: int,
@@ -85,8 +109,7 @@ def truncated_svd(
     if not np.all(np.isfinite(data)):
         raise ValueError("matrix contains non-finite entries")
 
-    gram = mat @ mat.T if m <= n else mat.T @ mat
-    gram = gram.toarray() if sparse.issparse(gram) else np.asarray(gram, dtype=np.float64)
+    gram = gram_matrix(mat)
     size = len(gram)
     eigenvalues, vectors = scipy.linalg.eigh(
         gram, subset_by_index=[size - k, size - 1], driver="evr", overwrite_a=True

@@ -38,6 +38,8 @@ _DOMINANT_NAMES = np.array([*FOUNDATIONS, UNCLASSIFIED])
 _EXTENDED_HEADER = "foundation\trank\tword\tsimilarity"
 _FOUNDATION_COLUMNS = ",".join(f.lower() for f in FOUNDATIONS)
 _LOADINGS_HEADER = f"id,{_FOUNDATION_COLUMNS},dominant,degenerate"
+# one loadings.csv row; %.9g formats a float exactly as the f-string spec .9g does
+_LOADINGS_ROW = "%s" + ",%.9g" * len(FOUNDATIONS) + ",%s,%d"
 # tweets per block in score_corpus: bounds its tweets x k temporaries at 4096 x k floats
 SCORE_BLOCK_ROWS = 4096
 
@@ -273,12 +275,9 @@ def save_loadings(
 ) -> None:
     """CSV: id, care, fairness, ingroup, authority, purity, dominant, degenerate_flag."""
 
-    dominant = _DOMINANT_NAMES[dominant_indices(matrix)]
-    rows = (
-        f"{label},{_csv_values(values)},{name},{int(flag)}"
-        for label, values, name, flag in zip(matrix.row_labels, matrix.values, dominant, matrix.degenerate)
-    )
-    tables.write_lines(path, rows, header=_LOADINGS_HEADER)
+    dominant = _DOMINANT_NAMES[dominant_indices(matrix)].tolist()
+    columns = zip(matrix.row_labels, *matrix.values.T.tolist(), dominant, matrix.degenerate)
+    tables.write_lines(path, (_LOADINGS_ROW % row for row in columns), header=_LOADINGS_HEADER)
 
 
 def load_loadings(path: str | Path) -> LoadingMatrix:

@@ -15,6 +15,7 @@ from mfquant.corpus import (
 )
 from mfquant.errors import CorpusError
 from mfquant.stopwords import BASE_STOPWORDS, DEFAULT_STOPWORDS
+from mfquant.synth import default_plan, synth_corpus
 
 IMMORALITY_CONFIG = CleaningConfig(query_words=frozenset({"immoral", "immorality"}))
 
@@ -166,6 +167,44 @@ class TestCleanAndTokenize:
             assert not any(ch.isdigit() for ch in token)
 
 
+class TestWordTable:
+    PLAN = default_plan(fillers_per_cluster=30, noise_pool=60)
+    # some planted fillers as extra stopwords, so the corpus certainly holds words to drop
+    CONFIG_ARGS = dict(
+        stopwords=DEFAULT_STOPWORDS | frozenset(PLAN.clusters[0].fillers[:10]),
+        query_words=IMMORALITY_CONFIG.query_words,
+    )
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        out = []
+        for seed in (5, 6):
+            path = tmp_path_factory.mktemp("synth") / "c.jsonl"
+            synth_corpus(self.PLAN, 300, seed, path)
+            out.append(load_records(path)[0])
+        return out
+
+    def test_each_distinct_token_is_one_object(self, corpora):
+        config = CleaningConfig(**self.CONFIG_ARGS)
+        tokens = [token for record in corpora[0] for token in clean_and_tokenize(record, config).tokens]
+        assert len({id(token) for token in tokens}) == len(set(tokens)) > 0
+        assert not set(tokens) & (config.stopwords | config.query_words)
+
+    def test_reused_config_matches_fresh_configs(self, corpora):
+        shared = CleaningConfig(**self.CONFIG_ARGS)
+        reused = [[clean_and_tokenize(r, shared) for r in records] for records in corpora]
+        fresh_configs = [CleaningConfig(**self.CONFIG_ARGS) for _ in corpora]
+        fresh = [[clean_and_tokenize(r, config) for r in records] for records, config in zip(corpora, fresh_configs)]
+        assert reused == fresh
+
+    def test_table_is_not_part_of_equality_or_repr(self, corpora):
+        used = CleaningConfig(**self.CONFIG_ARGS)
+        for record in corpora[0]:
+            clean_and_tokenize(record, used)
+        fresh = CleaningConfig(**self.CONFIG_ARGS)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
 class TestStopwordLists:
     def test_base_list_has_127_entries(self):
         assert len(BASE_STOPWORDS) == 127
@@ -254,6 +293,15 @@ class TestLoadRecords:
         ]
         records, stats = load_records(self.write(tmp_path, lines))
         assert records == [] and stats.malformed == 8
+
+    @pytest.mark.parametrize("bad_id", [True, False, "x\ty", "x,y", "x\ny", "x\ry"])
+    def test_bad_id_is_malformed_with_its_line_number(self, tmp_path, caplog, bad_id):
+        # a JSON boolean is a Python int, but only a true integer id is taken
+        lines = [json.dumps({"id": 7, "text": "a"}), json.dumps({"id": bad_id, "text": "b"})]
+        path = self.write(tmp_path, lines)
+        records, stats = load_records(path)
+        assert [r.id for r in records] == ["7"] and stats.malformed == 1
+        assert f"{path}:2: skipping malformed line" in caplog.text
 
     def test_duplicate_ids_skipped(self, tmp_path):
         lines = [

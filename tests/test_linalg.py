@@ -6,6 +6,7 @@ from scipy import sparse
 from mfquant.linalg import (
     EmbeddingSpace,
     cosine,
+    gram_matrix,
     load_embedding,
     pca_2d,
     save_embedding,
@@ -113,6 +114,24 @@ class TestTruncatedSvd:
         assert cosines.min() >= 1 - 1e-8
         pivots = result.u_k[np.abs(result.u_k).argmax(axis=0), np.arange(k)]
         assert (pivots > 0).all()
+
+
+class TestGramMatrix:
+    @pytest.mark.parametrize(
+        "m,n",
+        [(100, 700), (600, 900), (900, 300), (700, 100), (512, 512)],
+        ids=["wide-under-one-block", "wide-partial-block", "tall-partial-block", "tall-under-one-block", "square"],
+    )
+    def test_blocked_gram_is_the_sparse_product_bit_for_bit(self, m, n):
+        matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m + n)
+        oracle = (matrix @ matrix.T if m <= n else matrix.T @ matrix).toarray()
+        gram = gram_matrix(matrix)
+        assert gram.flags.f_contiguous and gram.dtype == np.float64
+        assert np.ascontiguousarray(gram).tobytes() == oracle.tobytes()
+
+    def test_dense_input(self):
+        matrix = planted_rank_matrix(30, 20, rank=5, seed=2)
+        np.testing.assert_array_equal(gram_matrix(matrix), matrix.T @ matrix)
 
 
 class TestCosine:

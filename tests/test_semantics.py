@@ -15,6 +15,7 @@ from mfquant.semantics import (
     context_vectors_for_corpus,
     corpus_vectors,
     dominant_foundation,
+    dominant_indices,
     extend_dictionary,
     foundation_counts,
     load_loadings,
@@ -454,6 +455,25 @@ def test_matching_agrees_with_brute_force(rows, drawn_words):
             mf_vectors(dictionary, space)
 
 
+def oracle_loadings_csv(matrix):
+    """loadings.csv as save_loadings wrote it with one f-string per value, kept as its oracle."""
+    names = (*FOUNDATIONS, UNCLASSIFIED)
+    header = "id,care,fairness,ingroup,authority,purity,dominant,degenerate\n"
+    rows = (
+        f"{label},{','.join(f'{x:.9g}' for x in values)},{names[index]},{int(flag)}\n"
+        for label, values, index, flag in zip(
+            matrix.row_labels, matrix.values, dominant_indices(matrix), matrix.degenerate
+        )
+    )
+    return header + "".join(rows)
+
+
+LOADING_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
 class TestLoadingsPersistence:
     def test_roundtrip(self, fixture_dict, fixture_embedding, tmp_path, rng):
         mf = mf_vectors(fixture_dict, fixture_embedding)
@@ -464,3 +484,25 @@ class TestLoadingsPersistence:
         assert loaded.row_labels == matrix.row_labels
         assert loaded.degenerate == matrix.degenerate
         np.testing.assert_allclose(loaded.values, matrix.values, atol=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.lists(LOADING_VALUES, min_size=5, max_size=5),
+                    LOADING_VALUES.map(lambda x: [x] * 5),  # every foundation tied
+                ),
+                st.booleans(),
+            ),
+            max_size=12,
+        )
+    )
+    def test_bytes_match_f_string_rows(self, tmp_path_factory, rows):
+        values = np.array([r[0] for r in rows], dtype=np.float64).reshape(len(rows), 5)
+        degenerate = tuple(r[1] for r in rows)
+        values[np.asarray(degenerate, dtype=bool)] = 0.0  # as loading_matrix leaves a degenerate row
+        matrix = LoadingMatrix(row_labels=tuple(f"t{i}" for i in range(len(rows))), values=values, degenerate=degenerate)
+        path = tmp_path_factory.mktemp("loadings") / "loadings.csv"
+        save_loadings(matrix, path)
+        assert path.read_bytes() == oracle_loadings_csv(matrix).encode()
