@@ -2,15 +2,19 @@
 
 The SVD is exact: it takes the top-k eigenpairs of the Gram matrix on the
 smaller side of the input (``A @ A.T``, 2000 x 2000, at the paper
-defaults), filled in row blocks straight into the Fortran-order array
-LAPACK works in, and keeps only U_k and the singular values. Each singular
-vector's sign is fixed so that its largest-magnitude entry is positive,
-as in the PCA. U_k is persisted as one binary array whose rows follow a
-word list kept elsewhere. All kernels are pure.
+defaults) and keeps only U_k and the singular values. A sparse input's
+Gram matrix is formed one triangle at a time, in column blocks shared out
+over every CPU the process may use, straight into the Fortran-order array
+LAPACK works in; its bytes do not depend on the thread count. Each
+singular vector's sign is fixed so that its largest-magnitude entry is
+positive, as in the PCA. U_k is persisted as one binary array whose rows
+follow a word list kept elsewhere. All kernels are pure.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +28,8 @@ from .vectorizer import Vocabulary, WeightedMatrix
 
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
-# rows of the sparse Gram product formed at once: bounds that temporary at 256 x min(m, n)
-GRAM_BLOCK_ROWS = 256
+# columns of the Gram matrix one sparse product forms: bounds that temporary at min(m, n) x 128
+GRAM_BLOCK_COLS = 128
 
 
 @dataclass
@@ -58,24 +62,78 @@ class PCAProjection:
     explained_variance: tuple[float, float]
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_gram_columns(left: sparse.csr_matrix, gram: np.ndarray, starts) -> None:
+    """Fill the column blocks of ``gram`` = ``left @ left.T`` that begin at ``starts``.
+
+    Block ``[s, s+B)`` forms only rows ``s:`` (the lower triangle and the
+    diagonal block) and mirrors them into rows ``s:s+B`` of the upper
+    triangle. Blocks write disjoint parts of ``gram``. Only numpy and
+    scipy are called here; scipy's sparse product releases the GIL, so
+    threads running this in parallel use separate cores.
+    """
+    size, width = left.shape
+    data, indices, indptr = left.data, left.indices, left.indptr
+    for start in starts:
+        stop = min(start + GRAM_BLOCK_COLS, size)
+        offset = indptr[start]
+        # rows start: of left, sharing its data and indices
+        tail = sparse.csr_matrix(
+            (data[offset:], indices[offset:], indptr[start:] - offset), shape=(size - start, width)
+        )
+        gram[start:, start:stop] = (tail @ left[start:stop].T).toarray()
+        gram[start:stop, stop:] = gram[stop:, start:stop].T
+
+
 def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     """The smaller Gram matrix of A, ``A @ A.T`` if A has no more rows than columns, else ``A.T @ A``.
 
     Returned as a dense float64 array in Fortran order. A sparse A's
-    product is formed GRAM_BLOCK_ROWS rows at a time, each row equal bit
-    for bit to that row of the whole sparse product.
+    product is formed GRAM_BLOCK_COLS columns at a time, lower triangle
+    only, each block mirrored into the upper triangle. The blocks are
+    dealt round-robin to the calling thread and one helper thread per
+    further CPU (``_available_cpus``), and all helpers have ended when this
+    returns or raises; an exception in a helper is raised here. Each entry
+    is the same products summed in the same order as in the whole sparse
+    product, so for a CSR A with sorted indices (every matrix the pipeline
+    builds) the result equals that product bit for bit, whatever the
+    thread count.
     """
     m, n = matrix.shape
     left = matrix if m <= n else matrix.T
     if not sparse.issparse(left):
         return np.asarray(left @ left.T, dtype=np.float64, order="F")
     left = sparse.csr_matrix(left)
-    right = left.T.tocsr()
     size = left.shape[0]
     gram = np.empty((size, size), order="F")
-    for start in range(0, size, GRAM_BLOCK_ROWS):
-        stop = start + GRAM_BLOCK_ROWS
-        gram[start:stop] = (left[start:stop] @ right).toarray()
+    starts = range(0, size, GRAM_BLOCK_COLS)
+    workers = max(1, min(_available_cpus(), len(starts)))
+    errors: list[BaseException] = []
+
+    def helper(share: range) -> None:
+        try:
+            _fill_gram_columns(left, gram, share)
+        except BaseException as exc:
+            errors.append(exc)
+
+    started: list[threading.Thread] = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=helper, args=(starts[worker::workers],))
+            thread.start()
+            started.append(thread)
+        _fill_gram_columns(left, gram, starts[::workers])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     return gram
 
 
@@ -97,9 +155,10 @@ def truncated_svd(
 
     ``seed``, ``oversample`` and ``power_iters`` are ignored; they remain
     only because callers still pass them. Deterministic for a fixed matrix
-    and k on one platform/build and BLAS thread count; another thread
-    count rounds differently (about 1e-14). Raises ValueError for k out of
-    range or non-finite entries.
+    and k on one platform/build and BLAS thread count; another BLAS thread
+    count rounds differently in the eigensolver (about 1e-14). The number
+    of threads ``gram_matrix`` runs on changes no bit. Raises ValueError
+    for k out of range or non-finite entries.
     """
     mat = matrix.weights if isinstance(matrix, WeightedMatrix) else matrix
     m, n = mat.shape

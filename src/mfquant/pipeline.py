@@ -77,6 +77,9 @@ class PipelineConfig:
             problems.append(f"n1 ({self.n1}) must not exceed n2 ({self.n2})")
         if self.k < 1:
             problems.append("k must be >= 1")
+        if self.k > self.n1:
+            # the PPMI matrix has at most n1 rows, so its rank cannot reach k
+            problems.append(f"k ({self.k}) must not exceed n1 ({self.n1})")
         if self.extend_n < 0:
             problems.append("extend_n must be >= 0")
         if self.min_token_len < 1:
@@ -128,8 +131,20 @@ class PipelineConfig:
         }
 
 
+def _integer(key: str, value) -> int:
+    """``value`` if it is a YAML integer; a bool, float, string or null is a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse a YAML config file; relative paths resolve against its directory."""
+    """Parse a YAML config file; relative paths resolve against its directory.
+
+    The counts in ``params`` and ``cleaning.min_token_len`` must be YAML
+    integers and ``cleaning.lowercase`` a YAML boolean; any other value is a
+    ConfigError naming the key, never coerced.
+    """
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -152,6 +167,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("inputs.topics must be a mapping of name -> path")
     params = raw.get("params") or {}
     cleaning = raw.get("cleaning") or {}
+    for name, section in (("params", params), ("cleaning", cleaning)):
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a mapping")
+    topic_n = params.get("topic_n", [10, 100])
+    if not isinstance(topic_n, list):
+        raise ConfigError(f"params.topic_n must be a list of integers, got {topic_n!r}")
+    lowercase = cleaning.get("lowercase", True)
+    if not isinstance(lowercase, bool):
+        raise ConfigError(f"cleaning.lowercase must be true or false, got {lowercase!r}")
     query_raw = cleaning.get("query_words") or {}
     if not isinstance(query_raw, dict):
         raise ConfigError("cleaning.query_words must be a mapping of corpus -> words")
@@ -167,15 +191,15 @@ def load_config(path: str | Path) -> PipelineConfig:
             out_dir=_resolve(out),
             topic_paths={name: _resolve(p) for name, p in sorted(topics_raw.items())},
             dictionary_path=_resolve(inputs.get("dictionary")),
-            n1=int(params.get("n1", 2000)),
-            n2=int(params.get("n2", 20000)),
-            k=int(params.get("k", 100)),
-            topic_n=tuple(int(n) for n in params.get("topic_n", (10, 100))),
-            extend_n=int(params.get("extend_n", 100)),
-            seed=int(params.get("seed", 42)),
+            n1=_integer("params.n1", params.get("n1", 2000)),
+            n2=_integer("params.n2", params.get("n2", 20000)),
+            k=_integer("params.k", params.get("k", 100)),
+            topic_n=tuple(_integer("params.topic_n", n) for n in topic_n),
+            extend_n=_integer("params.extend_n", params.get("extend_n", 100)),
+            seed=_integer("params.seed", params.get("seed", 42)),
             query_words={name: tuple(words) for name, words in query_raw.items()},
-            min_token_len=int(cleaning.get("min_token_len", 3)),
-            lowercase=bool(cleaning.get("lowercase", True)),
+            min_token_len=_integer("cleaning.min_token_len", cleaning.get("min_token_len", 3)),
+            lowercase=lowercase,
             lang_filter=cleaning.get("lang_filter"),
             stopwords_path=_resolve(cleaning.get("stopwords_file")),
         )

@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import sparse
 
+from mfquant import linalg
 from mfquant.linalg import (
     EmbeddingSpace,
     cosine,
@@ -132,6 +135,42 @@ class TestGramMatrix:
     def test_dense_input(self):
         matrix = planted_rank_matrix(30, 20, rank=5, seed=2)
         np.testing.assert_array_equal(gram_matrix(matrix), matrix.T @ matrix)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "m,n", [(100, 700), (250, 700), (900, 600)], ids=["one-block", "two-blocks", "five-blocks"]
+    )
+    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, m, n, cpus):
+        matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m * n)
+        oracle = (matrix @ matrix.T if m <= n else matrix.T @ matrix).toarray()
+        fill, threads = linalg._fill_gram_columns, set()
+
+        def recording_fill(left, gram, starts):
+            threads.add(threading.get_ident())
+            fill(left, gram, starts)
+
+        monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(linalg, "_fill_gram_columns", recording_fill)
+        gram = gram_matrix(matrix)
+        assert np.ascontiguousarray(gram).tobytes() == oracle.tobytes()
+        blocks = -(-min(m, n) // linalg.GRAM_BLOCK_COLS)
+        assert len(threads) == min(cpus, blocks)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_block_exception_reaches_the_caller_after_every_helper_ends(self, monkeypatch, failing):
+        fill, caller = linalg._fill_gram_columns, threading.get_ident()
+
+        def failing_fill(left, gram, starts):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} block failed")
+            fill(left, gram, starts)
+
+        monkeypatch.setattr(linalg, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(linalg, "_fill_gram_columns", failing_fill)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match=f"{failing} block failed"):
+            gram_matrix(sparse.random(600, 900, density=0.05, format="csr", random_state=1))
+        assert threading.enumerate() == before
 
 
 class TestCosine:

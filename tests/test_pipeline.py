@@ -112,6 +112,45 @@ output: out
         with pytest.raises(ConfigError, match="n1"):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("params: {n1: 20.7}", "params.n1"),
+            ("params: {n2: '20'}", "params.n2"),
+            ("params: {k: true}", "params.k"),
+            ("params: {extend_n: null}", "params.extend_n"),
+            ("params: {seed: 1.5}", "params.seed"),
+            ("params: {topic_n: [4, 5.5]}", "params.topic_n"),
+            ("params: {topic_n: [false]}", "params.topic_n"),
+            ("params: {topic_n: '10'}", "params.topic_n"),
+            ("cleaning: {min_token_len: false}", "cleaning.min_token_len"),
+            ("cleaning: {lowercase: 'false'}", "cleaning.lowercase"),
+            ("cleaning: {lowercase: 0}", "cleaning.lowercase"),
+            ("params: [n1, 20]", "params"),
+        ],
+    )
+    def test_malformed_value_names_its_key(self, tmp_path, section, key):
+        path = self.write_config(tmp_path, f"inputs: {{immorality: corpus.jsonl}}\noutput: out\n{section}\n")
+        with pytest.raises(ConfigError, match=rf"^{key} must"):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+
+    def test_k_exceeding_n1_fails_before_any_stage(self, tmp_path):
+        config = make_workspace(tmp_path, tweets=50, topics=())
+        config.n1, config.k = 20, 21
+        with pytest.raises(ConfigError, match=r"k \(21\) must not exceed n1 \(20\)"):
+            run("all", config)
+        assert not config.out_dir.exists()
+
+    def test_k_exceeding_the_truncated_matrix_fails_at_svd(self, tmp_path):
+        config = make_workspace(tmp_path, tweets=50, topics=())
+        # 50 tweets hold about 400 distinct words, so the matrix has fewer than n1 rows
+        config.n1, config.k = 1000, 500
+        with pytest.raises(PipelineError, match="k=500 exceeds matrix rank bound"):
+            run("all", config)
+        manifest = json.loads((config.out_dir / "manifest.json").read_text())
+        assert set(manifest["stages"]) == {"ingest", "select", "matrix"}
+
     def test_bad_yaml(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(self.write_config(tmp_path, "inputs: [unclosed"))
