@@ -7,7 +7,9 @@ hands each corpus on as counts: ``corpus/<name>.npz``, the tweets x words
 count matrix over the corpus's sorted vocabulary, and ``corpus/<name>.tsv``,
 one ``id<TAB>kept-token count`` line per deduplicated tweet. select,
 matrix and report read only the counts; loadings also reads the ids, which
-it writes out. The svd stage hands U_k on as one binary array,
+it writes out. The matrix stage hands PPMI to svd as ``matrix/ppmi.npz``,
+the corpus counts' CSR archive layout, next to its two word lists. The
+svd stage hands U_k on as one binary array,
 ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``; its
 manifest entry records the hash of that word list, and the stages that
 read the embedding refuse it when the current ``row_vocab.tsv`` differs.
@@ -131,10 +133,10 @@ class PipelineConfig:
         }
 
 
-def _integer(key: str, value) -> int:
-    """``value`` if it is a YAML integer; a bool, float, string or null is a ConfigError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _typed(key: str, value, kind: type | tuple[type, ...], what: str = "an integer"):
+    """``value`` if it is a YAML ``kind`` (a bool is no int); anything else is a ConfigError naming ``key``."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
     return value
 
 
@@ -142,8 +144,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Parse a YAML config file; relative paths resolve against its directory.
 
     The counts in ``params`` and ``cleaning.min_token_len`` must be YAML
-    integers and ``cleaning.lowercase`` a YAML boolean; any other value is a
-    ConfigError naming the key, never coerced.
+    integers, ``cleaning.lowercase`` a YAML boolean, ``cleaning.lang_filter``
+    a string or null and each ``cleaning.query_words.<name>`` a list of
+    strings; any other value is a ConfigError naming the key, never coerced.
     """
     path = Path(path)
     try:
@@ -162,26 +165,14 @@ def load_config(path: str | Path) -> PipelineConfig:
     inputs = raw.get("inputs") or {}
     if not isinstance(inputs, dict) or not inputs.get("immorality"):
         raise ConfigError("config must set inputs.immorality")
-    topics_raw = inputs.get("topics") or {}
-    if not isinstance(topics_raw, dict):
-        raise ConfigError("inputs.topics must be a mapping of name -> path")
-    params = raw.get("params") or {}
-    cleaning = raw.get("cleaning") or {}
-    for name, section in (("params", params), ("cleaning", cleaning)):
-        if not isinstance(section, dict):
-            raise ConfigError(f"{name} must be a mapping")
-    topic_n = params.get("topic_n", [10, 100])
-    if not isinstance(topic_n, list):
-        raise ConfigError(f"params.topic_n must be a list of integers, got {topic_n!r}")
-    lowercase = cleaning.get("lowercase", True)
-    if not isinstance(lowercase, bool):
-        raise ConfigError(f"cleaning.lowercase must be true or false, got {lowercase!r}")
-    query_raw = cleaning.get("query_words") or {}
-    if not isinstance(query_raw, dict):
-        raise ConfigError("cleaning.query_words must be a mapping of corpus -> words")
-    for name, words in query_raw.items():
-        if not isinstance(words, list):
-            raise ConfigError(f"cleaning.query_words.{name} must be a list of words, got {words!r}")
+    topics_raw = _typed("inputs.topics", inputs.get("topics") or {}, dict, "a mapping of name -> path")
+    params = _typed("params", raw.get("params") or {}, dict, "a mapping")
+    cleaning = _typed("cleaning", raw.get("cleaning") or {}, dict, "a mapping")
+    topic_n = _typed("params.topic_n", params.get("topic_n", [10, 100]), list, "a list of integers")
+    query_words = {}
+    for name, words in _typed("cleaning.query_words", cleaning.get("query_words") or {}, dict, "a mapping").items():
+        key, what = f"cleaning.query_words.{name}", "a list of words"
+        query_words[name] = tuple(_typed(key, w, str, what) for w in _typed(key, words, list, what))
     out = raw.get("output")
     if not out:
         raise ConfigError("config must set output")
@@ -191,16 +182,18 @@ def load_config(path: str | Path) -> PipelineConfig:
             out_dir=_resolve(out),
             topic_paths={name: _resolve(p) for name, p in sorted(topics_raw.items())},
             dictionary_path=_resolve(inputs.get("dictionary")),
-            n1=_integer("params.n1", params.get("n1", 2000)),
-            n2=_integer("params.n2", params.get("n2", 20000)),
-            k=_integer("params.k", params.get("k", 100)),
-            topic_n=tuple(_integer("params.topic_n", n) for n in topic_n),
-            extend_n=_integer("params.extend_n", params.get("extend_n", 100)),
-            seed=_integer("params.seed", params.get("seed", 42)),
-            query_words={name: tuple(words) for name, words in query_raw.items()},
-            min_token_len=_integer("cleaning.min_token_len", cleaning.get("min_token_len", 3)),
-            lowercase=lowercase,
-            lang_filter=cleaning.get("lang_filter"),
+            n1=_typed("params.n1", params.get("n1", 2000), int),
+            n2=_typed("params.n2", params.get("n2", 20000), int),
+            k=_typed("params.k", params.get("k", 100), int),
+            topic_n=tuple(_typed("params.topic_n", n, int) for n in topic_n),
+            extend_n=_typed("params.extend_n", params.get("extend_n", 100), int),
+            seed=_typed("params.seed", params.get("seed", 42), int),
+            query_words=query_words,
+            min_token_len=_typed("cleaning.min_token_len", cleaning.get("min_token_len", 3), int),
+            lowercase=_typed("cleaning.lowercase", cleaning.get("lowercase", True), bool, "true or false"),
+            lang_filter=_typed(
+                "cleaning.lang_filter", cleaning.get("lang_filter"), (str, type(None)), "a string or null"
+            ),
             stopwords_path=_resolve(cleaning.get("stopwords_file")),
         )
     except (TypeError, ValueError) as exc:
@@ -213,7 +206,7 @@ class Artifacts:
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
-        self.ppmi = self.out_dir / "matrix" / "ppmi.npy"
+        self.ppmi = self.out_dir / "matrix" / "ppmi.npz"
         self.row_vocab = self.out_dir / "matrix" / "row_vocab.tsv"
         self.col_vocab = self.out_dir / "matrix" / "col_vocab.tsv"
         self.embedding = self.out_dir / "svd" / "embedding.npy"

@@ -3,18 +3,20 @@
 An artifact is a UTF-8 text file with one record per line and fields
 joined by a single delimiter (tab or comma), optionally preceded by a
 header line, or numpy arrays (no pickled objects) for data too large to
-pass as text: one array in a ``.npy`` file, or several named 1-D arrays
-in one uncompressed ``.npz`` archive. Writers stream to ``<file>.tmp``
-and rename it over the target, so a killed or failed write leaves the
-previous file intact. Text readers skip blank lines, require every row to
-have as many fields as the first, and report every malformed row as a
-DataError naming ``path:line``; the array readers report a missing,
-truncated or unreadable file, a missing archive member, or a dtype, ndim
-or length other than the caller expects, as a DataError naming the path.
+pass as text: one array in a ``.npy`` file, or one CSR matrix, after any
+further named 1-D arrays, in one uncompressed ``.npz`` archive. Writers
+stream to ``<file>.tmp`` and rename it over the target, so a killed or
+failed write leaves the previous file intact. Text readers skip blank
+lines, require every row to have as many fields as the first, and report
+every malformed row as a DataError naming ``path:line``; the array
+readers report a missing, truncated or unreadable file, a missing archive
+member, a dtype, ndim or length other than the caller expects, or a
+broken CSR structure, as a DataError naming the path.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import zipfile
 from contextlib import contextmanager
@@ -22,6 +24,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError
 
@@ -79,17 +82,33 @@ def read_array(path: str | Path, dtype: np.dtype, shape: tuple[int | None, ...] 
     return array
 
 
-def write_arrays(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
-    """Atomically replace ``path`` with an uncompressed ``.npz`` archive of the named ``arrays``."""
-    with _replacing(path, binary=True) as handle:
-        np.savez(handle, allow_pickle=False, **arrays)
+def write_csr(path: str | Path, matrix: sparse.csr_matrix, **arrays: np.ndarray) -> None:
+    """Atomically replace ``path`` with an uncompressed ``.npz`` archive of the 1-D ``arrays``, then ``matrix``.
 
-
-def read_arrays(path: str | Path, dtypes: Mapping[str, str]) -> dict[str, np.ndarray]:
-    """The 1-D arrays that ``dtypes`` names in a write_arrays archive; anything else is a DataError naming the path.
-
-    Each value of ``dtypes`` is a dtype (``"<i4"``) or a one-letter dtype kind (``"u"``: any unsigned integer).
+    The matrix is stored in canonical form, with sorted indices and no duplicates or zeros (``matrix`` itself
+    is left as it is), as ``shape`` and ``indptr`` (``<i8``), ``indices`` (``<i4``) and ``data`` in its dtype.
     """
+    if not matrix.has_canonical_format or np.count_nonzero(matrix.data) < matrix.nnz:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+    shape = np.array(matrix.shape, dtype="<i8")
+    indptr, indices = matrix.indptr.astype("<i8", copy=False), matrix.indices.astype("<i4", copy=False)
+    with _replacing(path, binary=True) as handle:
+        np.savez(handle, allow_pickle=False, **arrays, shape=shape, indptr=indptr, indices=indices, data=matrix.data)
+
+
+def read_csr(
+    path: str | Path, data_dtype: str, extra_dtypes: Mapping[str, str]
+) -> tuple[sparse.csr_matrix, dict[str, np.ndarray]]:
+    """The matrix of a write_csr archive and its 1-D arrays named in ``extra_dtypes``.
+
+    A dtype is a dtype (``"<f8"``) or a dtype kind (``"u"``: any unsigned integer). An unreadable
+    archive, a missing array, another dtype or ndim, a shape that is not two lengths, an indptr that
+    does not split the entries into its rows, an index outside its columns, indices out of strictly
+    increasing order within a row, or a zero or non-finite value is a DataError naming the path.
+    """
+    dtypes = {**extra_dtypes, "shape": "<i8", "indptr": "<i8", "indices": "<i4", "data": data_dtype}
     try:
         with open(path, "rb") as handle:
             archive = np.load(handle, allow_pickle=False)
@@ -106,7 +125,25 @@ def read_arrays(path: str | Path, dtypes: Mapping[str, str]) -> dict[str, np.nda
         kind_ok = array.dtype.kind == expected if len(expected) == 1 else array.dtype == np.dtype(expected)
         if array.ndim != 1 or not kind_ok:
             raise DataError(f"{path}: array {name!r} is {array.ndim}-D {array.dtype}, expected 1-D {expected}")
-    return arrays
+    shape, indptr, indices, data = (arrays.pop(name) for name in ("shape", "indptr", "indices", "data"))
+    if len(shape) != 2 or (shape < 0).any():
+        raise DataError(f"{path}: shape {shape.tolist()} is not two lengths")
+    n_rows, n_cols = shape.tolist()
+    if (
+        len(indptr) != n_rows + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
+        or len(data) != len(indices) or (np.diff(indptr) < 0).any()
+    ):
+        raise DataError(f"{path}: indptr does not split {len(indices)} entries into {n_rows} rows")
+    if ((indices < 0) | (indices >= n_cols)).any():
+        raise DataError(f"{path}: index outside the {n_cols} columns")
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
+    if (np.diff(rows * n_cols + indices) <= 0).any():
+        raise DataError(f"{path}: indices not strictly increasing within a row")
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: non-finite value")
+    if np.count_nonzero(data) < len(data):
+        raise DataError(f"{path}: zero value")
+    return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols)), arrays
 
 
 def read_rows(
@@ -152,12 +189,15 @@ def write_vectors(path: str | Path, labels: Sequence[str], vectors: Iterable[np.
 
 
 def read_vectors(path: str | Path, parse_label: Callable[[str], T] = str) -> tuple[list[T], np.ndarray]:
-    """Labels (each through ``parse_label``) and the (rows x k) matrix of a write_vectors file."""
+    """Labels (each through ``parse_label``) and the (rows x k) matrix, all finite, of a write_vectors file."""
 
     def parse(fields: list[str]) -> tuple[T, list[float]]:
         if len(fields) < 2:
             raise ValueError("expected a label plus a vector")
-        return parse_label(fields[0]), [float(x) for x in fields[1:]]
+        values = [float(x) for x in fields[1:]]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite value")
+        return parse_label(fields[0]), values
 
     rows = list(read_rows(path, parse))
     if not rows:

@@ -2,12 +2,14 @@
 
 A deduplicated corpus is counted once, over its sorted vocabulary, into a
 tweets x words count matrix (``count_corpus``), which ingest saves as one
-``.npz`` archive plus an ids file. Every later use of the corpus selects
-word columns from that matrix (``CorpusCounts.select``): the word-tweet
-count matrix, its tf-idf weights (natural log), the overlap score ranking
-(row sum of tf-idf) that selects keywords / context words, and the
-presence-based word-context co-occurrence matrix (keywords as rows), to
-which PPMI (base-2 log, clamped at zero) is applied.
+CSR archive (``tables.write_csr``) plus an ids file. Every later use of
+the corpus selects word columns from that matrix (``CorpusCounts.select``):
+the word-tweet count matrix, its tf-idf weights (natural log), the overlap
+score ranking (row sum of tf-idf) that selects keywords / context words,
+and the presence-based word-context co-occurrence matrix (keywords as
+rows), to which PPMI (base-2 log, clamped at zero) is applied. The PPMI
+matrix goes to disk in the same CSR archive layout (``save_triplets``),
+so ``tables.read_csr`` checks the structure of both.
 """
 
 from __future__ import annotations
@@ -140,23 +142,18 @@ def count_corpus(corpus: Sequence[TokenizedTweet]) -> CorpusCounts:
     return CorpusCounts(vocab=vocab, counts=counts, ids=tuple(t.id for t in corpus))
 
 
-# the arrays of a save_corpus_counts archive; "u": the narrowest unsigned integer dtype holding every count
-_CORPUS_ARRAYS = {"vocab": "u1", "shape": "<i8", "indptr": "<i8", "indices": "<i4", "data": "u"}
-
-
 def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: str | Path) -> None:
-    """Write the counts as one ``.npz`` archive and the ids as ``id<TAB>kept-token count`` lines.
+    """Write the counts as one tables.write_csr archive and the ids as ``id<TAB>kept-token count`` lines.
 
-    The archive holds the vocabulary as newline-joined UTF-8 bytes, the matrix shape and its CSR arrays.
+    The archive holds the vocabulary as newline-joined UTF-8 bytes (``vocab``)
+    and the counts in the narrowest unsigned integer dtype that holds them.
     """
     counts = corpus.counts
-    tables.write_arrays(counts_path, {
-        "vocab": np.frombuffer("\n".join(corpus.vocab.words).encode("utf-8"), dtype=np.uint8),
-        "shape": np.array(counts.shape, dtype="<i8"),
-        "indptr": counts.indptr.astype("<i8"),
-        "indices": counts.indices.astype("<i4", copy=False),
-        "data": counts.data.astype(np.min_scalar_type(int(counts.data.max(initial=0)))),
-    })
+    dtype = np.min_scalar_type(int(counts.data.max(initial=0)))
+    tables.write_csr(
+        counts_path, sparse.csr_matrix((counts.data.astype(dtype), counts.indices, counts.indptr), shape=counts.shape),
+        vocab=np.frombuffer("\n".join(corpus.vocab.words).encode("utf-8"), dtype=np.uint8),
+    )
     lengths = corpus.lengths.tolist()
     tables.write_lines(ids_path, (f"{tweet_id}\t{n}" for tweet_id, n in zip(corpus.ids, lengths)))
 
@@ -164,15 +161,13 @@ def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: 
 def load_corpus_counts(counts_path: str | Path, ids_path: str | Path | None = None) -> CorpusCounts:
     """Read a save_corpus_counts archive, and its ids file when ``ids_path`` is given.
 
-    An unreadable archive, a missing array, a vocabulary that is not sorted
-    and unique, a shape that disagrees with it, an index outside it, indices
-    out of strictly increasing order within a row, or a zero count is a
-    DataError naming the archive. An ids file with another row count, or
-    with a kept-token count other than its row's sum, is a DataError naming
-    that file.
+    An archive that fails tables.read_csr's checks or holds no unsigned
+    counts, a vocabulary that is not sorted and unique, or a column count
+    other than its length is a DataError naming the archive. An ids file
+    with another row count, or with a kept-token count other than its row's
+    sum, is a DataError naming that file.
     """
-    arrays = tables.read_arrays(counts_path, _CORPUS_ARRAYS)
-    shape, indptr, indices, data = (arrays[name] for name in ("shape", "indptr", "indices", "data"))
+    counts, arrays = tables.read_csr(counts_path, "u", {"vocab": "u1"})
     try:
         text = arrays["vocab"].tobytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -180,24 +175,9 @@ def load_corpus_counts(counts_path: str | Path, ids_path: str | Path | None = No
     words = tuple(text.split("\n")) if text else ()
     if any(a >= b for a, b in zip(words, words[1:])):
         raise DataError(f"{counts_path}: vocabulary is not sorted and unique")
-    if len(shape) != 2 or shape[1] != len(words):
-        raise DataError(f"{counts_path}: shape {shape.tolist()} disagrees with the {len(words)}-word vocabulary")
-    n_tweets = int(shape[0])
-    if (
-        n_tweets < 0 or len(indptr) != n_tweets + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
-        or len(data) != len(indices) or (np.diff(indptr) < 0).any()
-    ):
-        raise DataError(f"{counts_path}: indptr does not split {len(indices)} entries into {n_tweets} rows")
-    if ((indices < 0) | (indices >= len(words))).any():
-        raise DataError(f"{counts_path}: index outside the {len(words)}-word vocabulary")
-    rows = np.repeat(np.arange(n_tweets, dtype=np.int64), np.diff(indptr))
-    if (np.diff(rows * len(words) + indices) <= 0).any():
-        raise DataError(f"{counts_path}: indices not strictly increasing within a row")
-    if not data.all():
-        raise DataError(f"{counts_path}: zero count")
-    corpus = CorpusCounts(
-        vocab=Vocabulary(words), counts=sparse.csr_matrix((data, indices, indptr), shape=(n_tweets, len(words)))
-    )
+    if counts.shape[1] != len(words):
+        raise DataError(f"{counts_path}: shape {list(counts.shape)} disagrees with the {len(words)}-word vocabulary")
+    corpus = CorpusCounts(vocab=Vocabulary(words), counts=counts)
     if ids_path is not None:
         corpus.ids = _load_ids(ids_path, corpus.lengths, counts_path)
     return corpus
@@ -314,7 +294,7 @@ def ppmi(matrix: SparseCountMatrix) -> WeightedMatrix:
     """max(log2(P(i,j) / (P(i) P(j))), 0) per nonzero entry; zero counts stay zero.
 
     Computed in place on a float64 copy of the counts, as
-    (count * total) / (row sum * column sum), the order ppmi.npy's bytes depend on.
+    (count * total) / (row sum * column sum), the order ppmi.npz's bytes depend on.
     """
     counts = matrix.counts
     total = float(counts.sum())
@@ -336,23 +316,10 @@ def ppmi(matrix: SparseCountMatrix) -> WeightedMatrix:
     )
 
 
-TRIPLET_DTYPE = np.dtype([("row", "<i4"), ("col", "<i4"), ("value", "<f8")])
-
-
 def save_triplets(matrix: SparseCountMatrix | WeightedMatrix, path: str | Path) -> None:
-    """Persist as one ``.npy`` array of TRIPLET_DTYPE (row, col, value) entries in CSR order.
-
-    Rows and columns index the vocabulary sidecars; integer counts become exact float64 values.
-    """
+    """Persist as a tables.write_csr archive of float64 values (counts exactly) indexing the vocabulary sidecars."""
     mat = matrix.counts if isinstance(matrix, SparseCountMatrix) else matrix.weights
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    triplets = np.empty(mat.nnz, dtype=TRIPLET_DTYPE)
-    triplets["row"] = np.repeat(np.arange(mat.shape[0], dtype=np.int32), np.diff(mat.indptr))
-    triplets["col"] = mat.indices
-    triplets["value"] = mat.data
-    tables.write_array(path, triplets)
+    tables.write_csr(path, mat.astype(np.float64, copy=False))
 
 
 def save_vocabulary(words: Iterable[str], path: str | Path) -> None:
@@ -363,25 +330,11 @@ def load_vocabulary(path: str | Path) -> tuple[str, ...]:
     return tuple(f[0] for f in tables.read_rows(path, ncols=1))
 
 
-def load_triplets(
-    path: str | Path, row_words: tuple[str, ...], col_labels: tuple[str, ...]
-) -> WeightedMatrix:
-    """Rebuild a weighted matrix from a save_triplets array plus its vocabulary sidecars.
-
-    Indices outside the sidecars, entries out of strictly increasing (row, col)
-    order (so also duplicates) and non-finite values are DataErrors naming the path.
-    """
-    triplets = tables.read_array(path, TRIPLET_DTYPE)
-    rows, cols, values = (np.ascontiguousarray(triplets[name]) for name in TRIPLET_DTYPE.names)
-    n_rows, n_cols = len(row_words), len(col_labels)
-    if ((rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)).any():
-        raise DataError(f"{path}: index outside the {n_rows} x {n_cols} vocabulary sidecars")
-    if (np.diff(rows * np.int64(n_cols) + cols) <= 0).any():
-        raise DataError(f"{path}: entries not in strictly increasing (row, col) order")
-    if not np.isfinite(values).all():
-        raise DataError(f"{path}: non-finite value")
-    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-    weights = sparse.csr_matrix((values, cols, indptr), shape=(n_rows, n_cols))
+def load_triplets(path: str | Path, row_words: tuple[str, ...], col_labels: tuple[str, ...]) -> WeightedMatrix:
+    """A save_triplets archive over its vocabulary sidecars; a shape other than their lengths is a DataError."""
+    weights, _ = tables.read_csr(path, "<f8", {})
+    if weights.shape != (len(row_words), len(col_labels)):
+        raise DataError(f"{path}: shape {weights.shape} is not the sidecars' {(len(row_words), len(col_labels))}")
     return WeightedMatrix(row_vocab=Vocabulary(row_words), col_labels=col_labels, weights=weights)
 
 
@@ -394,7 +347,15 @@ def save_selection(selection: SelectionResult, path: str | Path) -> None:
 
 
 def load_selection(path: str | Path, n1: int) -> SelectionResult:
-    """Rebuild a SelectionResult from a ranking TSV; keywords are the first n1 rows."""
-    scores = dict(tables.read_rows(path, lambda f: (f[1], float(f[2])), ncols=3))
+    """Rebuild a SelectionResult from a ranking TSV; keywords are the first n1 rows, and no word may repeat."""
+    seen: set[str] = set()
+
+    def parse(fields: list[str]) -> tuple[str, float]:
+        if fields[1] in seen:
+            raise ValueError(f"word {fields[1]!r} repeats an earlier rank")
+        seen.add(fields[1])
+        return fields[1], float(fields[2])
+
+    scores = dict(tables.read_rows(path, parse, ncols=3))
     words = tuple(scores)
     return SelectionResult(keywords=words[:n1], context_words=words, scores=scores)

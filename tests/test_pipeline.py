@@ -126,6 +126,8 @@ output: out
             ("cleaning: {min_token_len: false}", "cleaning.min_token_len"),
             ("cleaning: {lowercase: 'false'}", "cleaning.lowercase"),
             ("cleaning: {lowercase: 0}", "cleaning.lowercase"),
+            ("cleaning: {lang_filter: 5}", "cleaning.lang_filter"),
+            ("cleaning: {query_words: {immorality: [immoral, 2016]}}", "cleaning.query_words.immorality"),
             ("params: [n1, 20]", "params"),
         ],
     )
@@ -415,34 +417,17 @@ def test_bad_degenerate_flag_names_path_and_line(completed_run, tmp_path):
     corrupt_and_run(completed_run, tmp_path, "loadings/loadings.csv", "report", 7, "2")
 
 
-def _with_last(triplets, field, value):
-    """``triplets`` with ``field`` of the last entry set to ``value``; the entry order still holds."""
-    triplets[field][-1] = value
-    return triplets
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("artifact", ["vectors/mf_vectors.tsv", "vectors/topic_vectors.tsv"])
+def test_non_finite_vector_names_path_and_line(completed_run, tmp_path, artifact, value):
+    corrupt_and_run(completed_run, tmp_path, artifact, "loadings", 1, value)
 
 
-MATRIX_CORRUPTIONS = {
-    "float64-array": lambda triplets, n_rows, n_cols: triplets["value"],
-    "row-out-of-range": lambda triplets, n_rows, n_cols: _with_last(triplets, "row", n_rows),
-    "col-out-of-range": lambda triplets, n_rows, n_cols: _with_last(triplets, "col", n_cols),
-    "duplicate-entry": lambda triplets, n_rows, n_cols: np.insert(triplets, 3, triplets[2]),
-    "nan-value": lambda triplets, n_rows, n_cols: _with_last(triplets, "value", np.nan),
-}
-
-
-@pytest.mark.parametrize("corruption", ["truncated", *MATRIX_CORRUPTIONS])
-def test_corrupt_matrix_names_path(completed_run, tmp_path, corruption):
+def test_repeated_term_names_path_and_line(completed_run, tmp_path):
+    """A word on two rows of a terms file would drop a rank, and a context word with it."""
     config, _ = completed_run
-    out_dir = tmp_path / "out"
-    shutil.copytree(config.out_dir, out_dir)
-    art = Artifacts(out_dir)
-    if corruption == "truncated":
-        art.ppmi.write_bytes(art.ppmi.read_bytes()[:-100])
-    else:
-        shape = (len(art.row_vocab.read_text().split()), len(art.col_vocab.read_text().split()))
-        np.save(art.ppmi, MATRIX_CORRUPTIONS[corruption](np.load(art.ppmi), *shape))
-    with pytest.raises(DataError, match="ppmi.npy: "):
-        run("svd", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+    first = Artifacts(config.out_dir).terms("immorality").read_text(encoding="utf-8").split("\t")[1]
+    corrupt_and_run(completed_run, tmp_path, "select/immorality_terms.tsv", "matrix", 1, first)
 
 
 def _first_pair(arrays):
@@ -469,32 +454,79 @@ def _swap_pair(indices, arrays):
     return indices
 
 
-CORPUS_CORRUPTIONS = {
+def _duplicate_entry(arrays):
+    """A copy of an entry inserted right after it, with the row ends moved to match."""
+    j = _first_pair(arrays)
+    indptr = arrays["indptr"].copy()
+    indptr[indptr > j] += 1
+    return {
+        **arrays, "indptr": indptr,
+        "indices": np.insert(arrays["indices"], j + 1, arrays["indices"][j]),
+        "data": np.insert(arrays["data"], j + 1, arrays["data"][j]),
+    }
+
+
+# edits of a tables.write_csr archive's arrays: both corpus/<name>.npz and matrix/ppmi.npz must refuse each
+CSR_CORRUPTIONS = {
     "missing-key": lambda arrays: {k: v for k, v in arrays.items() if k != "data"},
+    "float64-array": lambda arrays: _with(arrays, "indices", lambda a, r: a.astype(np.float64)),
+    # the last entry moved into a row past the shape's last
+    "row-out-of-range": lambda arrays: _with(arrays, "indptr", lambda a, r: np.append(a[:-1], [a[-1] - 1, a[-1]])),
+    "col-out-of-range": lambda arrays: _with(arrays, "indices", lambda a, r: _set(a, 0, -1)),
     "index-outside-vocabulary": lambda arrays: _with(arrays, "indices", lambda a, r: _set(a, -1, r["shape"][1])),
     "unsorted-row": lambda arrays: _with(arrays, "indices", _swap_pair),
     "repeated-index": lambda arrays: _with(
         arrays, "indices", lambda a, r: _set(a, _first_pair(r) + 1, a[_first_pair(r)])
     ),
+    "duplicate-entry": _duplicate_entry,
     "zero-count": lambda arrays: _with(arrays, "data", lambda a, r: _set(a, -1, 0)),
+    "nan-value": lambda arrays: _with(arrays, "data", lambda a, r: _set(a.astype(np.float64), -1, np.nan)),
     "shape-disagrees-with-vocabulary": lambda arrays: _with(arrays, "shape", lambda a, r: _set(a, 1, a[1] + 1)),
 }
 
 
-@pytest.mark.parametrize("corruption", ["truncated", *CORPUS_CORRUPTIONS])
-def test_corrupt_corpus_counts_names_path(completed_run, tmp_path, corruption):
+def corrupt_archive_and_run(completed_run, tmp_path, artifact, stage, corruption):
+    """Apply CSR_CORRUPTIONS[corruption] (or truncate) to the archive; expect a DataError naming it."""
     config, _ = completed_run
     out_dir = tmp_path / "out"
     shutil.copytree(config.out_dir, out_dir)
-    target = Artifacts(out_dir).corpus_counts("immorality")
+    target = out_dir / artifact
     if corruption == "truncated":
         target.write_bytes(target.read_bytes()[:-100])
     else:
         with np.load(target) as archive:
             arrays = dict(archive)
-        np.savez(target, **CORPUS_CORRUPTIONS[corruption](arrays))
-    with pytest.raises(DataError, match="immorality.npz: "):
-        run("select", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+        np.savez(target, **CSR_CORRUPTIONS[corruption](arrays))
+    with pytest.raises(DataError, match=f"{target.name}: "):
+        run(stage, PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+
+
+@pytest.mark.parametrize("corruption", ["truncated", *CSR_CORRUPTIONS])
+def test_corrupt_matrix_names_path(completed_run, tmp_path, corruption):
+    corrupt_archive_and_run(completed_run, tmp_path, "matrix/ppmi.npz", "svd", corruption)
+
+
+@pytest.mark.parametrize("corruption", ["truncated", *CSR_CORRUPTIONS])
+def test_corrupt_corpus_counts_names_path(completed_run, tmp_path, corruption):
+    corrupt_archive_and_run(completed_run, tmp_path, "corpus/immorality.npz", "select", corruption)
+
+
+def test_triplet_array_of_an_older_run_is_not_read(completed_run, tmp_path):
+    """An output directory holding the PPMI matrix as ``ppmi.npy`` (a (row, col, value) array)
+    must be rebuilt by the matrix stage, which then removes that file."""
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    art = Artifacts(out_dir)
+    old = out_dir / "matrix" / "ppmi.npy"
+    np.save(old, np.zeros(3, dtype=[("row", "<i4"), ("col", "<i4"), ("value", "<f8")]))
+    art.ppmi.unlink()
+    rebuilt = PipelineConfig(**{**config.__dict__, "out_dir": out_dir})
+    with pytest.raises(PipelineError, match=r"ppmi\.npz; run stage 'matrix' first"):
+        run("svd", rebuilt)
+    run("matrix", rebuilt)
+    assert sorted(p.name for p in old.parent.iterdir()) == ["col_vocab.tsv", "ppmi.npz", "row_vocab.tsv"]
+    assert art.ppmi.read_bytes() == (config.out_dir / "matrix" / "ppmi.npz").read_bytes()
 
 
 @pytest.mark.parametrize("edit", ["extra-row", "token-count"])

@@ -334,11 +334,11 @@ class TestPersistence:
             sparse.csr_matrix([[0.0, 0.0, 0.0], [1.5, 0.0, 2.25], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         )
         for matrix in (weighted, counts, empty_rows):
-            save_triplets(matrix, tmp_path / "m.npy")
+            save_triplets(matrix, tmp_path / "m.npz")
             save_vocabulary(matrix.row_vocab.words, tmp_path / "rows.tsv")
             save_vocabulary(matrix.col_labels, tmp_path / "cols.tsv")
             loaded = load_triplets(
-                tmp_path / "m.npy",
+                tmp_path / "m.npz",
                 load_vocabulary(tmp_path / "rows.tsv"),
                 load_vocabulary(tmp_path / "cols.tsv"),
             )
@@ -356,13 +356,25 @@ class TestPersistence:
         canonical = messy.copy()
         canonical.sum_duplicates()
         labels = (Vocabulary(("a", "b", "c")), ("x", "y", "z"))
-        save_triplets(WeightedMatrix(*labels, messy), tmp_path / "messy.npy")
-        save_triplets(WeightedMatrix(*labels, canonical), tmp_path / "canonical.npy")
-        assert (tmp_path / "messy.npy").read_bytes() == (tmp_path / "canonical.npy").read_bytes()
+        save_triplets(WeightedMatrix(*labels, messy), tmp_path / "messy.npz")
+        save_triplets(WeightedMatrix(*labels, canonical), tmp_path / "canonical.npz")
+        assert (tmp_path / "messy.npz").read_bytes() == (tmp_path / "canonical.npz").read_bytes()
         for before, after in zip(arrays, (messy.data, messy.indices, messy.indptr)):
             np.testing.assert_array_equal(after, before)
-        loaded = load_triplets(tmp_path / "messy.npy", ("a", "b", "c"), ("x", "y", "z"))
+        loaded = load_triplets(tmp_path / "messy.npz", ("a", "b", "c"), ("x", "y", "z"))
         np.testing.assert_array_equal(loaded.to_dense(), [[0.25, 0.0, 3.5], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+
+    @pytest.mark.parametrize("rows,cols", [(("a", "b"), ("x", "y", "z")), (("a", "b", "c"), ("x", "y"))])
+    def test_shape_other_than_the_sidecars_names_path(self, tmp_path, rows, cols):
+        labels = (Vocabulary(("a", "b", "c")), ("x", "y", "z"))
+        save_triplets(WeightedMatrix(*labels, sparse.csr_matrix(np.eye(3))), tmp_path / "m.npz")
+        with pytest.raises(DataError, match=r"m\.npz: shape \(3, 3\) is not the sidecars' \(\d, \d\)"):
+            load_triplets(tmp_path / "m.npz", rows, cols)
+
+    def test_repeated_selection_word_names_path_and_line(self, tmp_path):
+        (tmp_path / "sel.tsv").write_text("1\ta\t3.0\n2\tb\t2.0\n3\ta\t1.5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"sel\.tsv:3: word 'a' repeats an earlier rank"):
+            load_selection(tmp_path / "sel.tsv", 2)
 
     def test_selection_roundtrip(self, tmp_path):
         sel = select_terms({"a": 3.0, "b": 2.0, "c": 1.5}, 2, 3)
