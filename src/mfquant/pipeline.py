@@ -391,9 +391,7 @@ def _stage_select(config: PipelineConfig, art: Artifacts) -> list[Path]:
     files: list[Path] = []
     for name in _corpus_paths(config):
         counts = vectorizer_mod.load_corpus_counts(_require(art.corpus_counts(name), "ingest"))
-        matrix = vectorizer_mod.build_word_tweet_matrix(counts)
-        weighted = vectorizer_mod.tfidf(matrix)
-        scores = vectorizer_mod.overlap_scores(weighted)
+        scores = vectorizer_mod.overlap_scores(counts)
         selection = vectorizer_mod.select_terms(scores, config.n1, config.n2)
         target = art.terms(name)
         vectorizer_mod.save_selection(selection, target)

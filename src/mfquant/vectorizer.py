@@ -2,14 +2,15 @@
 
 A deduplicated corpus is counted once, over its sorted vocabulary, into a
 tweets x words count matrix (``count_corpus``), which ingest saves as one
-CSR archive (``tables.write_csr``) plus an ids file. Every later use of
-the corpus selects word columns from that matrix (``CorpusCounts.select``):
-the word-tweet count matrix, its tf-idf weights (natural log), the overlap
-score ranking (row sum of tf-idf) that selects keywords / context words,
-and the presence-based word-context co-occurrence matrix (keywords as
-rows), to which PPMI (base-2 log, clamped at zero) is applied. The PPMI
-matrix goes to disk in the same CSR archive layout (``save_triplets``),
-so ``tables.read_csr`` checks the structure of both.
+CSR archive (``tables.write_csr``) plus an ids file. The overlap score
+that ranks keywords / context words, a word's tf-idf (natural log) summed
+over tweets, is its total count times its idf (``overlap_scores``), read
+from the matrix's column indices; no stage builds the per-entry tf-idf
+matrix (``tfidf``). The presence-based word-context co-occurrence matrix
+(keywords as rows) selects word columns from the counts
+(``CorpusCounts.select``), and PPMI (base-2 log, clamped at zero) is
+applied to it. The PPMI matrix goes to disk in the same CSR archive
+layout (``save_triplets``), so ``tables.read_csr`` checks both.
 """
 
 from __future__ import annotations
@@ -213,6 +214,11 @@ def build_word_tweet_matrix(corpus: CorpusCounts) -> SparseCountMatrix:
     )
 
 
+def _idf(df: np.ndarray, n_tweets: int) -> np.ndarray:
+    """ln(M + 1) - ln(df) per word, for M tweets; a df of 0 counts as 1."""
+    return np.log(n_tweets + 1.0) - np.log(np.maximum(df, 1).astype(np.float64))
+
+
 def tfidf(matrix: SparseCountMatrix) -> WeightedMatrix:
     """tf * (ln(M + 1) - ln(df)) per nonzero entry; zeros stay zero."""
     counts = matrix.counts
@@ -222,17 +228,28 @@ def tfidf(matrix: SparseCountMatrix) -> WeightedMatrix:
     df = np.diff(counts.indptr)  # nonzeros per row = tweets containing the word
     weights = counts.astype(np.float64)
     if weights.nnz:
-        idf_per_row = np.log(n_tweets + 1.0) - np.log(np.maximum(df, 1).astype(np.float64))
-        weights.data *= np.repeat(idf_per_row, df)
+        weights.data *= np.repeat(_idf(df, n_tweets), df)
     return WeightedMatrix(
         row_vocab=matrix.row_vocab, col_labels=matrix.col_labels, weights=weights
     )
 
 
-def overlap_scores(weighted: WeightedMatrix) -> dict[str, float]:
-    """Per-word importance: sum of tf-idf weights across all tweets."""
-    sums = np.asarray(weighted.weights.sum(axis=1)).ravel()
-    return {word: float(sums[i]) for i, word in enumerate(weighted.row_vocab.words)}
+def overlap_scores(corpus: CorpusCounts) -> dict[str, float]:
+    """Per-word tf-idf summed over tweets, in closed form: total count * (ln(M + 1) - ln(df)).
+
+    Words with equal df and total count score bit for bit alike, so
+    select_terms ranks them lexicographically. Raises on a corpus of no
+    tweets; one whose tweets are all empty scores no words, with a warning.
+    """
+    n_tweets, n_words = corpus.counts.shape
+    if n_tweets == 0:
+        raise DataError("cannot score terms of an empty corpus")
+    if n_words == 0:
+        logger.warning("corpus contains no tokens; no terms to score")
+    indices = corpus.counts.indices  # canonical CSR: one entry per (tweet, word)
+    df = np.bincount(indices, minlength=n_words)
+    tf = np.bincount(indices, weights=corpus.counts.data, minlength=n_words)
+    return dict(zip(corpus.vocab.words, (tf * _idf(df, n_tweets)).tolist()))
 
 
 def select_terms(scores: dict[str, float], n1: int, n2: int) -> SelectionResult:

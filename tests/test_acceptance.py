@@ -30,12 +30,10 @@ from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topi
 from mfquant.vectorizer import (
     Vocabulary,
     build_cooccurrence,
-    build_word_tweet_matrix,
     count_corpus,
     overlap_scores,
     ppmi,
     select_terms,
-    tfidf,
 )
 
 IMMORALITY_CLEANING = CleaningConfig(query_words=frozenset({"immoral", "immorality"}))
@@ -65,7 +63,7 @@ def planted_5k(tmp_path_factory):
     plan = default_plan()
     synth_corpus(plan, 5000, 20260809, tmp / "immorality.jsonl")
     corpus = load_planted_corpus(tmp / "immorality.jsonl")
-    scores = overlap_scores(tfidf(build_word_tweet_matrix(corpus)))
+    scores = overlap_scores(corpus)
     selection = select_terms(scores, 2000, 20000)
     weighted = ppmi(build_cooccurrence(corpus, selection))
     k = min(100, min(weighted.shape))
@@ -131,16 +129,14 @@ def test_criterion_01_preprocessing_fidelity(announce):
 
 
 def test_criterion_02_tfidf_and_selection_oracle(announce, tmp_path):
-    """tf-idf / overlap match a naive dense oracle; selection matches the sort oracle."""
+    """Overlap scores match sums of a naive dense tf-idf oracle; equal terms tie; selection matches the sort oracle."""
     start = time.monotonic()
     plan = default_plan(fillers_per_cluster=40, noise_pool=80)
     synth_corpus(plan, 100, 2024, tmp_path / "c.jsonl")
     corpus = load_planted_corpus(tmp_path / "c.jsonl")
-    matrix = build_word_tweet_matrix(corpus)
-    weighted = tfidf(matrix)
-    scores = overlap_scores(weighted)
+    scores = overlap_scores(corpus)
 
-    dense = matrix.to_dense()
+    dense = corpus.counts.toarray().T  # words x tweets
     n_tweets = dense.shape[1]
     oracle = np.zeros_like(dense, dtype=np.float64)
     for i in range(dense.shape[0]):
@@ -148,11 +144,21 @@ def test_criterion_02_tfidf_and_selection_oracle(announce, tmp_path):
         for j in range(n_tweets):
             if dense[i, j]:
                 oracle[i, j] = dense[i, j] * (math.log(n_tweets + 1) - math.log(df))
-    np.testing.assert_allclose(weighted.to_dense(), oracle, atol=1e-12)
 
     oracle_scores = oracle.sum(axis=1)
-    for i, word in enumerate(matrix.row_vocab.words):
+    for i, word in enumerate(corpus.vocab.words):
         assert scores[word] == pytest.approx(oracle_scores[i], abs=1e-12)
+
+    # words with equal document frequency and total count score bit for bit alike and rank lexicographically
+    rank = {w: r for r, w in enumerate(select_terms(scores, 0, len(scores)).context_words)}
+    groups: dict[tuple[int, int], list[str]] = {}
+    for word, row in zip(corpus.vocab.words, dense):
+        groups.setdefault((int(np.count_nonzero(row)), int(row.sum())), []).append(word)
+    tied = [words for words in groups.values() if len(words) > 1]
+    assert tied, "fixture must contain words with equal (df, tf)"
+    for words in tied:
+        assert len({scores[w] for w in words}) == 1, words
+        assert sorted(words, key=rank.__getitem__) == sorted(words)
 
     # the rare tail words guarantee genuine score ties
     score_values = sorted(scores.values())

@@ -292,6 +292,72 @@ def test_rerun_removes_files_a_stage_no_longer_writes(tmp_path):
         assert on_disk == listed, stage
 
 
+# Child of the kill tests: runs ``mfquant run`` and exits at once (os._exit, no cleanup) either right after
+# a stage's last artifact is renamed into place ("after <stage>") or with the target file's .tmp half written
+# ("writing <file name>").
+KILLED_RUN = """
+import os, sys
+from mfquant import cli, pipeline
+mode, target, *argv = sys.argv[1:]
+if mode == "after":
+    stage = pipeline._STAGE_FUNCS[target]
+    def stage_then_exit(config, art):
+        stage(config, art)
+        os._exit(9)
+    pipeline._STAGE_FUNCS[target] = stage_then_exit
+else:
+    replace = os.replace
+    def exit_halfway(src, dst):
+        if os.path.basename(dst) == target:
+            os.truncate(src, os.path.getsize(src) // 2)
+            os._exit(9)
+        replace(src, dst)
+    os.replace = exit_halfway
+cli.main(argv)
+"""
+
+KILL_SIZES = ["--n1", "150", "--n2", "600", "--k", "10", "--topic-n", "3", "--extend-n", "10"]
+
+
+def artifact_bytes(out_dir):
+    """Every file under ``out_dir`` but manifest.json, by relative path."""
+    return {
+        p.relative_to(out_dir).as_posix(): p.read_bytes()
+        for p in sorted(out_dir.rglob("*")) if p.is_file() and p.name != "manifest.json"
+    }
+
+
+@pytest.fixture(scope="module")
+def clean_tiny_run(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("killed") / "ws"
+    main(["synth", "--out", str(workdir), "--tweets", "150", "--topic-tweets", "40", "--seed", "3"])
+    config = str(workdir / "config.yaml")
+    assert main(["run", "--config", config, "--out", str(workdir / "clean"), *KILL_SIZES]) == 0
+    return workdir, config, artifact_bytes(workdir / "clean")
+
+
+@pytest.mark.parametrize("mode,target", [
+    ("after", "ingest"), ("after", "matrix"), ("after", "svd"), ("after", "report"), ("writing", "ppmi.npz"),
+])
+def test_killed_run_neither_blocks_nor_corrupts_the_next(clean_tiny_run, mode, target):
+    workdir, config, clean = clean_tiny_run
+    out = workdir / f"{mode}-{target}"
+    argv = ["run", "--config", config, "--out", str(out), *KILL_SIZES]
+    env = {**os.environ, "PYTHONPATH": str(Path(mfquant.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", KILLED_RUN, mode, target, *argv], env=env, capture_output=True)
+    assert child.returncode == 9, child.stderr.decode()
+    manifest = out / "manifest.json"  # first saved when a stage completes
+    stages = json.loads(manifest.read_text(encoding="utf-8"))["stages"] if manifest.exists() else {}
+    if mode == "after":
+        assert (out / {"ingest": "corpus"}.get(target, target)).is_dir() and target not in stages
+    else:
+        assert list(out.rglob(f"{target}.tmp"))
+    assert (out / ".lock").exists()
+    assert main(argv) == 0
+    assert not list(out.rglob("*.tmp"))
+    assert artifact_bytes(out) == clean
+
+
 def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
     config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
     with config.immorality_path.open("a", encoding="utf-8") as handle:

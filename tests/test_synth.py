@@ -10,11 +10,9 @@ from mfquant.semantics import dominant_foundation, mf_vectors, score_corpus
 from mfquant.synth import default_plan, synth_corpus, synth_topic_corpus
 from mfquant.vectorizer import (
     build_cooccurrence,
-    build_word_tweet_matrix,
     count_corpus,
     overlap_scores,
     select_terms,
-    tfidf,
 )
 
 
@@ -118,7 +116,7 @@ class TestPlantedStructure:
         config = CleaningConfig(query_words=frozenset({"immoral", "immorality"}))
         tokenized, _ = deduplicate([clean_and_tokenize(r, config) for r in records])
         counts = count_corpus(tokenized)
-        scores = overlap_scores(tfidf(build_word_tweet_matrix(counts)))
+        scores = overlap_scores(counts)
         selection = select_terms(scores, 300, 800)
         weighted_cooc = build_cooccurrence(counts, selection)
 

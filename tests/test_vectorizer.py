@@ -175,28 +175,38 @@ class TestTfidf:
 
 class TestOverlapScores:
     def test_single_entry(self):
-        weighted = tfidf(build_word_tweet_matrix(count_corpus(tweets(["abc"]))))
-        assert overlap_scores(weighted)["abc"] == pytest.approx(math.log(2))
+        assert overlap_scores(count_corpus(tweets(["abc"])))["abc"] == pytest.approx(math.log(2))
 
     def test_zero_row_scores_zero(self):
         corpus = tweets(["a"], [])
-        weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
-        scores = overlap_scores(weighted)
+        scores = overlap_scores(count_corpus(corpus))
         assert set(scores) == {"a"}
 
     def test_matches_dense_row_sums(self):
         corpus = random_corpus(100)
-        weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
-        scores = overlap_scores(weighted)
-        _, dense = dense_counts_oracle(corpus)
+        counts = count_corpus(corpus)
+        scores = overlap_scores(counts)
+        vocab, dense = dense_counts_oracle(corpus)
+        assert counts.vocab.words == tuple(vocab)
         oracle = dense_tfidf_oracle(dense).sum(axis=1)
-        for i, word in enumerate(weighted.row_vocab.words):
+        for i, word in enumerate(counts.vocab.words):
             assert scores[word] == pytest.approx(oracle[i], abs=1e-12)
+
+    def test_equal_document_and_total_counts_tie_exactly(self):
+        # b and d: df=2, tf=3; x: df=2, tf=2; a, c and y: df=1, tf=1; read back from the archive as uint8 counts
+        corpus = tweets(["d", "b", "b", "c"], ["d", "d", "b", "x"], ["a", "x"], ["y"])
+        scores = overlap_scores(saved_and_loaded(corpus))
+        assert scores["b"] == scores["d"] == pytest.approx(3 * (math.log(5) - math.log(2)), abs=1e-12)
+        assert scores["a"] == scores["c"] == scores["y"] == pytest.approx(math.log(5), abs=1e-12)
+        assert select_terms(scores, 2, 6).context_words == ("b", "d", "x", "a", "c", "y")
+
+    def test_corpus_without_tokens_scores_nothing(self, caplog):
+        assert overlap_scores(count_corpus(tweets([], []))) == {}
+        assert "corpus contains no tokens" in caplog.text
 
     def test_ranking_invariant_under_log_base(self):
         corpus = random_corpus(80, seed=11)
-        weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
-        scores_ln = overlap_scores(weighted)
+        scores_ln = overlap_scores(count_corpus(corpus))
         scores_log2 = {w: s / math.log(2) for w, s in scores_ln.items()}
         rank_ln = sorted(scores_ln, key=lambda w: (-scores_ln[w], w))
         rank_log2 = sorted(scores_log2, key=lambda w: (-scores_log2[w], w))
@@ -255,7 +265,7 @@ class TestCooccurrence:
 
     def test_matches_brute_force_pair_counter(self):
         corpus = random_corpus(100, vocab_size=20, seed=5)
-        scores = overlap_scores(tfidf(build_word_tweet_matrix(count_corpus(corpus))))
+        scores = overlap_scores(count_corpus(corpus))
         sel = select_terms(scores, 8, 15)
         matrix = build_cooccurrence(count_corpus(corpus), sel)
         oracle = brute_cooccurrence_oracle(corpus, sel.keywords, sel.context_words)
@@ -263,7 +273,7 @@ class TestCooccurrence:
 
     def test_order_independent(self):
         corpus = random_corpus(60, vocab_size=15, seed=9)
-        scores = overlap_scores(tfidf(build_word_tweet_matrix(count_corpus(corpus))))
+        scores = overlap_scores(count_corpus(corpus))
         sel = select_terms(scores, 5, 10)
         forward = build_cooccurrence(count_corpus(corpus), sel).to_dense()
         backward = build_cooccurrence(count_corpus(list(reversed(corpus))), sel).to_dense()
@@ -325,7 +335,7 @@ class TestPpmi:
 class TestPersistence:
     def test_triplet_roundtrip(self, tmp_path):
         corpus = random_corpus(30, vocab_size=10, seed=2)
-        scores = overlap_scores(tfidf(build_word_tweet_matrix(count_corpus(corpus))))
+        scores = overlap_scores(count_corpus(corpus))
         sel = select_terms(scores, 4, 8)
         counts = build_cooccurrence(count_corpus(corpus), sel)
         weighted = ppmi(counts)
