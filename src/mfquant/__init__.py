@@ -8,10 +8,12 @@ similarity to the five moral-foundation context vectors.
 
 from .corpus import (
     CleaningConfig,
+    IngestStats,
     TokenizedTweet,
     TweetRecord,
     clean_and_tokenize,
     deduplicate,
+    iter_records,
     load_records,
 )
 from .errors import ConfigError, CorpusError, DataError, LexiconError, MFQuantError, PipelineError
@@ -48,6 +50,7 @@ from .vectorizer import (
     build_cooccurrence,
     build_word_tweet_matrix,
     count_corpus,
+    count_unique_tweets,
     overlap_scores,
     ppmi,
     select_terms,

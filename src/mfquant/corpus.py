@@ -14,10 +14,13 @@ every stopword and query word to None and every other word to the first
 one object. The pipeline builds one config per corpus, which bounds the
 table to that corpus's ingest.
 
-The pipeline hands a cleaned, deduplicated corpus on as counts
-(``vectorizer.count_corpus``), since token order plays no part after
-cleaning. ``write_tokenized`` and ``read_tokenized`` keep a token-level
-TSV, in token order, for library users who want to inspect what cleaning kept.
+Ingest streams: ``iter_records`` yields one record per line read, each is
+cleaned as it arrives, and ``vectorizer.count_unique_tweets`` keeps the
+first tweet of each token sequence as one count row, so no stage holds a
+corpus's records or token lists. ``load_records`` and ``deduplicate`` are
+the same steps in list form, for library callers and tests, and
+``write_tokenized`` and ``read_tokenized`` keep a token-level TSV, in token
+order, for library users who want to inspect what cleaning kept.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import tables
 from .errors import CorpusError
@@ -40,7 +44,7 @@ _APOSTROPHES = ("'", "’", "ʼ")
 _ID_DELIMITER = re.compile(r"[\t,\n\r]")
 
 
-# slots: ingest holds every record, then every tokenized tweet, of a corpus at once
+# slots: a library caller of load_records holds every record of a corpus at once
 @dataclass(frozen=True, slots=True)
 class TweetRecord:
     """One raw record. ``retweet_text`` is the original text of a retweet."""
@@ -86,7 +90,7 @@ class CleaningConfig:
 
 @dataclass
 class IngestStats:
-    """Bookkeeping from one load_records run."""
+    """Bookkeeping from one iter_records run."""
 
     loaded: int = 0
     malformed: int = 0
@@ -120,19 +124,16 @@ def _parse_line(obj: dict) -> TweetRecord:
     )
 
 
-def load_records(
-    path: str | Path, lang_filter: str | None = None
-) -> tuple[list[TweetRecord], IngestStats]:
-    """Read line-delimited JSON records in file order.
+def iter_records(path: str | Path, lang_filter: str | None, stats: IngestStats) -> Iterator[TweetRecord]:
+    """Yield line-delimited JSON records in file order, reading one line per record.
 
     Malformed lines (bytes that are not UTF-8, bad JSON, missing id/text, an id that is a
     boolean or contains a tab, comma, newline or lone surrogate) and duplicate ids are
     logged with their line number and skipped; records failing ``lang_filter`` are dropped
-    silently. An unreadable file raises CorpusError.
+    silently. ``stats`` counts each outcome as it happens. An unreadable file raises
+    CorpusError when the first record is asked for.
     """
     path = Path(path)
-    stats = IngestStats()
-    records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     try:
         handle = path.open("r", encoding="utf-8", errors="surrogateescape")
@@ -160,13 +161,20 @@ def load_records(
             if lang_filter is not None and record.lang != lang_filter:
                 stats.lang_filtered += 1
                 continue
-            records.append(record)
             stats.loaded += 1
+            yield record
     logger.info(
         "loaded %d records from %s (%d malformed, %d duplicate ids, %d filtered by lang)",
         stats.loaded, path, stats.malformed, stats.duplicate_ids, stats.lang_filtered,
     )
-    return records, stats
+
+
+def load_records(
+    path: str | Path, lang_filter: str | None = None
+) -> tuple[list[TweetRecord], IngestStats]:
+    """Every record ``iter_records`` yields, as a list, and the IngestStats of reading them."""
+    stats = IngestStats()
+    return list(iter_records(path, lang_filter, stats)), stats
 
 
 class _CodePointRule(dict):

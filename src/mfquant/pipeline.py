@@ -2,8 +2,10 @@
 
 Stages run in a fixed order (ingest, select, matrix, svd, vectors,
 loadings, extend, pca, report), each persisting its artifacts under the
-output directory and recording content hashes in manifest.json. Ingest
-hands each corpus on as counts: ``corpus/<name>.npz``, the tweets x words
+output directory and recording content hashes in manifest.json, which
+names each input file by its path relative to the output directory. Ingest
+reads each corpus one record at a time, from JSON line to count row, and
+hands it on as counts: ``corpus/<name>.npz``, the tweets x words
 count matrix over the corpus's sorted vocabulary, and ``corpus/<name>.tsv``,
 one ``id<TAB>kept-token count`` line per deduplicated tweet. select,
 matrix and report read only the counts; loadings also reads the ids, which
@@ -25,6 +27,7 @@ import gc
 import hashlib
 import json
 import logging
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -292,8 +295,9 @@ class RunManifest:
         return cls(path, data)
 
     def record_inputs(self, inputs: dict[str, Path]) -> None:
+        """Hash each input file and record its path relative to the output directory."""
         for name, p in sorted(inputs.items()):
-            self.data["inputs"][name] = {"path": str(p), "sha256": sha256_file(p)}
+            self.data["inputs"][name] = {"path": os.path.relpath(p, self.path.parent), "sha256": sha256_file(p)}
 
     def record_stage(
         self, stage: str, artifacts: Artifacts, files: list[Path], inputs: tuple[Path, ...] = ()
@@ -366,23 +370,21 @@ def _stage_ingest(config: PipelineConfig, art: Artifacts) -> list[Path]:
     for name, source in _corpus_paths(config).items():
         if not source.exists():
             raise PipelineError(f"input corpus {source} does not exist")
-        records, _ = corpus_mod.load_records(source, lang_filter=config.lang_filter)
         cleaning = config.cleaning_config(name)
-        tokenized = [corpus_mod.clean_and_tokenize(r, cleaning) for r in records]
-        del records  # free the raw texts before counting
-        deduped, removed = corpus_mod.deduplicate(tokenized)
+        stats = corpus_mod.IngestStats()
+        records = corpus_mod.iter_records(source, config.lang_filter, stats)
+        # one record at a time, JSON line to count row; the module attribute is looked up per call
+        tweets = (corpus_mod.clean_and_tokenize(record, cleaning) for record in records)
+        counts, removed = vectorizer_mod.count_unique_tweets(tweets)
         logger.info(
             "%s: %d records -> %d after dedup (%d removed)",
-            name, len(tokenized), len(deduped), removed,
+            name, stats.loaded, stats.loaded - removed, removed,
         )
-        del tokenized
-        counts = vectorizer_mod.count_corpus(deduped)
-        del deduped
         vectorizer_mod.save_corpus_counts(counts, art.corpus_counts(name), art.corpus(name))
         files += [art.corpus_counts(name), art.corpus(name)]
-    # The interpreter keeps thousands of freed token tuples for reuse, scattered over memory
-    # that would otherwise go back to the system; a full collection drops them (on 50k tweets
-    # this lowers the peak of the later svd stage by about 40 MB).
+    # The interpreter keeps freed tuples and other small objects for reuse, scattered over
+    # memory that would otherwise go back to the system; a full collection drops them (on 50k
+    # tweets this lowers the peak of the later svd stage by about 4 MB).
     gc.collect()
     return files
 

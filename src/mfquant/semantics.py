@@ -40,7 +40,7 @@ _FOUNDATION_COLUMNS = ",".join(f.lower() for f in FOUNDATIONS)
 _LOADINGS_HEADER = f"id,{_FOUNDATION_COLUMNS},dominant,degenerate"
 # one loadings.csv row; %.9g formats a float exactly as the f-string spec .9g does
 _LOADINGS_ROW = "%s" + ",%.9g" * len(FOUNDATIONS) + ",%s,%d"
-# tweets per block in score_corpus: bounds its tweets x k temporaries at 4096 x k floats
+# tweets per block in score_corpus and save_loadings: bounds their temporaries at 4096 rows
 SCORE_BLOCK_ROWS = 4096
 
 
@@ -275,9 +275,18 @@ def save_loadings(
 ) -> None:
     """CSV: id, care, fairness, ingroup, authority, purity, dominant, degenerate_flag."""
 
-    dominant = _DOMINANT_NAMES[dominant_indices(matrix)].tolist()
-    columns = zip(matrix.row_labels, *matrix.values.T.tolist(), dominant, matrix.degenerate)
-    tables.write_lines(path, (_LOADINGS_ROW % row for row in columns), header=_LOADINGS_HEADER)
+    names = _DOMINANT_NAMES.tolist()
+    dominant = dominant_indices(matrix)
+
+    def rows():  # SCORE_BLOCK_ROWS rows at a time, so that only one block's values are Python floats
+        for start in range(0, len(matrix.row_labels), SCORE_BLOCK_ROWS):
+            block = slice(start, start + SCORE_BLOCK_ROWS)
+            yield from zip(
+                matrix.row_labels[block], *matrix.values[block].T.tolist(),
+                map(names.__getitem__, dominant[block].tolist()), matrix.degenerate[block],
+            )
+
+    tables.write_lines(path, (_LOADINGS_ROW % row for row in rows()), header=_LOADINGS_HEADER)
 
 
 def load_loadings(path: str | Path) -> LoadingMatrix:

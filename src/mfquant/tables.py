@@ -136,8 +136,8 @@ def read_csr(
         raise DataError(f"{path}: indptr does not split {len(indices)} entries into {n_rows} rows")
     if ((indices < 0) | (indices >= n_cols)).any():
         raise DataError(f"{path}: index outside the {n_cols} columns")
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
-    if (np.diff(rows * n_cols + indices) <= 0).any():
+    # an index may fail to exceed the one before it only where a row starts
+    if not np.isin(np.flatnonzero(np.diff(indices) <= 0) + 1, indptr).all():
         raise DataError(f"{path}: indices not strictly increasing within a row")
     if not np.isfinite(data).all():
         raise DataError(f"{path}: non-finite value")

@@ -1,21 +1,26 @@
 """Corpus counts, term weighting and matrix construction.
 
 A deduplicated corpus is counted once, over its sorted vocabulary, into a
-tweets x words count matrix (``count_corpus``), which ingest saves as one
-CSR archive (``tables.write_csr``) plus an ids file. The overlap score
-that ranks keywords / context words, a word's tf-idf (natural log) summed
-over tweets, is its total count times its idf (``overlap_scores``), read
-from the matrix's column indices; no stage builds the per-entry tf-idf
-matrix (``tfidf``). The presence-based word-context co-occurrence matrix
-(keywords as rows) selects word columns from the counts
-(``CorpusCounts.select``), and PPMI (base-2 log, clamped at zero) is
-applied to it. The PPMI matrix goes to disk in the same CSR archive
-layout (``save_triplets``), so ``tables.read_csr`` checks both.
+tweets x words count matrix, which ingest saves as one CSR archive
+(``tables.write_csr``) plus an ids file. Ingest counts as it reads
+(``count_unique_tweets``): it keeps the first tweet of each token
+sequence and holds only the kept tweets' word ids, one flat buffer for
+the corpus; ``count_corpus`` counts a list of tweets the same way. The
+overlap score that ranks keywords / context words, a word's tf-idf
+(natural log) summed over tweets, is its total count times its idf
+(``overlap_scores``), read from the matrix's column indices; no stage
+builds the per-entry tf-idf matrix (``tfidf``). The presence-based
+word-context co-occurrence matrix (keywords as rows) selects word columns
+from the counts (``CorpusCounts.select``), and PPMI (base-2 log, clamped
+at zero) is applied to it. The PPMI matrix goes to disk in the same CSR
+archive layout (``save_triplets``), so ``tables.read_csr`` checks both.
 """
 
 from __future__ import annotations
 
+import io
 import logging
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -29,6 +34,9 @@ from .corpus import TokenizedTweet
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
+
+# rows per block in row_sums: bounds its int64 running sum at one block's stored entries
+ROW_SUM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,20 @@ class WeightedMatrix:
         return np.asarray(self.weights.todense())
 
 
+def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """int64 sum of ``values[indptr[r]:indptr[r + 1]]`` for every row r of a CSR layout.
+
+    Sums ROW_SUM_BLOCK rows at a time, so that no 64-bit copy of all of
+    ``values`` is made (``csr_matrix.sum(axis=1)`` makes one).
+    """
+    sums = np.empty(len(indptr) - 1, dtype=np.int64)
+    for start in range(0, len(sums), ROW_SUM_BLOCK):
+        bounds = indptr[start:start + ROW_SUM_BLOCK + 1]
+        running = np.concatenate(([0], np.cumsum(values[bounds[0]:bounds[-1]], dtype=np.int64)))
+        sums[start:start + len(bounds) - 1] = np.diff(running[bounds - bounds[0]])
+    return sums
+
+
 @dataclass
 class SelectionResult:
     """Ranked terms: ``keywords`` is always a prefix of ``context_words``."""
@@ -108,8 +130,8 @@ class CorpusCounts:
 
     @property
     def lengths(self) -> np.ndarray:
-        """Kept tokens per tweet: the row sums of ``counts``."""
-        return np.asarray(self.counts.sum(axis=1)).ravel()
+        """Kept tokens per tweet: the row sums of ``counts``, as int64."""
+        return row_sums(self.counts.data, self.counts.indptr)
 
     def select(self, words: Vocabulary) -> sparse.csr_matrix:
         """Tweets x ``words`` int64 counts with sorted indices; a word outside the corpus has an empty column.
@@ -120,11 +142,11 @@ class CorpusCounts:
         columns = np.fromiter(positions, dtype=np.int32, count=len(self.vocab))
         cols = columns[self.counts.indices]
         keep = cols >= 0
-        indptr = np.concatenate(([0], np.cumsum(keep)))[self.counts.indptr]
-        selected = sparse.csr_matrix(
-            (self.counts.data[keep].astype(np.int64), cols[keep], indptr),
-            shape=(self.counts.shape[0], len(words)),
-        )
+        indptr = np.zeros(self.counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(row_sums(keep, self.counts.indptr), out=indptr[1:])
+        cols = cols[keep]
+        data = self.counts.data[keep].astype(np.int64)
+        selected = sparse.csr_matrix((data, cols, indptr), shape=(self.counts.shape[0], len(words)))
         selected.sort_indices()  # counts @ U_k sums in stored order, so column order fixes its bits
         return selected
 
@@ -141,6 +163,57 @@ def count_corpus(corpus: Sequence[TokenizedTweet]) -> CorpusCounts:
     )
     counts.sum_duplicates()
     return CorpusCounts(vocab=vocab, counts=counts, ids=tuple(t.id for t in corpus))
+
+
+class _FirstSeenPositions(dict):
+    """word -> its position in first-seen order, assigned when a word is first looked up."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = position = len(self)
+        return position
+
+
+def count_unique_tweets(tweets: Iterable[TokenizedTweet]) -> tuple[CorpusCounts, int]:
+    """``count_corpus`` of the first tweet of each token sequence, and how many tweets repeat an earlier one.
+
+    Equal to ``count_corpus(deduplicate(list(tweets))[0])`` for ids without
+    a line break (ingest rejects those), in one pass that holds one tweet at
+    a time: a kept tweet appends its tokens' first-seen word positions to
+    one flat buffer, and a repeat is recognised by the bytes of those
+    positions. At the end the positions are renumbered to the sorted
+    vocabulary.
+    """
+    positions = _FirstSeenPositions()
+    seen: set[bytes] = set()
+    flat, indptr = array("i"), array("q", [0])
+    # the ids go into one buffer and become strs at the end, packed together: kept one by one,
+    # they would be spread among the freed tweets and pin that memory after ingest
+    id_lines = io.StringIO()
+    removed = 0
+    for tweet in tweets:
+        row = array("i", map(positions.__getitem__, tweet.tokens))
+        key = row.tobytes()
+        if key in seen:
+            removed += 1
+            continue
+        seen.add(key)
+        flat += row
+        indptr.append(len(flat))
+        id_lines.write(tweet.id)
+        id_lines.write("\n")
+    del seen
+    ids = tuple(id_lines.getvalue().split("\n")[:-1])
+    words = sorted(positions)
+    rank = np.empty(len(words), dtype=np.int32)  # first-seen position -> sorted position
+    rank[[positions[word] for word in words]] = np.arange(len(words))
+    indices = rank[np.frombuffer(flat, dtype=np.intc)]
+    del flat
+    counts = sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int32), indices, np.frombuffer(indptr, dtype=np.longlong)),
+        shape=(len(ids), len(words)),
+    )
+    counts.sum_duplicates()
+    return CorpusCounts(vocab=Vocabulary(tuple(words)), counts=counts, ids=ids), removed
 
 
 def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: str | Path) -> None:
@@ -292,10 +365,10 @@ def build_cooccurrence(corpus: CorpusCounts, selection: SelectionResult) -> Spar
     n1 = len(selection.keywords)
     if selection.context_words[:n1] != selection.keywords:
         raise DataError("keywords must be a prefix of the context words")
-    counts = corpus.select(Vocabulary(selection.context_words))
-    presence = counts.sign()
+    presence = corpus.select(Vocabulary(selection.context_words))
     # the product pairs a keyword with itself in every tweet containing it: drop single occurrences
-    once = np.bincount(counts.indices[counts.data == 1], minlength=n1)[:n1]
+    once = np.bincount(presence.indices[presence.data == 1], minlength=n1)[:n1]
+    presence.data.fill(1)  # the counts become presence in place, sharing their indices
     counts_mat = presence[:, :n1].T.tocsr() @ presence
     counts_mat -= sparse.diags(once, shape=counts_mat.shape, dtype=np.int64)
     counts_mat.eliminate_zeros()

@@ -6,13 +6,18 @@ corpora; the original tweet datasets behind the published tables do not
 exist here, so no criterion asserts those exact numbers.
 """
 
+import json
 import math
-import resource
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfquant
 from mfquant.corpus import CleaningConfig, clean_and_tokenize, deduplicate, load_records
 from mfquant.corpus import TweetRecord
 from mfquant.lexicon import FOUNDATIONS, VICE, MFDictionary, MFEntry, load_packaged_dictionary
@@ -334,6 +339,27 @@ def test_criterion_10_shape_contracts(announce, e2e_workspace, planted_5k):
     announce(10, "loading matrices have 5 canonical columns; topic matrices are 4x5")
 
 
+# runs in a child process, so that ru_maxrss is this run's peak alone, not that of every test before it
+C09_CHILD = """
+import json, resource, sys, time
+from pathlib import Path
+from mfquant.pipeline import PipelineConfig, run
+
+spec = json.loads(sys.argv[1])
+config = PipelineConfig(
+    immorality_path=Path(spec["immorality"]), out_dir=Path(spec["out"]),
+    topic_paths={name: Path(p) for name, p in spec["topics"].items()},
+    query_words={name: tuple(words) for name, words in spec["query_words"].items()},
+    n1=2000, n2=20000, k=100, seed=42,
+)
+start = time.monotonic()
+executed = run("all", config)
+elapsed = time.monotonic() - start
+print(json.dumps({"stages": len(executed), "elapsed": elapsed,
+                  "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
 def test_criterion_09_end_to_end_desk_scale(announce, tmp_path):
     """run(all) on 50k synthetic tweets, N1=2000 N2=20000 k=100: <5 min, <4 GB."""
     plan = default_plan()
@@ -343,23 +369,21 @@ def test_criterion_09_end_to_end_desk_scale(announce, tmp_path):
     for i, (topic, cluster) in enumerate(DEFAULT_TOPICS):
         token = topic.replace("_", "")
         synth_topic_corpus(plan, cluster, 2000, 900 + i, tmp_path / f"{topic}.jsonl", token)
-        topic_paths[topic] = tmp_path / f"{topic}.jsonl"
+        topic_paths[topic] = str(tmp_path / f"{topic}.jsonl")
         query_words[topic] = (token,)
-    config = PipelineConfig(
-        immorality_path=tmp_path / "immorality.jsonl",
-        out_dir=tmp_path / "out",
-        topic_paths=topic_paths,
-        query_words=query_words,
-        n1=2000,
-        n2=20000,
-        k=100,
-        seed=42,
+    spec = {
+        "immorality": str(tmp_path / "immorality.jsonl"), "out": str(tmp_path / "out"),
+        "topics": topic_paths, "query_words": query_words,
+    }
+    package_root = str(Path(mfquant.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", C09_CHILD, json.dumps(spec)], capture_output=True, text=True, env=env, timeout=600
     )
-    start = time.monotonic()
-    executed = run("all", config)
-    elapsed = time.monotonic() - start
-    peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 ** 2)
-    assert len(executed) == 9
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    elapsed, peak_gb = result["elapsed"], result["peak_kb"] / (1024 ** 2)
+    assert result["stages"] == 9
     assert elapsed < 300.0, f"pipeline took {elapsed:.1f}s"
     assert peak_gb < 4.0, f"peak memory {peak_gb:.2f} GB"
     announce(9, f"50k-tweet run(all) finished in {elapsed:.1f}s with peak {peak_gb:.2f} GB")

@@ -380,7 +380,28 @@ def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
     assert {"the", "and", "peace"} <= words[0]
     manifest = json.loads((config.out_dir / "manifest.json").read_text())
     digest = hashlib.sha256(stopwords.read_bytes()).hexdigest()
-    assert manifest["inputs"]["stopwords"] == {"path": str(stopwords), "sha256": digest}
+    assert manifest["inputs"]["stopwords"] == {"path": "../stopwords.txt", "sha256": digest}
+
+
+def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
+    """Input paths are recorded relative to the output directory: two copies of one workspace,
+    at paths of different lengths, write equal ``inputs`` blocks and manifests of equal size."""
+    (tmp_path / "source").mkdir()
+    config = make_workspace(tmp_path / "source", tweets=60, topic_tweets=20)
+    manifests = []
+    for name in ("a", "a-much-longer-directory-name"):
+        workspace = tmp_path / name / "ws"
+        shutil.copytree(tmp_path / "source", workspace)
+        copy = dataclasses.replace(
+            config, immorality_path=workspace / config.immorality_path.name, out_dir=workspace / "out",
+            topic_paths={topic: workspace / p.name for topic, p in config.topic_paths.items()},
+        )
+        run("ingest", copy)
+        manifests.append(copy.out_dir / "manifest.json")
+    first, second = (json.loads(p.read_text(encoding="utf-8")) for p in manifests)
+    assert first["inputs"]["immorality"]["path"] == "../immorality.jsonl"
+    assert first["inputs"] == second["inputs"]
+    assert manifests[0].stat().st_size == manifests[1].stat().st_size
 
 
 @pytest.fixture(scope="module")

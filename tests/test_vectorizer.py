@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from mfquant.corpus import TokenizedTweet
+from mfquant import vectorizer
 from mfquant.errors import DataError
 from mfquant.vectorizer import (
+    ROW_SUM_BLOCK,
+    CorpusCounts,
     SelectionResult,
     Vocabulary,
     WeightedMatrix,
@@ -454,3 +457,20 @@ class TestCorpusCounts:
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(matrix.counts, name), getattr(oracle, name))
         assert matrix.col_labels == tuple(t.id for t in corpus)
+
+
+# rows [max, max, 1] and [1, 0, max] overflow the archive's dtype when summed in it; rows 0, 2 and 4 are empty
+@pytest.mark.parametrize("block", [1, 2, ROW_SUM_BLOCK])
+@pytest.mark.parametrize("top,rows", [(255, 5), (65535, 5), (255, 0)], ids=["uint8", "uint16", "no-rows"])
+def test_lengths_are_the_row_sums_of_the_archive(tmp_path, monkeypatch, block, top, rows):
+    monkeypatch.setattr(vectorizer, "ROW_SUM_BLOCK", block)
+    dense = np.array([[0, 0, 0], [top, top, 1], [0, 0, 0], [1, 0, top], [0, 0, 0]])[:rows]
+    corpus = CorpusCounts(
+        Vocabulary(("a", "b", "c")), sparse.csr_matrix(dense.reshape(rows, 3)), tuple(map(str, range(rows)))
+    )
+    save_corpus_counts(corpus, tmp_path / "c.npz", tmp_path / "c.tsv")
+    loaded = load_corpus_counts(tmp_path / "c.npz", tmp_path / "c.tsv")
+    assert loaded.counts.dtype == np.min_scalar_type(top if rows else 0)
+    lengths = loaded.lengths
+    assert lengths.dtype == np.int64
+    assert lengths.tolist() == np.asarray(loaded.counts.sum(axis=1)).ravel().tolist() == dense.sum(axis=1).tolist()
