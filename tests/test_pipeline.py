@@ -26,8 +26,11 @@ from mfquant.pipeline import (
     output_lock,
     run,
 )
+from mfquant.corpus import TokenizedTweet
+from mfquant.semantics import LoadingMatrix, save_loadings
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
-from mfquant.vectorizer import load_corpus_counts
+from mfquant.tables import write_vectors
+from mfquant.vectorizer import SelectionResult, count_corpus, load_corpus_counts, save_corpus_counts, save_selection
 
 SMALL_PARAMS = dict(n1=300, n2=1500, k=25, topic_n=(5, 20), extend_n=30, seed=7)
 
@@ -290,6 +293,61 @@ def test_rerun_removes_files_a_stage_no_longer_writes(tmp_path):
         directories = {(config.out_dir / rel).parent for rel in listed}
         on_disk = {art.rel(p) for d in directories for p in d.iterdir()}
         assert on_disk == listed, stage
+
+
+def test_report_stage_writes_exact_dictionary_reports(tmp_path):
+    """coverage.tsv and vice_report.tsv of a hand-made workspace, byte for byte."""
+    dictionary = tmp_path / "dict.tsv"
+    dictionary.write_text(
+        "treason*\tIngroup\tvice\n"
+        "treason*\tAuthority\tvice\n"  # treasonous matches two foundations
+        "kill*\tCare\tvice\n"
+        "war\tCare\tvice\n"  # matches no keyword
+        "sin\tPurity\tvice\n"
+        "unfair*\tFairness\tvice\n"  # matches no keyword
+        "damn*\tMoralityGeneral\tvice\n"  # damned matches only MoralityGeneral: no report row
+        "safe*\tCare\tvirtue\n",  # virtue entries take no part
+        encoding="utf-8",
+    )
+    config = PipelineConfig(
+        immorality_path=tmp_path / "immorality.jsonl", out_dir=tmp_path / "out", dictionary_path=dictionary,
+        n1=6, n2=7, k=1, query_words={"immorality": ("immoral",)},
+    )
+    art = Artifacts(config.out_dir)
+    # counts: damned 5, safety 4, killing 3, treasonous 3 (a tie), kill 2, sin 1, and warfare outside the keywords
+    tokens = ["damned"] * 5 + ["safety"] * 4 + ["killing", "treasonous"] * 3 + ["kill"] * 2 + ["sin", "warfare"]
+    tweets = [TokenizedTweet(f"t{i}", (token,)) for i, token in enumerate(tokens)]
+    art.corpus_counts("immorality").parent.mkdir(parents=True)
+    save_corpus_counts(count_corpus(tweets), art.corpus_counts("immorality"), art.corpus("immorality"))
+    ranked = ("damned", "safety", "killing", "treasonous", "kill", "sin", "warfare")
+    art.terms("immorality").parent.mkdir()
+    scores = {word: 7.0 - rank for rank, word in enumerate(ranked)}
+    save_selection(SelectionResult(ranked[:6], ranked, scores), art.terms("immorality"))
+    art.loadings.parent.mkdir()
+    save_loadings(LoadingMatrix(("t0",), np.eye(1, len(FOUNDATIONS)), (False,)), art.loadings)
+    art.mf_vectors.parent.mkdir()
+    write_vectors(art.mf_vectors, FOUNDATIONS, np.eye(len(FOUNDATIONS)))
+
+    assert run("report", config) == {"report": [art.rel(p) for p in (
+        art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv)]}
+    assert art.coverage_tsv.read_text(encoding="utf-8") == (
+        "foundation\tpattern\tmatched_words\tfrequencies\n"
+        "Ingroup\ttreason*\ttreasonous\t3\n"
+        "Authority\ttreason*\ttreasonous\t3\n"
+        "Care\tkill*\tkill killing\t2 3\n"
+        "Care\twar\t\t\n"
+        "Purity\tsin\tsin\t1\n"
+        "Fairness\tunfair*\t\t\n"
+        "# coverage_fraction\t0.6666666666666666\n"
+    )
+    assert art.vice_report.read_text(encoding="utf-8") == (
+        "# vice_coverage\t0.6666666666666666\n"
+        "word\tfoundations\tfrequency\n"
+        "killing\tCare\t3\n"
+        "treasonous\tAuthority|Ingroup\t3\n"
+        "kill\tCare\t2\n"
+        "sin\tPurity\t1\n"
+    )
 
 
 # Child of the kill tests: runs ``mfquant run`` and exits at once (os._exit, no cleanup) either right after
