@@ -21,9 +21,10 @@ from .lexicon import (
     FOUNDATIONS,
     MFDictionary,
     MFEntry,
-    coverage,
+    foundation_matrix,
     load_dictionary,
     load_packaged_dictionary,
+    write_dictionary_report,
 )
 from .linalg import EmbeddingSpace, PCAProjection, SVDResult, cosine, pca_2d, truncated_svd
 from .pipeline import PipelineConfig, RunManifest, load_config, run
@@ -39,7 +40,6 @@ from .semantics import (
     mf_vectors,
     score_corpus,
     topic_vector,
-    vice_frequency_report,
 )
 from .vectorizer import (
     CorpusCounts,

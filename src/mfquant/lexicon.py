@@ -3,7 +3,11 @@
 Entries are (pattern, foundation, polarity) rows in a TSV file. One rule,
 ``match_matrix``, matches them: over the sorted words, a stem (trailing
 '*') matches the range of words it prefixes, itself included, and an exact
-pattern matches by equality. MoralityGeneral is in no five-foundation product.
+pattern matches by equality. Every use of the dictionary reads the
+ALL_FOUNDATIONS x words 0/1 matrix that ``foundation_matrix`` folds those
+matches into: the foundation vectors, ``match_word``, the synthetic plan's
+anchor check and the vice report. MoralityGeneral, its last row, is in no
+five-foundation product.
 """
 
 from __future__ import annotations
@@ -62,12 +66,6 @@ def match_matrix(entries: Sequence[MFEntry], words: Sequence[str]) -> sparse.csr
     return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(entries), len(words)))
 
 
-def matched_foundations(entries: Sequence[MFEntry], matches: sparse.csr_matrix) -> list[set[str]]:
-    """Per word (column) of ``entries``' match matrix, the foundations of the entries matching it."""
-    columns = matches.tocsc()
-    return [{entries[i].foundation for i in columns.indices[a:b]} for a, b in pairwise(columns.indptr)]
-
-
 class MFDictionary:
     """Immutable foundation dictionary with wildcard-stem matching."""
 
@@ -83,33 +81,24 @@ class MFDictionary:
         """Number of vice entries across the five foundations."""
         return len(self.select(VICE))
 
-    def foundation_sets(self, words: Sequence[str], polarity: str = VICE) -> list[set[str]]:
-        """Per word, the foundations (MoralityGeneral included) whose ``polarity`` entries match it."""
-        entries = self.select(polarity, ALL_FOUNDATIONS)
-        return matched_foundations(entries, match_matrix(entries, words))
-
     def match_word(self, word: str, polarity: str = VICE) -> set[str]:
         """Foundations whose entries of ``polarity`` match ``word``; empty on no match."""
-        return self.foundation_sets([word], polarity)[0]
+        return {ALL_FOUNDATIONS[i] for i in foundation_matrix(self, [word], polarity).nonzero()[0]}
 
 
-@dataclass
-class EntryCoverage:
-    entry: MFEntry
-    matched_words: list[str]
-    frequencies: list[int]
+def foundation_matrix(dictionary: MFDictionary, words: Sequence[str], polarity: str = VICE) -> sparse.csr_matrix:
+    """ALL_FOUNDATIONS x words 0/1 float64 matrix, columns in ``words`` order, with sorted indices.
 
-
-@dataclass
-class CoverageResult:
-    fraction: float
-    entries: list[EntryCoverage]
-    words: list[str]
-    matches: sparse.csr_matrix
-
-    @property
-    def matched_count(self) -> int:
-        return sum(1 for e in self.entries if e.matched_words)
+    Row f marks the words that some ``polarity`` entry of foundation f
+    matches: one-hot(entries) @ match_matrix(entries, words) > 0. Its
+    first five rows are the five foundations; MoralityGeneral is the last.
+    """
+    entries = dictionary.select(polarity, ALL_FOUNDATIONS)
+    rows = [ALL_FOUNDATIONS.index(e.foundation) for e in entries]
+    onehot = sparse.csr_matrix(np.eye(len(ALL_FOUNDATIONS))[:, rows])  # foundations x entries
+    matrix = (onehot @ match_matrix(entries, words) > 0).astype(np.float64)
+    matrix.sort_indices()  # a product with it then sums each row's words in word order, reproducibly
+    return matrix
 
 
 def load_dictionary(path: str | Path) -> MFDictionary:
@@ -148,36 +137,35 @@ def load_packaged_dictionary() -> MFDictionary:
     return load_dictionary(packaged_dictionary_path())
 
 
-def coverage(
-    dictionary: MFDictionary,
-    vocabulary: set[str] | Mapping[str, int],
-    polarity: str = VICE,
-) -> CoverageResult:
-    """Fraction of five-foundation entries of ``polarity`` matched by the vocabulary.
+def write_dictionary_report(
+    dictionary: MFDictionary, frequencies: Mapping[str, int], coverage_path: str | Path, vice_path: str | Path
+) -> None:
+    """Write the five foundations' vice entries against the words of ``frequencies`` (word -> corpus count).
 
-    ``vocabulary`` may be a plain set of words or a word -> frequency
-    mapping; with a mapping the per-entry matched-word frequencies are
-    filled in (the data behind the frequency report). MoralityGeneral
-    entries are not part of the five-foundation coverage. The result keeps
-    the entries x ``words`` match matrix over the sorted vocabulary.
+    coverage: per entry in file order, its matched words (sorted) and their
+    counts, then the fraction of entries with a match. vice report: that
+    fraction, then per matched word its foundations ('|'-joined by name) and
+    count, by count descending, then word. MoralityGeneral takes no part.
     """
-    freqs: Mapping[str, int] = vocabulary if isinstance(vocabulary, Mapping) else {}
-    relevant = dictionary.select(polarity)
-    if not relevant:
-        raise LexiconError(f"dictionary has no {polarity} entries; coverage undefined")
-    words = sorted(vocabulary)
-    matches = match_matrix(relevant, words)
-    matched = [[words[j] for j in matches.indices[a:b]] for a, b in pairwise(matches.indptr)]
-    results = [EntryCoverage(e, m, [freqs.get(w, 0) for w in m]) for e, m in zip(relevant, matched)]
-    return CoverageResult(sum(map(bool, matched)) / len(relevant), results, words, matches)
-
-
-def write_coverage_report(result: CoverageResult, path: str | Path) -> None:
-    """Emit per-entry coverage as TSV: foundation, pattern, matched words, frequencies."""
+    entries = dictionary.select(VICE)
+    if not entries:
+        raise LexiconError("dictionary has no vice entries; coverage undefined")
+    words = sorted(frequencies)
+    counts = [str(int(frequencies[w])) for w in words]
+    matches = match_matrix(entries, words)
+    matched = [matches.indices[a:b].tolist() for a, b in pairwise(matches.indptr)]
+    fraction = sum(map(bool, matched)) / len(entries)
     rows = (
-        f"{item.entry.foundation}\t{item.entry.pattern}\t{' '.join(item.matched_words)}"
-        f"\t{' '.join(str(f) for f in item.frequencies)}"
-        for item in result.entries
+        f"{e.foundation}\t{e.pattern}\t{' '.join(words[j] for j in m)}\t{' '.join(counts[j] for j in m)}"
+        for e, m in zip(entries, matched)
     )
-    footer = f"# coverage_fraction\t{result.fraction!r}"
-    tables.write_lines(path, chain(rows, [footer]), header="foundation\tpattern\tmatched_words\tfrequencies")
+    footer = f"# coverage_fraction\t{fraction!r}"
+    tables.write_lines(coverage_path, chain(rows, [footer]), header="foundation\tpattern\tmatched_words\tfrequencies")
+
+    columns = foundation_matrix(dictionary, words)[: len(FOUNDATIONS)].tocsc()
+    by_word = sorted(
+        (-int(frequencies[w]), w, "|".join(sorted(FOUNDATIONS[i] for i in columns.indices[a:b])))
+        for w, a, b in zip(words, columns.indptr, columns.indptr[1:]) if b > a
+    )
+    header = f"# vice_coverage\t{fraction!r}\nword\tfoundations\tfrequency"
+    tables.write_lines(vice_path, (f"{w}\t{f}\t{-n}" for n, w, f in by_word), header=header)

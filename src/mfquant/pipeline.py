@@ -137,9 +137,11 @@ class PipelineConfig:
 
 
 def _typed(key: str, value, kind: type | tuple[type, ...], what: str = "an integer"):
-    """``value`` if it is a YAML ``kind`` (a bool is no int); anything else is a ConfigError naming ``key``."""
+    """``value`` if a YAML ``kind`` (a bool is no int; mapping names are strings), else a ConfigError naming ``key``."""
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
+    for name in value if kind is dict else ():
+        _typed(f"{key} name", name, str, "a string")
     return value
 
 
@@ -148,8 +150,10 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     The counts in ``params`` and ``cleaning.min_token_len`` must be YAML
     integers, ``cleaning.lowercase`` a YAML boolean, ``cleaning.lang_filter``
-    a string or null and each ``cleaning.query_words.<name>`` a list of
-    strings; any other value is a ConfigError naming the key, never coerced.
+    a string or null, each ``inputs.topics.<name>`` a path string and each
+    ``cleaning.query_words.<name>`` a list of strings, and every mapping's
+    names strings; any other value is a ConfigError naming the key, never
+    coerced.
     """
     path = Path(path)
     try:
@@ -168,7 +172,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     inputs = raw.get("inputs") or {}
     if not isinstance(inputs, dict) or not inputs.get("immorality"):
         raise ConfigError("config must set inputs.immorality")
-    topics_raw = _typed("inputs.topics", inputs.get("topics") or {}, dict, "a mapping of name -> path")
+    topics = _typed("inputs.topics", inputs.get("topics") or {}, dict, "a mapping of name -> path")
+    topics_raw = {name: _typed(f"inputs.topics.{name}", p, str, "a path") for name, p in topics.items()}
     params = _typed("params", raw.get("params") or {}, dict, "a mapping")
     cleaning = _typed("cleaning", raw.get("cleaning") or {}, dict, "a mapping")
     topic_n = _typed("params.topic_n", params.get("topic_n", [10, 100]), list, "a list of integers")
@@ -527,11 +532,9 @@ def _stage_report(config: PipelineConfig, art: Artifacts) -> list[Path]:
     )
     keywords = vectorizer_mod.Vocabulary(selection.keywords)
     freqs = np.asarray(counts.select(keywords).sum(axis=0)).ravel()
-    report = semantics_mod.vice_frequency_report(
-        _load_dictionary(config), dict(zip(keywords.words, freqs.tolist()))
+    lexicon_mod.write_dictionary_report(
+        _load_dictionary(config), dict(zip(keywords.words, freqs.tolist())), art.coverage_tsv, art.vice_report
     )
-    semantics_mod.save_vice_report(report, art.vice_report)
-    lexicon_mod.write_coverage_report(report.coverage, art.coverage_tsv)
 
     dominant = semantics_mod.load_foundation_counts(_require(art.loadings, "loadings"))
     semantics_mod.save_foundation_counts(dominant, art.counts_csv)

@@ -6,18 +6,18 @@ keywords count matrix, the keyword columns of its ``CorpusCounts``, times
 U_k gives every context vector (``corpus_vectors``); ``score_corpus``
 forms that product one block of rows at a time, so that only one block's
 vectors are held.
-The five foundation vectors are the rows of one 5 x k matrix, a
-foundations x keywords indicator times U_k (``mf_vectors``), and one
-row-wise cosine kernel against it gives every loading
-(``loading_matrix``, ``score_corpus``). Foundation rows and loadings
-are in canonical order (Care, Fairness, Ingroup, Authority, Purity).
+The five foundation vectors are the rows of one 5 x k matrix, the first
+five rows of ``lexicon.foundation_matrix`` over the keywords times U_k
+(``mf_vectors``), and one row-wise cosine kernel against it gives every
+loading (``loading_matrix``, ``score_corpus``). Foundation rows and
+loadings are in canonical order (Care, Fairness, Ingroup, Authority, Purity).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -27,7 +27,7 @@ from scipy import sparse
 
 from . import tables
 from .errors import DataError
-from .lexicon import FOUNDATIONS, VICE, CoverageResult, MFDictionary, coverage, match_matrix, matched_foundations
+from .lexicon import FOUNDATIONS, VICE, MFDictionary, foundation_matrix
 from .linalg import EmbeddingSpace, row_cosines
 from .vectorizer import CorpusCounts, SelectionResult
 
@@ -84,14 +84,6 @@ class ExtendedDictionary:
         return sum(len(v) for v in self.per_foundation.values())
 
 
-@dataclass
-class ViceFrequencyReport:
-    """Word-level rows (word, foundations, corpus frequency) plus the coverage they come from."""
-
-    rows: list[tuple[str, tuple[str, ...], int]]
-    coverage: CoverageResult = field(repr=False)
-
-
 def corpus_vectors(
     corpus: CorpusCounts, embedding: EmbeddingSpace
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -109,17 +101,13 @@ def mf_vectors(
     """The 5 x k foundation matrix F, one row per foundation in canonical order.
 
     Row f sums the embeddings of every keyword matching a ``polarity``
-    entry of foundation f: F is a 0/1 foundations x keywords indicator
-    times U_k, one sparse product. A keyword matching several foundations
-    contributes to each of them. A foundation matched by no keyword raises
-    DataError (its vector would be undefined). MoralityGeneral never
-    produces a vector.
+    entry of foundation f: F is the first five rows of the keywords'
+    ``foundation_matrix`` times U_k, one sparse product. A keyword matching
+    several foundations contributes to each of them. A foundation matched
+    by no keyword raises DataError (its vector would be undefined).
+    MoralityGeneral never produces a vector.
     """
-    entries = dictionary.select(polarity)
-    columns = [FOUNDATIONS.index(e.foundation) for e in entries]  # one-hot foundation of each entry
-    onehot = sparse.csr_matrix(np.eye(len(FOUNDATIONS))[:, columns])
-    indicator = (onehot @ match_matrix(entries, embedding.words.words) > 0).astype(np.float64)
-    indicator.sort_indices()  # keyword order fixes the summation order, so F is reproducible bit for bit
+    indicator = foundation_matrix(dictionary, embedding.words.words, polarity)[: len(FOUNDATIONS)]
     for foundation, matches in zip(FOUNDATIONS, np.diff(indicator.indptr)):
         if not matches:
             raise DataError(
@@ -250,22 +238,6 @@ def extend_dictionary(
     return ExtendedDictionary(per_foundation=per_foundation, n=n)
 
 
-def vice_frequency_report(
-    dictionary: MFDictionary,
-    vocabulary_frequencies: Mapping[str, int],
-    polarity: str = VICE,
-) -> ViceFrequencyReport:
-    """Word-level frequency rows for matched dictionary words (word-cloud data).
-
-    ``vocabulary_frequencies`` maps each vocabulary word to its corpus
-    occurrence count. Unmatched dictionary entries contribute no rows.
-    """
-    cov = coverage(dictionary, vocabulary_frequencies, polarity)
-    by_word = matched_foundations([item.entry for item in cov.entries], cov.matches)
-    rows = [(w, tuple(sorted(f)), int(vocabulary_frequencies[w])) for w, f in zip(cov.words, by_word) if f]
-    return ViceFrequencyReport(rows=sorted(rows, key=lambda r: (-r[2], r[0])), coverage=cov)
-
-
 def _csv_values(values: np.ndarray) -> str:
     return ",".join(f"{x:.9g}" for x in values)
 
@@ -373,13 +345,6 @@ def save_similarity_matrix(matrix: np.ndarray, path: str | Path) -> None:
 def save_foundation_counts(counts: Mapping[str, int], path: str | Path) -> None:
     rows = (f"{foundation},{counts.get(foundation, 0)}" for foundation in FOUNDATIONS)
     tables.write_lines(path, rows, header="foundation,tweets")
-
-
-def save_vice_report(report: ViceFrequencyReport, path: str | Path) -> None:
-    """TSV rows (word, foundations, frequency) preceded by the coverage fraction."""
-    rows = (f"{word}\t{'|'.join(foundations)}\t{freq}" for word, foundations, freq in report.rows)
-    header = f"# vice_coverage\t{report.coverage.fraction!r}\nword\tfoundations\tfrequency"
-    tables.write_lines(path, rows, header=header)
 
 
 def context_vectors_for_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace) -> list[ContextVector]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .lexicon import VICE, MFDictionary, load_packaged_dictionary
+from .lexicon import ALL_FOUNDATIONS, VICE, MFDictionary, foundation_matrix, load_packaged_dictionary
 
 logger = logging.getLogger(__name__)
 
@@ -129,8 +129,9 @@ def default_plan(
     noise = tuple(f"golf{_letters(i)}" for i in range(noise_pool))
     expected = {word: {c.foundation} for c in clusters for word in c.anchors}
     words = [*expected, *noise, *(w for c in clusters for w in c.fillers)]
-    for word, found in zip(words, dictionary.foundation_sets(words, VICE)):
-        want = expected.get(word, set())
+    columns = foundation_matrix(dictionary, words, VICE).tocsc()  # a column's indices are its foundations
+    for word, a, b in zip(words, columns.indptr, columns.indptr[1:]):
+        found, want = {ALL_FOUNDATIONS[i] for i in columns.indices[a:b]}, expected.get(word, set())
         if found != want:
             raise ConfigError(f"planted word {word!r} matches {sorted(found)}, expected {sorted(want)}")
     return SynthPlan(clusters=clusters, noise_words=noise)

@@ -8,9 +8,8 @@ from mfquant.lexicon import (
     VIRTUE,
     MFDictionary,
     MFEntry,
-    coverage,
     load_dictionary,
-    write_coverage_report,
+    write_dictionary_report,
 )
 
 
@@ -131,33 +130,38 @@ class TestCoverage:
             MFEntry("sin", "Purity", VICE),
         ])
 
-    def test_direct_ratio(self):
-        result = coverage(self.small_dict(), {"killing", "war", "sin"}, VICE)
-        assert result.fraction == pytest.approx(0.75)
-        assert result.matched_count == 3
+    @staticmethod
+    def matched_count(report):
+        return sum(1 for _, _, words, _ in report.coverage if words)
 
-    def test_empty_vocabulary(self):
-        result = coverage(self.small_dict(), set(), VICE)
-        assert result.fraction == 0.0
+    def test_direct_ratio(self, dictionary_report):
+        report = dictionary_report(self.small_dict(), dict.fromkeys(["killing", "war", "sin"], 1))
+        assert float(report.fraction) == pytest.approx(0.75)
+        assert self.matched_count(report) == 3
 
-    def test_empty_dictionary_errors(self):
+    def test_empty_vocabulary(self, dictionary_report):
+        report = dictionary_report(self.small_dict(), {})
+        assert report.fraction == "0.0"
+        assert report.vice == [] and self.matched_count(report) == 0
+
+    def test_empty_dictionary_errors(self, tmp_path):
         with pytest.raises(LexiconError):
-            coverage(MFDictionary([]), {"war"}, VICE)
+            write_dictionary_report(MFDictionary([]), {"war": 1}, tmp_path / "c.tsv", tmp_path / "v.tsv")
+        assert not list(tmp_path.iterdir())
 
-    def test_monotone_in_vocabulary(self):
+    def test_monotone_in_vocabulary(self, dictionary_report):
         d = self.small_dict()
-        base = coverage(d, {"war"}, VICE).fraction
-        bigger = coverage(d, {"war", "sin", "unrelated"}, VICE).fraction
+        base = float(dictionary_report(d, {"war": 1}).fraction)
+        bigger = float(dictionary_report(d, {"war": 1, "sin": 1, "unrelated": 1}).fraction)
         assert bigger >= base
 
-    def test_frequencies_from_mapping(self):
-        result = coverage(self.small_dict(), {"war": 7, "killing": 2}, VICE)
-        by_pattern = {e.entry.pattern: e for e in result.entries}
-        assert by_pattern["war"].matched_words == ["war"]
-        assert by_pattern["war"].frequencies == [7]
-        assert by_pattern["kill*"].frequencies == [2]
+    def test_frequencies_from_mapping(self, dictionary_report):
+        report = dictionary_report(self.small_dict(), {"war": 7, "killing": 2})
+        by_pattern = {pattern: (words, counts) for _, pattern, words, counts in report.coverage}
+        assert by_pattern["war"] == (["war"], [7])
+        assert by_pattern["kill*"] == (["killing"], [2])
 
-    def test_synthetic_121_of_149(self, packaged_dict):
+    def test_synthetic_121_of_149(self, packaged_dict, dictionary_report):
         """Greedy vocabulary construction verified by the independent matcher."""
         vice_entries = [
             e for e in packaged_dict.entries
@@ -174,24 +178,23 @@ class TestCoverage:
             if matched == 121:
                 break
         assert sum(brute_matched(vice_entries, vocab)) == 121
-        result = coverage(packaged_dict, vocab, VICE)
-        assert result.matched_count == 121
-        assert result.fraction == pytest.approx(121 / 149)
-        assert f"{result.fraction:.3f}" == "0.812"
+        report = dictionary_report(packaged_dict, dict.fromkeys(vocab, 1))
+        assert self.matched_count(report) == 121
+        assert float(report.fraction) == pytest.approx(121 / 149)
+        assert f"{float(report.fraction):.3f}" == "0.812"
 
-    def test_coverage_agrees_with_brute_force(self, packaged_dict):
+    def test_coverage_agrees_with_brute_force(self, packaged_dict, dictionary_report):
         vocab = {"killing", "war", "sinful", "treason", "illegal", "nonsense"}
         vice_entries = [
             e for e in packaged_dict.entries
             if e.polarity == VICE and e.foundation in FOUNDATIONS
         ]
         expected = sum(brute_matched(vice_entries, vocab))
-        assert coverage(packaged_dict, vocab, VICE).matched_count == expected
+        assert self.matched_count(dictionary_report(packaged_dict, dict.fromkeys(vocab, 1))) == expected
 
     def test_report_file(self, tmp_path):
-        result = coverage(self.small_dict(), {"war": 3}, VICE)
         path = tmp_path / "coverage.tsv"
-        write_coverage_report(result, path)
+        write_dictionary_report(self.small_dict(), {"war": 3}, path, tmp_path / "vice_report.tsv")
         text = path.read_text(encoding="utf-8")
         assert "Care\twar\twar\t3" in text
         assert "coverage_fraction" in text

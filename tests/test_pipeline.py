@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import mfquant
 from mfquant.cli import main
+from mfquant.corpus import TokenizedTweet
 from mfquant.errors import ConfigError, DataError, PipelineError
 from mfquant.lexicon import FOUNDATIONS
 from mfquant.linalg import load_embedding
@@ -26,7 +27,6 @@ from mfquant.pipeline import (
     output_lock,
     run,
 )
-from mfquant.corpus import TokenizedTweet
 from mfquant.semantics import LoadingMatrix, save_loadings
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
 from mfquant.tables import write_vectors
@@ -131,11 +131,28 @@ output: out
             ("cleaning: {lowercase: 0}", "cleaning.lowercase"),
             ("cleaning: {lang_filter: 5}", "cleaning.lang_filter"),
             ("cleaning: {query_words: {immorality: [immoral, 2016]}}", "cleaning.query_words.immorality"),
+            ("cleaning: {query_words: {immorality: [immoral], 2016: [t]}}", "cleaning.query_words name"),
             ("params: [n1, 20]", "params"),
+            ("params: {1: 2}", "params name"),
         ],
     )
     def test_malformed_value_names_its_key(self, tmp_path, section, key):
         path = self.write_config(tmp_path, f"inputs: {{immorality: corpus.jsonl}}\noutput: out\n{section}\n")
+        with pytest.raises(ConfigError, match=rf"^{key} must"):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "topics,key",
+        [("{2016: t.jsonl}", "inputs.topics name"), ("{topic_care: }", "inputs.topics.topic_care")],
+    )
+    def test_malformed_topic_names_its_key(self, tmp_path, topics, key):
+        body = f"""
+inputs: {{immorality: corpus.jsonl, topics: {topics}}}
+output: out
+cleaning: {{query_words: {{immorality: [immoral], topic_care: [t]}}}}
+"""
+        path = self.write_config(tmp_path, body)
         with pytest.raises(ConfigError, match=rf"^{key} must"):
             load_config(path)
         assert main(["run", "--config", str(path)]) == 1

@@ -6,7 +6,7 @@ import mfquant.semantics
 from mfquant.corpus import TokenizedTweet
 from mfquant.errors import DataError, LexiconError
 from mfquant.lexicon import (
-    ALL_FOUNDATIONS, FOUNDATIONS, POLARITIES, VICE, MFDictionary, MFEntry, coverage, match_matrix,
+    ALL_FOUNDATIONS, FOUNDATIONS, POLARITIES, VICE, MFDictionary, MFEntry, foundation_matrix, match_matrix,
 )
 from mfquant.linalg import EmbeddingSpace, cosine
 from mfquant.semantics import (
@@ -25,7 +25,6 @@ from mfquant.semantics import (
     save_loadings,
     score_corpus,
     topic_vector,
-    vice_frequency_report,
 )
 from mfquant.vectorizer import SelectionResult, Vocabulary, count_corpus
 
@@ -371,22 +370,22 @@ class TestExtendDictionary:
 
 
 class TestViceFrequencyReport:
-    def test_matched_word_row(self, fixture_dict):
-        report = vice_frequency_report(fixture_dict, {"war": 7, "god": 3})
-        assert ("war", ("Care",), 7) in report.rows
+    def test_matched_word_row(self, fixture_dict, dictionary_report):
+        report = dictionary_report(fixture_dict, {"war": 7, "god": 3})
+        assert ("war", ("Care",), 7) in report.vice
 
-    def test_unmatched_words_absent(self, fixture_dict):
-        report = vice_frequency_report(fixture_dict, {"god": 3})
-        assert all(word != "god" for word, _, _ in report.rows)
+    def test_unmatched_words_absent(self, fixture_dict, dictionary_report):
+        report = dictionary_report(fixture_dict, {"god": 3})
+        assert report.vice == []
 
-    def test_fraction_consistent_with_coverage(self, fixture_dict):
-        vocab = {"war": 7, "killing": 2, "sin": 1}
-        report = vice_frequency_report(fixture_dict, vocab)
-        assert report.coverage.fraction == coverage(fixture_dict, vocab, VICE).fraction
+    def test_fraction_consistent_with_coverage(self, fixture_dict, dictionary_report):
+        # read_dictionary_report checks that both files state one fraction
+        report = dictionary_report(fixture_dict, {"war": 7, "killing": 2, "sin": 1})
+        assert report.fraction == repr(3 / len(fixture_dict.entries))
 
-    def test_multi_foundation_word_listed_once(self, fixture_dict):
-        report = vice_frequency_report(fixture_dict, {"treasonous": 4})
-        assert ("treasonous", ("Authority", "Ingroup"), 4) in report.rows
+    def test_multi_foundation_word_listed_once(self, fixture_dict, dictionary_report):
+        report = dictionary_report(fixture_dict, {"treasonous": 4})
+        assert report.vice == [("treasonous", ("Authority", "Ingroup"), 4)]
 
 
 def brute_matches(entry, word):
@@ -412,7 +411,7 @@ DICTIONARY_ROWS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(DICTIONARY_ROWS, st.lists(st.text(LETTERS, min_size=1, max_size=4), max_size=12))
-def test_matching_agrees_with_brute_force(rows, drawn_words):
+def test_matching_agrees_with_brute_force(dictionary_report, rows, drawn_words):
     """One pattern may sit under several foundations, and every stem is also a word."""
     entries = [MFEntry(pattern, f, polarity) for pattern, foundations, polarity in rows for f in foundations]
     dictionary = MFDictionary(entries)
@@ -422,6 +421,11 @@ def test_matching_agrees_with_brute_force(rows, drawn_words):
         match_matrix(entries, words).toarray(), np.reshape(expected, (len(entries), len(words)))
     )
     for polarity in POLARITIES:
+        matches = [[any(e.foundation == f and e.polarity == polarity and brute_matches(e, w) for e in entries)
+                    for w in words] for f in ALL_FOUNDATIONS]
+        matrix = foundation_matrix(dictionary, words, polarity)
+        assert matrix.dtype == np.float64 and matrix.has_sorted_indices
+        np.testing.assert_array_equal(matrix.toarray(), np.reshape(matches, (len(ALL_FOUNDATIONS), len(words))))
         for word in words:
             assert dictionary.match_word(word, polarity) == {
                 e.foundation for e in entries if e.polarity == polarity and brute_matches(e, word)
@@ -431,17 +435,15 @@ def test_matching_agrees_with_brute_force(rows, drawn_words):
     freqs = {w: 3 * j % 4 for j, w in enumerate(words)}  # ties exercise the report's word order
     if not vice:
         with pytest.raises(LexiconError):
-            coverage(dictionary, freqs, VICE)
+            dictionary_report(dictionary, freqs)
     else:
-        cov = coverage(dictionary, freqs, VICE)
+        report = dictionary_report(dictionary, freqs)
         matched = [sorted(w for w in words if brute_matches(e, w)) for e in vice]
-        assert [item.entry for item in cov.entries] == vice
-        assert [item.matched_words for item in cov.entries] == matched
-        assert [item.frequencies for item in cov.entries] == [[freqs[w] for w in m] for m in matched]
-        assert cov.fraction == sum(map(bool, matched)) / len(vice)
+        assert report.coverage == [(e.foundation, e.pattern, m, [freqs[w] for w in m]) for e, m in zip(vice, matched)]
+        assert float(report.fraction) == sum(map(bool, matched)) / len(vice)
         by_word = {w: tuple(sorted({e.foundation for e in vice if brute_matches(e, w)})) for w in words}
         report_rows = sorted(((w, f, freqs[w]) for w, f in by_word.items() if f), key=lambda r: (-r[2], r[0]))
-        assert vice_frequency_report(dictionary, freqs).rows == report_rows
+        assert report.vice == report_rows
 
     # small integer embeddings keep every sum exact
     space = EmbeddingSpace(Vocabulary(tuple(words)), (np.arange(3 * len(words)) % 7 - 3.0).reshape(-1, 3))
