@@ -15,9 +15,11 @@ one object. The pipeline builds one config per corpus, which bounds the
 table to that corpus's ingest.
 
 Ingest streams: ``iter_records`` yields one record per line read, each is
-cleaned as it arrives, and ``vectorizer.count_unique_tweets`` keeps the
-first tweet of each token sequence as one count row, so no stage holds a
-corpus's records or token lists. ``load_records`` and ``deduplicate`` are
+cleaned as it arrives, and ``vectorizer.count_unique_tweets`` appends its
+tokens to one flat buffer of word ids and its id to one text buffer, and
+drops the tweets that repeat an earlier token sequence after the last one,
+so no stage holds a corpus's records, token lists or a Python object per
+tweet. ``load_records`` and ``deduplicate`` are
 the same steps in list form, for library callers and tests, and
 ``write_tokenized`` and ``read_tokenized`` keep a token-level TSV, in token
 order, for library users who want to inspect what cleaning kept.

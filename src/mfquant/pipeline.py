@@ -4,12 +4,14 @@ Stages run in a fixed order (ingest, select, matrix, svd, vectors,
 loadings, extend, pca, report), each persisting its artifacts under the
 output directory and recording content hashes in manifest.json, which
 names each input file by its path relative to the output directory. Ingest
-reads each corpus one record at a time, from JSON line to count row, and
-hands it on as counts: ``corpus/<name>.npz``, the tweets x words
+reads each corpus one record at a time, from JSON line to count row, keeps
+per-tweet state in flat buffers rather than in one Python object per
+tweet, and hands it on as counts: ``corpus/<name>.npz``, the tweets x words
 count matrix over the corpus's sorted vocabulary, and ``corpus/<name>.tsv``,
 one ``id<TAB>kept-token count`` line per deduplicated tweet. select,
-matrix and report read only the counts; loadings also reads the ids, which
-it writes out. The matrix stage hands PPMI to svd as ``matrix/ppmi.npz``,
+matrix and report read only the counts; loadings also reads the ids, into
+one text buffer, and writes them out a block of rows at a time. The matrix
+stage hands PPMI to svd as ``matrix/ppmi.npz``,
 the corpus counts' CSR archive layout, next to its two word lists. The
 svd stage hands U_k on as one binary array,
 ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``; its
@@ -150,7 +152,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     The counts in ``params`` and ``cleaning.min_token_len`` must be YAML
     integers, ``cleaning.lowercase`` a YAML boolean, ``cleaning.lang_filter``
-    a string or null, each ``inputs.topics.<name>`` a path string and each
+    a string or null, ``inputs.immorality``, ``output`` and each
+    ``inputs.topics.<name>`` a path string, ``inputs.dictionary`` and
+    ``cleaning.stopwords_file`` a path string or null, each
     ``cleaning.query_words.<name>`` a list of strings, and every mapping's
     names strings; any other value is a ConfigError naming the key, never
     coerced.
@@ -166,8 +170,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config {path} must be a mapping")
     base = path.parent
 
-    def _resolve(p: str | None) -> Path | None:
-        return None if p is None else base / p  # an absolute p replaces base
+    def _resolve(key: str, p) -> Path | None:
+        """``p`` against the config's directory (an absolute ``p`` replaces it); ``p`` must be a path string or null."""
+        return None if p is None else base / _typed(key, p, str, "a path")
 
     inputs = raw.get("inputs") or {}
     if not isinstance(inputs, dict) or not inputs.get("immorality"):
@@ -186,10 +191,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("config must set output")
     try:
         config = PipelineConfig(
-            immorality_path=_resolve(inputs["immorality"]),
-            out_dir=_resolve(out),
-            topic_paths={name: _resolve(p) for name, p in sorted(topics_raw.items())},
-            dictionary_path=_resolve(inputs.get("dictionary")),
+            immorality_path=_resolve("inputs.immorality", inputs["immorality"]),
+            out_dir=_resolve("output", out),
+            topic_paths={name: _resolve(f"inputs.topics.{name}", p) for name, p in sorted(topics_raw.items())},
+            dictionary_path=_resolve("inputs.dictionary", inputs.get("dictionary")),
             n1=_typed("params.n1", params.get("n1", 2000), int),
             n2=_typed("params.n2", params.get("n2", 20000), int),
             k=_typed("params.k", params.get("k", 100), int),
@@ -202,7 +207,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             lang_filter=_typed(
                 "cleaning.lang_filter", cleaning.get("lang_filter"), (str, type(None)), "a string or null"
             ),
-            stopwords_path=_resolve(cleaning.get("stopwords_file")),
+            stopwords_path=_resolve("cleaning.stopwords_file", cleaning.get("stopwords_file")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path} has a malformed value: {exc}") from exc

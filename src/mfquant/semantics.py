@@ -62,7 +62,7 @@ class ContextVector:
 class LoadingMatrix:
     """Rows x 5 cosine loadings in canonical foundation order."""
 
-    row_labels: tuple[str, ...]
+    row_labels: Sequence[str]
     values: np.ndarray
     degenerate: tuple[bool, ...]
     foundations: tuple[str, ...] = FOUNDATIONS
@@ -155,7 +155,7 @@ def loading_matrix(
     return LoadingMatrix(row_labels=tuple(labels), values=values, degenerate=tuple(flags.tolist()))
 
 
-def _tweet_ids(corpus: CorpusCounts) -> tuple[str, ...]:
+def _tweet_ids(corpus: CorpusCounts) -> Sequence[str]:
     if corpus.ids is None:
         raise ValueError("scoring a corpus needs its tweet ids; load it with its ids file")
     return corpus.ids

@@ -3,9 +3,12 @@
 A deduplicated corpus is counted once, over its sorted vocabulary, into a
 tweets x words count matrix, which ingest saves as one CSR archive
 (``tables.write_csr``) plus an ids file. Ingest counts as it reads
-(``count_unique_tweets``): it keeps the first tweet of each token
-sequence and holds only the kept tweets' word ids, one flat buffer for
-the corpus; ``count_corpus`` counts a list of tweets the same way. The
+(``count_unique_tweets``): every tweet appends its tokens' word ids to one
+flat buffer and its id to one text buffer, and repeats are dropped after
+the last tweet by hashing the rows and comparing the bytes of rows whose
+hashes are equal, so no object is held per tweet. ``count_corpus`` counts
+a list of tweets the same way. The ids stay in one UTF-8 buffer
+(``TweetIds``), decoded a block at a time where they are written out. The
 overlap score that ranks keywords / context words, a word's tf-idf
 (natural log) summed over tweets, is its total count times its idf
 (``overlap_scores``), read from the matrix's column indices; no stage
@@ -20,11 +23,12 @@ from __future__ import annotations
 
 import io
 import logging
+import operator
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -35,8 +39,10 @@ from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
-# rows per block in row_sums: bounds its int64 running sum at one block's stored entries
+# rows per block in row_sums, _row_hashes, count_unique_tweets and TweetIds iteration: bounds their temporaries
 ROW_SUM_BLOCK = 4096
+# odd, so that no power of it is 0 modulo 2**64: a token however far into its row still weighs in the row's hash
+_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,64 @@ class Vocabulary:
 
     def __contains__(self, word: str) -> bool:
         return word in self.index
+
+
+class TweetIds(Sequence[str]):
+    """Tweet ids held as one buffer of newline-terminated UTF-8 ids, decoded only where they are read.
+
+    An index or a slice decodes just the ids it selects, so a corpus's ids
+    cost their bytes plus one 8-byte offset each, not one ``str`` each.
+    Equal to any tuple or list of the same ids.
+    """
+
+    def __init__(self, lines: bytes):
+        self._lines = lines
+        # byte offsets, never character offsets: an id may hold any code point but a line break
+        self._ends = np.flatnonzero(np.frombuffer(lines, dtype=np.uint8) == ord("\n"))
+
+    @classmethod
+    def from_text(cls, text: str) -> "TweetIds":
+        """The ids of ``text``, one per ``"\\n"``-terminated line."""
+        return cls(text.encode("utf-8", "surrogatepass"))
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def _decode(self, start: int, stop: int) -> str:
+        """Ids ``start`` up to ``stop`` (which must be larger), joined by their line breaks."""
+        first = int(self._ends[start - 1]) + 1 if start else 0
+        return self._lines[first:int(self._ends[stop - 1])].decode("utf-8", "surrogatepass")
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            return self._decode(start, stop).split("\n") if start < stop else []
+        position = operator.index(index)
+        position += len(self) if position < 0 else 0
+        if not 0 <= position < len(self):
+            raise IndexError("tweet id index out of range")
+        return self._decode(position, position + 1)
+
+    def compress(self, keep: np.ndarray) -> "TweetIds":
+        """The ids where the boolean array ``keep`` is True."""
+        lines = np.frombuffer(self._lines, dtype=np.uint8)
+        return TweetIds(lines[np.repeat(keep, np.diff(self._ends, prepend=-1))].tobytes())
+
+    def __iter__(self) -> Iterator[str]:
+        for start in range(0, len(self), ROW_SUM_BLOCK):
+            yield from self[start:start + ROW_SUM_BLOCK]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TweetIds):
+            return self._lines == other._lines
+        if isinstance(other, (tuple, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TweetIds({len(self)} ids)"
 
 
 @dataclass
@@ -120,13 +184,14 @@ class CorpusCounts:
 
     ``vocab`` holds every word of the corpus in sorted order, and ``counts``
     is a canonical CSR matrix (sorted indices, no duplicates, no zeros).
-    ``ids`` are the tweet ids in row order, or None when the corpus was
+    ``ids`` are the tweet ids in row order (a ``TweetIds`` when read from
+    disk or counted by ``count_unique_tweets``), or None when the corpus was
     loaded without its ids file.
     """
 
     vocab: Vocabulary
     counts: sparse.csr_matrix
-    ids: tuple[str, ...] | None = None
+    ids: Sequence[str] | None = None
 
     @property
     def lengths(self) -> np.ndarray:
@@ -134,9 +199,10 @@ class CorpusCounts:
         return row_sums(self.counts.data, self.counts.indptr)
 
     def select(self, words: Vocabulary) -> sparse.csr_matrix:
-        """Tweets x ``words`` int64 counts with sorted indices; a word outside the corpus has an empty column.
+        """Tweets x ``words`` int32 counts with sorted indices; a word outside the corpus has an empty column.
 
-        Equal to counting each tweet's tokens over ``words`` and dropping the rest.
+        Equal to counting each tweet's tokens over ``words`` and dropping the
+        rest. int32 holds every count, since a count is at most its tweet's token count.
         """
         positions = map(words.index.get, self.vocab.words, repeat(-1))
         columns = np.fromiter(positions, dtype=np.int32, count=len(self.vocab))
@@ -145,7 +211,7 @@ class CorpusCounts:
         indptr = np.zeros(self.counts.shape[0] + 1, dtype=np.int64)
         np.cumsum(row_sums(keep, self.counts.indptr), out=indptr[1:])
         cols = cols[keep]
-        data = self.counts.data[keep].astype(np.int64)
+        data = self.counts.data[keep].astype(np.int32)
         selected = sparse.csr_matrix((data, cols, indptr), shape=(self.counts.shape[0], len(words)))
         selected.sort_indices()  # counts @ U_k sums in stored order, so column order fixes its bits
         return selected
@@ -178,42 +244,86 @@ def count_unique_tweets(tweets: Iterable[TokenizedTweet]) -> tuple[CorpusCounts,
 
     Equal to ``count_corpus(deduplicate(list(tweets))[0])`` for ids without
     a line break (ingest rejects those), in one pass that holds one tweet at
-    a time: a kept tweet appends its tokens' first-seen word positions to
-    one flat buffer, and a repeat is recognised by the bytes of those
-    positions. At the end the positions are renumbered to the sorted
-    vocabulary.
+    a time and no object per tweet: every tweet appends its tokens'
+    first-seen word positions to one flat buffer and its id to one text
+    buffer. After the last tweet, a tweet repeats an earlier one when their
+    rows have equal ``_row_hashes`` and equal bytes, and the rows that do not
+    are renumbered to the sorted vocabulary and moved up in place over the
+    repeats. The ids stay one ``TweetIds`` buffer.
     """
     positions = _FirstSeenPositions()
-    seen: set[bytes] = set()
-    flat, indptr = array("i"), array("q", [0])
-    # the ids go into one buffer and become strs at the end, packed together: kept one by one,
-    # they would be spread among the freed tweets and pin that memory after ingest
+    flat, ends = array("i"), array("q", [0])
     id_lines = io.StringIO()
-    removed = 0
     for tweet in tweets:
-        row = array("i", map(positions.__getitem__, tweet.tokens))
-        key = row.tobytes()
-        if key in seen:
-            removed += 1
-            continue
-        seen.add(key)
-        flat += row
-        indptr.append(len(flat))
+        flat.extend(map(positions.__getitem__, tweet.tokens))
+        ends.append(len(flat))
         id_lines.write(tweet.id)
         id_lines.write("\n")
-    del seen
-    ids = tuple(id_lines.getvalue().split("\n")[:-1])
+    ids = TweetIds.from_text(id_lines.getvalue())
+    del id_lines
+    values, bounds = np.frombuffer(flat, dtype=np.intc), np.frombuffer(ends, dtype=np.longlong)
+    keep = _first_occurrences(values, bounds)
+    removed = len(keep) - int(np.count_nonzero(keep))
     words = sorted(positions)
-    rank = np.empty(len(words), dtype=np.int32)  # first-seen position -> sorted position
+    rank = np.empty(len(words), dtype=np.intc)  # first-seen position -> sorted position
     rank[[positions[word] for word in words]] = np.arange(len(words))
-    indices = rank[np.frombuffer(flat, dtype=np.intc)]
-    del flat
+    lengths = np.diff(bounds)
+    end = 0
+    for start in range(0, len(keep), ROW_SUM_BLOCK):
+        rows = slice(start, start + ROW_SUM_BLOCK)
+        block = values[bounds[start]:bounds[min(start + ROW_SUM_BLOCK, len(keep))]]
+        kept = block[np.repeat(keep[rows], lengths[rows])]
+        np.take(rank, kept, out=values[end:end + len(kept)], mode="clip")  # kept is a copy from at or after end
+        end += len(kept)
+    ids = ids.compress(keep)
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(lengths[keep], out=indptr[1:])
     counts = sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int32), indices, np.frombuffer(indptr, dtype=np.longlong)),
-        shape=(len(ids), len(words)),
+        (np.ones(end, dtype=np.int32), values[:end], indptr), shape=(len(ids), len(words))
     )
     counts.sum_duplicates()
     return CorpusCounts(vocab=Vocabulary(tuple(words)), counts=counts, ids=ids), removed
+
+
+def _row_hashes(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """uint64 hash of every row of a CSR layout: the sum of (value + 1) * _HASH_BASE ** (its offset in the row).
+
+    Computed modulo 2**64, ROW_SUM_BLOCK rows at a time; equal rows hash equal.
+    """
+    hashes = np.empty(len(indptr) - 1, dtype=np.uint64)
+    for start in range(0, len(hashes), ROW_SUM_BLOCK):
+        bounds = indptr[start:start + ROW_SUM_BLOCK + 1] - indptr[start]
+        offsets = np.arange(bounds[-1]) - np.repeat(bounds[:-1], np.diff(bounds))
+        terms = values[indptr[start]:indptr[start] + bounds[-1]].astype(np.uint64)
+        terms += np.uint64(1)
+        terms *= _HASH_BASE ** offsets.astype(np.uint64)
+        running = np.zeros(len(terms) + 1, dtype=np.uint64)
+        np.cumsum(terms, out=running[1:])
+        hashes[start:start + len(bounds) - 1] = running[bounds[1:]] - running[bounds[:-1]]
+    return hashes
+
+
+def _first_occurrences(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """True for every row of a CSR layout whose values no earlier row holds.
+
+    Rows are compared by bytes only where their ``_row_hashes`` are equal,
+    and the first row of each byte string is kept, so the result depends on
+    neither the hash function nor the interpreter's hash seed.
+    """
+    hashes = _row_hashes(values, indptr)
+    order = np.argsort(hashes, kind="stable")  # equal hashes stay in row order
+    hashes = hashes[order]
+    shared = np.zeros(len(order), dtype=bool)  # in ``order``: rows whose hash another row has
+    equal = hashes[1:] == hashes[:-1]
+    shared[:-1] = equal
+    shared[1:] |= equal
+    keep = np.ones(len(order), dtype=bool)
+    for _, group in groupby(zip(hashes[shared].tolist(), order[shared].tolist()), key=operator.itemgetter(0)):
+        first: dict[bytes, int] = {}
+        for _, row in group:
+            key = values[indptr[row]:indptr[row + 1]].tobytes()
+            keep[row] = first.setdefault(key, row) == row
+    return keep
 
 
 def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: str | Path) -> None:
@@ -228,8 +338,7 @@ def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: 
         counts_path, sparse.csr_matrix((counts.data.astype(dtype), counts.indices, counts.indptr), shape=counts.shape),
         vocab=np.frombuffer("\n".join(corpus.vocab.words).encode("utf-8"), dtype=np.uint8),
     )
-    lengths = corpus.lengths.tolist()
-    tables.write_lines(ids_path, (f"{tweet_id}\t{n}" for tweet_id, n in zip(corpus.ids, lengths)))
+    tables.write_lines(ids_path, (f"{tweet_id}\t{n}" for tweet_id, n in zip(corpus.ids, map(int, corpus.lengths))))
 
 
 def load_corpus_counts(counts_path: str | Path, ids_path: str | Path | None = None) -> CorpusCounts:
@@ -257,17 +366,24 @@ def load_corpus_counts(counts_path: str | Path, ids_path: str | Path | None = No
     return corpus
 
 
-def _load_ids(ids_path: str | Path, sums: np.ndarray, counts_path: str | Path) -> tuple[str, ...]:
-    """Tweet ids of an ids file whose kept-token counts equal ``sums``, the row sums of the archive."""
-    rows = list(tables.read_rows(ids_path, lambda f: (f[0], int(f[1])), ncols=2))
-    if len(rows) != len(sums):
-        raise DataError(f"{ids_path}: {len(rows)} ids for the {len(sums)} tweets of {counts_path}")
-    ids, lengths = zip(*rows) if rows else ((), ())
-    wrong = np.flatnonzero(np.array(lengths, dtype=np.int64) != sums)
+def _load_ids(ids_path: str | Path, sums: np.ndarray, counts_path: str | Path) -> TweetIds:
+    """Tweet ids of an ids file whose kept-token counts equal ``sums``, the row sums of the archive.
+
+    The file is read once, one row at a time, into one text buffer of ids
+    and one array of counts, which is checked against ``sums`` as a whole.
+    """
+    ids, lengths = io.StringIO(), array("q")
+    for tweet_id, n in tables.read_rows(ids_path, lambda f: (f[0], int(f[1])), ncols=2):
+        ids.write(tweet_id)
+        ids.write("\n")
+        lengths.append(n)
+    if len(lengths) != len(sums):
+        raise DataError(f"{ids_path}: {len(lengths)} ids for the {len(sums)} tweets of {counts_path}")
+    wrong = np.flatnonzero(np.frombuffer(lengths, dtype=np.longlong) != sums)
     if wrong.size:
         i = int(wrong[0])
         raise DataError(f"{ids_path}:{i + 1}: {lengths[i]} kept tokens, but {counts_path} holds {sums[i]}")
-    return ids
+    return TweetIds.from_text(ids.getvalue())
 
 
 def build_word_tweet_matrix(corpus: CorpusCounts) -> SparseCountMatrix:

@@ -129,9 +129,7 @@ def test_ingest_reads_at_most_one_record_ahead_of_cleaning(tmp_path, monkeypatch
 TOKEN_LISTS = st.lists(st.lists(st.sampled_from(("war", "sin", "kill", "ünfair", "b")), max_size=4), max_size=30)
 
 
-@settings(max_examples=80, deadline=None)
-@given(TOKEN_LISTS)
-def test_count_unique_tweets_is_count_corpus_of_deduplicate(token_lists):
+def assert_counted_like_the_oracle(token_lists):
     tweets = [TokenizedTweet(str(i), tuple(tokens)) for i, tokens in enumerate(token_lists)]
     found, removed = count_unique_tweets(iter(tweets))
     kept, expected_removed = deduplicate(tweets)
@@ -141,3 +139,18 @@ def test_count_unique_tweets_is_count_corpus_of_deduplicate(token_lists):
     assert found.counts.shape == expected.counts.shape and found.counts.dtype == expected.counts.dtype
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(found.counts, name), getattr(expected.counts, name))
+
+
+@settings(max_examples=80, deadline=None)
+@given(TOKEN_LISTS)
+def test_count_unique_tweets_is_count_corpus_of_deduplicate(token_lists):
+    assert_counted_like_the_oracle(token_lists)
+
+
+@settings(max_examples=40, deadline=None)
+@given(TOKEN_LISTS)
+def test_count_unique_tweets_compares_the_bytes_of_rows_whose_hashes_collide(token_lists):
+    """With every row on one hash value, only the comparison of the rows' bytes tells them apart."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mfquant.vectorizer, "_row_hashes", lambda values, indptr: np.zeros(len(indptr) - 1, np.uint64))
+        assert_counted_like_the_oracle(token_lists)

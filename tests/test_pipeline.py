@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mfquant
 from mfquant.cli import main
@@ -139,6 +139,22 @@ output: out
     def test_malformed_value_names_its_key(self, tmp_path, section, key):
         path = self.write_config(tmp_path, f"inputs: {{immorality: corpus.jsonl}}\noutput: out\n{section}\n")
         with pytest.raises(ConfigError, match=rf"^{key} must"):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "body,key",
+        [
+            ("inputs: {immorality: 5}\noutput: out", "inputs.immorality"),
+            ("inputs: {immorality: corpus.jsonl, dictionary: 5}\noutput: out", "inputs.dictionary"),
+            ("inputs: {immorality: corpus.jsonl}\noutput: [out]", "output"),
+            ("inputs: {immorality: corpus.jsonl}\noutput: out\ncleaning: {stopwords_file: 5}", "cleaning.stopwords_file"),
+        ],
+        ids=["inputs.immorality", "inputs.dictionary", "output", "cleaning.stopwords_file"],
+    )
+    def test_non_string_path_names_its_key(self, tmp_path, body, key):
+        path = self.write_config(tmp_path, f"{body}\n")
+        with pytest.raises(ConfigError, match=rf"^{key} must be a path, got"):
             load_config(path)
         assert main(["run", "--config", str(path)]) == 1
 
@@ -501,6 +517,8 @@ RECORD_IDS = st.one_of(
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.tuples(RECORD_IDS, st.integers(0, 3)), min_size=1, max_size=6))
+# line breaks to str.splitlines but not to a file reader, among characters of 1 to 4 UTF-8 bytes
+@example([("a\x0bb", 0), ("\x85ñ", 1), ("ü\u2028\U0001F600", 2), ("Ωmega\x1c", 3)])
 def test_accepted_ids_reach_loadings_unchanged(planted_corpus, records):
     """Appended records, text t being "war kill uniq<t>": every id load_records accepts
     appears once per deduplicated tweet, unchanged and in order, in the corpus and the loadings."""

@@ -16,6 +16,7 @@ from mfquant.vectorizer import (
     ROW_SUM_BLOCK,
     CorpusCounts,
     SelectionResult,
+    TweetIds,
     Vocabulary,
     WeightedMatrix,
     build_cooccurrence,
@@ -428,7 +429,7 @@ class TestCorpusCounts:
         selection = Vocabulary(tuple(words))  # words absent from the corpus included
         for source in (count_corpus(corpus), loaded):
             selected = source.select(selection)
-            assert selected.has_sorted_indices and selected.dtype == np.int64
+            assert selected.has_sorted_indices and selected.dtype == np.int32
             assert_same_counts(selected, tweet_term_counts(corpus, selection))
 
     def test_counts_above_255_survive(self):
@@ -457,6 +458,21 @@ class TestCorpusCounts:
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(matrix.counts, name), getattr(oracle, name))
         assert matrix.col_labels == tuple(t.id for t in corpus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(st.characters(exclude_characters="\n"), max_size=4), max_size=12),
+    st.integers(-14, 14), st.integers(-14, 14), st.sampled_from((1, 2, -1, -3)),
+)
+def test_tweet_ids_index_and_slice_like_their_tuple(ids, start, stop, step):
+    """Characters of 1 to 4 UTF-8 bytes, and line breaks other than "\\n", sit inside one id."""
+    found, expected = TweetIds.from_text("".join(f"{i}\n" for i in ids)), tuple(ids)
+    assert len(found) == len(expected) and found == expected and list(found) == list(expected)
+    assert found[start:stop:step] == list(expected[start:stop:step])
+    assert [found[i] for i in range(-len(ids), len(ids))] == list(expected * 2)
+    with pytest.raises(IndexError):
+        found[len(ids)]
 
 
 # rows [max, max, 1] and [1, 0, max] overflow the archive's dtype when summed in it; rows 0, 2 and 4 are empty
