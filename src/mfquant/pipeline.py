@@ -1,25 +1,23 @@
 """Staged batch pipeline: config, run manifest, stage execution.
 
-Stages run in a fixed order (ingest, select, matrix, svd, vectors,
-loadings, extend, pca, report), each persisting its artifacts under the
-output directory and recording content hashes in manifest.json, which
-names each input file by its path relative to the output directory. Ingest
-reads each corpus one record at a time, from JSON line to count row, keeps
-per-tweet state in flat buffers rather than in one Python object per
-tweet, and hands it on as counts: ``corpus/<name>.npz``, the tweets x words
-count matrix over the corpus's sorted vocabulary, and ``corpus/<name>.tsv``,
-one ``id<TAB>kept-token count`` line per deduplicated tweet. select,
-matrix and report read only the counts; loadings also reads the ids, into
-one text buffer, and writes them out a block of rows at a time. The matrix
-stage hands PPMI to svd as ``matrix/ppmi.npz``,
-the corpus counts' CSR archive layout, next to its two word lists. The
-svd stage hands U_k on as one binary array,
-``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``; its
-manifest entry records the hash of that word list, and the stages that
-read the embedding refuse it when the current ``row_vocab.tsv`` differs.
-A rerun with identical inputs, parameters and BLAS thread count
-reproduces identical artifact bytes on the same platform/build. The SVD
-is exact, so ``seed`` changes no artifact.
+Stages run in a fixed order (ingest, select, matrix, svd, vectors, loadings,
+extend, pca, report), each persisting its artifacts under the output
+directory. Ingest streams each corpus from JSON line to count row, with
+per-tweet state in flat buffers, into ``corpus/<name>.npz`` (tweets x words
+counts over the corpus's sorted vocabulary) and ``corpus/<name>.tsv`` (one
+``id<TAB>kept-token count`` line per deduplicated tweet); matrix hands PPMI
+to svd as ``matrix/ppmi.npz`` next to its two word lists, and svd hands U_k
+on as ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``.
+
+``stage_files`` declares the files each stage reads and writes. A stage's
+entry in manifest.json hashes the files it wrote and records under ``inputs``
+the hash each file it read has in its writer's entry. A stage has no entry
+while it runs, and refuses to start, naming the stage to rerun, while a file
+it reads is missing or unrecorded, or a stage upstream of it has no entry or
+recorded inputs other than their writers' current hashes. A rerun with
+identical inputs, parameters and BLAS thread count reproduces identical
+artifact bytes on the same platform/build. The SVD is exact, so ``seed``
+changes no artifact.
 """
 
 from __future__ import annotations
@@ -269,39 +267,29 @@ class RunManifest:
         self.path = path
         self.data = data
 
-    @staticmethod
-    def read(out_dir: Path) -> dict | None:
-        """The manifest data under ``out_dir``, or None if there is none; a malformed file is a DataError."""
+    @classmethod
+    def load_or_create(cls, out_dir: Path, params: dict) -> "RunManifest":
+        """The manifest under ``out_dir``, or a new one if there is none; a malformed file is a DataError."""
         path = out_dir / "manifest.json"
         if not path.exists():
-            return None
+            return cls(path, {"created": _now(), "updated": _now(), "params": params, "inputs": {}, "stages": {}})
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise DataError(f"{path}: not a readable JSON manifest: {exc}") from exc
         if not isinstance(data, dict) or not all(isinstance(data.get(k), dict) for k in ("inputs", "stages")):
             raise DataError(f"{path}: expected a JSON object with 'inputs' and 'stages' objects")
-        return data
-
-    @classmethod
-    def load_or_create(cls, out_dir: Path, params: dict) -> "RunManifest":
-        path = out_dir / "manifest.json"
-        data = cls.read(out_dir)
-        if data is not None:
-            if data.get("params") != params:
-                logger.warning(
-                    "manifest parameters differ from current config; "
-                    "rerun earlier stages for consistent artifacts"
-                )
-            data["params"] = params
-        else:
-            data = {
-                "created": _now(),
-                "updated": _now(),
-                "params": params,
-                "inputs": {},
-                "stages": {},
-            }
+        for stage, entry in data["stages"].items():
+            # an entry written before entries recorded inputs has none: the stages after it refuse to run
+            if not (isinstance(entry, dict) and isinstance(entry.get("artifacts"), dict)
+                    and isinstance(entry.get("inputs", {}), dict)):
+                raise DataError(f"{path}: stage {stage!r} must be an object whose 'artifacts' and 'inputs' are objects")
+        if data.get("params") != params:
+            logger.warning(
+                "manifest parameters differ from current config; "
+                "rerun earlier stages for consistent artifacts"
+            )
+        data["params"] = params
         return cls(path, data)
 
     def record_inputs(self, inputs: dict[str, Path]) -> None:
@@ -309,17 +297,14 @@ class RunManifest:
         for name, p in sorted(inputs.items()):
             self.data["inputs"][name] = {"path": os.path.relpath(p, self.path.parent), "sha256": sha256_file(p)}
 
-    def record_stage(
-        self, stage: str, artifacts: Artifacts, files: list[Path], inputs: tuple[Path, ...] = ()
-    ) -> None:
-        """Hash the stage's artifacts ``files``, and under ``inputs`` the upstream files they are tied to."""
-        entry = {
+    def record_stage(self, stage: str, art: Artifacts, reads: list[Path], writes: list[Path]) -> None:
+        """Hash the files the stage ``writes``; under ``inputs``, copy the hash each file it ``reads`` has here."""
+        recorded = self.artifact_hashes()
+        self.data["stages"][stage] = {
             "completed": _now(),
-            "artifacts": {artifacts.rel(p): sha256_file(p) for p in sorted(files)},
+            "artifacts": {art.rel(p): sha256_file(p) for p in sorted(writes)},
+            "inputs": {art.rel(p): recorded[art.rel(p)] for p in reads},
         }
-        if inputs:
-            entry["inputs"] = {artifacts.rel(p): sha256_file(p) for p in inputs}
-        self.data["stages"][stage] = entry
         self.data["updated"] = _now()
         self.save()
 
@@ -347,14 +332,6 @@ def output_lock(out_dir: Path):
         yield
 
 
-def _require(path: Path, producing_stage: str) -> Path:
-    if not path.exists():
-        raise PipelineError(
-            f"missing artifact {path}; run stage {producing_stage!r} first"
-        )
-    return path
-
-
 def _remove_stale(files: list[Path]) -> None:
     """Delete every regular file in the directories of ``files`` that is not one of them."""
     for directory in {p.parent for p in files}:
@@ -369,14 +346,58 @@ def _corpus_paths(config: PipelineConfig) -> dict[str, Path]:
     return {"immorality": config.immorality_path, **dict(sorted(config.topic_paths.items()))}
 
 
+def stage_files(config: PipelineConfig, art: Artifacts) -> dict[str, tuple[list[Path], list[Path]]]:
+    """The artifact files each stage reads and writes, as ``(reads, writes)``; per-corpus files for each corpus."""
+    names = list(_corpus_paths(config))
+    counts, ids, terms = art.corpus_counts("immorality"), art.corpus("immorality"), art.terms("immorality")
+    embedding = [art.embedding, art.row_vocab]  # U_k has no words: its rows follow row_vocab.tsv
+    return {
+        "ingest": ([], [p for name in names for p in (art.corpus_counts(name), art.corpus(name))]),
+        "select": ([art.corpus_counts(name) for name in names], [art.terms(name) for name in names]),
+        "matrix": ([counts, terms], [art.ppmi, art.row_vocab, art.col_vocab]),
+        "svd": ([art.row_vocab, art.col_vocab, art.ppmi], [art.embedding, art.singular_values]),
+        "vectors": ([*embedding, *(art.terms(name) for name in names[1:])], [art.mf_vectors, art.topic_vectors]),
+        "loadings": ([*embedding, art.mf_vectors, counts, ids, art.topic_vectors], [art.loadings, art.topics_csv]),
+        "extend": ([*embedding, art.mf_vectors], [art.extended]),
+        "pca": ([*embedding, art.mf_vectors, art.extended], [art.pca_csv, art.pca_variance]),
+        "report": (
+            [counts, terms, art.loadings, art.mf_vectors],
+            [art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv],
+        ),
+    }
+
+
+def _check_upstream(stage: str, table: dict, manifest: RunManifest, art: Artifacts) -> None:
+    """A PipelineError naming the first stage to rerun if ``stage`` may not run yet; reads only the manifest."""
+    writer = {p: name for name, (_, writes) in table.items() for p in writes}
+    hashes = manifest.artifact_hashes()
+    for p in table[stage][0]:
+        if not p.exists():
+            raise PipelineError(f"missing artifact {p}; run stage {writer[p]!r} first")
+        if art.rel(p) not in hashes:
+            raise PipelineError(f"{p}: manifest.json records no hash of it; rerun stage {writer[p]!r}")
+    upstream = {stage}
+    for name in reversed(STAGES):  # a stage reads only what earlier stages write
+        if name in upstream:
+            upstream.update(writer[p] for p in table[name][0])
+    for name in (s for s in STAGES if s in upstream - {stage}):
+        entry = manifest.data["stages"].get(name)
+        if entry is None:
+            raise PipelineError(f"manifest.json records no completed run of stage {name!r}; rerun stage {name!r}")
+        for p in table[name][0]:
+            recorded = entry.get("inputs", {}).get(art.rel(p))
+            if recorded is None or recorded != hashes.get(art.rel(p)):
+                raise PipelineError(f"{table[name][1][0]}: not built from the current {art.rel(p)} (manifest.json "
+                                    f"records {'another' if recorded else 'no'} hash of it); rerun stage {name!r}")
+
+
 def _load_dictionary(config: PipelineConfig) -> lexicon_mod.MFDictionary:
     if config.dictionary_path is not None:
         return lexicon_mod.load_dictionary(config.dictionary_path)
     return lexicon_mod.load_packaged_dictionary()
 
 
-def _stage_ingest(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    files: list[Path] = []
+def _stage_ingest(config: PipelineConfig, art: Artifacts) -> None:
     for name, source in _corpus_paths(config).items():
         if not source.exists():
             raise PipelineError(f"input corpus {source} does not exist")
@@ -391,43 +412,34 @@ def _stage_ingest(config: PipelineConfig, art: Artifacts) -> list[Path]:
             name, stats.loaded, stats.loaded - removed, removed,
         )
         vectorizer_mod.save_corpus_counts(counts, art.corpus_counts(name), art.corpus(name))
-        files += [art.corpus_counts(name), art.corpus(name)]
     # The interpreter keeps freed tuples and other small objects for reuse, scattered over
     # memory that would otherwise go back to the system; a full collection drops them (on 50k
     # tweets this lowers the peak of the later svd stage by about 4 MB).
     gc.collect()
-    return files
 
 
-def _stage_select(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    files: list[Path] = []
+def _stage_select(config: PipelineConfig, art: Artifacts) -> None:
     for name in _corpus_paths(config):
-        counts = vectorizer_mod.load_corpus_counts(_require(art.corpus_counts(name), "ingest"))
+        counts = vectorizer_mod.load_corpus_counts(art.corpus_counts(name))
         scores = vectorizer_mod.overlap_scores(counts)
         selection = vectorizer_mod.select_terms(scores, config.n1, config.n2)
-        target = art.terms(name)
-        vectorizer_mod.save_selection(selection, target)
-        files.append(target)
-    return files
+        vectorizer_mod.save_selection(selection, art.terms(name))
 
 
-def _stage_matrix(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    counts = vectorizer_mod.load_corpus_counts(_require(art.corpus_counts("immorality"), "ingest"))
-    selection = vectorizer_mod.load_selection(
-        _require(art.terms("immorality"), "select"), config.n1
-    )
+def _stage_matrix(config: PipelineConfig, art: Artifacts) -> None:
+    counts = vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"))
+    selection = vectorizer_mod.load_selection(art.terms("immorality"), config.n1)
     cooc = vectorizer_mod.build_cooccurrence(counts, selection)
     weighted = vectorizer_mod.ppmi(cooc)
     vectorizer_mod.save_triplets(weighted, art.ppmi)
     vectorizer_mod.save_vocabulary(weighted.row_vocab.words, art.row_vocab)
     vectorizer_mod.save_vocabulary(weighted.col_labels, art.col_vocab)
-    return [art.ppmi, art.row_vocab, art.col_vocab]
 
 
-def _stage_svd(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    row_words = vectorizer_mod.load_vocabulary(_require(art.row_vocab, "matrix"))
-    col_labels = vectorizer_mod.load_vocabulary(_require(art.col_vocab, "matrix"))
-    weighted = vectorizer_mod.load_triplets(_require(art.ppmi, "matrix"), row_words, col_labels)
+def _stage_svd(config: PipelineConfig, art: Artifacts) -> None:
+    row_words = vectorizer_mod.load_vocabulary(art.row_vocab)
+    col_labels = vectorizer_mod.load_vocabulary(art.col_vocab)
+    weighted = vectorizer_mod.load_triplets(art.ppmi, row_words, col_labels)
     if config.k > min(weighted.shape):
         raise PipelineError(
             f"k={config.k} exceeds matrix rank bound min{weighted.shape}; lower k"
@@ -436,47 +448,29 @@ def _stage_svd(config: PipelineConfig, art: Artifacts) -> list[Path]:
     space = linalg_mod.EmbeddingSpace(words=weighted.row_vocab, vectors=result.u_k)
     linalg_mod.save_embedding(space, art.embedding)
     tables.write_lines(art.singular_values, (f"{s:.9g}" for s in result.singular_values))
-    return [art.embedding, art.singular_values]
 
 
 def _load_embedding(art: Artifacts) -> linalg_mod.EmbeddingSpace:
-    """U_k from ``embedding.npy``, row i for word i of ``row_vocab.tsv``.
-
-    The array carries no words, so ``row_vocab.tsv`` must be the file the
-    svd stage read: its hash must equal the one the manifest records for
-    that stage, or the embedding is refused as a DataError.
-    """
-    path = _require(art.embedding, "svd")
-    words_path = _require(art.row_vocab, "matrix")
-    manifest = RunManifest.read(art.out_dir) or {"stages": {}}
-    recorded = manifest["stages"].get("svd", {}).get("inputs", {}).get(art.rel(words_path))
-    if recorded != sha256_file(words_path):
-        raise DataError(
-            f"{path}: not built from the current {art.rel(words_path)} (manifest.json records "
-            f"{'another' if recorded else 'no'} hash of it); rerun stage 'svd'"
-        )
-    return linalg_mod.load_embedding(path, vectorizer_mod.load_vocabulary(words_path))
+    """U_k from ``embedding.npy``, row i for word i of ``row_vocab.tsv``."""
+    return linalg_mod.load_embedding(art.embedding, vectorizer_mod.load_vocabulary(art.row_vocab))
 
 
-def _stage_vectors(config: PipelineConfig, art: Artifacts) -> list[Path]:
+def _stage_vectors(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
     mf = semantics_mod.mf_vectors(_load_dictionary(config), embedding)
     tables.write_vectors(art.mf_vectors, lexicon_mod.FOUNDATIONS, mf)
     labels, topic_vectors = [], []
     for name in sorted(config.topic_paths):
-        selection = vectorizer_mod.load_selection(
-            _require(art.terms(name), "select"), config.n1
-        )
+        selection = vectorizer_mod.load_selection(art.terms(name), config.n1)
         for n in config.topic_n:
             labels.append(f"{name}:{n}")
             topic_vectors.append(semantics_mod.topic_vector(selection, embedding, n, label=labels[-1]))
     tables.write_vectors(art.topic_vectors, labels, topic_vectors)
-    return [art.mf_vectors, art.topic_vectors]
 
 
 def _load_mf_vectors(art: Artifacts) -> np.ndarray:
     """The 5 x k foundation matrix; its rows must be labeled with the foundations in canonical order."""
-    labels, mf = tables.read_vectors(_require(art.mf_vectors, "vectors"))
+    labels, mf = tables.read_vectors(art.mf_vectors)
     if tuple(labels) != lexicon_mod.FOUNDATIONS:
         raise PipelineError(
             f"{art.mf_vectors}: expected rows {list(lexicon_mod.FOUNDATIONS)} in that order, found {labels}"
@@ -484,38 +478,32 @@ def _load_mf_vectors(art: Artifacts) -> np.ndarray:
     return mf
 
 
-def _stage_loadings(config: PipelineConfig, art: Artifacts) -> list[Path]:
+def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
-    counts = vectorizer_mod.load_corpus_counts(
-        _require(art.corpus_counts("immorality"), "ingest"), _require(art.corpus("immorality"), "ingest")
-    )
+    counts = vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"), art.corpus("immorality"))
     semantics_mod.save_loadings(semantics_mod.score_corpus(counts, embedding, mf), art.loadings)
 
-    topics, vectors = tables.read_vectors(
-        _require(art.topic_vectors, "vectors"), semantics_mod.parse_topic_label
-    )
+    topics, vectors = tables.read_vectors(art.topic_vectors, semantics_mod.parse_topic_label)
     ns = np.array([n for _, n in topics], dtype=np.int64)
     topic_matrices = {
         n: semantics_mod.loading_matrix([name for name, m in topics if m == n], vectors[ns == n], mf)
         for n in sorted(set(ns.tolist()))
     }
     semantics_mod.save_topic_loadings(topic_matrices, art.topics_csv)
-    return [art.loadings, art.topics_csv]
 
 
-def _stage_extend(config: PipelineConfig, art: Artifacts) -> list[Path]:
+def _stage_extend(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
     extended = semantics_mod.extend_dictionary(embedding, mf, config.extend_n)
     semantics_mod.save_extended_dictionary(extended, art.extended)
-    return [art.extended]
 
 
-def _stage_pca(config: PipelineConfig, art: Artifacts) -> list[Path]:
+def _stage_pca(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
-    extended = semantics_mod.load_extended_dictionary(_require(art.extended, "extend"))
+    extended = semantics_mod.load_extended_dictionary(art.extended)
     words = dict.fromkeys(w for entries in extended.per_foundation.values() for w, _ in entries)
     words = [w for w in words if w in embedding.words]
     points = np.vstack([embedding.vectors[[embedding.words.index[w] for w in words]], mf])
@@ -527,27 +515,23 @@ def _stage_pca(config: PipelineConfig, art: Artifacts) -> list[Path]:
     linalg_mod.save_pca(projection, art.pca_csv)
     variance = (f"pc{i + 1},{v:.9g}" for i, v in enumerate(projection.explained_variance))
     tables.write_lines(art.pca_variance, variance, header="component,explained_variance")
-    return [art.pca_csv, art.pca_variance]
 
 
-def _stage_report(config: PipelineConfig, art: Artifacts) -> list[Path]:
-    counts = vectorizer_mod.load_corpus_counts(_require(art.corpus_counts("immorality"), "ingest"))
-    selection = vectorizer_mod.load_selection(
-        _require(art.terms("immorality"), "select"), config.n1
-    )
+def _stage_report(config: PipelineConfig, art: Artifacts) -> None:
+    counts = vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"))
+    selection = vectorizer_mod.load_selection(art.terms("immorality"), config.n1)
     keywords = vectorizer_mod.Vocabulary(selection.keywords)
     freqs = np.asarray(counts.select(keywords).sum(axis=0)).ravel()
     lexicon_mod.write_dictionary_report(
         _load_dictionary(config), dict(zip(keywords.words, freqs.tolist())), art.coverage_tsv, art.vice_report
     )
 
-    dominant = semantics_mod.load_foundation_counts(_require(art.loadings, "loadings"))
+    dominant = semantics_mod.load_foundation_counts(art.loadings)
     semantics_mod.save_foundation_counts(dominant, art.counts_csv)
 
     mf = _load_mf_vectors(art)
     similarity = semantics_mod.mf_similarity_matrix(mf)
     semantics_mod.save_similarity_matrix(similarity, art.similarity_csv)
-    return [art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv]
 
 
 _STAGE_FUNCS = {
@@ -580,12 +564,17 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
             inputs["stopwords"] = config.stopwords_path
         if all(p.exists() for p in inputs.values()):
             manifest.record_inputs(inputs)
+        table = stage_files(config, art)
         for name in plan:
+            reads, writes = table[name]
+            _check_upstream(name, table, manifest, art)
+            # no entry while the stage writes, so a run killed between two of its files leaves it refused
+            manifest.data["stages"].pop(name, None)
+            manifest.save()
             logger.info("stage %s: starting", name)
-            files = _STAGE_FUNCS[name](config, art)
-            _remove_stale(files)
-            # the rows of embedding.npy are the words of row_vocab.tsv; _load_embedding checks its hash
-            manifest.record_stage(name, art, files, (art.row_vocab,) if name == "svd" else ())
-            executed[name] = [art.rel(p) for p in files]
-            logger.info("stage %s: wrote %d artifacts", name, len(files))
+            _STAGE_FUNCS[name](config, art)
+            _remove_stale(writes)
+            manifest.record_stage(name, art, reads, writes)
+            executed[name] = [art.rel(p) for p in writes]
+            logger.info("stage %s: wrote %d artifacts", name, len(writes))
     return executed

@@ -198,7 +198,8 @@ class TestCosine:
         assert cosine(np.array([1e-159, 1e-159]), np.array([3e-159, 3e-159])) <= 1.0
 
     @given(
-        st.lists(st.floats(-100, 100), min_size=2, max_size=8),
+        # a subnormal v times b can round to the zero vector, whose cosine is 0 by definition
+        st.lists(st.floats(-100, 100, allow_subnormal=False), min_size=2, max_size=8),
         st.floats(0.1, 50),
         st.floats(0.1, 50),
     )

@@ -26,6 +26,8 @@ from mfquant.pipeline import (
     load_config,
     output_lock,
     run,
+    sha256_file,
+    stage_files,
 )
 from mfquant.semantics import LoadingMatrix, save_loadings
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
@@ -328,6 +330,20 @@ def test_rerun_removes_files_a_stage_no_longer_writes(tmp_path):
         assert on_disk == listed, stage
 
 
+def record_every_stage(config):
+    """manifest.json entries that agree with the stage table, for a hand-made workspace: each file's sha256,
+    and a placeholder for every file the workspace does not hold."""
+    art = Artifacts(config.out_dir)
+    table = stage_files(config, art)
+    digest = {art.rel(p): sha256_file(p) if p.exists() else "absent" for _, writes in table.values() for p in writes}
+    stages = {
+        name: {"artifacts": {art.rel(p): digest[art.rel(p)] for p in writes},
+               "inputs": {art.rel(p): digest[art.rel(p)] for p in reads}}
+        for name, (reads, writes) in table.items()
+    }
+    RunManifest(config.out_dir / "manifest.json", {"inputs": {}, "stages": stages}).save()
+
+
 def test_report_stage_writes_exact_dictionary_reports(tmp_path):
     """coverage.tsv and vice_report.tsv of a hand-made workspace, byte for byte."""
     dictionary = tmp_path / "dict.tsv"
@@ -360,6 +376,7 @@ def test_report_stage_writes_exact_dictionary_reports(tmp_path):
     save_loadings(LoadingMatrix(("t0",), np.eye(1, len(FOUNDATIONS)), (False,)), art.loadings)
     art.mf_vectors.parent.mkdir()
     write_vectors(art.mf_vectors, FOUNDATIONS, np.eye(len(FOUNDATIONS)))
+    record_every_stage(config)
 
     assert run("report", config) == {"report": [art.rel(p) for p in (
         art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv)]}
@@ -437,8 +454,8 @@ def test_killed_run_neither_blocks_nor_corrupts_the_next(clean_tiny_run, mode, t
     env = {**os.environ, "PYTHONPATH": str(Path(mfquant.__file__).parents[1])}
     child = subprocess.run([sys.executable, "-c", KILLED_RUN, mode, target, *argv], env=env, capture_output=True)
     assert child.returncode == 9, child.stderr.decode()
-    manifest = out / "manifest.json"  # first saved when a stage completes
-    stages = json.loads(manifest.read_text(encoding="utf-8"))["stages"] if manifest.exists() else {}
+    # saved without a stage's entry before the stage writes its first file, and with it when the stage completes
+    stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
     if mode == "after":
         assert (out / {"ingest": "corpus"}.get(target, target)).is_dir() and target not in stages
     else:
@@ -447,6 +464,51 @@ def test_killed_run_neither_blocks_nor_corrupts_the_next(clean_tiny_run, mode, t
     assert main(argv) == 0
     assert not list(out.rglob("*.tmp"))
     assert artifact_bytes(out) == clean
+
+
+def test_rerun_on_unchanged_input_keeps_downstream_and_changed_input_is_refused(tmp_path):
+    config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
+    run("all", config)
+    art = Artifacts(config.out_dir)
+    loadings = art.loadings.read_bytes()
+    run("ingest", config)
+    run("loadings", config)
+    assert art.loadings.read_bytes() == loadings
+    lines = config.immorality_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    config.immorality_path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+    run("ingest", config)
+    # select recorded the hash of the old corpus/immorality.npz; matrix and svd were built from it
+    with pytest.raises(PipelineError, match=r"immorality_terms\.tsv: not built from the current "
+                       r"corpus/immorality\.npz .*rerun stage 'select'"):
+        run("loadings", config)
+    assert art.loadings.read_bytes() == loadings
+
+
+def test_stage_killed_between_two_files_is_refused_until_it_reruns(tmp_path, monkeypatch):
+    """matrix stops right after ppmi.npz is renamed into place, before row_vocab.tsv and col_vocab.tsv."""
+    config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
+    run("all", config)
+    clean = artifact_bytes(config.out_dir)
+    run("ingest", config)
+    run("select", config)
+    replace = os.replace
+
+    def stop_after_ppmi(src, dst):
+        replace(src, dst)
+        if os.path.basename(dst) == "ppmi.npz":
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", stop_after_ppmi)
+        with pytest.raises(KeyboardInterrupt):
+            run("matrix", config)
+    assert "matrix" not in json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    with pytest.raises(PipelineError, match=r"row_vocab\.tsv: manifest\.json records no hash.*rerun stage 'matrix'"):
+        run("vectors", config)
+    with pytest.raises(PipelineError, match="records no completed run of stage 'matrix'; rerun stage 'matrix'"):
+        run("report", config)
+    run("all", config)
+    assert artifact_bytes(config.out_dir) == clean
 
 
 def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
@@ -806,7 +868,9 @@ def test_embedding_without_manifest_rejected(completed_run, tmp_path):
         run("extend", PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
 
 
-@pytest.mark.parametrize("text", ['{"stages": ', '["stages"]'])
+@pytest.mark.parametrize("text", [
+    '{"stages": ', '["stages"]', '{"inputs": {}, "stages": {"svd": ["x"]}}', '{"inputs": {}, "stages": {"svd": {}}}',
+])
 def test_corrupt_manifest_names_path(completed_run, tmp_path, text):
     config, _ = completed_run
     out_dir = tmp_path / "out"
