@@ -129,16 +129,16 @@ def _parse_line(obj: dict) -> TweetRecord:
 def iter_records(path: str | Path, lang_filter: str | None, stats: IngestStats) -> Iterator[TweetRecord]:
     """Yield line-delimited JSON records in file order, reading one line per record.
 
-    Malformed lines (bytes that are not UTF-8, bad JSON, missing id/text, an id that is a
-    boolean or contains a tab, comma, newline or lone surrogate) and duplicate ids are
-    logged with their line number and skipped; records failing ``lang_filter`` are dropped
-    silently. ``stats`` counts each outcome as it happens. An unreadable file raises
+    A UTF-8 byte-order mark at the start of the file is skipped. Malformed lines (bytes
+    that are not UTF-8, bad JSON, missing id/text, an id that is a boolean or contains a
+    tab, comma, newline or lone surrogate) and duplicate ids are logged with their line
+    number and skipped; records failing ``lang_filter`` are dropped silently. ``stats`` counts each outcome as it happens. An unreadable file raises
     CorpusError when the first record is asked for.
     """
     path = Path(path)
     seen_ids: set[str] = set()
     try:
-        handle = path.open("r", encoding="utf-8", errors="surrogateescape")
+        handle = path.open("r", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     with handle:

@@ -102,10 +102,10 @@ def foundation_matrix(dictionary: MFDictionary, words: Sequence[str], polarity: 
 
 
 def load_dictionary(path: str | Path) -> MFDictionary:
-    """Parse a TSV dictionary (pattern, foundation, polarity). Malformed rows are fatal."""
+    """Parse a TSV dictionary (pattern, foundation, polarity); a leading byte-order mark is skipped. Malformed rows are fatal."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise LexiconError(f"cannot read dictionary {path}: {exc}") from exc
     entries: list[MFEntry] = []

@@ -5,10 +5,14 @@ smaller side of the input (``A @ A.T``, 2000 x 2000, at the paper
 defaults) and keeps only U_k and the singular values. A sparse input's
 Gram matrix is formed one triangle at a time, in column blocks shared out
 over every CPU the process may use, straight into the Fortran-order array
-LAPACK works in; its bytes do not depend on the thread count. Each
-singular vector's sign is fixed so that its largest-magnitude entry is
-positive, as in the PCA. U_k is persisted as one binary array whose rows
-follow a word list kept elsewhere. All kernels are pure.
+LAPACK works in; its bytes do not depend on the thread count. Each block
+multiplies a tail of the rows built on the matrix's own arrays, since
+scipy's ``(data, indices, indptr)`` constructor would copy a tail of less
+than half of them; so a wide CSR A is held once while the Gram matrix
+fills, and let go before the eigensolver. Each singular vector's sign is
+fixed so that its largest-magnitude entry is positive, as in the PCA.
+U_k is persisted as one binary array whose rows follow a word list kept
+elsewhere. All kernels are pure.
 """
 
 from __future__ import annotations
@@ -77,16 +81,20 @@ def _fill_gram_columns(left: sparse.csr_matrix, gram: np.ndarray, starts) -> Non
     triangle. Blocks write disjoint parts of ``gram``. Only numpy and
     scipy are called here; scipy's sparse product releases the GIL, so
     threads running this in parallel use separate cores.
+
+    Each tail ``left[s:]`` shares ``left``'s data and indices. It is an
+    empty matrix given the views as attributes: the ``(data, indices,
+    indptr)`` constructor ends in ``prune()``, which copies a view of
+    less than half its base, so every tail past the middle row would be a
+    copy of up to half of ``left``, one per thread.
     """
     size, width = left.shape
     data, indices, indptr = left.data, left.indices, left.indptr
     for start in starts:
         stop = min(start + GRAM_BLOCK_COLS, size)
         offset = indptr[start]
-        # rows start: of left, sharing its data and indices
-        tail = sparse.csr_matrix(
-            (data[offset:], indices[offset:], indptr[start:] - offset), shape=(size - start, width)
-        )
+        tail = sparse.csr_matrix((size - start, width), dtype=data.dtype)
+        tail.data, tail.indices, tail.indptr = data[offset:], indices[offset:], indptr[start:] - offset
         gram[start:, start:stop] = (tail @ left[start:stop].T).toarray()
         gram[start:stop, stop:] = gram[stop:, start:stop].T
 
@@ -96,7 +104,9 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
 
     Returned as a dense float64 array in Fortran order. A sparse A's
     product is formed GRAM_BLOCK_COLS columns at a time, lower triangle
-    only, each block mirrored into the upper triangle. The blocks are
+    only, each block mirrored into the upper triangle. Each block reads
+    its rows of the CSR form of A (of A.T when m > n) in place, not as a
+    copy (see ``_fill_gram_columns``). The blocks are
     dealt round-robin to the calling thread and one helper thread per
     further CPU (``_available_cpus``), and all helpers have ended when this
     returns or raises; an exception in a helper is raised here. Each entry
@@ -151,7 +161,11 @@ def truncated_svd(
     Sigma^2 from ``A.T @ A``, with U the Q factor of A V, so that its
     columns stay orthonormal where sigma is 0. Sigma is the square root
     of the eigenvalues clipped at 0, in descending order, and each column
-    of U_k has its largest-magnitude entry made positive.
+    of U_k has its largest-magnitude entry made positive. When m <= n,
+    the Gram matrix alone gives U, so this drops its references to A once
+    that is formed; if the caller keeps none, A is freed before the
+    eigensolver (from CPython 3.11, whose calls leave no reference to an
+    argument on the caller's stack).
 
     ``seed``, ``oversample`` and ``power_iters`` are ignored; they remain
     only because callers still pass them. Deterministic for a fixed matrix
@@ -164,11 +178,12 @@ def truncated_svd(
     m, n = mat.shape
     if k < 1 or k > min(m, n):
         raise ValueError(f"k={k} out of range for matrix of shape {m}x{n}")
-    data = mat.data if sparse.issparse(mat) else np.asarray(mat)
-    if not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(mat.data if sparse.issparse(mat) else np.asarray(mat))):
         raise ValueError("matrix contains non-finite entries")
 
     gram = gram_matrix(mat)
+    if m <= n:
+        del matrix, mat
     size = len(gram)
     eigenvalues, vectors = scipy.linalg.eigh(
         gram, subset_by_index=[size - k, size - 1], driver="evr", overwrite_a=True

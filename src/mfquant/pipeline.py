@@ -110,7 +110,7 @@ class PipelineConfig:
         stopwords = DEFAULT_STOPWORDS
         if self.stopwords_path is not None:
             try:
-                text = Path(self.stopwords_path).read_text(encoding="utf-8")
+                text = Path(self.stopwords_path).read_text(encoding="utf-8-sig")
             except OSError as exc:
                 raise ConfigError(f"cannot read stopwords file {self.stopwords_path}: {exc}") from exc
             stopwords = frozenset(w.strip() for w in text.splitlines() if w.strip())
@@ -439,13 +439,12 @@ def _stage_matrix(config: PipelineConfig, art: Artifacts) -> None:
 def _stage_svd(config: PipelineConfig, art: Artifacts) -> None:
     row_words = vectorizer_mod.load_vocabulary(art.row_vocab)
     col_labels = vectorizer_mod.load_vocabulary(art.col_vocab)
-    weighted = vectorizer_mod.load_triplets(art.ppmi, row_words, col_labels)
-    if config.k > min(weighted.shape):
-        raise PipelineError(
-            f"k={config.k} exceeds matrix rank bound min{weighted.shape}; lower k"
-        )
-    result = linalg_mod.truncated_svd(weighted, config.k)
-    space = linalg_mod.EmbeddingSpace(words=weighted.row_vocab, vectors=result.u_k)
+    shape = (len(row_words), len(col_labels))  # load_triplets checks the archive against it
+    if config.k > min(shape):
+        raise PipelineError(f"k={config.k} exceeds matrix rank bound min{shape}; lower k")
+    # no name holds the matrix, so truncated_svd can let it go before its eigensolver
+    result = linalg_mod.truncated_svd(vectorizer_mod.load_triplets(art.ppmi, row_words, col_labels), config.k)
+    space = linalg_mod.EmbeddingSpace(words=vectorizer_mod.Vocabulary(row_words), vectors=result.u_k)
     linalg_mod.save_embedding(space, art.embedding)
     tables.write_lines(art.singular_values, (f"{s:.9g}" for s in result.singular_values))
 

@@ -327,6 +327,16 @@ class TestLoadRecords:
         assert stats.malformed == 1
         assert f"{path}:2: skipping malformed line" in caplog.text
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_leading_byte_order_mark_is_not_data(self, tmp_path, caplog, newline):
+        lines = [json.dumps({"id": str(i), "text": f"tweet {i}"}).encode() for i in range(3)]
+        lines[2] = b"\xef\xbb\xbf" + lines[2]  # a mark after the first line is not a byte-order mark
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + newline.join(lines) + newline)
+        records, stats = load_records(path)
+        assert [r.id for r in records] == ["0", "1"] and stats.malformed == 1
+        assert f"{path}:3: skipping malformed line" in caplog.text
+
     def test_unreadable_file_fatal(self, tmp_path):
         with pytest.raises(CorpusError):
             load_records(tmp_path / "missing.jsonl")

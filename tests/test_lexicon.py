@@ -55,6 +55,12 @@ class TestLoadDictionary:
     def test_packaged_dictionary_has_149_vice_entries(self, packaged_dict):
         assert packaged_dict.vice_count == 149
 
+    def test_leading_byte_order_mark_is_not_part_of_the_first_pattern(self, tmp_path):
+        path = write_dict(tmp_path, [("harm", "Care", "vice"), ("cheat*", "Fairness", "vice")])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        d = load_dictionary(path)
+        assert [e.pattern for e in d.entries] == ["harm", "cheat*"]
+
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(LexiconError):
             load_dictionary(tmp_path / "nope.tsv")

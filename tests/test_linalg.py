@@ -1,4 +1,6 @@
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -118,6 +120,28 @@ class TestTruncatedSvd:
         pivots = result.u_k[np.abs(result.u_k).argmax(axis=0), np.arange(k)]
         assert (pivots > 0).all()
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps call arguments on the caller's stack")
+    @pytest.mark.parametrize("m,n", [(300, 500), (500, 300)], ids=["wide", "tall"])
+    def test_only_a_tall_matrix_outlives_the_gram_matrix(self, monkeypatch, m, n):
+        """A wide A is the Gram matrix's only input, so truncated_svd lets it go before eigh;
+        a tall A is still needed for U = qr(A V), which comes out as when the caller keeps A."""
+        matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m)
+        held = truncated_svd(matrix, k=10)
+        eigh, alive = linalg.scipy.linalg.eigh, []
+        refs = [weakref.ref(a) for a in (matrix, matrix.data, matrix.indices)]
+
+        def recording_eigh(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.scipy.linalg, "eigh", recording_eigh)
+        only = [matrix]
+        del matrix
+        result = truncated_svd(only.pop(), k=10)
+        assert alive == [[m > n] * 3]
+        np.testing.assert_array_equal(result.u_k, held.u_k)
+        np.testing.assert_array_equal(result.singular_values, held.singular_values)
+
 
 class TestGramMatrix:
     @pytest.mark.parametrize(
@@ -155,6 +179,23 @@ class TestGramMatrix:
         assert np.ascontiguousarray(gram).tobytes() == oracle.tobytes()
         blocks = -(-min(m, n) // linalg.GRAM_BLOCK_COLS)
         assert len(threads) == min(cpus, blocks)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_every_tail_is_a_view_of_the_matrix(self, monkeypatch, cpus):
+        matrix = sparse.random(600, 900, density=0.05, format="csr", random_state=9)
+        matmul, tails = sparse.csr_matrix.__matmul__, []
+
+        def recording_matmul(self, other):
+            shared = np.shares_memory(self.data, matrix.data) and np.shares_memory(self.indices, matrix.indices)
+            tails.append((self.shape[0], shared))
+            return matmul(self, other)
+
+        monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", recording_matmul)
+        gram_matrix(matrix)
+        starts = range(0, 600, linalg.GRAM_BLOCK_COLS)
+        assert len(starts) >= 4
+        assert sorted(tails) == sorted((600 - start, True) for start in starts)
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_block_exception_reaches_the_caller_after_every_helper_ends(self, monkeypatch, failing):

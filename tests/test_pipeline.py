@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mfquant
+from mfquant import linalg, vectorizer
 from mfquant.cli import main
 from mfquant.corpus import TokenizedTweet
 from mfquant.errors import ConfigError, DataError, PipelineError
@@ -304,6 +306,29 @@ class TestStages:
         run("extend", config)
         assert art.extended.read_bytes() == before
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps call arguments on the caller's stack")
+    def test_ppmi_matrix_is_freed_before_the_eigensolver(self, tmp_path, monkeypatch):
+        config = make_workspace(tmp_path, tweets=200, topics=())
+        for stage in ("ingest", "select", "matrix"):
+            run(stage, config)
+        load, eigh, refs, alive = vectorizer.load_triplets, linalg.scipy.linalg.eigh, [], []
+
+        def recording_load(*args, **kwargs):
+            matrix = load(*args, **kwargs)
+            assert matrix.shape[0] <= matrix.shape[1]
+            weights = matrix.weights
+            refs.extend(weakref.ref(a) for a in (matrix, weights, weights.data, weights.indices, weights.indptr))
+            return matrix
+
+        def recording_eigh(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(vectorizer, "load_triplets", recording_load)
+        monkeypatch.setattr(linalg.scipy.linalg, "eigh", recording_eigh)
+        run("svd", config)
+        assert alive == [[False] * 5]
+
     def test_run_all_without_topics(self, tmp_path):
         config = make_workspace(tmp_path, tweets=200, topics=())
         executed = run("all", config)
@@ -534,6 +559,13 @@ def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
     manifest = json.loads((config.out_dir / "manifest.json").read_text())
     digest = hashlib.sha256(stopwords.read_bytes()).hexdigest()
     assert manifest["inputs"]["stopwords"] == {"path": "../stopwords.txt", "sha256": digest}
+
+
+def test_stopwords_file_may_start_with_a_byte_order_mark(tmp_path):
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_bytes(b"\xef\xbb\xbfwar\r\nkill\r\n")
+    config = PipelineConfig(immorality_path=tmp_path / "x.jsonl", out_dir=tmp_path / "out", stopwords_path=stopwords)
+    assert config.cleaning_config("immorality").stopwords == {"war", "kill"}
 
 
 def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
