@@ -14,7 +14,9 @@ entry in manifest.json hashes the files it wrote and records under ``inputs``
 the hash each file it read has in its writer's entry. A stage has no entry
 while it runs, and refuses to start, naming the stage to rerun, while a file
 it reads is missing or unrecorded, or a stage upstream of it has no entry or
-recorded inputs other than their writers' current hashes. A rerun with
+recorded inputs other than their writers' current hashes. A stage that reads
+``svd/embedding.npy`` also refuses, naming svd, an embedding whose width is
+not ``k``. A rerun with
 identical inputs, parameters and BLAS thread count reproduces identical
 artifact bytes on the same platform/build. The SVD is exact, so ``seed``
 changes no artifact.
@@ -449,13 +451,21 @@ def _stage_svd(config: PipelineConfig, art: Artifacts) -> None:
     tables.write_lines(art.singular_values, (f"{s:.9g}" for s in result.singular_values))
 
 
-def _load_embedding(art: Artifacts) -> linalg_mod.EmbeddingSpace:
-    """U_k from ``embedding.npy``, row i for word i of ``row_vocab.tsv``."""
-    return linalg_mod.load_embedding(art.embedding, vectorizer_mod.load_vocabulary(art.row_vocab))
+def _load_embedding(config: PipelineConfig, art: Artifacts) -> linalg_mod.EmbeddingSpace:
+    """U_k from ``embedding.npy``, row i for word i of ``row_vocab.tsv``.
+
+    An embedding of another width than ``config.k`` was built with another k: a
+    PipelineError asks for svd to run again, so no later artifact mixes two values of k.
+    """
+    embedding = linalg_mod.load_embedding(art.embedding, vectorizer_mod.load_vocabulary(art.row_vocab))
+    width = embedding.vectors.shape[1]
+    if width != config.k:
+        raise PipelineError(f"{art.rel(art.embedding)} has {width} columns, not k={config.k}; rerun stage 'svd'")
+    return embedding
 
 
 def _stage_vectors(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(art)
+    embedding = _load_embedding(config, art)
     mf = semantics_mod.mf_vectors(_load_dictionary(config), embedding)
     tables.write_vectors(art.mf_vectors, lexicon_mod.FOUNDATIONS, mf)
     labels, topic_vectors = [], []
@@ -478,7 +488,7 @@ def _load_mf_vectors(art: Artifacts) -> np.ndarray:
 
 
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(art)
+    embedding = _load_embedding(config, art)
     mf = _load_mf_vectors(art)
     counts = vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"), art.corpus("immorality"))
     semantics_mod.save_loadings(semantics_mod.score_corpus(counts, embedding, mf), art.loadings)
@@ -493,14 +503,14 @@ def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
 
 
 def _stage_extend(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(art)
+    embedding = _load_embedding(config, art)
     mf = _load_mf_vectors(art)
     extended = semantics_mod.extend_dictionary(embedding, mf, config.extend_n)
     semantics_mod.save_extended_dictionary(extended, art.extended)
 
 
 def _stage_pca(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(art)
+    embedding = _load_embedding(config, art)
     mf = _load_mf_vectors(art)
     extended = semantics_mod.load_extended_dictionary(art.extended)
     words = dict.fromkeys(w for entries in extended.per_foundation.values() for w, _ in entries)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -79,6 +80,29 @@ def oracle_clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> To
     return TokenizedTweet(id=record.id, tokens=tuple(tokens))
 
 
+# clean_and_tokenize before it cleaned ASCII text with one byte table and filtered lengths in its
+# word table, kept as the oracle of both: one code-point rule for every text (its translate table
+# applied _clean_chunk's rule), a findall for the length filter, and a table of the dropped words
+# that setdefault extends.
+_PREVIOUS_URL_MARKER = re.compile(r"https?://|www\.")
+
+
+def previous_clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> TokenizedTweet:
+    text = record.effective_text
+    lowered = text.lower()
+    if "@" in text or _PREVIOUS_URL_MARKER.search(lowered):
+        text = " ".join([
+            chunk for chunk in text.split()
+            if not chunk.startswith("@") and not _PREVIOUS_URL_MARKER.search(chunk.lower())
+        ])
+        lowered = text.lower()
+    if config.lowercase:
+        text = lowered
+    tokens = re.findall(f"[^ ]{{{config.min_token_len},}}", _clean_chunk(text))
+    words = dict.fromkeys(config.stopwords | config.query_words)
+    return TokenizedTweet(id=record.id, tokens=tuple(filter(None, map(words.setdefault, tokens, tokens))))
+
+
 MIXED_CASE_URL_MARKERS = st.sampled_from(_URL_MARKERS).flatmap(
     lambda marker: st.tuples(*(st.sampled_from((c.lower(), c.upper())) for c in marker)).map("".join)
 )
@@ -89,6 +113,22 @@ TWEET_PIECES = st.one_of(
     st.sampled_from((" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000")),
     st.characters(categories=("Nd", "No", "Nl")),
     st.text(st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo", "Mn")), min_size=1, max_size=6),
+)
+
+# texts that are ASCII, often only once lowered, and texts that mix ASCII with other code points
+ASCII_PIECES = st.one_of(
+    st.characters(max_codepoint=127),
+    MIXED_CASE_URL_MARKERS,
+    st.sampled_from(("'", "@", "@user", "#tag", "http://t.co/x", "WWW.x.org", "the", "Aren't", "IMMORAL", "a1b2")),
+    st.text(st.characters(max_codepoint=127), min_size=1, max_size=8),
+)
+NON_ASCII_PIECES = st.one_of(
+    st.sampled_from(("’", "ʼ", "\u212a", "\u0130", "ẞ", "é", "\xa0", "\u3000", "１２", "…", "ΟΔΟΣ", "İİ@x")),
+    st.characters(min_codepoint=128, blacklist_categories=("Cs",)),
+)
+ASCII_OR_MIXED_TEXT = st.one_of(
+    st.lists(ASCII_PIECES, max_size=40).map("".join),
+    st.lists(st.one_of(ASCII_PIECES, NON_ASCII_PIECES), max_size=40).map("".join),
 )
 
 
@@ -152,6 +192,31 @@ class TestCleanAndTokenize:
         )
         record = TweetRecord(id="o", text=text)
         assert clean_and_tokenize(record, config) == oracle_clean_and_tokenize(record, config)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=ASCII_OR_MIXED_TEXT, lowercase=st.booleans(), min_token_len=st.integers(1, 4))
+    @example(text="\u212aILL \u212a\u212a\u212a war", lowercase=True, min_token_len=3)  # KELVIN SIGN lowers to 'k'
+    @example(text="\u212aILL \u212a\u212a\u212a war", lowercase=False, min_token_len=3)
+    @example(text="\u0130STANBUL i\u0130i war", lowercase=True, min_token_len=1)  # U+0130 lowers to 'i' + U+0307
+    @example(text="\u0130STANBUL i\u0130i war", lowercase=False, min_token_len=1)
+    def test_matches_the_previous_cleaner(self, text, lowercase, min_token_len):
+        config = CleaningConfig(
+            query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len, lowercase=lowercase
+        )
+        record = TweetRecord("o", text)
+        assert clean_and_tokenize(record, config) == previous_clean_and_tokenize(record, config)
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    @pytest.mark.parametrize("min_token_len", [1, 2, 3, 4])
+    def test_every_ascii_code_point_matches_the_previous_cleaner(self, lowercase, min_token_len):
+        config = CleaningConfig(
+            query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len, lowercase=lowercase
+        )
+        for code in range(128):
+            ch = chr(code)
+            for text in (ch, f"Ab{ch}cD x{ch}{ch}y {ch}War", f"{ch}the{ch}IMMORAL{ch}é{ch}"):
+                record = TweetRecord("a", text)
+                assert clean_and_tokenize(record, config) == previous_clean_and_tokenize(record, config), text
 
     @given(st.text(max_size=280))
     def test_output_token_invariants(self, text):

@@ -30,6 +30,11 @@ IMMORALITY_LINES = [
     {"id": True, "text": "a boolean id"},
     {"id": "10", "text": "unfair cheat unfair"},  # no lang
     {"id": "11", "text": "immoral war kill sin", "lang": "en"},  # a query word drops out: "1" again
+    # non-ASCII texts, cleaned by the code-point rule: 'İ' lowers to 'i' + a combining mark,
+    # 'ẞ' to 'ß'; NBSP blanks and fullwidth digits are deleted
+    {"id": "12", "text": "İSTANBUL war kill １２３sin", "lang": "en"},
+    {"id": "13", "text": "GROẞE war kill", "lang": "en"},
+    {"id": "14", "text": " war kill sin１", "lang": "en"},  # "1" again
 ]
 TOPIC_LINES = [
     {"id": "t1", "text": "topiccare helps kids", "lang": "en"},

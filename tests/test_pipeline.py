@@ -491,6 +491,19 @@ def test_killed_run_neither_blocks_nor_corrupts_the_next(clean_tiny_run, mode, t
     assert artifact_bytes(out) == clean
 
 
+@pytest.mark.parametrize("stage", ["vectors", "loadings", "extend", "pca"])
+def test_stage_asked_for_another_k_than_the_embedding_has_is_refused(clean_tiny_run, tmp_path, capsys, stage):
+    """svd ran with k=10: a stage that reads its embedding refuses k=5 and writes nothing."""
+    workdir, config, clean = clean_tiny_run
+    out = tmp_path / "out"
+    shutil.copytree(workdir / "clean", out)
+    sizes = [("5" if option == "--k" else value) for option, value in zip(["", *KILL_SIZES], KILL_SIZES)]
+    capsys.readouterr()
+    assert main([stage, "--config", config, "--out", str(out), *sizes]) == 2
+    assert "svd/embedding.npy has 10 columns, not k=5; rerun stage 'svd'" in capsys.readouterr().err
+    assert artifact_bytes(out) == clean
+
+
 def test_rerun_on_unchanged_input_keeps_downstream_and_changed_input_is_refused(tmp_path):
     config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
     run("all", config)
