@@ -393,6 +393,21 @@ def _check_upstream(stage: str, table: dict, manifest: RunManifest, art: Artifac
                                     f"records {'another' if recorded else 'no'} hash of it); rerun stage {name!r}")
 
 
+def _check_k(reads: list[Path], config: PipelineConfig, art: Artifacts) -> None:
+    """A PipelineError naming svd if the stage reads an embedding whose width is not ``config.k``.
+
+    Reads only the array's header. An embedding that cannot be read is left to the stage's loader to report.
+    """
+    if art.embedding not in reads:
+        return
+    try:
+        array = np.load(art.embedding, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return
+    if isinstance(array, np.ndarray) and array.ndim == 2 and array.shape[1] != config.k:
+        raise PipelineError(f"{art.rel(art.embedding)} has {array.shape[1]} columns, not k={config.k}; rerun stage 'svd'")
+
+
 def _load_dictionary(config: PipelineConfig) -> lexicon_mod.MFDictionary:
     if config.dictionary_path is not None:
         return lexicon_mod.load_dictionary(config.dictionary_path)
@@ -451,21 +466,13 @@ def _stage_svd(config: PipelineConfig, art: Artifacts) -> None:
     tables.write_lines(art.singular_values, (f"{s:.9g}" for s in result.singular_values))
 
 
-def _load_embedding(config: PipelineConfig, art: Artifacts) -> linalg_mod.EmbeddingSpace:
-    """U_k from ``embedding.npy``, row i for word i of ``row_vocab.tsv``.
-
-    An embedding of another width than ``config.k`` was built with another k: a
-    PipelineError asks for svd to run again, so no later artifact mixes two values of k.
-    """
-    embedding = linalg_mod.load_embedding(art.embedding, vectorizer_mod.load_vocabulary(art.row_vocab))
-    width = embedding.vectors.shape[1]
-    if width != config.k:
-        raise PipelineError(f"{art.rel(art.embedding)} has {width} columns, not k={config.k}; rerun stage 'svd'")
-    return embedding
+def _load_embedding(art: Artifacts) -> linalg_mod.EmbeddingSpace:
+    """U_k from ``embedding.npy``, row i for word i of ``row_vocab.tsv``."""
+    return linalg_mod.load_embedding(art.embedding, vectorizer_mod.load_vocabulary(art.row_vocab))
 
 
 def _stage_vectors(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(config, art)
+    embedding = _load_embedding(art)
     mf = semantics_mod.mf_vectors(_load_dictionary(config), embedding)
     tables.write_vectors(art.mf_vectors, lexicon_mod.FOUNDATIONS, mf)
     labels, topic_vectors = [], []
@@ -488,7 +495,7 @@ def _load_mf_vectors(art: Artifacts) -> np.ndarray:
 
 
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(config, art)
+    embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
     counts = vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"), art.corpus("immorality"))
     semantics_mod.save_loadings(semantics_mod.score_corpus(counts, embedding, mf), art.loadings)
@@ -503,14 +510,14 @@ def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
 
 
 def _stage_extend(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(config, art)
+    embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
     extended = semantics_mod.extend_dictionary(embedding, mf, config.extend_n)
     semantics_mod.save_extended_dictionary(extended, art.extended)
 
 
 def _stage_pca(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(config, art)
+    embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
     extended = semantics_mod.load_extended_dictionary(art.extended)
     words = dict.fromkeys(w for entries in extended.per_foundation.values() for w, _ in entries)
@@ -577,6 +584,7 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
         for name in plan:
             reads, writes = table[name]
             _check_upstream(name, table, manifest, art)
+            _check_k(reads, config, art)
             # no entry while the stage writes, so a run killed between two of its files leaves it refused
             manifest.data["stages"].pop(name, None)
             manifest.save()

@@ -80,10 +80,10 @@ def oracle_clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> To
     return TokenizedTweet(id=record.id, tokens=tuple(tokens))
 
 
-# clean_and_tokenize before it cleaned ASCII text with one byte table and filtered lengths in its
-# word table, kept as the oracle of both: one code-point rule for every text (its translate table
-# applied _clean_chunk's rule), a findall for the length filter, and a table of the dropped words
-# that setdefault extends.
+# clean_and_tokenize before its word table filtered lengths and its URL regex waited for a substring
+# check, kept as an oracle: one code-point rule (its translate table, which deleted code points by
+# mapping them to "", applied _clean_chunk's rule), a findall for the length filter, a table of the
+# dropped words that setdefault extends, and the URL regex run on every text.
 _PREVIOUS_URL_MARKER = re.compile(r"https?://|www\.")
 
 

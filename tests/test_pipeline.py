@@ -493,14 +493,19 @@ def test_killed_run_neither_blocks_nor_corrupts_the_next(clean_tiny_run, mode, t
 
 @pytest.mark.parametrize("stage", ["vectors", "loadings", "extend", "pca"])
 def test_stage_asked_for_another_k_than_the_embedding_has_is_refused(clean_tiny_run, tmp_path, capsys, stage):
-    """svd ran with k=10: a stage that reads its embedding refuses k=5 and writes nothing."""
+    """svd ran with k=10: a stage that reads its embedding refuses k=5 and writes nothing, manifest.json
+    included, so the same stage with k=10 still runs."""
     workdir, config, clean = clean_tiny_run
     out = tmp_path / "out"
     shutil.copytree(workdir / "clean", out)
+    manifest = (out / "manifest.json").read_bytes()
     sizes = [("5" if option == "--k" else value) for option, value in zip(["", *KILL_SIZES], KILL_SIZES)]
     capsys.readouterr()
     assert main([stage, "--config", config, "--out", str(out), *sizes]) == 2
     assert "svd/embedding.npy has 10 columns, not k=5; rerun stage 'svd'" in capsys.readouterr().err
+    assert artifact_bytes(out) == clean
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert main([stage, "--config", config, "--out", str(out), *KILL_SIZES]) == 0
     assert artifact_bytes(out) == clean
 
 
