@@ -405,7 +405,8 @@ def _check_k(reads: list[Path], config: PipelineConfig, art: Artifacts) -> None:
     except (OSError, ValueError, EOFError):
         return
     if isinstance(array, np.ndarray) and array.ndim == 2 and array.shape[1] != config.k:
-        raise PipelineError(f"{art.rel(art.embedding)} has {array.shape[1]} columns, not k={config.k}; rerun stage 'svd'")
+        width = array.shape[1]
+        raise PipelineError(f"{art.rel(art.embedding)} has {width} columns, not k={config.k}; rerun stage 'svd'")
 
 
 def _load_dictionary(config: PipelineConfig) -> lexicon_mod.MFDictionary:
