@@ -9,17 +9,18 @@ counts over the corpus's sorted vocabulary) and ``corpus/<name>.tsv`` (one
 to svd as ``matrix/ppmi.npz`` next to its two word lists, and svd hands U_k
 on as ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``.
 
-``stage_files`` declares the files each stage reads and writes. A stage's
+``stage_files`` declares every file each stage reads and writes. A stage's
 entry in manifest.json hashes the files it wrote and records under ``inputs``
-the hash each file it read has in its writer's entry. A stage has no entry
-while it runs, and refuses to start, naming the stage to rerun, while a file
-it reads is missing or unrecorded, or a stage upstream of it has no entry or
-recorded inputs other than their writers' current hashes. A stage that reads
+the hash each file it read has in its writer's entry, or its own hash if no
+stage writes it (a corpus, the stopwords file, the dictionary). A stage has
+no entry while it runs, and refuses to start, naming the stage to rerun,
+while a file it reads is missing or unrecorded, or a stage upstream of it has
+no entry or recorded inputs other than their writers' current hashes (a raw
+input's hash is recorded, not compared). A stage that reads
 ``svd/embedding.npy`` also refuses, naming svd, an embedding whose width is
-not ``k``. A rerun with
-identical inputs, parameters and BLAS thread count reproduces identical
-artifact bytes on the same platform/build. The SVD is exact, so ``seed``
-changes no artifact.
+not ``k``. A rerun with identical inputs, parameters and BLAS thread count
+reproduces identical artifact bytes on the same platform/build. The SVD is
+exact, so ``seed`` changes no artifact.
 """
 
 from __future__ import annotations
@@ -54,16 +55,13 @@ STAGES = (
     "loadings", "extend", "pca", "report",
 )
 
-# manifest.json keys its inputs by corpus name, next to "dictionary" and "stopwords"
-_RESERVED_TOPIC_NAMES = ("immorality", "dictionary", "stopwords")
-
 
 @dataclass
 class PipelineConfig:
     immorality_path: Path
     out_dir: Path
     topic_paths: dict[str, Path] = field(default_factory=dict)
-    dictionary_path: Path | None = None
+    dictionary_path: Path = field(default_factory=lexicon_mod.packaged_dictionary_path)
     n1: int = 2000
     n2: int = 20000
     k: int = 100
@@ -97,9 +95,9 @@ class PipelineConfig:
         if repeated:
             problems.append(f"topic_n values must be distinct; repeated: {repeated}")
         for name in sorted(self.topic_paths):
-            if not name or name in _RESERVED_TOPIC_NAMES or set(str(name)) & set("/\t,\n\r"):
+            if not name or name == "immorality" or set(str(name)) & set("/\t,\n\r"):
                 problems.append(
-                    f"topic name {name!r} must be non-empty, not one of {list(_RESERVED_TOPIC_NAMES)}, "
+                    f"topic name {name!r} must be non-empty, not 'immorality', "
                     "and free of '/', tabs, commas and line breaks"
                 )
         for name in ("immorality", *sorted(self.topic_paths)):
@@ -153,8 +151,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     The counts in ``params`` and ``cleaning.min_token_len`` must be YAML
     integers, ``cleaning.lowercase`` a YAML boolean, ``cleaning.lang_filter``
     a string or null, ``inputs.immorality``, ``output`` and each
-    ``inputs.topics.<name>`` a path string, ``inputs.dictionary`` and
-    ``cleaning.stopwords_file`` a path string or null, each
+    ``inputs.topics.<name>`` a path string, ``inputs.dictionary`` (null: the
+    packaged dictionary) and ``cleaning.stopwords_file`` a path string or null, each
     ``cleaning.query_words.<name>`` a list of strings, and every mapping's
     names strings; any other value is a ConfigError naming the key, never
     coerced.
@@ -194,7 +192,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             immorality_path=_resolve("inputs.immorality", inputs["immorality"]),
             out_dir=_resolve("output", out),
             topic_paths={name: _resolve(f"inputs.topics.{name}", p) for name, p in sorted(topics_raw.items())},
-            dictionary_path=_resolve("inputs.dictionary", inputs.get("dictionary")),
+            dictionary_path=(_resolve("inputs.dictionary", inputs.get("dictionary"))
+                             or lexicon_mod.packaged_dictionary_path()),
             n1=_typed("params.n1", params.get("n1", 2000), int),
             n2=_typed("params.n2", params.get("n2", 20000), int),
             k=_typed("params.k", params.get("k", 100), int),
@@ -247,7 +246,8 @@ class Artifacts:
         return self.out_dir / "select" / f"{name}_terms.tsv"
 
     def rel(self, p: Path) -> str:
-        return str(p.relative_to(self.out_dir))
+        """``p`` relative to the output directory; an input outside it starts with ``..``."""
+        return os.path.relpath(p, self.out_dir)
 
 
 def sha256_file(path: Path) -> str:
@@ -274,13 +274,13 @@ class RunManifest:
         """The manifest under ``out_dir``, or a new one if there is none; a malformed file is a DataError."""
         path = out_dir / "manifest.json"
         if not path.exists():
-            return cls(path, {"created": _now(), "updated": _now(), "params": params, "inputs": {}, "stages": {}})
+            return cls(path, {"created": _now(), "updated": _now(), "params": params, "stages": {}})
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise DataError(f"{path}: not a readable JSON manifest: {exc}") from exc
-        if not isinstance(data, dict) or not all(isinstance(data.get(k), dict) for k in ("inputs", "stages")):
-            raise DataError(f"{path}: expected a JSON object with 'inputs' and 'stages' objects")
+        if not isinstance(data, dict) or not isinstance(data.get("stages"), dict):
+            raise DataError(f"{path}: expected a JSON object with a 'stages' object")
         for stage, entry in data["stages"].items():
             # an entry written before entries recorded inputs has none: the stages after it refuse to run
             if not (isinstance(entry, dict) and isinstance(entry.get("artifacts"), dict)
@@ -291,21 +291,17 @@ class RunManifest:
                 "manifest parameters differ from current config; "
                 "rerun earlier stages for consistent artifacts"
             )
-        data["params"] = params
+        data.pop("inputs", None)  # an older run's record of the raw inputs; stage entries record them now
         return cls(path, data)
 
-    def record_inputs(self, inputs: dict[str, Path]) -> None:
-        """Hash each input file and record its path relative to the output directory."""
-        for name, p in sorted(inputs.items()):
-            self.data["inputs"][name] = {"path": os.path.relpath(p, self.path.parent), "sha256": sha256_file(p)}
-
-    def record_stage(self, stage: str, art: Artifacts, reads: list[Path], writes: list[Path]) -> None:
-        """Hash the files the stage ``writes``; under ``inputs``, copy the hash each file it ``reads`` has here."""
-        recorded = self.artifact_hashes()
+    def record_stage(self, stage: str, art: Artifacts, table: dict) -> None:
+        """Hash the files ``stage`` writes; under ``inputs``, copy each read's hash from here, or hash a raw input."""
+        reads, writes = table[stage]
+        written, recorded = {p for _, files in table.values() for p in files}, self.artifact_hashes()
         self.data["stages"][stage] = {
             "completed": _now(),
             "artifacts": {art.rel(p): sha256_file(p) for p in sorted(writes)},
-            "inputs": {art.rel(p): recorded[art.rel(p)] for p in reads},
+            "inputs": {art.rel(p): recorded[art.rel(p)] if p in written else sha256_file(p) for p in reads},
         }
         self.data["updated"] = _now()
         self.save()
@@ -349,44 +345,55 @@ def _corpus_paths(config: PipelineConfig) -> dict[str, Path]:
 
 
 def stage_files(config: PipelineConfig, art: Artifacts) -> dict[str, tuple[list[Path], list[Path]]]:
-    """The artifact files each stage reads and writes, as ``(reads, writes)``; per-corpus files for each corpus."""
-    names = list(_corpus_paths(config))
+    """Every file each stage reads and writes, as ``(reads, writes)``; per-corpus files for each corpus.
+
+    A read that no stage writes is a raw input: the corpora and the stopwords file, or the dictionary.
+    """
+    corpora, dictionary = _corpus_paths(config), config.dictionary_path
+    names, sources = list(corpora), [*corpora.values(), *filter(None, [config.stopwords_path])]
     counts, ids, terms = art.corpus_counts("immorality"), art.corpus("immorality"), art.terms("immorality")
     embedding = [art.embedding, art.row_vocab]  # U_k has no words: its rows follow row_vocab.tsv
     return {
-        "ingest": ([], [p for name in names for p in (art.corpus_counts(name), art.corpus(name))]),
+        "ingest": (sources, [p for name in names for p in (art.corpus_counts(name), art.corpus(name))]),
         "select": ([art.corpus_counts(name) for name in names], [art.terms(name) for name in names]),
         "matrix": ([counts, terms], [art.ppmi, art.row_vocab, art.col_vocab]),
         "svd": ([art.row_vocab, art.col_vocab, art.ppmi], [art.embedding, art.singular_values]),
-        "vectors": ([*embedding, *(art.terms(name) for name in names[1:])], [art.mf_vectors, art.topic_vectors]),
+        "vectors": (
+            [*embedding, dictionary, *(art.terms(name) for name in names[1:])], [art.mf_vectors, art.topic_vectors]
+        ),
         "loadings": ([*embedding, art.mf_vectors, counts, ids, art.topic_vectors], [art.loadings, art.topics_csv]),
         "extend": ([*embedding, art.mf_vectors], [art.extended]),
         "pca": ([*embedding, art.mf_vectors, art.extended], [art.pca_csv, art.pca_variance]),
         "report": (
-            [counts, terms, art.loadings, art.mf_vectors],
+            [counts, terms, art.loadings, art.mf_vectors, dictionary],
             [art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv],
         ),
     }
 
 
 def _check_upstream(stage: str, table: dict, manifest: RunManifest, art: Artifacts) -> None:
-    """A PipelineError naming the first stage to rerun if ``stage`` may not run yet; reads only the manifest."""
+    """A PipelineError naming the first stage to rerun if ``stage`` may not run yet; reads only the manifest.
+
+    A raw input (a read no stage writes) must exist; its recorded hash is not compared.
+    """
     writer = {p: name for name, (_, writes) in table.items() for p in writes}
+    made = {name: [p for p in reads if p in writer] for name, (reads, _) in table.items()}
     hashes = manifest.artifact_hashes()
     for p in table[stage][0]:
         if not p.exists():
-            raise PipelineError(f"missing artifact {p}; run stage {writer[p]!r} first")
-        if art.rel(p) not in hashes:
+            raise PipelineError(f"missing artifact {p}; run stage {writer[p]!r} first" if p in writer
+                                else f"input file {p} does not exist")
+        if p in writer and art.rel(p) not in hashes:
             raise PipelineError(f"{p}: manifest.json records no hash of it; rerun stage {writer[p]!r}")
     upstream = {stage}
     for name in reversed(STAGES):  # a stage reads only what earlier stages write
         if name in upstream:
-            upstream.update(writer[p] for p in table[name][0])
+            upstream.update(writer[p] for p in made[name])
     for name in (s for s in STAGES if s in upstream - {stage}):
         entry = manifest.data["stages"].get(name)
         if entry is None:
             raise PipelineError(f"manifest.json records no completed run of stage {name!r}; rerun stage {name!r}")
-        for p in table[name][0]:
+        for p in made[name]:
             recorded = entry.get("inputs", {}).get(art.rel(p))
             if recorded is None or recorded != hashes.get(art.rel(p)):
                 raise PipelineError(f"{table[name][1][0]}: not built from the current {art.rel(p)} (manifest.json "
@@ -409,16 +416,8 @@ def _check_k(reads: list[Path], config: PipelineConfig, art: Artifacts) -> None:
         raise PipelineError(f"{art.rel(art.embedding)} has {width} columns, not k={config.k}; rerun stage 'svd'")
 
 
-def _load_dictionary(config: PipelineConfig) -> lexicon_mod.MFDictionary:
-    if config.dictionary_path is not None:
-        return lexicon_mod.load_dictionary(config.dictionary_path)
-    return lexicon_mod.load_packaged_dictionary()
-
-
 def _stage_ingest(config: PipelineConfig, art: Artifacts) -> None:
     for name, source in _corpus_paths(config).items():
-        if not source.exists():
-            raise PipelineError(f"input corpus {source} does not exist")
         cleaning = config.cleaning_config(name)
         stats = corpus_mod.IngestStats()
         records = corpus_mod.iter_records(source, config.lang_filter, stats)
@@ -474,7 +473,7 @@ def _load_embedding(art: Artifacts) -> linalg_mod.EmbeddingSpace:
 
 def _stage_vectors(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
-    mf = semantics_mod.mf_vectors(_load_dictionary(config), embedding)
+    mf = semantics_mod.mf_vectors(lexicon_mod.load_dictionary(config.dictionary_path), embedding)
     tables.write_vectors(art.mf_vectors, lexicon_mod.FOUNDATIONS, mf)
     labels, topic_vectors = [], []
     for name in sorted(config.topic_paths):
@@ -539,8 +538,9 @@ def _stage_report(config: PipelineConfig, art: Artifacts) -> None:
     selection = vectorizer_mod.load_selection(art.terms("immorality"), config.n1)
     keywords = vectorizer_mod.Vocabulary(selection.keywords)
     freqs = np.asarray(counts.select(keywords).sum(axis=0)).ravel()
+    dictionary = lexicon_mod.load_dictionary(config.dictionary_path)
     lexicon_mod.write_dictionary_report(
-        _load_dictionary(config), dict(zip(keywords.words, freqs.tolist())), art.coverage_tsv, art.vice_report
+        dictionary, dict(zip(keywords.words, freqs.tolist())), art.coverage_tsv, art.vice_report
     )
 
     dominant = semantics_mod.load_foundation_counts(art.loadings)
@@ -575,12 +575,6 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
     executed: dict[str, list[str]] = {}
     with output_lock(config.out_dir):
         manifest = RunManifest.load_or_create(config.out_dir, config.params_snapshot())
-        dictionary = config.dictionary_path or lexicon_mod.packaged_dictionary_path()
-        inputs = {**_corpus_paths(config), "dictionary": dictionary}
-        if config.stopwords_path is not None:
-            inputs["stopwords"] = config.stopwords_path
-        if all(p.exists() for p in inputs.values()):
-            manifest.record_inputs(inputs)
         table = stage_files(config, art)
         for name in plan:
             reads, writes = table[name]
@@ -592,7 +586,8 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
             logger.info("stage %s: starting", name)
             _STAGE_FUNCS[name](config, art)
             _remove_stale(writes)
-            manifest.record_stage(name, art, reads, writes)
+            manifest.data["params"] = config.params_snapshot()  # not before: a failed stage leaves them as they were
+            manifest.record_stage(name, art, table)
             executed[name] = [art.rel(p) for p in writes]
             logger.info("stage %s: wrote %d artifacts", name, len(writes))
     return executed

@@ -1,5 +1,7 @@
+import builtins
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -14,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mfquant
-from mfquant import linalg, vectorizer
+from mfquant import linalg, pipeline, vectorizer
 from mfquant.cli import main
 from mfquant.corpus import TokenizedTweet
 from mfquant.errors import ConfigError, DataError, PipelineError
-from mfquant.lexicon import FOUNDATIONS
+from mfquant.lexicon import FOUNDATIONS, packaged_dictionary_path
 from mfquant.linalg import load_embedding
 from mfquant.pipeline import (
     STAGES,
@@ -33,7 +35,7 @@ from mfquant.pipeline import (
 )
 from mfquant.semantics import LoadingMatrix, save_loadings
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
-from mfquant.tables import write_vectors
+from mfquant.tables import read_vectors, write_vectors
 from mfquant.vectorizer import SelectionResult, count_corpus, load_corpus_counts, save_corpus_counts, save_selection
 
 SMALL_PARAMS = dict(n1=300, n2=1500, k=25, topic_n=(5, 20), extend_n=30, seed=7)
@@ -209,7 +211,7 @@ cleaning:
 
     @pytest.mark.parametrize(
         "name",
-        ["", "immorality", "dictionary", "stopwords", "../../escaped", "a/b", "a,b", "a\tb", "a\nb", "a\rb"],
+        ["", "immorality", "../../escaped", "a/b", "a,b", "a\tb", "a\nb", "a\rb"],
     )
     def test_bad_topic_name_rejected(self, tmp_path, name):
         config = PipelineConfig(
@@ -261,8 +263,15 @@ class TestStages:
         assert emitted == recorded
         assert set(manifest["stages"]) == set(STAGES)
         assert manifest["params"]["seed"] == config.seed
-        assert "immorality" in manifest["inputs"]
-        assert "dictionary" in manifest["inputs"]
+        # each raw input is recorded by the stages that read it, and nowhere else
+        assert "inputs" not in manifest
+        ingest = manifest["stages"]["ingest"]["inputs"]
+        assert set(ingest) == {"../immorality.jsonl", *(f"../{p.name}" for p in config.topic_paths.values())}
+        assert ingest["../immorality.jsonl"] == sha256_file(config.immorality_path)
+        dictionary = os.path.relpath(config.dictionary_path, config.out_dir)
+        readers = {name for name, entry in manifest["stages"].items() if dictionary in entry["inputs"]}
+        assert readers == {"vectors", "report"}
+        assert manifest["stages"]["report"]["inputs"][dictionary] == sha256_file(config.dictionary_path)
 
     def test_missing_prerequisite_names_stage(self, tmp_path):
         config = make_workspace(tmp_path, tweets=50, topics=())
@@ -357,16 +366,17 @@ def test_rerun_removes_files_a_stage_no_longer_writes(tmp_path):
 
 def record_every_stage(config):
     """manifest.json entries that agree with the stage table, for a hand-made workspace: each file's sha256,
-    and a placeholder for every file the workspace does not hold."""
+    raw inputs included, and a placeholder for every file the workspace does not hold."""
     art = Artifacts(config.out_dir)
     table = stage_files(config, art)
-    digest = {art.rel(p): sha256_file(p) if p.exists() else "absent" for _, writes in table.values() for p in writes}
+    files = {p for reads, writes in table.values() for p in (*reads, *writes)}
+    digest = {art.rel(p): sha256_file(p) if p.exists() else "absent" for p in files}
     stages = {
         name: {"artifacts": {art.rel(p): digest[art.rel(p)] for p in writes},
                "inputs": {art.rel(p): digest[art.rel(p)] for p in reads}}
         for name, (reads, writes) in table.items()
     }
-    RunManifest(config.out_dir / "manifest.json", {"inputs": {}, "stages": stages}).save()
+    RunManifest(config.out_dir / "manifest.json", {"stages": stages}).save()
 
 
 def test_report_stage_writes_exact_dictionary_reports(tmp_path):
@@ -491,6 +501,19 @@ def test_killed_run_neither_blocks_nor_corrupts_the_next(clean_tiny_run, mode, t
     assert artifact_bytes(out) == clean
 
 
+def test_failed_stage_leaves_the_params_its_inputs_were_built_with(clean_tiny_run, tmp_path):
+    """vectors fails on a truncated embedding: manifest.json keeps extend_n=10, not the failed command's 20."""
+    workdir, config, _ = clean_tiny_run
+    out = tmp_path / "out"
+    shutil.copytree(workdir / "clean", out)
+    embedding = out / "svd" / "embedding.npy"
+    embedding.write_bytes(embedding.read_bytes()[:-100])
+    sizes = [("20" if option == "--extend-n" else value) for option, value in zip(["", *KILL_SIZES], KILL_SIZES)]
+    assert main(["vectors", "--config", config, "--out", str(out), *sizes]) == 2
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["params"]["extend_n"] == 10 and "vectors" not in manifest["stages"]
+
+
 @pytest.mark.parametrize("stage", ["vectors", "loadings", "extend", "pca"])
 def test_stage_asked_for_another_k_than_the_embedding_has_is_refused(clean_tiny_run, tmp_path, capsys, stage):
     """svd ran with k=10: a stage that reads its embedding refuses k=5 and writes nothing, manifest.json
@@ -555,6 +578,7 @@ def test_stage_killed_between_two_files_is_refused_until_it_reruns(tmp_path, mon
 
 
 def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
+    """ingest records the stopwords file's sha256 under its ``inputs``, keyed by its path from the output directory."""
     config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
     with config.immorality_path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps({"id": "extra", "text": "the war and the peace"}) + "\n")
@@ -576,7 +600,7 @@ def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
     assert {"the", "and", "peace"} <= words[0]
     manifest = json.loads((config.out_dir / "manifest.json").read_text())
     digest = hashlib.sha256(stopwords.read_bytes()).hexdigest()
-    assert manifest["inputs"]["stopwords"] == {"path": "../stopwords.txt", "sha256": digest}
+    assert manifest["stages"]["ingest"]["inputs"]["../stopwords.txt"] == digest
 
 
 def test_stopwords_file_may_start_with_a_byte_order_mark(tmp_path):
@@ -588,7 +612,7 @@ def test_stopwords_file_may_start_with_a_byte_order_mark(tmp_path):
 
 def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
     """Input paths are recorded relative to the output directory: two copies of one workspace,
-    at paths of different lengths, write equal ``inputs`` blocks and manifests of equal size."""
+    at paths of different lengths, write equal ingest ``inputs`` and manifests of equal size."""
     (tmp_path / "source").mkdir()
     config = make_workspace(tmp_path / "source", tweets=60, topic_tweets=20)
     manifests = []
@@ -602,9 +626,124 @@ def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
         run("ingest", copy)
         manifests.append(copy.out_dir / "manifest.json")
     first, second = (json.loads(p.read_text(encoding="utf-8")) for p in manifests)
-    assert first["inputs"]["immorality"]["path"] == "../immorality.jsonl"
-    assert first["inputs"] == second["inputs"]
+    inputs = first["stages"]["ingest"]["inputs"]
+    assert inputs["../immorality.jsonl"] == sha256_file(config.immorality_path)
+    assert inputs == second["stages"]["ingest"]["inputs"]
     assert manifests[0].stat().st_size == manifests[1].stat().st_size
+
+
+def test_every_file_a_stage_opens_is_in_the_stage_table(tmp_path, monkeypatch):
+    """Each file a stage opens for reading under the workspace, or the dictionary, is one of the files
+    ``stage_files`` lists for that stage, or manifest.json."""
+    config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
+    config.stopwords_path = tmp_path / "stopwords.txt"
+    config.stopwords_path.write_text("war\nkill\n", encoding="utf-8")
+    dictionary = Path(os.path.abspath(config.dictionary_path))
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and ("r" in mode or "+" in mode):
+            opened.append(Path(os.path.abspath(file)))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    table = stage_files(config, Artifacts(config.out_dir))
+    seen = set()
+    for stage in STAGES:
+        opened.clear()
+        run(stage, config)
+        read = {p for p in opened if p.is_relative_to(tmp_path) or p == dictionary}
+        listed = {Path(os.path.abspath(p)) for p in (*table[stage][0], *table[stage][1])}
+        assert read <= listed | {config.out_dir / "manifest.json"}, (stage, read - listed)
+        seen |= read
+    assert {config.immorality_path, *config.topic_paths.values(), config.stopwords_path, dictionary} <= seen
+
+
+def test_manifest_of_an_older_run_stays_valid(completed_run, tmp_path):
+    """A manifest from before stage entries recorded raw inputs, with its top-level ``inputs`` object:
+    the stages after ingest still run, and the object is dropped when the manifest is saved."""
+    config, _ = completed_run
+    copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
+    shutil.copytree(config.out_dir, copy.out_dir)
+    path = copy.out_dir / "manifest.json"
+    older = json.loads(path.read_text(encoding="utf-8"))
+    for entry in older["stages"].values():
+        entry["inputs"] = {rel: digest for rel, digest in entry["inputs"].items() if not rel.startswith("..")}
+    older["inputs"] = {"immorality": {"path": "../immorality.jsonl", "sha256": sha256_file(config.immorality_path)}}
+    path.write_text(json.dumps(older), encoding="utf-8")
+    for stage in STAGES[1:]:
+        run(stage, copy)
+    assert "inputs" not in json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_rerun_of_svd_hashes_no_raw_input(completed_run, tmp_path, monkeypatch):
+    """svd reads only artifacts: after ``run all`` it hashes the two files it writes, and no corpus or dictionary."""
+    config, _ = completed_run
+    copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
+    shutil.copytree(config.out_dir, copy.out_dir)
+    hashed = []
+
+    def recording_sha256(path):
+        hashed.append(path)
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", recording_sha256)
+    run("svd", copy)
+    art = Artifacts(copy.out_dir)
+    assert sorted(hashed) == sorted([art.embedding, art.singular_values])
+
+
+def test_missing_input_is_refused_before_ingest_replaces_a_file(clean_tiny_run, tmp_path, capsys):
+    """The last topic corpus is gone: ingest exits 2 before it rewrites any corpus file or drops its entry."""
+    workdir, _, clean = clean_tiny_run
+    for source in (*workdir.glob("*.jsonl"), workdir / "config.yaml"):
+        shutil.copy(source, tmp_path)
+    out = tmp_path / "out"
+    shutil.copytree(workdir / "clean", out)
+    manifest = (out / "manifest.json").read_bytes()
+    inode = (out / "corpus" / "immorality.npz").stat().st_ino
+    config = load_config(tmp_path / "config.yaml")
+    last = config.topic_paths[sorted(config.topic_paths)[-1]]
+    last.unlink()
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(tmp_path / "config.yaml"), *KILL_SIZES]) == 2
+    assert (out / "corpus" / "immorality.npz").stat().st_ino == inode
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert artifact_bytes(out) == clean
+    assert f"input file {last} does not exist" in capsys.readouterr().err
+
+
+def test_ingest_records_the_corpus_it_read(tmp_path):
+    """A corpus edited after ingest leaves ingest's recorded hash as it was when a later stage runs."""
+    config = make_workspace(tmp_path, tweets=200, topics=())
+    run("ingest", config)
+    read = sha256_file(config.immorality_path)
+    with config.immorality_path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "late", "text": "a record added after ingest"}) + "\n")
+    run("select", config)
+    manifest = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stages"]["ingest"]["inputs"] == {"../immorality.jsonl": read}
+    assert read != sha256_file(config.immorality_path)
+
+
+def test_topics_may_be_named_dictionary_and_stopwords(tmp_path):
+    """Raw inputs are keyed by path, so topic names do not collide with the dictionary or the stopwords file."""
+    topics = (("dictionary", "care"), ("stopwords", "fairness"))
+    config = make_workspace(tmp_path, tweets=200, topic_tweets=60, topics=topics)
+    config.dictionary_path = tmp_path / "dictionary.tsv"
+    shutil.copy(packaged_dictionary_path(), config.dictionary_path)
+    config.stopwords_path = tmp_path / "stopwords.txt"
+    config.stopwords_path.write_text("war\n", encoding="utf-8")
+    config.validate()
+    run("all", config)
+    stages = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    raw = ("immorality.jsonl", "dictionary.jsonl", "stopwords.jsonl", "stopwords.txt")
+    assert stages["ingest"]["inputs"] == {f"../{name}": sha256_file(tmp_path / name) for name in raw}
+    for stage in ("vectors", "report"):
+        assert stages[stage]["inputs"]["../dictionary.tsv"] == sha256_file(config.dictionary_path)
+    labels, _ = read_vectors(Artifacts(config.out_dir).topic_vectors)
+    assert labels == [f"{name}:{n}" for name in ("dictionary", "stopwords") for n in config.topic_n]
 
 
 @pytest.fixture(scope="module")
