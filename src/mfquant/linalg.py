@@ -2,21 +2,22 @@
 
 The SVD is exact: it takes the top-k eigenpairs of the Gram matrix on the
 smaller side of the input (``A @ A.T``, 2000 x 2000, at the paper
-defaults) and keeps only U_k and the singular values. A sparse input's
-Gram matrix is formed one triangle at a time, in column blocks shared out
-over every CPU the process may use, straight into the Fortran-order array
-LAPACK works in; its bytes do not depend on the thread count. Each block
-multiplies a tail of the rows built on the matrix's own arrays, since
-scipy's ``(data, indices, indptr)`` constructor would copy a tail of less
-than half of them; so a wide CSR A is held once while the Gram matrix
-fills, and let go before the eigensolver. Each singular vector's sign is
-fixed so that its largest-magnitude entry is positive, as in the PCA.
-U_k is persisted as one binary array whose rows follow a word list kept
-elsewhere. All kernels are pure.
+defaults) and keeps only U_k and the singular values. Of a sparse input's
+Gram matrix only the lower triangle, the part the eigensolver reads, is
+formed, in column blocks shared out over every CPU the process may use,
+straight into the Fortran-order array LAPACK works in; its bytes do not
+depend on the thread count. Each block reads the matrix's own arrays in
+place, so a wide CSR A is held once while the Gram matrix fills, and let
+go before the eigensolver. Each singular vector's sign is fixed so that
+its largest-magnitude entry is positive, as in the PCA. U_k is persisted
+as one binary array whose rows follow a word list kept elsewhere. All
+kernels are pure.
 """
 
 from __future__ import annotations
 
+import ctypes
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from . import tables
 from .errors import DataError
@@ -32,8 +34,13 @@ from .vectorizer import Vocabulary, WeightedMatrix
 
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
-# columns of the Gram matrix one sparse product forms: bounds that temporary at min(m, n) x 128
-GRAM_BLOCK_COLS = 128
+# columns of the Gram matrix one numeric pass forms: bounds each worker's buffers at min(m, n) x 64 entries
+GRAM_BLOCK_COLS = 64
+
+try:  # glibc's; other C libraries have no malloc_trim
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass
@@ -74,46 +81,71 @@ def _available_cpus() -> int:
 
 
 def _fill_gram_columns(left: sparse.csr_matrix, gram: np.ndarray, starts) -> None:
-    """Fill the column blocks of ``gram`` = ``left @ left.T`` that begin at ``starts``.
+    """Fill the lower triangle, diagonal included, of the column blocks of ``gram`` = ``left @ left.T`` at ``starts``.
 
-    Block ``[s, s+B)`` forms only rows ``s:`` (the lower triangle and the
-    diagonal block) and mirrors them into rows ``s:s+B`` of the upper
-    triangle. Blocks write disjoint parts of ``gram``. Only numpy and
-    scipy are called here; scipy's sparse product releases the GIL, so
-    threads running this in parallel use separate cores.
+    Block ``[s, s+B)`` is the product of the row tail ``left[s:]`` and
+    ``left[s:s+B].T``, formed in one numeric pass: scipy's ``csr_matmat``
+    writes it into CSR buffers sized for the densest block, and
+    ``csr_todense`` spreads it over a dense buffer, whose entries on and
+    below the diagonal are copied into ``gram``. These are the two kernels
+    ``(tail @ left[s:s+B].T).toarray()`` runs, less the counting pass
+    (``csr_matmat_maxnnz``) that sizes its output, so every entry is the
+    same sum in the same order. The buffers hold rows x GRAM_BLOCK_COLS
+    entries and are allocated once per call. Blocks write disjoint parts of
+    ``gram`` and never an entry above its diagonal. Both kernels release
+    the GIL, so threads running this in parallel use separate cores. They
+    are scipy internals: the tests compare the result bit for bit with the
+    public product, so a scipy release that changes them fails there.
 
-    Each tail ``left[s:]`` shares ``left``'s data and indices. It is an
-    empty matrix given the views as attributes: the ``(data, indices,
-    indptr)`` constructor ends in ``prune()``, which copies a view of
-    less than half its base, so every tail past the middle row would be a
-    copy of up to half of ``left``, one per thread.
+    Each tail shares ``left``'s data and indices: they are passed to the
+    kernel as views, with only the tail's row pointers rebased.
     """
-    size, width = left.shape
+    size = left.shape[0]
     data, indices, indptr = left.data, left.indices, left.indptr
+    index_dtype = indices.dtype
+    out_indptr = np.empty(size + 1, dtype=index_dtype)
+    out_indices = np.empty(size * GRAM_BLOCK_COLS, dtype=index_dtype)
+    out_data = np.empty(size * GRAM_BLOCK_COLS, dtype=data.dtype)
+    dense = np.empty(size * GRAM_BLOCK_COLS, dtype=data.dtype)
+    lower = np.tri(GRAM_BLOCK_COLS, dtype=bool)
     for start in starts:
         stop = min(start + GRAM_BLOCK_COLS, size)
+        rows, cols = size - start, stop - start
         offset = indptr[start]
-        tail = sparse.csr_matrix((size - start, width), dtype=data.dtype)
-        tail.data, tail.indices, tail.indptr = data[offset:], indices[offset:], indptr[start:] - offset
-        gram[start:, start:stop] = (tail @ left[start:stop].T).toarray()
-        gram[start:stop, stop:] = gram[stop:, start:stop].T
+        right = left[start:stop].T.tocsr()
+        _sparsetools.csr_matmat(
+            rows, cols,
+            (indptr[start:] - offset).astype(index_dtype, copy=False), indices[offset:], data[offset:],
+            right.indptr.astype(index_dtype, copy=False), right.indices.astype(index_dtype, copy=False), right.data,
+            out_indptr, out_indices, out_data,
+        )
+        block = dense[:rows * cols]
+        block.fill(0.0)  # csr_todense adds each entry to what the buffer holds
+        _sparsetools.csr_todense(rows, cols, out_indptr, out_indices, out_data, block)
+        block = block.reshape(rows, cols)
+        np.copyto(gram[start:stop, start:stop], block[:cols], where=lower[:cols, :cols])
+        gram[stop:, start:stop] = block[cols:]
 
 
 def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     """The smaller Gram matrix of A, ``A @ A.T`` if A has no more rows than columns, else ``A.T @ A``.
 
-    Returned as a dense float64 array in Fortran order. A sparse A's
-    product is formed GRAM_BLOCK_COLS columns at a time, lower triangle
-    only, each block mirrored into the upper triangle. Each block reads
-    its rows of the CSR form of A (of A.T when m > n) in place, not as a
-    copy (see ``_fill_gram_columns``). The blocks are
-    dealt round-robin to the calling thread and one helper thread per
-    further CPU (``_available_cpus``), and all helpers have ended when this
-    returns or raises; an exception in a helper is raised here. Each entry
-    is the same products summed in the same order as in the whole sparse
-    product, so for a CSR A with sorted indices (every matrix the pipeline
-    builds) the result equals that product bit for bit, whatever the
-    thread count.
+    Returned as a float64 array in Fortran order. A dense A gives the whole
+    product. A sparse A gives only its lower triangle and diagonal, the part
+    ``eigh`` reads; the strict upper triangle is zero. It lives in a fresh
+    anonymous memory map, not a numpy allocation, which may be advised
+    into huge pages, so the pages wholly above the diagonal are never
+    touched and never become resident (8.5 of the 30.5 MiB at 2000 x
+    2000). The product is formed GRAM_BLOCK_COLS columns at
+    a time, one numeric pass per block, reading the rows of the CSR form
+    of A (of A.T when m > n) in place, not as a copy (see
+    ``_fill_gram_columns``). The blocks are dealt round-robin to the
+    calling thread and one helper thread per further CPU
+    (``_available_cpus``), and all helpers have ended when this returns or
+    raises; an exception in a helper is raised here. Each entry is the same
+    products summed in the same order as in the public sparse product
+    ``A @ A.T``, so the lower triangle equals that product's bit for bit,
+    whatever the thread count.
     """
     m, n = matrix.shape
     left = matrix if m <= n else matrix.T
@@ -121,7 +153,10 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
         return np.asarray(left @ left.T, dtype=np.float64, order="F")
     left = sparse.csr_matrix(left)
     size = left.shape[0]
-    gram = np.empty((size, size), order="F")
+    # private, so that a read of a page never written (eigh's finiteness check reads every entry)
+    # maps the shared zero page rather than a new one; a map of length 0 is refused
+    buffer = mmap.mmap(-1, max(size * size * 8, 1), flags=mmap.MAP_PRIVATE)
+    gram = np.ndarray((size, size), dtype=np.float64, buffer=buffer, order="F")
     starts = range(0, size, GRAM_BLOCK_COLS)
     workers = max(1, min(_available_cpus(), len(starts)))
     errors: list[BaseException] = []
@@ -165,13 +200,16 @@ def truncated_svd(
     the Gram matrix alone gives U, so this drops its references to A once
     that is formed; if the caller keeps none, A is freed before the
     eigensolver (from CPython 3.11, whose calls leave no reference to an
-    argument on the caller's stack).
+    argument on the caller's stack), and with glibc the heap's free pages
+    are then handed back to the system.
 
     ``seed``, ``oversample`` and ``power_iters`` are ignored; they remain
     only because callers still pass them. Deterministic for a fixed matrix
     and k on one platform/build and BLAS thread count; another BLAS thread
-    count rounds differently in the eigensolver (about 1e-14). The number
-    of threads ``gram_matrix`` runs on changes no bit. Raises ValueError
+    count rounds differently in the eigensolver (on the 2000 x 20000 PPMI
+    matrix of 50k tweets, 1 against 2 threads moved entries of U_k by up
+    to 1.48e-12). The number of threads ``gram_matrix`` runs on changes no
+    bit, and nor does its zero upper triangle, which ``eigh`` never reads. Raises ValueError
     for k out of range or non-finite entries.
     """
     mat = matrix.weights if isinstance(matrix, WeightedMatrix) else matrix
@@ -184,6 +222,12 @@ def truncated_svd(
     gram = gram_matrix(mat)
     if m <= n:
         del matrix, mat
+        # A's arrays sit in the C heap, and a small block that outlives them above them (which one
+        # varies from run to run) can keep the heap from shrinking, so that their 15 MB stay resident
+        # through eigh at the paper defaults (in about 1 of 20 one-process runs of every stage).
+        # Trimming hands back every wholly free page.
+        if _malloc_trim is not None:
+            _malloc_trim(0)
     size = len(gram)
     eigenvalues, vectors = scipy.linalg.eigh(
         gram, subset_by_index=[size - k, size - 1], driver="evr", overwrite_a=True

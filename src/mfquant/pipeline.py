@@ -106,16 +106,22 @@ class PipelineConfig:
         if problems:
             raise ConfigError("; ".join(problems))
 
-    def cleaning_config(self, corpus_name: str) -> corpus_mod.CleaningConfig:
-        stopwords = DEFAULT_STOPWORDS
-        if self.stopwords_path is not None:
-            try:
-                text = Path(self.stopwords_path).read_text(encoding="utf-8-sig")
-            except OSError as exc:
-                raise ConfigError(f"cannot read stopwords file {self.stopwords_path}: {exc}") from exc
-            stopwords = frozenset(w.strip() for w in text.splitlines() if w.strip())
+    def read_stopwords(self) -> frozenset[str]:
+        """The stopwords file's non-blank lines, stripped, or DEFAULT_STOPWORDS when there is no file; read on every call."""
+        if self.stopwords_path is None:
+            return DEFAULT_STOPWORDS
+        try:
+            text = Path(self.stopwords_path).read_text(encoding="utf-8-sig")
+        except OSError as exc:
+            raise ConfigError(f"cannot read stopwords file {self.stopwords_path}: {exc}") from exc
+        return frozenset(w.strip() for w in text.splitlines() if w.strip())
+
+    def cleaning_config(
+        self, corpus_name: str, stopwords: frozenset[str] | None = None
+    ) -> corpus_mod.CleaningConfig:
+        """How to clean one corpus; ``stopwords`` defaults to ``read_stopwords()``."""
         return corpus_mod.CleaningConfig(
-            stopwords=stopwords,
+            stopwords=self.read_stopwords() if stopwords is None else stopwords,
             query_words=frozenset(self.query_words.get(corpus_name, ())),
             min_token_len=self.min_token_len,
             lowercase=self.lowercase,
@@ -417,8 +423,9 @@ def _check_k(reads: list[Path], config: PipelineConfig, art: Artifacts) -> None:
 
 
 def _stage_ingest(config: PipelineConfig, art: Artifacts) -> None:
+    stopwords = config.read_stopwords()  # one read serves every corpus
     for name, source in _corpus_paths(config).items():
-        cleaning = config.cleaning_config(name)
+        cleaning = config.cleaning_config(name, stopwords)
         stats = corpus_mod.IngestStats()
         records = corpus_mod.iter_records(source, config.lang_filter, stats)
         # one record at a time, JSON line to count row; the module attribute is looked up per call
@@ -446,8 +453,8 @@ def _stage_select(config: PipelineConfig, art: Artifacts) -> None:
 def _stage_matrix(config: PipelineConfig, art: Artifacts) -> None:
     counts = vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"))
     selection = vectorizer_mod.load_selection(art.terms("immorality"), config.n1)
-    cooc = vectorizer_mod.build_cooccurrence(counts, selection)
-    weighted = vectorizer_mod.ppmi(cooc)
+    # no name holds the co-occurrence counts, so ppmi can let them go before the save
+    weighted = vectorizer_mod.ppmi(vectorizer_mod.build_cooccurrence(counts, selection))
     vectorizer_mod.save_triplets(weighted, art.ppmi)
     vectorizer_mod.save_vocabulary(weighted.row_vocab.words, art.row_vocab)
     vectorizer_mod.save_vocabulary(weighted.col_labels, art.col_vocab)

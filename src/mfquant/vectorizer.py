@@ -41,6 +41,8 @@ logger = logging.getLogger(__name__)
 
 # rows per block in row_sums, _row_hashes, count_unique_tweets and TweetIds iteration: bounds their temporaries
 ROW_SUM_BLOCK = 4096
+# rows of the co-occurrence matrix whose PPMI denominators are formed at once: bounds that temporary
+PPMI_BLOCK_ROWS = 128
 # odd, so that no power of it is 0 modulo 2**64: a token however far into its row still weighs in the row's hash
 _HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
@@ -486,7 +488,11 @@ def build_cooccurrence(corpus: CorpusCounts, selection: SelectionResult) -> Spar
     once = np.bincount(presence.indices[presence.data == 1], minlength=n1)[:n1]
     presence.data.fill(1)  # the counts become presence in place, sharing their indices
     counts_mat = presence[:, :n1].T.tocsr() @ presence
-    counts_mat -= sparse.diags(once, shape=counts_mat.shape, dtype=np.int64)
+    del presence
+    counts_mat.sort_indices()
+    # a keyword pairs with itself in every tweet holding it, so each keyword of the corpus has its
+    # diagonal entry and setdiag writes in place, in int32
+    counts_mat.setdiag(counts_mat.diagonal() - once)
     counts_mat.eliminate_zeros()
     empty_rows = int(np.sum(np.diff(counts_mat.indptr) == 0))
     if empty_rows:
@@ -500,26 +506,37 @@ def ppmi(matrix: SparseCountMatrix) -> WeightedMatrix:
     """max(log2(P(i,j) / (P(i) P(j))), 0) per nonzero entry; zero counts stay zero.
 
     Computed in place on a float64 copy of the counts, as
-    (count * total) / (row sum * column sum), the order ppmi.npz's bytes depend on.
+    (count * total) / (row sum * column sum), the order ppmi.npz's bytes
+    depend on. The sums are exact: row sums in int64 (``row_sums``), column
+    sums in float64 by ``np.bincount``, exact for integer totals below
+    2**53. The denominators are formed PPMI_BLOCK_ROWS rows at a time. The
+    counts are let go once copied, so if the caller keeps no reference to
+    ``matrix`` they are freed before any denominator is formed (from
+    CPython 3.11, whose calls leave no reference to an argument on the
+    caller's stack).
     """
     counts = matrix.counts
-    total = float(counts.sum())
+    n_rows, n_cols = counts.shape
+    sums = row_sums(counts.data, counts.indptr)
+    total = float(sums.sum())
     if total <= 0:
         raise DataError("co-occurrence matrix is all zero; PPMI undefined")
-    row_sums = np.asarray(counts.sum(axis=1)).ravel().astype(np.float64)
-    col_sums = np.asarray(counts.sum(axis=0)).ravel().astype(np.float64)
+    row_vocab, col_labels = matrix.row_vocab, matrix.col_labels
     weights = counts.astype(np.float64)
-    denominators = np.repeat(row_sums, np.diff(weights.indptr))
-    denominators *= col_sums[weights.indices]
-    pmi = weights.data
+    del matrix, counts
+    indptr, indices, pmi = weights.indptr, weights.indices, weights.data
+    col_sums = np.bincount(indices, weights=pmi, minlength=n_cols)
+    sums = sums.astype(np.float64)
     pmi *= total
-    pmi /= denominators
+    for start in range(0, n_rows, PPMI_BLOCK_ROWS):
+        bounds = indptr[start:start + PPMI_BLOCK_ROWS + 1]
+        denominators = np.repeat(sums[start:start + len(bounds) - 1], np.diff(bounds))
+        denominators *= col_sums[indices[bounds[0]:bounds[-1]]]
+        pmi[bounds[0]:bounds[-1]] /= denominators
     np.log2(pmi, out=pmi)
     np.maximum(pmi, 0.0, out=pmi)
     weights.eliminate_zeros()
-    return WeightedMatrix(
-        row_vocab=matrix.row_vocab, col_labels=matrix.col_labels, weights=weights
-    )
+    return WeightedMatrix(row_vocab=row_vocab, col_labels=col_labels, weights=weights)
 
 
 def save_triplets(matrix: SparseCountMatrix | WeightedMatrix, path: str | Path) -> None:

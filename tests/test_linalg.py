@@ -123,11 +123,12 @@ class TestTruncatedSvd:
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps call arguments on the caller's stack")
     @pytest.mark.parametrize("m,n", [(300, 500), (500, 300)], ids=["wide", "tall"])
     def test_only_a_tall_matrix_outlives_the_gram_matrix(self, monkeypatch, m, n):
-        """A wide A is the Gram matrix's only input, so truncated_svd lets it go before eigh;
-        a tall A is still needed for U = qr(A V), which comes out as when the caller keeps A."""
+        """A wide A is the Gram matrix's only input, so truncated_svd lets it go before eigh, and then
+        trims the C heap; a tall A is still needed for U = qr(A V), which comes out as when the caller
+        keeps A."""
         matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m)
         held = truncated_svd(matrix, k=10)
-        eigh, alive = linalg.scipy.linalg.eigh, []
+        eigh, alive, trimmed = linalg.scipy.linalg.eigh, [], []
         refs = [weakref.ref(a) for a in (matrix, matrix.data, matrix.indices)]
 
         def recording_eigh(*args, **kwargs):
@@ -135,26 +136,73 @@ class TestTruncatedSvd:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(linalg.scipy.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(linalg, "_malloc_trim", lambda pad: trimmed.append([ref() is not None for ref in refs]))
         only = [matrix]
         del matrix
         result = truncated_svd(only.pop(), k=10)
         assert alive == [[m > n] * 3]
+        assert trimmed == ([] if m > n else [[False] * 3])
         np.testing.assert_array_equal(result.u_k, held.u_k)
         np.testing.assert_array_equal(result.singular_values, held.singular_values)
+
+    @pytest.mark.parametrize("m,n", [(300, 500), (500, 300)], ids=["wide", "tall"])
+    def test_lower_triangle_gives_the_eigenpairs_of_the_mirrored_gram_matrix(self, monkeypatch, m, n):
+        """eigh reads only the lower triangle: the zero upper one changes no bit of U_k or sigma."""
+        matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m + 2 * n)
+        lower_only = truncated_svd(matrix, k=12)
+        gram = linalg.gram_matrix
+
+        def mirrored_gram(a):
+            lower = gram(a)
+            full = np.asfortranarray(lower + np.tril(lower, -1).T)
+            oracle = (a @ a.T if m <= n else a.T @ a).toarray()
+            assert full.tobytes(order="F") == np.asfortranarray(oracle).tobytes(order="F")
+            return full
+
+        monkeypatch.setattr(linalg, "gram_matrix", mirrored_gram)
+        full = truncated_svd(matrix, k=12)
+        assert lower_only.u_k.tobytes() == full.u_k.tobytes()
+        assert lower_only.singular_values.tobytes() == full.singular_values.tobytes()
+
+
+def assert_lower_gram(gram, matrix):
+    """``gram`` is a float64 Fortran array whose lower triangle, diagonal included, is the public sparse
+    Gram product's bit for bit, and whose strict upper triangle is exactly zero."""
+    m, n = matrix.shape
+    oracle = (matrix @ matrix.T if m <= n else matrix.T @ matrix).toarray()
+    assert gram.flags.f_contiguous and gram.dtype == np.float64 and gram.shape == oracle.shape
+    assert np.tril(gram).tobytes() == np.tril(oracle).tobytes()
+    assert not np.triu(gram, 1).any()
 
 
 class TestGramMatrix:
     @pytest.mark.parametrize(
         "m,n",
-        [(100, 700), (600, 900), (900, 300), (700, 100), (512, 512)],
+        [(50, 700), (600, 900), (900, 300), (700, 50), (512, 512)],
         ids=["wide-under-one-block", "wide-partial-block", "tall-partial-block", "tall-under-one-block", "square"],
     )
     def test_blocked_gram_is_the_sparse_product_bit_for_bit(self, m, n):
+        assert linalg.GRAM_BLOCK_COLS == 64  # the ids name block counts at this width
         matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m + n)
-        oracle = (matrix @ matrix.T if m <= n else matrix.T @ matrix).toarray()
-        gram = gram_matrix(matrix)
-        assert gram.flags.f_contiguous and gram.dtype == np.float64
-        assert np.ascontiguousarray(gram).tobytes() == oracle.tobytes()
+        assert_lower_gram(gram_matrix(matrix), matrix)
+
+    def test_int64_indices_are_read_in_place(self, monkeypatch):
+        matrix = sparse.random(300, 500, density=0.05, format="csr", random_state=5)
+        matrix.indices, matrix.indptr = matrix.indices.astype(np.int64), matrix.indptr.astype(np.int64)
+        matmat, shared = linalg._sparsetools.csr_matmat, []
+
+        def recording_matmat(*args):
+            shared.append(np.shares_memory(args[3], matrix.indices) and np.shares_memory(args[4], matrix.data))
+            return matmat(*args)
+
+        monkeypatch.setattr(linalg._sparsetools, "csr_matmat", recording_matmat)
+        assert_lower_gram(gram_matrix(matrix), matrix)
+        assert shared and all(shared)
+
+    @pytest.mark.parametrize("shape", [(0, 7), (7, 0), (0, 0)], ids=["no-rows", "no-columns", "empty"])
+    def test_empty_side_gives_an_empty_gram_matrix(self, shape):
+        gram = gram_matrix(sparse.csr_matrix(shape))
+        assert gram.shape == (0, 0) and gram.dtype == np.float64 and gram.flags.f_contiguous
 
     def test_dense_input(self):
         matrix = planted_rank_matrix(30, 20, rank=5, seed=2)
@@ -162,11 +210,10 @@ class TestGramMatrix:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
-        "m,n", [(100, 700), (250, 700), (900, 600)], ids=["one-block", "two-blocks", "five-blocks"]
+        "m,n,blocks", [(60, 700, 1), (120, 700, 2), (900, 300, 5)], ids=["one-block", "two-blocks", "five-blocks"]
     )
-    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, m, n, cpus):
+    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, m, n, blocks, cpus):
         matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m * n)
-        oracle = (matrix @ matrix.T if m <= n else matrix.T @ matrix).toarray()
         fill, threads = linalg._fill_gram_columns, set()
 
         def recording_fill(left, gram, starts):
@@ -175,24 +222,24 @@ class TestGramMatrix:
 
         monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(linalg, "_fill_gram_columns", recording_fill)
-        gram = gram_matrix(matrix)
-        assert np.ascontiguousarray(gram).tobytes() == oracle.tobytes()
-        blocks = -(-min(m, n) // linalg.GRAM_BLOCK_COLS)
+        assert_lower_gram(gram_matrix(matrix), matrix)
+        assert -(-min(m, n) // linalg.GRAM_BLOCK_COLS) == blocks
         assert len(threads) == min(cpus, blocks)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_every_tail_is_a_view_of_the_matrix(self, monkeypatch, cpus):
+        """The numeric pass of each block reads its row tail from A's own data and indices."""
         matrix = sparse.random(600, 900, density=0.05, format="csr", random_state=9)
-        matmul, tails = sparse.csr_matrix.__matmul__, []
+        matmat, tails = linalg._sparsetools.csr_matmat, []
 
-        def recording_matmul(self, other):
-            shared = np.shares_memory(self.data, matrix.data) and np.shares_memory(self.indices, matrix.indices)
-            tails.append((self.shape[0], shared))
-            return matmul(self, other)
+        def recording_matmat(n_row, n_col, a_indptr, a_indices, a_data, *rest):
+            shared = np.shares_memory(a_data, matrix.data) and np.shares_memory(a_indices, matrix.indices)
+            tails.append((n_row, shared))
+            return matmat(n_row, n_col, a_indptr, a_indices, a_data, *rest)
 
         monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
-        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", recording_matmul)
-        gram_matrix(matrix)
+        monkeypatch.setattr(linalg._sparsetools, "csr_matmat", recording_matmat)
+        assert_lower_gram(gram_matrix(matrix), matrix)
         starts = range(0, 600, linalg.GRAM_BLOCK_COLS)
         assert len(starts) >= 4
         assert sorted(tails) == sorted((600 - start, True) for start in starts)

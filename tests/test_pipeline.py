@@ -660,6 +660,25 @@ def test_every_file_a_stage_opens_is_in_the_stage_table(tmp_path, monkeypatch):
     assert {config.immorality_path, *config.topic_paths.values(), config.stopwords_path, dictionary} <= seen
 
 
+def test_ingest_opens_the_stopwords_file_twice(tmp_path, monkeypatch):
+    """Ingest reads the stopwords file once for all five corpora, and the manifest hashes it once."""
+    config = make_workspace(tmp_path, tweets=100, topic_tweets=30, topics=DEFAULT_TOPICS)
+    assert len(config.topic_paths) == 4
+    config.stopwords_path = tmp_path / "stopwords.txt"
+    config.stopwords_path.write_text("war\nkill\n", encoding="utf-8")
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(os.path.abspath(file)) == config.stopwords_path:
+            opened.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    run("ingest", config)
+    assert sorted(opened) == ["r", "rb"]  # the words as text, the hash as bytes
+
+
 def test_manifest_of_an_older_run_stays_valid(completed_run, tmp_path):
     """A manifest from before stage entries recorded raw inputs, with its top-level ``inputs`` object:
     the stages after ingest still run, and the object is dropped when the manifest is saved."""

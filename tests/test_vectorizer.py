@@ -336,6 +336,78 @@ class TestPpmi:
             )
 
 
+def random_counts(n_tweets, n_words, seed):
+    """A corpus of int32 counts from 1 to 3, where every seventh word occurs at most once in a tweet
+    but in more tweets than the others, so that it ranks among the keywords."""
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(1, 4, size=(n_tweets, n_words)) * (rng.random((n_tweets, n_words)) < 0.03)
+    dense[:, ::7] = rng.random((n_tweets, len(range(0, n_words, 7)))) < 0.08
+    vocab = Vocabulary(tuple(f"w{i:04d}" for i in range(n_words)))
+    return CorpusCounts(vocab=vocab, counts=sparse.csr_matrix(dense.astype(np.int32)))
+
+
+def whole_array_cooccurrence(corpus, selection):
+    """Co-occurrence counts with the single occurrences subtracted as an int64 diagonal matrix."""
+    n1 = len(selection.keywords)
+    presence = corpus.select(Vocabulary(selection.context_words))
+    once = np.bincount(presence.indices[presence.data == 1], minlength=n1)[:n1]
+    presence.data.fill(1)
+    counts = presence[:, :n1].T.tocsr() @ presence
+    counts -= sparse.diags(once, shape=counts.shape, dtype=np.int64)
+    counts.eliminate_zeros()
+    return counts
+
+
+def whole_array_ppmi(counts):
+    """PPMI from scipy's sums, with the denominators of every entry formed at once."""
+    total = float(counts.sum())
+    row_sums = np.asarray(counts.sum(axis=1)).ravel().astype(np.float64)
+    col_sums = np.asarray(counts.sum(axis=0)).ravel().astype(np.float64)
+    weights = counts.astype(np.float64)
+    denominators = np.repeat(row_sums, np.diff(weights.indptr))
+    denominators *= col_sums[weights.indices]
+    pmi = weights.data
+    pmi *= total
+    pmi /= denominators
+    np.log2(pmi, out=pmi)
+    np.maximum(pmi, 0.0, out=pmi)
+    weights.eliminate_zeros()
+    return weights
+
+
+def canonical_bytes(matrix, dtype):
+    matrix = matrix.copy()
+    matrix.sort_indices()
+    return [matrix.indptr.astype(np.int64).tobytes(), matrix.indices.astype(np.int32).tobytes(),
+            matrix.data.astype(dtype).tobytes()]
+
+
+def test_matrix_stage_equals_the_whole_array_formulas_bit_for_bit(tmp_path, monkeypatch):
+    """The in-place diagonal and the blocked PPMI give the bytes of the whole-array formulas,
+    and save_triplets hands write_csr the PPMI matrix itself, already canonical."""
+    corpus = random_counts(400, 700, seed=11)
+    selection = select_terms(overlap_scores(corpus), 300, 600)
+    assert len(selection.keywords) > 2 * vectorizer.PPMI_BLOCK_ROWS
+    cooc = build_cooccurrence(corpus, selection)
+    oracle = whole_array_cooccurrence(corpus, selection)
+    assert cooc.counts.dtype == np.int32 and cooc.counts.has_canonical_format
+    assert canonical_bytes(cooc.counts, np.int64) == canonical_bytes(oracle, np.int64)
+    diagonal = oracle.diagonal()
+    assert (diagonal == 0).any() and (diagonal > 0).any()  # some diagonals are zeroed, some kept
+
+    weighted = ppmi(cooc)
+    assert canonical_bytes(weighted.weights, np.float64) == canonical_bytes(whole_array_ppmi(oracle), np.float64)
+    write_csr, received = vectorizer.tables.write_csr, []
+
+    def recording_write_csr(path, matrix, **arrays):
+        received.append((matrix, matrix.has_canonical_format, np.count_nonzero(matrix.data) == matrix.nnz))
+        return write_csr(path, matrix, **arrays)
+
+    monkeypatch.setattr(vectorizer.tables, "write_csr", recording_write_csr)
+    save_triplets(weighted, tmp_path / "ppmi.npz")
+    assert received == [(weighted.weights, True, True)]
+
+
 class TestPersistence:
     def test_triplet_roundtrip(self, tmp_path):
         corpus = random_corpus(30, vocab_size=10, seed=2)
