@@ -9,18 +9,19 @@ counts over the corpus's sorted vocabulary) and ``corpus/<name>.tsv`` (one
 to svd as ``matrix/ppmi.npz`` next to its two word lists, and svd hands U_k
 on as ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``.
 
-``stage_files`` declares every file each stage reads and writes. A stage's
-entry in manifest.json hashes the files it wrote and records under ``inputs``
-the hash each file it read has in its writer's entry, or its own hash if no
-stage writes it (a corpus, the stopwords file, the dictionary). A stage has
-no entry while it runs, and refuses to start, naming the stage to rerun,
-while a file it reads is missing or unrecorded, or a stage upstream of it has
-no entry or recorded inputs other than their writers' current hashes (a raw
-input's hash is recorded, not compared). A stage that reads
-``svd/embedding.npy`` also refuses, naming svd, an embedding whose width is
-not ``k``. A rerun with identical inputs, parameters and BLAS thread count
-reproduces identical artifact bytes on the same platform/build. The SVD is
-exact, so ``seed`` changes no artifact.
+``stage_files`` declares what each stage reads and writes: its files, and
+the config values it reads. Ingest reads ``min_token_len``, ``lowercase``,
+``lang_filter`` and ``query_words``; select ``n2`` (it saves the n2-long
+ranking, and n1 cuts it where it is read); matrix and report ``n1``; svd
+``k``; vectors ``topic_n``; extend ``extend_n``; loadings and pca none. No
+stage reads ``seed``, and the SVD is exact, so ``seed`` changes no artifact.
+A stage's entry in manifest.json hashes the files it wrote, and records under
+``inputs`` what it read (``stage_inputs``). A stage has no entry while it
+runs, and refuses to start, naming the first stage to rerun, while a file it
+reads is missing or unrecorded, or a stage upstream of it has no entry or an
+input record other than what it would read now. That check re-hashes each raw
+input once per command. A rerun with identical inputs, parameters and BLAS
+thread count reproduces identical artifact bytes on the same platform/build.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ class Artifacts:
         return self.out_dir / "select" / f"{name}_terms.tsv"
 
     def rel(self, p: Path) -> str:
-        """``p`` relative to the output directory; an input outside it starts with ``..``."""
+        """Artifact ``p`` relative to the output directory: its key in manifest.json."""
         return os.path.relpath(p, self.out_dir)
 
 
@@ -269,7 +270,7 @@ def _now() -> str:
 
 
 class RunManifest:
-    """Content hashes and parameter snapshot for every emitted artifact."""
+    """Each completed stage's entry: the hashes of the files it wrote, and its input record (``stage_inputs``)."""
 
     def __init__(self, path: Path, data: dict):
         self.path = path
@@ -292,22 +293,15 @@ class RunManifest:
             if not (isinstance(entry, dict) and isinstance(entry.get("artifacts"), dict)
                     and isinstance(entry.get("inputs", {}), dict)):
                 raise DataError(f"{path}: stage {stage!r} must be an object whose 'artifacts' and 'inputs' are objects")
-        if data.get("params") != params:
-            logger.warning(
-                "manifest parameters differ from current config; "
-                "rerun earlier stages for consistent artifacts"
-            )
         data.pop("inputs", None)  # an older run's record of the raw inputs; stage entries record them now
         return cls(path, data)
 
-    def record_stage(self, stage: str, art: Artifacts, table: dict) -> None:
-        """Hash the files ``stage`` writes; under ``inputs``, copy each read's hash from here, or hash a raw input."""
-        reads, writes = table[stage]
-        written, recorded = {p for _, files in table.values() for p in files}, self.artifact_hashes()
+    def record_stage(self, stage: str, art: Artifacts, writes: list[Path], inputs: dict) -> None:
+        """Hash the files ``stage`` wrote, and record ``inputs``, what it read (``stage_inputs``)."""
         self.data["stages"][stage] = {
             "completed": _now(),
             "artifacts": {art.rel(p): sha256_file(p) for p in sorted(writes)},
-            "inputs": {art.rel(p): recorded[art.rel(p)] if p in written else sha256_file(p) for p in reads},
+            "inputs": inputs,
         }
         self.data["updated"] = _now()
         self.save()
@@ -350,76 +344,91 @@ def _corpus_paths(config: PipelineConfig) -> dict[str, Path]:
     return {"immorality": config.immorality_path, **dict(sorted(config.topic_paths.items()))}
 
 
-def stage_files(config: PipelineConfig, art: Artifacts) -> dict[str, tuple[list[Path], list[Path]]]:
-    """Every file each stage reads and writes, as ``(reads, writes)``; per-corpus files for each corpus.
+def stage_files(config: PipelineConfig, art: Artifacts) -> dict[str, tuple[dict[str, Path], list[Path], tuple]]:
+    """What each stage reads and writes, as ``(reads, writes, values)``; per-corpus files for each corpus.
 
-    A read that no stage writes is a raw input: the corpora and the stopwords file, or the dictionary.
+    ``reads`` maps each file's key in manifest.json to its path: an artifact's path from the output
+    directory, or a raw input's role (``corpus:<name>``, ``stopwords``, ``dictionary``), as no stage writes
+    it. ``values`` names the config values the stage reads.
     """
-    corpora, dictionary = _corpus_paths(config), config.dictionary_path
-    names, sources = list(corpora), [*corpora.values(), *filter(None, [config.stopwords_path])]
+    corpora, dictionary = _corpus_paths(config), {"dictionary": config.dictionary_path}
+    names, sources = list(corpora), {f"corpus:{name}": p for name, p in corpora.items()}
+    sources.update({"stopwords": config.stopwords_path} if config.stopwords_path else {})
     counts, ids, terms = art.corpus_counts("immorality"), art.corpus("immorality"), art.terms("immorality")
     embedding = [art.embedding, art.row_vocab]  # U_k has no words: its rows follow row_vocab.tsv
+
+    def files(*paths: Path) -> dict[str, Path]:
+        return {art.rel(p): p for p in paths}
+
     return {
-        "ingest": (sources, [p for name in names for p in (art.corpus_counts(name), art.corpus(name))]),
-        "select": ([art.corpus_counts(name) for name in names], [art.terms(name) for name in names]),
-        "matrix": ([counts, terms], [art.ppmi, art.row_vocab, art.col_vocab]),
-        "svd": ([art.row_vocab, art.col_vocab, art.ppmi], [art.embedding, art.singular_values]),
-        "vectors": (
-            [*embedding, dictionary, *(art.terms(name) for name in names[1:])], [art.mf_vectors, art.topic_vectors]
-        ),
-        "loadings": ([*embedding, art.mf_vectors, counts, ids, art.topic_vectors], [art.loadings, art.topics_csv]),
-        "extend": ([*embedding, art.mf_vectors], [art.extended]),
-        "pca": ([*embedding, art.mf_vectors, art.extended], [art.pca_csv, art.pca_variance]),
-        "report": (
-            [counts, terms, art.loadings, art.mf_vectors, dictionary],
-            [art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv],
-        ),
+        "ingest": (sources, [p for name in names for p in (art.corpus_counts(name), art.corpus(name))],
+                   ("min_token_len", "lowercase", "lang_filter", "query_words")),
+        "select": (files(*map(art.corpus_counts, names)), [art.terms(name) for name in names], ("n2",)),
+        "matrix": (files(counts, terms), [art.ppmi, art.row_vocab, art.col_vocab], ("n1",)),
+        "svd": (files(art.row_vocab, art.col_vocab, art.ppmi), [art.embedding, art.singular_values], ("k",)),
+        "vectors": ({**files(*embedding, *map(art.terms, names[1:])), **dictionary},
+                    [art.mf_vectors, art.topic_vectors], ("topic_n",)),
+        "loadings": (files(*embedding, art.mf_vectors, counts, ids, art.topic_vectors),
+                     [art.loadings, art.topics_csv], ()),
+        "extend": (files(*embedding, art.mf_vectors), [art.extended], ("extend_n",)),
+        "pca": (files(*embedding, art.mf_vectors, art.extended), [art.pca_csv, art.pca_variance], ()),
+        "report": ({**files(counts, terms, art.loadings, art.mf_vectors), **dictionary},
+                   [art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv], ("n1",)),
     }
 
 
-def _check_upstream(stage: str, table: dict, manifest: RunManifest, art: Artifacts) -> None:
-    """A PipelineError naming the first stage to rerun if ``stage`` may not run yet; reads only the manifest.
+def stage_inputs(stage: str, config: PipelineConfig, table: dict, manifest: RunManifest,
+                 hashed: dict[Path, str | None]) -> dict:
+    """``stage``'s input record, what it would read now: for each artifact, the hash in its writer's entry;
+    for each raw input, its sha256 (None if it is gone), taken from ``hashed`` or hashed once into it; for
+    each config value, the value as ``params_snapshot`` gives it."""
+    reads, _, values = table[stage]
+    written, recorded = {p for _, writes, _ in table.values() for p in writes}, manifest.artifact_hashes()
+    for p in reads.values():
+        if p not in written and p not in hashed:
+            hashed[p] = sha256_file(p) if p.exists() else None
+    params = config.params_snapshot()
+    return {**{key: recorded.get(key) if p in written else hashed[p] for key, p in reads.items()},
+            **{name: params[name] for name in values}}
 
-    A raw input (a read no stage writes) must exist; its recorded hash is not compared.
+
+def _difference(key: str, now: dict, then: dict, values: tuple) -> str:
+    """How an entry that recorded inputs ``then`` differs at ``key`` from its stage's inputs ``now``."""
+    if key in values and key in then:
+        return f"built with {key}={then[key]!r}, not {now[key]!r}"
+    recorded = f"{'another' if key in then else 'no'} {'value' if key in values else 'hash'}"
+    return f"not built from the current {key} (manifest.json records {recorded} of it)"
+
+
+def _check_upstream(stage: str, config: PipelineConfig, table: dict, manifest: RunManifest,
+                    hashed: dict[Path, str | None]) -> None:
+    """A PipelineError naming the first stage to rerun if ``stage`` may not run yet.
+
+    Each file ``stage`` reads must exist and, unless a raw input, have a recorded hash. Each stage upstream
+    of it, in pipeline order, must have an entry whose ``inputs`` equal its ``stage_inputs`` now: the same
+    artifact hashes, raw-input hashes and config values. ``hashed`` holds the raw inputs already hashed.
     """
-    writer = {p: name for name, (_, writes) in table.items() for p in writes}
-    made = {name: [p for p in reads if p in writer] for name, (reads, _) in table.items()}
+    writer = {p: name for name, (_, writes, _) in table.items() for p in writes}
     hashes = manifest.artifact_hashes()
-    for p in table[stage][0]:
+    for key, p in table[stage][0].items():
         if not p.exists():
             raise PipelineError(f"missing artifact {p}; run stage {writer[p]!r} first" if p in writer
                                 else f"input file {p} does not exist")
-        if p in writer and art.rel(p) not in hashes:
+        if p in writer and key not in hashes:
             raise PipelineError(f"{p}: manifest.json records no hash of it; rerun stage {writer[p]!r}")
     upstream = {stage}
     for name in reversed(STAGES):  # a stage reads only what earlier stages write
         if name in upstream:
-            upstream.update(writer[p] for p in made[name])
+            upstream.update(writer[p] for p in table[name][0].values() if p in writer)
     for name in (s for s in STAGES if s in upstream - {stage}):
         entry = manifest.data["stages"].get(name)
         if entry is None:
             raise PipelineError(f"manifest.json records no completed run of stage {name!r}; rerun stage {name!r}")
-        for p in made[name]:
-            recorded = entry.get("inputs", {}).get(art.rel(p))
-            if recorded is None or recorded != hashes.get(art.rel(p)):
-                raise PipelineError(f"{table[name][1][0]}: not built from the current {art.rel(p)} (manifest.json "
-                                    f"records {'another' if recorded else 'no'} hash of it); rerun stage {name!r}")
-
-
-def _check_k(reads: list[Path], config: PipelineConfig, art: Artifacts) -> None:
-    """A PipelineError naming svd if the stage reads an embedding whose width is not ``config.k``.
-
-    Reads only the array's header. An embedding that cannot be read is left to the stage's loader to report.
-    """
-    if art.embedding not in reads:
-        return
-    try:
-        array = np.load(art.embedding, mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return
-    if isinstance(array, np.ndarray) and array.ndim == 2 and array.shape[1] != config.k:
-        width = array.shape[1]
-        raise PipelineError(f"{art.rel(art.embedding)} has {width} columns, not k={config.k}; rerun stage 'svd'")
+        now, then = stage_inputs(name, config, table, manifest, hashed), entry.get("inputs", {})
+        for key in {**now, **then}:  # what it reads now first, in table order
+            if key not in now or key not in then or now[key] != then[key]:
+                why = _difference(key, now, then, table[name][2])
+                raise PipelineError(f"{table[name][1][0]}: {why}; rerun stage {name!r}")
 
 
 def _stage_ingest(config: PipelineConfig, art: Artifacts) -> None:
@@ -558,17 +567,7 @@ def _stage_report(config: PipelineConfig, art: Artifacts) -> None:
     semantics_mod.save_similarity_matrix(similarity, art.similarity_csv)
 
 
-_STAGE_FUNCS = {
-    "ingest": _stage_ingest,
-    "select": _stage_select,
-    "matrix": _stage_matrix,
-    "svd": _stage_svd,
-    "vectors": _stage_vectors,
-    "loadings": _stage_loadings,
-    "extend": _stage_extend,
-    "pca": _stage_pca,
-    "report": _stage_report,
-}
+_STAGE_FUNCS = {name: globals()[f"_stage_{name}"] for name in STAGES}
 
 
 def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
@@ -583,10 +582,11 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
     with output_lock(config.out_dir):
         manifest = RunManifest.load_or_create(config.out_dir, config.params_snapshot())
         table = stage_files(config, art)
+        hashed: dict[Path, str | None] = {}  # each raw input is hashed at most once per command
         for name in plan:
-            reads, writes = table[name]
-            _check_upstream(name, table, manifest, art)
-            _check_k(reads, config, art)
+            writes = table[name][1]
+            _check_upstream(name, config, table, manifest, hashed)
+            inputs = stage_inputs(name, config, table, manifest, hashed)
             # no entry while the stage writes, so a run killed between two of its files leaves it refused
             manifest.data["stages"].pop(name, None)
             manifest.save()
@@ -594,7 +594,7 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
             _STAGE_FUNCS[name](config, art)
             _remove_stale(writes)
             manifest.data["params"] = config.params_snapshot()  # not before: a failed stage leaves them as they were
-            manifest.record_stage(name, art, table)
+            manifest.record_stage(name, art, writes, inputs)
             executed[name] = [art.rel(p) for p in writes]
             logger.info("stage %s: wrote %d artifacts", name, len(writes))
     return executed

@@ -32,6 +32,7 @@ from mfquant.pipeline import (
     run,
     sha256_file,
     stage_files,
+    stage_inputs,
 )
 from mfquant.semantics import LoadingMatrix, save_loadings
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
@@ -263,15 +264,24 @@ class TestStages:
         assert emitted == recorded
         assert set(manifest["stages"]) == set(STAGES)
         assert manifest["params"]["seed"] == config.seed
-        # each raw input is recorded by the stages that read it, and nowhere else
+        # each raw input is recorded, by its role, by the stages that read it, and nowhere else
         assert "inputs" not in manifest
-        ingest = manifest["stages"]["ingest"]["inputs"]
-        assert set(ingest) == {"../immorality.jsonl", *(f"../{p.name}" for p in config.topic_paths.values())}
-        assert ingest["../immorality.jsonl"] == sha256_file(config.immorality_path)
-        dictionary = os.path.relpath(config.dictionary_path, config.out_dir)
-        readers = {name for name, entry in manifest["stages"].items() if dictionary in entry["inputs"]}
+        corpora = {"immorality": config.immorality_path, **config.topic_paths}
+        assert manifest["stages"]["ingest"]["inputs"] == {
+            **{f"corpus:{name}": sha256_file(path) for name, path in corpora.items()},
+            "min_token_len": 3, "lowercase": True, "lang_filter": None,
+            "query_words": {name: list(words) for name, words in config.query_words.items()},
+        }
+        readers = {name for name, entry in manifest["stages"].items() if "dictionary" in entry["inputs"]}
         assert readers == {"vectors", "report"}
-        assert manifest["stages"]["report"]["inputs"][dictionary] == sha256_file(config.dictionary_path)
+        assert manifest["stages"]["report"]["inputs"]["dictionary"] == sha256_file(config.dictionary_path)
+        values = {name: {key: entry["inputs"][key] for key in ("n1", "n2", "k", "topic_n", "extend_n")
+                         if key in entry["inputs"]} for name, entry in manifest["stages"].items()}
+        assert values == {"ingest": {}, "select": {"n2": 1500}, "matrix": {"n1": 300}, "svd": {"k": 25},
+                          "vectors": {"topic_n": [5, 20]}, "loadings": {}, "extend": {"extend_n": 30},
+                          "pca": {}, "report": {"n1": 300}}
+        assert not any(key.startswith("..") for entry in manifest["stages"].values()
+                       for key in (*entry["inputs"], *entry["artifacts"]))
 
     def test_missing_prerequisite_names_stage(self, tmp_path):
         config = make_workspace(tmp_path, tweets=50, topics=())
@@ -366,17 +376,16 @@ def test_rerun_removes_files_a_stage_no_longer_writes(tmp_path):
 
 def record_every_stage(config):
     """manifest.json entries that agree with the stage table, for a hand-made workspace: each file's sha256,
-    raw inputs included, and a placeholder for every file the workspace does not hold."""
+    a placeholder for every file the workspace does not hold, and each stage's current input record."""
     art = Artifacts(config.out_dir)
     table = stage_files(config, art)
-    files = {p for reads, writes in table.values() for p in (*reads, *writes)}
-    digest = {art.rel(p): sha256_file(p) if p.exists() else "absent" for p in files}
-    stages = {
-        name: {"artifacts": {art.rel(p): digest[art.rel(p)] for p in writes},
-               "inputs": {art.rel(p): digest[art.rel(p)] for p in reads}}
-        for name, (reads, writes) in table.items()
-    }
-    RunManifest(config.out_dir / "manifest.json", {"stages": stages}).save()
+    manifest = RunManifest(config.out_dir / "manifest.json", {"stages": {
+        name: {"artifacts": {art.rel(p): sha256_file(p) if p.exists() else "absent" for p in writes}}
+        for name, (_, writes, _) in table.items()
+    }})
+    for name, entry in manifest.data["stages"].items():
+        entry["inputs"] = stage_inputs(name, config, table, manifest, {})
+    manifest.save()
 
 
 def test_report_stage_writes_exact_dictionary_reports(tmp_path):
@@ -516,8 +525,8 @@ def test_failed_stage_leaves_the_params_its_inputs_were_built_with(clean_tiny_ru
 
 @pytest.mark.parametrize("stage", ["vectors", "loadings", "extend", "pca"])
 def test_stage_asked_for_another_k_than_the_embedding_has_is_refused(clean_tiny_run, tmp_path, capsys, stage):
-    """svd ran with k=10: a stage that reads its embedding refuses k=5 and writes nothing, manifest.json
-    included, so the same stage with k=10 still runs."""
+    """svd ran with k=10: a stage that reads its embedding refuses k=5, naming svd, and writes nothing,
+    manifest.json included, so the same stage with k=10 still runs."""
     workdir, config, clean = clean_tiny_run
     out = tmp_path / "out"
     shutil.copytree(workdir / "clean", out)
@@ -525,11 +534,32 @@ def test_stage_asked_for_another_k_than_the_embedding_has_is_refused(clean_tiny_
     sizes = [("5" if option == "--k" else value) for option, value in zip(["", *KILL_SIZES], KILL_SIZES)]
     capsys.readouterr()
     assert main([stage, "--config", config, "--out", str(out), *sizes]) == 2
-    assert "svd/embedding.npy has 10 columns, not k=5; rerun stage 'svd'" in capsys.readouterr().err
+    assert "svd/embedding.npy: built with k=10, not 5; rerun stage 'svd'" in capsys.readouterr().err
     assert artifact_bytes(out) == clean
     assert (out / "manifest.json").read_bytes() == manifest
     assert main([stage, "--config", config, "--out", str(out), *KILL_SIZES]) == 0
     assert artifact_bytes(out) == clean
+
+
+@pytest.mark.parametrize("stage,option,value,rerun", [
+    ("report", "--n1", "50", "matrix"), ("report", "--n2", "500", "select"),
+    ("report", "--topic-n", "4", "vectors"), ("pca", "--extend-n", "5", "extend"),
+])
+def test_stage_asked_for_another_value_than_an_upstream_stage_read_is_refused(
+        clean_tiny_run, tmp_path, capsys, stage, option, value, rerun):
+    """The run read n1=150, n2=600, topic_n=3 and extend_n=10: a stage whose upstream stages read another
+    value is refused, naming the first of them, and changes no byte, manifest.json included."""
+    workdir, config, clean = clean_tiny_run
+    out = tmp_path / "out"
+    shutil.copytree(workdir / "clean", out)
+    manifest = (out / "manifest.json").read_bytes()
+    sizes = [(value if before == option else size) for before, size in zip(["", *KILL_SIZES], KILL_SIZES)]
+    capsys.readouterr()
+    assert main([stage, "--config", config, "--out", str(out), *sizes]) == 2
+    assert f"rerun stage {rerun!r}" in capsys.readouterr().err
+    assert artifact_bytes(out) == clean
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert main(["report", "--config", config, "--out", str(out), "--extend-n", "5", *KILL_SIZES[:-2]]) == 0
 
 
 def test_rerun_on_unchanged_input_keeps_downstream_and_changed_input_is_refused(tmp_path):
@@ -578,7 +608,7 @@ def test_stage_killed_between_two_files_is_refused_until_it_reruns(tmp_path, mon
 
 
 def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
-    """ingest records the stopwords file's sha256 under its ``inputs``, keyed by its path from the output directory."""
+    """ingest records the stopwords file's sha256 under its ``inputs``, keyed ``stopwords``."""
     config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
     with config.immorality_path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps({"id": "extra", "text": "the war and the peace"}) + "\n")
@@ -600,7 +630,7 @@ def test_stopwords_file_replaces_default_list_and_is_a_manifest_input(tmp_path):
     assert {"the", "and", "peace"} <= words[0]
     manifest = json.loads((config.out_dir / "manifest.json").read_text())
     digest = hashlib.sha256(stopwords.read_bytes()).hexdigest()
-    assert manifest["stages"]["ingest"]["inputs"]["../stopwords.txt"] == digest
+    assert manifest["stages"]["ingest"]["inputs"]["stopwords"] == digest
 
 
 def test_stopwords_file_may_start_with_a_byte_order_mark(tmp_path):
@@ -611,8 +641,8 @@ def test_stopwords_file_may_start_with_a_byte_order_mark(tmp_path):
 
 
 def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
-    """Input paths are recorded relative to the output directory: two copies of one workspace,
-    at paths of different lengths, write equal ingest ``inputs`` and manifests of equal size."""
+    """Raw inputs are keyed by their role: two copies of one workspace, at paths of different lengths,
+    write equal ingest ``inputs`` and manifests of equal size."""
     (tmp_path / "source").mkdir()
     config = make_workspace(tmp_path / "source", tweets=60, topic_tweets=20)
     manifests = []
@@ -627,14 +657,15 @@ def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
         manifests.append(copy.out_dir / "manifest.json")
     first, second = (json.loads(p.read_text(encoding="utf-8")) for p in manifests)
     inputs = first["stages"]["ingest"]["inputs"]
-    assert inputs["../immorality.jsonl"] == sha256_file(config.immorality_path)
+    assert inputs["corpus:immorality"] == sha256_file(config.immorality_path)
     assert inputs == second["stages"]["ingest"]["inputs"]
     assert manifests[0].stat().st_size == manifests[1].stat().st_size
 
 
 def test_every_file_a_stage_opens_is_in_the_stage_table(tmp_path, monkeypatch):
-    """Each file a stage opens for reading under the workspace, or the dictionary, is one of the files
-    ``stage_files`` lists for that stage, or manifest.json."""
+    """Each file a stage opens for reading under the workspace, or the dictionary, from its start to its
+    record in manifest.json, is one of the files ``stage_files`` lists for that stage. (Before it starts,
+    the staleness check hashes the raw inputs of the stages upstream of it.)"""
     config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
     config.stopwords_path = tmp_path / "stopwords.txt"
     config.stopwords_path.write_text("war\nkill\n", encoding="utf-8")
@@ -651,11 +682,12 @@ def test_every_file_a_stage_opens_is_in_the_stage_table(tmp_path, monkeypatch):
     table = stage_files(config, Artifacts(config.out_dir))
     seen = set()
     for stage in STAGES:
-        opened.clear()
+        func = pipeline._STAGE_FUNCS[stage]
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, lambda *args, func=func: (opened.clear(), func(*args)))
         run(stage, config)
         read = {p for p in opened if p.is_relative_to(tmp_path) or p == dictionary}
-        listed = {Path(os.path.abspath(p)) for p in (*table[stage][0], *table[stage][1])}
-        assert read <= listed | {config.out_dir / "manifest.json"}, (stage, read - listed)
+        listed = {Path(os.path.abspath(p)) for p in (*table[stage][0].values(), *table[stage][1])}
+        assert read <= listed, (stage, read - listed)
         seen |= read
     assert {config.immorality_path, *config.topic_paths.values(), config.stopwords_path, dictionary} <= seen
 
@@ -679,28 +711,34 @@ def test_ingest_opens_the_stopwords_file_twice(tmp_path, monkeypatch):
     assert sorted(opened) == ["r", "rb"]  # the words as text, the hash as bytes
 
 
-def test_manifest_of_an_older_run_stays_valid(completed_run, tmp_path):
-    """A manifest from before stage entries recorded raw inputs, with its top-level ``inputs`` object:
-    the stages after ingest still run, and the object is dropped when the manifest is saved."""
+def test_manifest_of_an_older_run_is_refused_until_run_all(completed_run, tmp_path):
+    """A manifest from before stage entries recorded config values, with raw inputs keyed by their paths
+    and a top-level ``inputs`` object: a stage after ingest is refused, naming ingest, and changes no byte;
+    one ``run all`` writes the current format and drops the object."""
     config, _ = completed_run
     copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
     shutil.copytree(config.out_dir, copy.out_dir)
     path = copy.out_dir / "manifest.json"
     older = json.loads(path.read_text(encoding="utf-8"))
     for entry in older["stages"].values():
-        entry["inputs"] = {rel: digest for rel, digest in entry["inputs"].items() if not rel.startswith("..")}
+        entry["inputs"] = {key: value for key, value in entry["inputs"].items() if "/" in key}
+    older["stages"]["ingest"]["inputs"] = {"../immorality.jsonl": sha256_file(config.immorality_path)}
     older["inputs"] = {"immorality": {"path": "../immorality.jsonl", "sha256": sha256_file(config.immorality_path)}}
     path.write_text(json.dumps(older), encoding="utf-8")
+    before = artifact_bytes(copy.out_dir), path.read_bytes()
+    for stage in STAGES[1:]:
+        with pytest.raises(PipelineError, match=r"current corpus:immorality \(manifest.json records no hash of it\); rerun stage 'ingest'"):
+            run(stage, copy)
+    assert (artifact_bytes(copy.out_dir), path.read_bytes()) == before
+    run("all", copy)
+    assert "inputs" not in json.loads(path.read_text(encoding="utf-8"))
     for stage in STAGES[1:]:
         run(stage, copy)
-    assert "inputs" not in json.loads(path.read_text(encoding="utf-8"))
+    assert artifact_bytes(copy.out_dir) == before[0]
 
 
-def test_rerun_of_svd_hashes_no_raw_input(completed_run, tmp_path, monkeypatch):
-    """svd reads only artifacts: after ``run all`` it hashes the two files it writes, and no corpus or dictionary."""
-    config, _ = completed_run
-    copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
-    shutil.copytree(config.out_dir, copy.out_dir)
+def record_hashes(monkeypatch):
+    """The list of paths ``pipeline.sha256_file`` is called on from now on."""
     hashed = []
 
     def recording_sha256(path):
@@ -708,9 +746,30 @@ def test_rerun_of_svd_hashes_no_raw_input(completed_run, tmp_path, monkeypatch):
         return sha256_file(path)
 
     monkeypatch.setattr(pipeline, "sha256_file", recording_sha256)
+    return hashed
+
+
+def test_rerun_of_svd_hashes_each_corpus_once(completed_run, tmp_path, monkeypatch):
+    """svd checks ingest's record, so after ``run all`` it hashes each corpus once, the two files it writes,
+    and no dictionary."""
+    config, _ = completed_run
+    copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
+    shutil.copytree(config.out_dir, copy.out_dir)
+    hashed = record_hashes(monkeypatch)
     run("svd", copy)
     art = Artifacts(copy.out_dir)
-    assert sorted(hashed) == sorted([art.embedding, art.singular_values])
+    corpora = [copy.immorality_path, *copy.topic_paths.values()]
+    assert sorted(hashed) == sorted([art.embedding, art.singular_values, *corpora])
+
+
+def test_run_all_hashes_each_raw_input_once(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path, tweets=100, topic_tweets=30)
+    config.stopwords_path = tmp_path / "stopwords.txt"
+    config.stopwords_path.write_text("war\n", encoding="utf-8")
+    hashed = record_hashes(monkeypatch)
+    run("all", config)
+    raw = [config.immorality_path, *config.topic_paths.values(), config.stopwords_path, config.dictionary_path]
+    assert sorted(p for p in hashed if p in raw) == sorted(raw)
 
 
 def test_missing_input_is_refused_before_ingest_replaces_a_file(clean_tiny_run, tmp_path, capsys):
@@ -733,21 +792,39 @@ def test_missing_input_is_refused_before_ingest_replaces_a_file(clean_tiny_run, 
     assert f"input file {last} does not exist" in capsys.readouterr().err
 
 
-def test_ingest_records_the_corpus_it_read(tmp_path):
-    """A corpus edited after ingest leaves ingest's recorded hash as it was when a later stage runs."""
+def test_corpus_edited_after_ingest_is_refused_until_ingest_reruns(tmp_path):
+    """A corpus edited after ingest: select is refused, naming ingest, and ingest's record stays the hash
+    of the corpus it read."""
     config = make_workspace(tmp_path, tweets=200, topics=())
     run("ingest", config)
     read = sha256_file(config.immorality_path)
     with config.immorality_path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps({"id": "late", "text": "a record added after ingest"}) + "\n")
-    run("select", config)
+    with pytest.raises(PipelineError, match=r"not built from the current corpus:immorality .*rerun stage 'ingest'"):
+        run("select", config)
     manifest = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["stages"]["ingest"]["inputs"] == {"../immorality.jsonl": read}
-    assert read != sha256_file(config.immorality_path)
+    assert manifest["stages"]["ingest"]["inputs"]["corpus:immorality"] == read != sha256_file(config.immorality_path)
+    assert "select" not in manifest["stages"]
+    run("ingest", config)
+    run("select", config)
+
+
+def test_stopwords_file_added_or_edited_after_ingest_is_refused(tmp_path):
+    config = make_workspace(tmp_path, tweets=200, topics=())
+    run("ingest", config)
+    config.stopwords_path = tmp_path / "stopwords.txt"
+    config.stopwords_path.write_text("war\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match=r"current stopwords \(manifest.json records no hash of it\); rerun stage 'ingest'"):
+        run("select", config)
+    run("ingest", config)
+    config.stopwords_path.write_text("war\nkill\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match=r"not built from the current stopwords .*rerun stage 'ingest'"):
+        run("select", config)
 
 
 def test_topics_may_be_named_dictionary_and_stopwords(tmp_path):
-    """Raw inputs are keyed by path, so topic names do not collide with the dictionary or the stopwords file."""
+    """Raw inputs are keyed by role, and a corpus's key by its name: a topic named ``dictionary`` or
+    ``stopwords`` keeps its own key, apart from the dictionary's and the stopwords file's."""
     topics = (("dictionary", "care"), ("stopwords", "fairness"))
     config = make_workspace(tmp_path, tweets=200, topic_tweets=60, topics=topics)
     config.dictionary_path = tmp_path / "dictionary.tsv"
@@ -757,10 +834,13 @@ def test_topics_may_be_named_dictionary_and_stopwords(tmp_path):
     config.validate()
     run("all", config)
     stages = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
-    raw = ("immorality.jsonl", "dictionary.jsonl", "stopwords.jsonl", "stopwords.txt")
-    assert stages["ingest"]["inputs"] == {f"../{name}": sha256_file(tmp_path / name) for name in raw}
+    raw = {f"corpus:{name}": f"{name}.jsonl" for name in ("immorality", "dictionary", "stopwords")}
+    raw["stopwords"] = "stopwords.txt"
+    values = stage_files(config, Artifacts(config.out_dir))["ingest"][2]
+    recorded = {key: digest for key, digest in stages["ingest"]["inputs"].items() if key not in values}
+    assert recorded == {key: sha256_file(tmp_path / name) for key, name in raw.items()}
     for stage in ("vectors", "report"):
-        assert stages[stage]["inputs"]["../dictionary.tsv"] == sha256_file(config.dictionary_path)
+        assert stages[stage]["inputs"]["dictionary"] == sha256_file(config.dictionary_path)
     labels, _ = read_vectors(Artifacts(config.out_dir).topic_vectors)
     assert labels == [f"{name}:{n}" for name in ("dictionary", "stopwords") for n in config.topic_n]
 
