@@ -7,8 +7,10 @@ Gram matrix only the lower triangle, the part the eigensolver reads, is
 formed, in column blocks shared out over every CPU the process may use,
 straight into the Fortran-order array LAPACK works in; its bytes do not
 depend on the thread count. Each block reads the matrix's own arrays in
-place, so a wide CSR A is held once while the Gram matrix fills, and let
-go before the eigensolver. Each singular vector's sign is fixed so that
+place. Where they view a read-only file map, as ``tables.read_csr``
+returns them, the fill hands back the pages of the rows it has passed, so
+a wide CSR A is not held whole while the Gram matrix fills; it is let go
+before the eigensolver. Each singular vector's sign is fixed so that
 its largest-magnitude entry is positive, as in the PCA. U_k is persisted
 as one binary array whose rows follow a word list kept elsewhere. All
 kernels are pure.
@@ -127,6 +129,38 @@ def _fill_gram_columns(left: sparse.csr_matrix, gram: np.ndarray, starts) -> Non
         gram[stop:, start:stop] = block[cols:]
 
 
+def _read_only_map(array: np.ndarray) -> mmap.mmap | None:
+    """The memory map ``array`` is a read-only view of, as ``tables.read_csr`` returns its arrays, else None."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview) and base.readonly and isinstance(base.obj, mmap.mmap):
+        return base.obj
+    return None
+
+
+def _page_releaser(arrays: list[np.ndarray]):
+    """A function of ``n`` that hands back to the system every whole page of ``arrays`` holding only entries
+    below ``n``, for arrays that view a read-only file map; a page read again is read back from the file."""
+    spans = []
+    for array in arrays:
+        whole = _read_only_map(array)
+        if whole is None:
+            continue
+        offset = array.ctypes.data - np.frombuffer(whole, dtype=np.uint8).ctypes.data
+        spans.append([whole, offset, array.itemsize, -(-offset // mmap.PAGESIZE) * mmap.PAGESIZE])
+
+    def release(n: int) -> None:
+        for span in spans:
+            whole, offset, itemsize, released = span
+            stop = (offset + n * itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
+            if stop > released:
+                whole.madvise(mmap.MADV_DONTNEED, released, stop - released)
+                span[3] = stop
+
+    return release
+
+
 def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     """The smaller Gram matrix of A, ``A @ A.T`` if A has no more rows than columns, else ``A.T @ A``.
 
@@ -146,6 +180,14 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     products summed in the same order as in the public sparse product
     ``A @ A.T``, so the lower triangle equals that product's bit for bit,
     whatever the thread count.
+
+    Block ``[s, s+B)`` reads only rows ``s:``. So where the CSR form's data
+    and indices are read-only views of a file map, as ``tables.read_csr``
+    returns them, the whole pages of both that hold only rows below every
+    worker's next block are handed back to the system as the fill passes
+    them (``madvise(MADV_DONTNEED)``): A is not held whole while the Gram
+    matrix fills. A stays intact for the caller, as a page read again is
+    read back from the file.
     """
     m, n = matrix.shape
     left = matrix if m <= n else matrix.T
@@ -160,20 +202,30 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     starts = range(0, size, GRAM_BLOCK_COLS)
     workers = max(1, min(_available_cpus(), len(starts)))
     errors: list[BaseException] = []
+    release, lock = _page_releaser([left.data, left.indices]), threading.Lock()
+    pending = list(starts[:workers])  # the block each worker runs or runs next; size once it has none left
 
-    def helper(share: range) -> None:
+    def share(worker: int):
+        """The starts of ``worker``'s blocks; asked for the next one, it marks the last one done."""
+        for start in starts[worker::workers]:
+            yield start
+            with lock:
+                pending[worker] = min(start + workers * GRAM_BLOCK_COLS, size)
+                release(left.indptr[min(pending)])
+
+    def helper(worker: int) -> None:
         try:
-            _fill_gram_columns(left, gram, share)
+            _fill_gram_columns(left, gram, share(worker))
         except BaseException as exc:
             errors.append(exc)
 
     started: list[threading.Thread] = []
     try:
         for worker in range(1, workers):
-            thread = threading.Thread(target=helper, args=(starts[worker::workers],))
+            thread = threading.Thread(target=helper, args=(worker,))
             thread.start()
             started.append(thread)
-        _fill_gram_columns(left, gram, starts[::workers])
+        _fill_gram_columns(left, gram, share(0))
     finally:
         for thread in started:
             thread.join()
@@ -201,7 +253,11 @@ def truncated_svd(
     that is formed; if the caller keeps none, A is freed before the
     eigensolver (from CPython 3.11, whose calls leave no reference to an
     argument on the caller's stack), and with glibc the heap's free pages
-    are then handed back to the system.
+    are then handed back to the system. An A read by ``tables.read_csr``
+    views a read-only map of its archive, and ``gram_matrix`` hands back
+    each of its rows once the fill has passed it, on any CPython, so such
+    an A is not held whole while the Gram matrix fills; a row read again,
+    as after this returns, is read back from the file.
 
     ``seed``, ``oversample`` and ``power_iters`` are ignored; they remain
     only because callers still pass them. Deterministic for a fixed matrix

@@ -593,7 +593,8 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
             logger.info("stage %s: starting", name)
             _STAGE_FUNCS[name](config, art)
             _remove_stale(writes)
-            manifest.data["params"] = config.params_snapshot()  # not before: a failed stage leaves them as they were
+            # only the values the stage read, and not before: a failed stage leaves them as they were
+            manifest.data.setdefault("params", {}).update({key: inputs[key] for key in table[name][2]})
             manifest.record_stage(name, art, writes, inputs)
             executed[name] = [art.rel(p) for p in writes]
             logger.info("stage %s: wrote %d artifacts", name, len(writes))

@@ -4,24 +4,30 @@ An artifact is a UTF-8 text file with one record per line and fields
 joined by a single delimiter (tab or comma), optionally preceded by a
 header line, or numpy arrays (no pickled objects) for data too large to
 pass as text: one array in a ``.npy`` file, or one CSR matrix, after any
-further named 1-D arrays, in one uncompressed ``.npz`` archive. Writers
+further named 1-D arrays, in one uncompressed ``.npz`` archive, which is
+read as read-only views of a read-only map of the file. Writers
 stream to ``<file>.tmp`` and rename it over the target, so a killed or
 failed write leaves the previous file intact. Text readers skip blank
 lines, require every row to have as many fields as the first, and report
 every malformed row as a DataError naming ``path:line``; the array
-readers report a missing, truncated or unreadable file, a missing archive
-member, a dtype, ndim or length other than the caller expects, or a
-broken CSR structure, as a DataError naming the path.
+readers report a missing, truncated or unreadable file, a missing,
+compressed or damaged archive member, a dtype, ndim or length other than
+the caller expects, or a broken CSR structure, as a DataError naming the
+path.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import mmap
 import os
+import struct
 import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +35,11 @@ from scipy import sparse
 from .errors import DataError
 
 T = TypeVar("T")
+# entries a CSR check reads at a time: bounds its temporaries at about 2 MB whatever the archive's size
+CHECK_BLOCK = 1 << 16
+# bytes of a member read to parse its .npy header: np.load's own limit on a header is 10,000 bytes
+_NPY_HEADER_BYTES = 1 << 14
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
 
 @contextmanager
@@ -105,27 +116,78 @@ def write_csr(path: str | Path, matrix: sparse.csr_matrix, **arrays: np.ndarray)
                 member.write(memoryview(array).cast("B"))
 
 
+def _map_members(path: str | Path, names: Collection[str]) -> dict[str, np.ndarray]:
+    """The ``<name>.npy`` members of the zip archive at ``path``, as read-only views of one read-only map of it.
+
+    Only the archive's central directory is read as a file; each member's bytes are checked against the
+    CRC-32 the directory records, as zipfile checks them, and its ``.npy`` header is parsed without pickling.
+    A member that is compressed, and so cannot be mapped, is a DataError naming the path, and so is one that
+    holds Python objects.
+    """
+    with open(path, "rb") as handle:
+        if handle.read(len(np.lib.format.MAGIC_PREFIX)) == np.lib.format.MAGIC_PREFIX:
+            raise DataError(f"{path}: expected a .npz archive, found a .npy array")
+        with zipfile.ZipFile(handle) as archive:
+            members = {info.filename: info for info in archive.infolist()}
+        missing = sorted(name for name in names if f"{name}.npy" not in members)
+        if missing:
+            raise DataError(f"{path}: archive lacks the arrays {missing}")
+        whole = memoryview(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ))
+    arrays = {}
+    for name in names:
+        info = members[f"{name}.npy"]
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise DataError(f"{path}: array {name!r} is compressed; only stored arrays can be mapped")
+        if whole[info.header_offset:info.header_offset + 4] != b"PK\x03\x04":
+            raise DataError(f"{path}: array {name!r} has no local file header")
+        name_length, extra_length = struct.unpack_from("<2H", whole, info.header_offset + 26)
+        start = info.header_offset + 30 + name_length + extra_length
+        member = whole[start:start + info.compress_size]
+        if len(member) != info.compress_size or zlib.crc32(member) != info.CRC:
+            raise DataError(f"{path}: array {name!r} fails its CRC-32 check")
+        header = io.BytesIO(member[:_NPY_HEADER_BYTES])
+        version = np.lib.format.read_magic(header)
+        if version not in _NPY_HEADER_READERS:
+            raise DataError(f"{path}: array {name!r} has .npy format version {version}")
+        shape, fortran_order, dtype = _NPY_HEADER_READERS[version](header)
+        if dtype.hasobject:
+            raise DataError(f"{path}: array {name!r} holds Python objects")
+        count = math.prod(shape)
+        if header.tell() + count * dtype.itemsize > len(member):
+            raise DataError(f"{path}: array {name!r} is shorter than its header says")
+        array = np.frombuffer(member, dtype=dtype, count=count, offset=header.tell())
+        arrays[name] = array.reshape(shape, order="F" if fortran_order else "C")
+    return arrays
+
+
+def _blocks(array: np.ndarray, overlap: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """``array`` in consecutive slices of CHECK_BLOCK entries, each with the ``overlap`` entries before it, and
+    the position of each slice's first entry."""
+    for start in range(0, len(array), CHECK_BLOCK):
+        first = max(start - overlap, 0)
+        yield first, array[first:start + CHECK_BLOCK]
+
+
 def read_csr(
     path: str | Path, data_dtype: str, extra_dtypes: Mapping[str, str]
 ) -> tuple[sparse.csr_matrix, dict[str, np.ndarray]]:
     """The matrix of a write_csr archive and its 1-D arrays named in ``extra_dtypes``.
 
-    A dtype is a dtype (``"<f8"``) or a dtype kind (``"u"``: any unsigned integer). An unreadable
-    archive, a missing array, another dtype or ndim, a shape that is not two lengths, an indptr that
-    does not split the entries into its rows, an index outside its columns, indices out of strictly
-    increasing order within a row, or a zero or non-finite value is a DataError naming the path.
+    The archive is mapped read-only, and every array returned, the matrix's included, is a read-only view
+    of the map, so a page of it is read from the file only when touched. An array starts wherever its
+    member's bytes do, so a view may be unaligned; numpy and scipy's sparse kernels read it in place.
+
+    A dtype is a dtype (``"<f8"``) or a dtype kind (``"u"``: any unsigned integer). An unreadable archive, a
+    missing, compressed or damaged (CRC-32) array, another dtype or ndim, a shape that is not two lengths, an
+    indptr that does not split the entries into its rows, an index outside its columns, indices out of
+    strictly increasing order within a row, or a zero or non-finite value is a DataError naming the path.
+    The checks read the arrays CHECK_BLOCK entries at a time, so their temporaries do not grow with the
+    archive.
     """
     dtypes = {**extra_dtypes, "shape": "<i8", "indptr": "<i8", "indices": "<i4", "data": data_dtype}
     try:
-        with open(path, "rb") as handle:
-            archive = np.load(handle, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise DataError(f"{path}: expected a .npz archive, found a .npy array")
-            missing = sorted(set(dtypes) - set(archive.files))
-            if missing:
-                raise DataError(f"{path}: archive lacks the arrays {missing}")
-            arrays = {name: archive[name] for name in dtypes}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        arrays = _map_members(path, dtypes)
+    except (OSError, ValueError, EOFError, struct.error, zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: cannot read archive: {exc}") from exc
     for name, expected in dtypes.items():
         array = arrays[name]
@@ -137,18 +199,20 @@ def read_csr(
         raise DataError(f"{path}: shape {shape.tolist()} is not two lengths")
     n_rows, n_cols = shape.tolist()
     if (
-        len(indptr) != n_rows + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
-        or len(data) != len(indices) or (np.diff(indptr) < 0).any()
+        len(indptr) != n_rows + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or len(data) != len(indices)
+        or any((block[1:] < block[:-1]).any() for _, block in _blocks(indptr, 1))
     ):
         raise DataError(f"{path}: indptr does not split {len(indices)} entries into {n_rows} rows")
-    if ((indices < 0) | (indices >= n_cols)).any():
+    if any(block.min() < 0 or block.max() >= n_cols for _, block in _blocks(indices)):
         raise DataError(f"{path}: index outside the {n_cols} columns")
-    # an index may fail to exceed the one before it only where a row starts
-    if not np.isin(np.flatnonzero(np.diff(indices) <= 0) + 1, indptr).all():
-        raise DataError(f"{path}: indices not strictly increasing within a row")
-    if not np.isfinite(data).all():
+    for first, block in _blocks(indices, 1):
+        # an index may fail to exceed the one before it only where a row starts
+        falls = np.flatnonzero(block[1:] <= block[:-1]) + first + 1
+        if (indptr[np.searchsorted(indptr, falls)] != falls).any():
+            raise DataError(f"{path}: indices not strictly increasing within a row")
+    if not all(np.isfinite(block).all() for _, block in _blocks(data)):
         raise DataError(f"{path}: non-finite value")
-    if np.count_nonzero(data) < len(data):
+    if any(np.count_nonzero(block) < len(block) for _, block in _blocks(data)):
         raise DataError(f"{path}: zero value")
     return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols)), arrays
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import sparse
 
-from mfquant import linalg
+from mfquant import linalg, tables
 from mfquant.linalg import (
     EmbeddingSpace,
     cosine,
@@ -243,6 +243,39 @@ class TestGramMatrix:
         starts = range(0, 600, linalg.GRAM_BLOCK_COLS)
         assert len(starts) >= 4
         assert sorted(tails) == sorted((600 - start, True) for start in starts)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_rows_of_a_mapped_matrix_are_handed_back_as_the_fill_passes_them(self, tmp_path, monkeypatch, cpus):
+        """A read from an archive views a read-only file map: the fill hands back its passed rows' pages, the
+        last once every worker is done, and the Gram matrix and A still read as the public product and as A."""
+        matrix = sparse.random(600, 4000, density=0.05, format="csr", random_state=cpus)
+        tables.write_csr(tmp_path / "m.npz", matrix)
+        mapped, _ = tables.read_csr(tmp_path / "m.npz", "<f8", {})
+        before = mapped.data.copy(), mapped.indices.copy()
+        releaser, released = linalg._page_releaser, []
+
+        def recording_releaser(arrays):
+            assert all(linalg._read_only_map(a) is not None for a in arrays)
+            release = releaser(arrays)
+
+            def recording_release(n):
+                released.append(int(n))
+                release(n)
+
+            return recording_release
+
+        monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(linalg, "_page_releaser", recording_releaser)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave often, so an update of the shared progress could be lost
+        try:
+            gram = gram_matrix(mapped)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_lower_gram(gram, matrix)
+        assert released == sorted(released) and released[-1] == mapped.nnz and len(released) == 10
+        np.testing.assert_array_equal(mapped.data, before[0])
+        np.testing.assert_array_equal(mapped.indices, before[1])
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_block_exception_reaches_the_caller_after_every_helper_ends(self, monkeypatch, failing):

@@ -69,6 +69,26 @@ def completed_run(tmp_path_factory):
     return config, executed
 
 
+# the rise of the high-water RSS over pipeline.run("svd") on the workspace in argv[1], with one Gram worker
+SVD_HIGH_WATER = r"""
+import sys
+from pathlib import Path
+from mfquant import linalg, pipeline
+
+def high_water():
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+linalg._available_cpus = lambda: 1
+workspace = Path(sys.argv[1])
+config = pipeline.PipelineConfig(immorality_path=workspace / "immorality.jsonl", out_dir=workspace / "out",
+                                 query_words={"immorality": ("immoral",)}, k=10)
+before = high_water()
+pipeline.run("svd", config)
+print(high_water() - before)
+"""
+
+
 class TestConfigFile:
     def write_config(self, tmp_path, body):
         path = tmp_path / "config.yaml"
@@ -348,6 +368,25 @@ class TestStages:
         run("svd", config)
         assert alive == [[False] * 5]
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
+    def test_svd_stage_holds_each_ppmi_row_only_until_the_gram_fill_passes_it(self, tmp_path):
+        """At the paper's n1 and n2 on 30k tweets, the svd stage's peak RSS rises by less than the whole Gram
+        matrix plus half the PPMI archive, as the fill hands back the rows it has passed. Holding all of A
+        through the fill rises by about 1.14 times that; the bound leaves room for one Gram worker's block
+        buffers (2.5 MB at 2000 rows), so the stage runs with one."""
+        synth_corpus(default_plan(), 30000, 1, tmp_path / "immorality.jsonl")
+        config = PipelineConfig(immorality_path=tmp_path / "immorality.jsonl", out_dir=tmp_path / "out",
+                                query_words={"immorality": ("immoral",)}, k=10)
+        for stage in ("ingest", "select", "matrix"):
+            run(stage, config)
+        art = Artifacts(config.out_dir)
+        rows = len(vectorizer.load_vocabulary(art.row_vocab))
+        assert rows == config.n1
+        env = {**os.environ, "PYTHONPATH": str(Path(mfquant.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", SVD_HIGH_WATER, str(tmp_path)], env=env,
+                               capture_output=True, text=True, check=True)
+        assert int(child.stdout) < rows * rows * 8 + art.ppmi.stat().st_size / 2
+
     def test_run_all_without_topics(self, tmp_path):
         config = make_workspace(tmp_path, tweets=200, topics=())
         executed = run("all", config)
@@ -521,6 +560,25 @@ def test_failed_stage_leaves_the_params_its_inputs_were_built_with(clean_tiny_ru
     assert main(["vectors", "--config", config, "--out", str(out), *sizes]) == 2
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["params"]["extend_n"] == 10 and "vectors" not in manifest["stages"]
+
+
+def test_completed_stage_updates_only_the_params_it_read(clean_tiny_run, tmp_path):
+    """The run read n1=150: ingest asked for n1=50 reads no n1, so manifest.json's params keep the n1 the
+    matrix entry records; extend asked for extend_n=5 reads it, so params record 5 next to its entry."""
+    workdir, config, _ = clean_tiny_run
+    out = tmp_path / "out"
+    shutil.copytree(workdir / "clean", out)
+
+    def run_with(stage, changed, value):
+        sizes = [(value if before == changed else size) for before, size in zip(["", *KILL_SIZES], KILL_SIZES)]
+        assert main([stage, "--config", config, "--out", str(out), *sizes]) == 0
+        return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+    manifest = run_with("ingest", "--n1", "50")
+    assert manifest["params"]["n1"] == manifest["stages"]["matrix"]["inputs"]["n1"] == 150
+    manifest = run_with("extend", "--extend-n", "5")
+    assert manifest["params"]["extend_n"] == manifest["stages"]["extend"]["inputs"]["extend_n"] == 5
+    assert manifest["params"]["n1"] == 150
 
 
 @pytest.mark.parametrize("stage", ["vectors", "loadings", "extend", "pca"])

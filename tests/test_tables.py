@@ -1,4 +1,5 @@
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -94,6 +95,7 @@ CSR_CORRUPTIONS = {
     "nan": (_replaced("data", [2, np.nan, 1]), "non-finite value"),
     "inf": (_replaced("data", [2, 7, -np.inf]), "non-finite value"),
     "zero": (_replaced("data", [0, 7, 1]), "zero value"),
+    "object-array": (lambda arrays: {**arrays, "data": arrays["data"].astype(object)}, "array 'data' holds Python"),
 }
 
 
@@ -123,4 +125,28 @@ def test_unreadable_csr_names_path(tmp_path, damage):
     else:
         target.unlink()
     with pytest.raises(DataError, match=f"^{re.escape(str(target))}: "):
+        read_csr(target, "<f8", {})
+
+
+def test_flipped_byte_inside_an_array_fails_its_crc(tmp_path):
+    """A flipped low bit of a stored value leaves every CSR check passing; the member's CRC-32 catches it."""
+    target = tmp_path / "m.npz"
+    matrix = sparse.csr_matrix(np.asarray(CSR_MATRICES["non-empty"], dtype=np.float64))
+    write_csr(target, matrix)
+    raw = bytearray(target.read_bytes())
+    raw[raw.rindex(matrix.data.tobytes()) + 8] ^= 0x01  # the lowest mantissa bit of the second value
+    target.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"^{re.escape(str(target))}: array 'data' fails its CRC-32 check"):
+        read_csr(target, "<f8", {})
+
+
+def test_compressed_archive_names_path(tmp_path):
+    target = tmp_path / "m.npz"
+    write_csr(target, sparse.csr_matrix(np.asarray(CSR_MATRICES["empty-rows"], dtype=np.float64)))
+    with np.load(target) as archive:
+        arrays = dict(archive)
+    np.savez_compressed(target, **arrays)
+    with zipfile.ZipFile(target) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    with pytest.raises(DataError, match=f"^{re.escape(str(target))}: array 'shape' is compressed"):
         read_csr(target, "<f8", {})

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from mfquant.corpus import TokenizedTweet
-from mfquant import vectorizer
+from mfquant import linalg, vectorizer
 from mfquant.errors import DataError
 from mfquant.vectorizer import (
     ROW_SUM_BLOCK,
@@ -432,6 +432,18 @@ class TestPersistence:
             assert loaded.col_labels == matrix.col_labels
             assert loaded.weights.dtype == np.float64
             np.testing.assert_array_equal(loaded.to_dense(), matrix.to_dense())
+
+    def test_loaded_weights_view_the_archive_map(self, tmp_path):
+        """scipy's csr_matrix constructor copies an array that views less than half of its base; each array
+        read_csr returns has a base of its own size, so the PPMI weights keep viewing the archive's read-only
+        map, from which gram_matrix hands back the rows it has passed."""
+        weights = sparse.random(50, 400, density=0.1, format="csr", random_state=4)
+        labels = (Vocabulary(tuple(f"r{i:02d}" for i in range(50))), tuple(f"c{i:03d}" for i in range(400)))
+        save_triplets(WeightedMatrix(*labels, weights), tmp_path / "m.npz")
+        loaded = load_triplets(tmp_path / "m.npz", labels[0].words, labels[1]).weights
+        for array in (loaded.data, loaded.indices):
+            assert linalg._read_only_map(array) is not None and not array.flags.writeable
+        np.testing.assert_array_equal(loaded.toarray(), weights.toarray())
 
     def test_non_canonical_input_saved_as_canonical_and_left_unmodified(self, tmp_path):
         # row 0 holds column 2 twice and out of order; row 1 is empty
