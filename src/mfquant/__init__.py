@@ -10,11 +10,12 @@ from .corpus import (
     CleaningConfig,
     IngestStats,
     TokenizedTweet,
+    TokenRows,
     TweetRecord,
     clean_and_tokenize,
     deduplicate,
-    iter_records,
     load_records,
+    read_corpus,
 )
 from .errors import ConfigError, CorpusError, DataError, LexiconError, MFQuantError, PipelineError
 from .lexicon import (

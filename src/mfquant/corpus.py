@@ -17,25 +17,28 @@ itself, so each kept occurrence of a word in the corpus shares one
 object. The pipeline builds one config per corpus, which bounds the
 table to that corpus's ingest.
 
-Ingest streams: ``iter_records`` yields one record per line read, each is
-cleaned as it arrives, and ``vectorizer.count_unique_tweets`` appends its
-tokens to one flat buffer of word ids and its id to one text buffer, and
-drops the tweets that repeat an earlier token sequence after the last one,
-so no stage holds a corpus's records, token lists or a Python object per
-tweet. ``load_records`` and ``deduplicate`` are
-the same steps in list form, for library callers and tests, and
+Ingest reads each corpus in one loop (``read_corpus``): each line is
+decoded, checked and cleaned as it is read, and its tokens' first-seen word
+positions are appended to one flat buffer and its id to one text buffer
+(``TokenRows``), so no stage holds a corpus's records, token lists or a
+Python object per tweet; ``vectorizer.count_unique_tweets`` then drops the
+tweets that repeat an earlier token sequence. ``load_records`` runs the
+same loop to list the loaded records uncleaned, and it and ``deduplicate``
+are the same steps in list form, for library callers and tests.
 ``write_tokenized`` and ``read_tokenized`` keep a token-level TSV, in token
 order, for library users who want to inspect what cleaning kept.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import tables
 from .errors import CorpusError
@@ -108,7 +111,7 @@ class _WordTable(dict):
 
 @dataclass
 class IngestStats:
-    """Bookkeeping from one iter_records run."""
+    """Bookkeeping from one read_corpus run."""
 
     loaded: int = 0
     malformed: int = 0
@@ -120,37 +123,62 @@ class IngestStats:
         return self.malformed + self.duplicate_ids
 
 
-def _parse_line(obj: dict) -> TweetRecord:
-    rec_id = obj.get("id")
-    if type(rec_id) is int:  # not isinstance: a JSON true or false is a bool, which is an int
-        rec_id = str(rec_id)
-    text = obj.get("text")
-    if not isinstance(rec_id, str) or not rec_id:
-        raise ValueError("'id' is missing, empty, or neither a string nor an integer")
-    if _ID_DELIMITER.search(rec_id):
-        raise ValueError(f"id {rec_id!r} contains a tab, comma or newline")
-    rec_id.encode("utf-8")  # a lone surrogate (JSON "\ud800") cannot reach a UTF-8 artifact
-    if not isinstance(text, str):
-        raise ValueError("missing 'text'")
-    retweeted = obj.get("retweeted_status")
-    retweet_text = retweeted.get("text") if isinstance(retweeted, dict) else None
-    lang = obj.get("lang")
-    return TweetRecord(
-        rec_id, text, retweet_text if isinstance(retweet_text, str) else None, lang if isinstance(lang, str) else None
-    )
+class _FirstSeenPositions(dict):
+    """word -> its position in first-seen order, assigned when a word is first looked up."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = position = len(self)
+        return position
 
 
-def iter_records(path: str | Path, lang_filter: str | None, stats: IngestStats) -> Iterator[TweetRecord]:
-    """Yield line-delimited JSON records in file order, reading one line per record.
+class TokenRows(NamedTuple):
+    """The cleaned records of one corpus, one row each, in file order, held in flat buffers.
 
-    A UTF-8 byte-order mark at the start of the file is skipped. Malformed lines (bytes
-    that are not UTF-8, bad JSON, missing id/text, an id that is a boolean or contains a
-    tab, comma, newline or lone surrogate) and duplicate ids are logged with their line
-    number and skipped; records failing ``lang_filter`` are dropped silently. ``stats`` counts each outcome as it happens. An unreadable file raises
-    CorpusError when the first record is asked for.
+    Row r's tokens are the word positions ``flat[ends[r]:ends[r + 1]]``, where
+    ``words`` maps each word to its position in first-seen order, and its id
+    is the r-th newline-terminated line of the UTF-8 bytes ``ids``.
+    """
+
+    words: dict[str, int]
+    flat: array
+    ends: array
+    ids: bytes
+
+
+# what json.loads skips around a value: a form feed or an NBSP is not JSON whitespace
+_JSON_SPACE = " \t\n\r"
+# the C scanner behind json.loads, called without its three Python-level wrappers
+_scan_json = json.JSONDecoder().scan_once
+# a tuple's constructor: a named tuple's own __new__ is a Python function
+_new_tuple = tuple.__new__
+
+
+def read_corpus(
+    path: str | Path, lang_filter: str | None, stats: IngestStats,
+    cleaning: CleaningConfig | None = None, records: list[TweetRecord] | None = None,
+) -> TokenRows:
+    """Read line-delimited JSON records in file order, cleaning each loaded record as its line is read.
+
+    This is the one loop from JSON line to token row. Each loaded record is
+    cleaned by ``clean_and_tokenize`` (the module attribute, looked up once per
+    call) through ``cleaning``, and appended as one row of the result. With
+    ``records`` given, each loaded record is appended to it instead, uncleaned,
+    and the result has no rows (``load_records``).
+
+    A UTF-8 byte-order mark at the start of the file is skipped. A line is
+    decoded exactly as ``json.loads`` decodes it. Malformed lines (bytes
+    that are not UTF-8, bad JSON, missing id/text, an id that is a boolean or
+    contains a tab, comma, newline or lone surrogate) and duplicate ids are
+    logged with their line number and skipped; records failing
+    ``lang_filter`` are dropped silently. ``stats`` counts each outcome as it
+    happens. An unreadable file raises CorpusError.
     """
     path = Path(path)
+    clean = clean_and_tokenize
     seen_ids: set[str] = set()
+    words = _FirstSeenPositions()
+    position = words.__getitem__
+    flat, ends, id_lines = array("i"), array("q", [0]), io.StringIO()
     try:
         handle = path.open("r", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
@@ -160,37 +188,70 @@ def iter_records(path: str | Path, lang_filter: str | None, stats: IngestStats) 
             if not line.strip():
                 continue
             try:
-                line.encode("utf-8")  # a byte that is not UTF-8 was decoded to a lone surrogate
-                obj = json.loads(line)
+                if not line.isascii():
+                    line.encode("utf-8")  # a byte that is not UTF-8 was decoded to a lone surrogate
+                body = line.strip(_JSON_SPACE)
+                try:
+                    obj, end = _scan_json(body, 0)
+                    if end != len(body):
+                        raise ValueError("extra data")
+                except (StopIteration, ValueError):
+                    obj = json.loads(line)  # raises json's own error for the line
                 if not isinstance(obj, dict):
                     raise ValueError("line is not an object")
-                record = _parse_line(obj)
-            except (json.JSONDecodeError, ValueError) as exc:
+                rec_id = obj.get("id")
+                if type(rec_id) is int:  # not isinstance: a JSON true or false is a bool, which is an int
+                    rec_id = str(rec_id)
+                text = obj.get("text")
+                if not isinstance(rec_id, str) or not rec_id:
+                    raise ValueError("'id' is missing, empty, or neither a string nor an integer")
+                if _ID_DELIMITER.search(rec_id):
+                    raise ValueError(f"id {rec_id!r} contains a tab, comma or newline")
+                if not rec_id.isascii():
+                    rec_id.encode("utf-8")  # a lone surrogate (JSON "\ud800") cannot reach a UTF-8 artifact
+                if not isinstance(text, str):
+                    raise ValueError("missing 'text'")
+            except ValueError as exc:  # a JSONDecodeError or UnicodeEncodeError too
                 stats.malformed += 1
                 logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
                 continue
-            if record.id in seen_ids:
+            if rec_id in seen_ids:
                 stats.duplicate_ids += 1
-                logger.warning("%s:%d: skipping duplicate id %r", path, lineno, record.id)
+                logger.warning("%s:%d: skipping duplicate id %r", path, lineno, rec_id)
                 continue
-            seen_ids.add(record.id)
-            if lang_filter is not None and record.lang != lang_filter:
+            seen_ids.add(rec_id)
+            lang = obj.get("lang")
+            if lang_filter is not None and lang != lang_filter:
                 stats.lang_filtered += 1
                 continue
             stats.loaded += 1
-            yield record
+            retweeted = obj.get("retweeted_status")
+            retweet_text = retweeted.get("text") if isinstance(retweeted, dict) else None
+            record = _new_tuple(TweetRecord, (
+                rec_id, text, retweet_text if isinstance(retweet_text, str) else None,
+                lang if isinstance(lang, str) else None,
+            ))
+            if records is not None:
+                records.append(record)
+                continue
+            flat.extend(map(position, clean(record, cleaning).tokens))
+            ends.append(len(flat))
+            id_lines.write(rec_id)
+            id_lines.write("\n")
     logger.info(
         "loaded %d records from %s (%d malformed, %d duplicate ids, %d filtered by lang)",
         stats.loaded, path, stats.malformed, stats.duplicate_ids, stats.lang_filtered,
     )
+    return TokenRows(words, flat, ends, id_lines.getvalue().encode("utf-8"))
 
 
 def load_records(
     path: str | Path, lang_filter: str | None = None
 ) -> tuple[list[TweetRecord], IngestStats]:
-    """Every record ``iter_records`` yields, as a list, and the IngestStats of reading them."""
-    stats = IngestStats()
-    return list(iter_records(path, lang_filter, stats)), stats
+    """Every record ``read_corpus`` loads, uncleaned, as a list, and the IngestStats of reading them."""
+    stats, records = IngestStats(), []
+    read_corpus(path, lang_filter, stats, records=records)
+    return records, stats
 
 
 class _CodePointRule(dict):

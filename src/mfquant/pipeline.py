@@ -16,7 +16,9 @@ ranking, and n1 cuts it where it is read); matrix and report ``n1``; svd
 ``k``; vectors ``topic_n``; extend ``extend_n``; loadings and pca none. No
 stage reads ``seed``, and the SVD is exact, so ``seed`` changes no artifact.
 A stage's entry in manifest.json hashes the files it wrote, and records under
-``inputs`` what it read (``stage_inputs``). A stage has no entry while it
+``inputs`` what it read (``stage_inputs``); ingest's entry also records under
+``metrics`` each corpus's record counts (``IngestStats``, the repeats removed and
+the tweets kept), which no check reads. A stage has no entry while it
 runs, and refuses to start, naming the first stage to rerun, while a file it
 reads is missing or unrecorded, or a stage upstream of it has no entry or an
 input record other than what it would read now. That check re-hashes each raw
@@ -33,7 +35,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -296,12 +298,15 @@ class RunManifest:
         data.pop("inputs", None)  # an older run's record of the raw inputs; stage entries record them now
         return cls(path, data)
 
-    def record_stage(self, stage: str, art: Artifacts, writes: list[Path], inputs: dict) -> None:
-        """Hash the files ``stage`` wrote, and record ``inputs``, what it read (``stage_inputs``)."""
+    def record_stage(self, stage: str, art: Artifacts, writes: list[Path], inputs: dict,
+                     metrics: dict | None = None) -> None:
+        """Hash the files ``stage`` wrote, and record ``inputs``, what it read (``stage_inputs``), and the
+        ``metrics`` it reported, if any: what it did, which no check reads."""
         self.data["stages"][stage] = {
             "completed": _now(),
             "artifacts": {art.rel(p): sha256_file(p) for p in sorted(writes)},
             "inputs": inputs,
+            **({"metrics": metrics} if metrics is not None else {}),
         }
         self.data["updated"] = _now()
         self.save()
@@ -431,24 +436,26 @@ def _check_upstream(stage: str, config: PipelineConfig, table: dict, manifest: R
                 raise PipelineError(f"{table[name][1][0]}: {why}; rerun stage {name!r}")
 
 
-def _stage_ingest(config: PipelineConfig, art: Artifacts) -> None:
+def _stage_ingest(config: PipelineConfig, art: Artifacts) -> dict:
+    """Read, clean and count each corpus, JSON line to count row; returns each corpus's record counts."""
     stopwords = config.read_stopwords()  # one read serves every corpus
+    corpora = {}
     for name, source in _corpus_paths(config).items():
         cleaning = config.cleaning_config(name, stopwords)
         stats = corpus_mod.IngestStats()
-        records = corpus_mod.iter_records(source, config.lang_filter, stats)
-        # one record at a time, JSON line to count row; the module attribute is looked up per call
-        tweets = (corpus_mod.clean_and_tokenize(record, cleaning) for record in records)
-        counts, removed = vectorizer_mod.count_unique_tweets(tweets)
-        logger.info(
-            "%s: %d records -> %d after dedup (%d removed)",
-            name, stats.loaded, stats.loaded - removed, removed,
+        # no name holds the rows, so count_unique_tweets can let each buffer go once it is used
+        counts, removed = vectorizer_mod.count_unique_tweets(
+            corpus_mod.read_corpus(source, config.lang_filter, stats, cleaning)
         )
+        kept = counts.counts.shape[0]
+        logger.info("%s: %d records -> %d after dedup (%d removed)", name, stats.loaded, kept, removed)
         vectorizer_mod.save_corpus_counts(counts, art.corpus_counts(name), art.corpus(name))
+        corpora[name] = {**asdict(stats), "repeats_removed": removed, "kept": kept}
     # The interpreter keeps freed tuples and other small objects for reuse, scattered over
     # memory that would otherwise go back to the system; a full collection drops them (on 50k
     # tweets this lowers the peak of the later svd stage by about 4 MB).
     gc.collect()
+    return {"corpora": corpora}
 
 
 def _stage_select(config: PipelineConfig, art: Artifacts) -> None:
@@ -591,11 +598,11 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
             manifest.data["stages"].pop(name, None)
             manifest.save()
             logger.info("stage %s: starting", name)
-            _STAGE_FUNCS[name](config, art)
+            metrics = _STAGE_FUNCS[name](config, art)
             _remove_stale(writes)
             # only the values the stage read, and not before: a failed stage leaves them as they were
             manifest.data.setdefault("params", {}).update({key: inputs[key] for key in table[name][2]})
-            manifest.record_stage(name, art, writes, inputs)
+            manifest.record_stage(name, art, writes, inputs, metrics)
             executed[name] = [art.rel(p) for p in writes]
             logger.info("stage %s: wrote %d artifacts", name, len(writes))
     return executed

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,8 +41,8 @@ _DOMINANT_NAMES = np.array([*FOUNDATIONS, UNCLASSIFIED])
 _EXTENDED_HEADER = "foundation\trank\tword\tsimilarity"
 _FOUNDATION_COLUMNS = ",".join(f.lower() for f in FOUNDATIONS)
 _LOADINGS_HEADER = f"id,{_FOUNDATION_COLUMNS},dominant,degenerate"
-# one loadings.csv row; %.9g formats a float exactly as the f-string spec .9g does
-_LOADINGS_ROW = "%s" + ",%.9g" * len(FOUNDATIONS) + ",%s,%d"
+# one loadings.csv line; %.9g formats a float exactly as the f-string spec .9g does
+_LOADINGS_ROW = "%s" + ",%.9g" * len(FOUNDATIONS) + ",%s,%d\n"
 # tweets per block in score_corpus and save_loadings: bounds their temporaries at 4096 rows
 SCORE_BLOCK_ROWS = 4096
 
@@ -245,20 +248,23 @@ def _csv_values(values: np.ndarray) -> str:
 def save_loadings(
     matrix: LoadingMatrix, path: str | Path
 ) -> None:
-    """CSV: id, care, fairness, ingroup, authority, purity, dominant, degenerate_flag."""
+    """CSV: id, care, fairness, ingroup, authority, purity, dominant, degenerate_flag.
 
+    Formatted and written SCORE_BLOCK_ROWS rows at a time, so that only one
+    block's values are Python floats and each block takes one write.
+    """
     names = _DOMINANT_NAMES.tolist()
     dominant = dominant_indices(matrix)
 
-    def rows():  # SCORE_BLOCK_ROWS rows at a time, so that only one block's values are Python floats
+    def blocks():
         for start in range(0, len(matrix.row_labels), SCORE_BLOCK_ROWS):
             block = slice(start, start + SCORE_BLOCK_ROWS)
-            yield from zip(
+            yield "".join(map(_LOADINGS_ROW.__mod__, zip(
                 matrix.row_labels[block], *matrix.values[block].T.tolist(),
                 map(names.__getitem__, dominant[block].tolist()), matrix.degenerate[block],
-            )
+            )))
 
-    tables.write_lines(path, (_LOADINGS_ROW % row for row in rows()), header=_LOADINGS_HEADER)
+    tables.write_blocks(path, blocks(), header=_LOADINGS_HEADER)
 
 
 def load_loadings(path: str | Path) -> LoadingMatrix:
@@ -283,9 +289,14 @@ def load_foundation_counts(path: str | Path) -> dict[str, int]:
 
     Every row must have the CSV's field count, a ``dominant`` that is a
     foundation or ``unclassified`` (always the latter on a degenerate row)
-    and a flag of 0 or 1; the loadings themselves are not parsed.
+    and a flag of 0 or 1; the loadings themselves are not parsed. The file
+    is read tables.LINE_BLOCK lines at a time, and each block's rows are
+    tallied by their last two fields; at a block that fails a check,
+    ``tables.reject_rows`` names the first bad line.
     """
     index = {name: i for i, name in enumerate(_DOMINANT_NAMES.tolist())}
+    # every (dominant, flag) pair a row may end in
+    valid = {(name, "0"): i for name, i in index.items()} | {(UNCLASSIFIED, "1"): index[UNCLASSIFIED]}
 
     def parse(fields: list[str]) -> int:
         dominant, flag = fields[-2:]
@@ -297,8 +308,17 @@ def load_foundation_counts(path: str | Path) -> dict[str, int]:
             raise ValueError(f"a degenerate row must be {UNCLASSIFIED!r}, got {dominant!r}")
         return index[dominant]
 
-    rows = tables.read_rows(path, parse, sep=",", ncols=len(FOUNDATIONS) + 3, header=_LOADINGS_HEADER)
-    counts = np.bincount(np.fromiter(rows, dtype=np.int64), minlength=len(_DOMINANT_NAMES))
+    reject = partial(tables.reject_rows, path, parse, sep=",", ncols=len(FOUNDATIONS) + 3, header=_LOADINGS_HEADER)
+    counts = np.zeros(len(_DOMINANT_NAMES), dtype=np.int64)
+    for _, lines in tables.read_line_blocks(path, header=_LOADINGS_HEADER):
+        rows = list(filter(None, lines))  # blank lines are skipped
+        if set(map(str.count, rows, repeat(","))) - {len(FOUNDATIONS) + 2}:
+            reject()
+        ends = Counter(map(itemgetter(1, 2), map(str.rsplit, rows, repeat(","), repeat(2))))
+        if not ends.keys() <= valid.keys():
+            reject()
+        for end, n in ends.items():
+            counts[valid[end]] += n
     return dict(zip(FOUNDATIONS, counts.tolist()))
 
 

@@ -7,7 +7,8 @@ pass as text: one array in a ``.npy`` file, or one CSR matrix, after any
 further named 1-D arrays, in one uncompressed ``.npz`` archive, which is
 read as read-only views of a read-only map of the file. Writers
 stream to ``<file>.tmp`` and rename it over the target, so a killed or
-failed write leaves the previous file intact. Text readers skip blank
+failed write leaves the previous file intact. Text tables are read
+LINE_BLOCK lines at a time (``read_line_blocks``); text readers skip blank
 lines, require every row to have as many fields as the first, and report
 every malformed row as a DataError naming ``path:line``; the array
 readers report a missing, truncated or unreadable file, a missing,
@@ -26,8 +27,9 @@ import struct
 import zipfile
 import zlib
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -37,6 +39,8 @@ from .errors import DataError
 T = TypeVar("T")
 # entries a CSR check reads at a time: bounds its temporaries at about 2 MB whatever the archive's size
 CHECK_BLOCK = 1 << 16
+# lines a table is read in at a time (read_line_blocks): bounds the text and line objects held
+LINE_BLOCK = 4096
 # bytes of a member read to parse its .npy header: np.load's own limit on a header is 10,000 bytes
 _NPY_HEADER_BYTES = 1 << 14
 _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
@@ -57,13 +61,18 @@ def _replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-def write_lines(path: str | Path, lines: Iterable[str], header: str | None = None) -> None:
-    """Atomically replace ``path`` with ``header`` (if given) and ``lines``, one per line."""
+def write_blocks(path: str | Path, blocks: Iterable[str], header: str | None = None) -> None:
+    """Atomically replace ``path`` with ``header`` (if given) and ``blocks``, each a run of whole lines, written at once."""
     with _replacing(path) as handle:
         if header is not None:
             handle.write(f"{header}\n")
-        for line in lines:
-            handle.write(f"{line}\n")
+        for block in blocks:
+            handle.write(block)
+
+
+def write_lines(path: str | Path, lines: Iterable[str], header: str | None = None) -> None:
+    """Atomically replace ``path`` with ``header`` (if given) and ``lines``, one per line."""
+    write_blocks(path, (f"{line}\n" for line in lines), header)
 
 
 def write_array(path: str | Path, array: np.ndarray) -> None:
@@ -217,6 +226,34 @@ def read_csr(
     return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols)), arrays
 
 
+def read_line_blocks(path: str | Path, header: str | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Each run of LINE_BLOCK lines of a table (fewer at its end), without their line breaks, and the
+    number of the run's first line.
+
+    Lines end as a text file's do, at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, and the last may end at the
+    end of the file. A missing or unreadable file, text that is not UTF-8, or a first line other than
+    ``header`` is a DataError that names the path.
+    """
+    path = Path(path)
+    try:
+        handle = path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        try:
+            if header is not None and handle.readline().rstrip("\n") != header:
+                raise DataError(f"{path}:1: expected header {header!r}")
+            lineno = 1 if header is None else 2
+            while text := "".join(islice(handle, LINE_BLOCK)):
+                lines = text.split("\n")
+                if not lines[-1]:  # the break that ends the run's last line
+                    lines.pop()
+                yield lineno, lines
+                lineno += len(lines)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def read_rows(
     path: str | Path, parse: Callable[[list[str]], T] = list, *,
     sep: str = "\t", ncols: int | None = None, header: str | None = None,
@@ -228,16 +265,8 @@ def read_rows(
     row's), or a ValueError raised by ``parse`` becomes a DataError that
     names the path and line number.
     """
-    path = Path(path)
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        if header is not None and handle.readline().rstrip("\n") != header:
-            raise DataError(f"{path}:1: expected header {header!r}")
-        for lineno, line in enumerate(handle, start=1 if header is None else 2):
-            line = line.rstrip("\n")
+    for first, lines in read_line_blocks(path, header):
+        for lineno, line in enumerate(lines, start=first):
             if not line:
                 continue
             fields = line.split(sep)
@@ -249,6 +278,16 @@ def read_rows(
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
             yield row
+
+
+def reject_rows(path: str | Path, parse: Callable[[list[str]], object], **options) -> NoReturn:
+    """Raise the DataError ``read_rows(path, parse, **options)`` raises at a table's first bad line.
+
+    For readers that check a block of lines at once and find it at fault: read_rows names the line.
+    """
+    for _ in read_rows(path, parse, **options):
+        pass
+    raise DataError(f"{path}: a row fails a check that read_rows does not make")
 
 
 def write_vectors(path: str | Path, labels: Sequence[str], vectors: Iterable[np.ndarray]) -> None:

@@ -2,13 +2,14 @@
 
 A deduplicated corpus is counted once, over its sorted vocabulary, into a
 tweets x words count matrix, which ingest saves as one CSR archive
-(``tables.write_csr``) plus an ids file. Ingest counts as it reads
-(``count_unique_tweets``): every tweet appends its tokens' word ids to one
-flat buffer and its id to one text buffer, and repeats are dropped after
-the last tweet by hashing the rows and comparing the bytes of rows whose
-hashes are equal, so no object is held per tweet. ``count_corpus`` counts
-a list of tweets the same way. The ids stay in one UTF-8 buffer
-(``TweetIds``), decoded a block at a time where they are written out. The
+(``tables.write_csr``) plus an ids file. Ingest counts as it reads:
+``corpus.read_corpus`` appends every tweet's word positions to one flat
+buffer and its id to one text buffer, and ``count_unique_tweets`` drops
+the repeats after the last tweet by hashing the rows and comparing the
+bytes of rows whose hashes are equal, so no object is held per tweet.
+``count_corpus`` counts a list of tweets the same way. The ids stay in one
+UTF-8 buffer (``TweetIds``); the ids file is written and read a block of
+lines at a time, and read straight into that buffer. The
 overlap score that ranks keywords / context words, a word's tf-idf
 (natural log) summed over tweets, is its total count times its idf
 (``overlap_scores``), read from the matrix's column indices; no stage
@@ -21,10 +22,8 @@ archive layout (``save_triplets``), so ``tables.read_csr`` checks both.
 
 from __future__ import annotations
 
-import io
 import logging
 import operator
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from pathlib import Path
@@ -34,7 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from . import tables
-from .corpus import TokenizedTweet
+from .corpus import TokenizedTweet, TokenRows
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -233,35 +232,19 @@ def count_corpus(corpus: Sequence[TokenizedTweet]) -> CorpusCounts:
     return CorpusCounts(vocab=vocab, counts=counts, ids=tuple(t.id for t in corpus))
 
 
-class _FirstSeenPositions(dict):
-    """word -> its position in first-seen order, assigned when a word is first looked up."""
+def count_unique_tweets(rows: TokenRows) -> tuple[CorpusCounts, int]:
+    """``count_corpus`` of the first tweet of each token sequence in ``rows``, and how many tweets repeat an earlier one.
 
-    def __missing__(self, word: str) -> int:
-        self[word] = position = len(self)
-        return position
-
-
-def count_unique_tweets(tweets: Iterable[TokenizedTweet]) -> tuple[CorpusCounts, int]:
-    """``count_corpus`` of the first tweet of each token sequence, and how many tweets repeat an earlier one.
-
-    Equal to ``count_corpus(deduplicate(list(tweets))[0])`` for ids without
-    a line break (ingest rejects those), in one pass that holds one tweet at
-    a time and no object per tweet: every tweet appends its tokens'
-    first-seen word positions to one flat buffer and its id to one text
-    buffer. After the last tweet, a tweet repeats an earlier one when their
-    rows have equal ``_row_hashes`` and equal bytes, and the rows that do not
-    are renumbered to the sorted vocabulary and moved up in place over the
-    repeats. The ids stay one ``TweetIds`` buffer.
+    Equal to ``count_corpus(deduplicate(tweets)[0])`` of the tweets the rows
+    hold (``corpus.read_corpus`` builds them), with no object per tweet: a
+    tweet repeats an earlier one when their rows have equal ``_row_hashes``
+    and equal bytes, and the rows that do not are renumbered to the sorted
+    vocabulary and moved up in place over the repeats. The ids stay one
+    ``TweetIds`` buffer.
     """
-    positions = _FirstSeenPositions()
-    flat, ends = array("i"), array("q", [0])
-    id_lines = io.StringIO()
-    for tweet in tweets:
-        flat.extend(map(positions.__getitem__, tweet.tokens))
-        ends.append(len(flat))
-        id_lines.write(tweet.id)
-        id_lines.write("\n")
-    ids = TweetIds.from_text(id_lines.getvalue())
+    positions, flat, ends, id_lines = rows
+    del rows
+    ids = TweetIds(id_lines)
     del id_lines
     values, bounds = np.frombuffer(flat, dtype=np.intc), np.frombuffer(ends, dtype=np.longlong)
     keep = _first_occurrences(values, bounds)
@@ -272,9 +255,9 @@ def count_unique_tweets(tweets: Iterable[TokenizedTweet]) -> tuple[CorpusCounts,
     lengths = np.diff(bounds)
     end = 0
     for start in range(0, len(keep), ROW_SUM_BLOCK):
-        rows = slice(start, start + ROW_SUM_BLOCK)
+        span = slice(start, start + ROW_SUM_BLOCK)
         block = values[bounds[start]:bounds[min(start + ROW_SUM_BLOCK, len(keep))]]
-        kept = block[np.repeat(keep[rows], lengths[rows])]
+        kept = block[np.repeat(keep[span], lengths[span])]
         np.take(rank, kept, out=values[end:end + len(kept)], mode="clip")  # kept is a copy from at or after end
         end += len(kept)
     ids = ids.compress(keep)
@@ -331,6 +314,8 @@ def _first_occurrences(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: str | Path) -> None:
     """Write the counts as one tables.write_csr archive and the ids as ``id<TAB>kept-token count`` lines.
 
+    The ids file is formatted and written ROW_SUM_BLOCK lines at a time.
+
     The archive holds the vocabulary as newline-joined UTF-8 bytes (``vocab``)
     and the counts in the narrowest unsigned integer dtype that holds them.
     """
@@ -340,7 +325,12 @@ def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: 
         counts_path, sparse.csr_matrix((counts.data.astype(dtype), counts.indices, counts.indptr), shape=counts.shape),
         vocab=np.frombuffer("\n".join(corpus.vocab.words).encode("utf-8"), dtype=np.uint8),
     )
-    tables.write_lines(ids_path, (f"{tweet_id}\t{n}" for tweet_id, n in zip(corpus.ids, map(int, corpus.lengths))))
+    lengths = corpus.lengths
+    tables.write_blocks(ids_path, (
+        "".join(map("%s\t%d\n".__mod__, zip(corpus.ids[start:start + ROW_SUM_BLOCK],
+                                             lengths[start:start + ROW_SUM_BLOCK].tolist())))
+        for start in range(0, len(lengths), ROW_SUM_BLOCK)
+    ))
 
 
 def load_corpus_counts(counts_path: str | Path, ids_path: str | Path | None = None) -> CorpusCounts:
@@ -368,24 +358,49 @@ def load_corpus_counts(counts_path: str | Path, ids_path: str | Path | None = No
     return corpus
 
 
+def _id_row(fields: list[str]) -> tuple[str, int]:
+    """An ids file row: the id and its kept-token count, which must fit in int64."""
+    n = int(fields[1])
+    if n.bit_length() > 63:
+        raise ValueError(f"kept-token count {fields[1]!r} is out of range")
+    return fields[0], n
+
+
 def _load_ids(ids_path: str | Path, sums: np.ndarray, counts_path: str | Path) -> TweetIds:
     """Tweet ids of an ids file whose kept-token counts equal ``sums``, the row sums of the archive.
 
-    The file is read once, one row at a time, into one text buffer of ids
-    and one array of counts, which is checked against ``sums`` as a whole.
+    The file is read tables.LINE_BLOCK lines at a time: each block's ids are
+    appended to one UTF-8 buffer and its counts compared with their sums, and
+    the first count that differs is reported once the row count is known to
+    match. At a block that fails a row check of ``tables.read_rows`` (two
+    fields, an integer count), ``tables.reject_rows`` names the first bad line.
     """
-    ids, lengths = io.StringIO(), array("q")
-    for tweet_id, n in tables.read_rows(ids_path, lambda f: (f[0], int(f[1])), ncols=2):
-        ids.write(tweet_id)
-        ids.write("\n")
-        lengths.append(n)
-    if len(lengths) != len(sums):
-        raise DataError(f"{ids_path}: {len(lengths)} ids for the {len(sums)} tweets of {counts_path}")
-    wrong = np.flatnonzero(np.frombuffer(lengths, dtype=np.longlong) != sums)
-    if wrong.size:
-        i = int(wrong[0])
-        raise DataError(f"{ids_path}:{i + 1}: {lengths[i]} kept tokens, but {counts_path} holds {sums[i]}")
-    return TweetIds.from_text(ids.getvalue())
+    chunks, row, wrong = [], 0, None
+    for first, lines in tables.read_line_blocks(ids_path):
+        rows = list(filter(None, lines))  # blank lines are skipped
+        if not rows:
+            continue
+        fields = "\t".join(rows).split("\t")
+        try:
+            # as many tabs as rows, and a tab in every row: each row has two fields
+            if len(fields) != 2 * len(rows) or not all(map(str.__contains__, rows, repeat("\t"))):
+                raise ValueError("a row without two fields")
+            counts = np.fromiter(map(int, fields[1::2]), dtype=np.int64, count=len(rows))
+        except (ValueError, OverflowError):
+            tables.reject_rows(ids_path, _id_row, ncols=2)
+        chunks.append(("\n".join(fields[0::2]) + "\n").encode("utf-8"))
+        expected = sums[row:row + len(counts)]
+        differ = np.flatnonzero(counts[:len(expected)] != expected)
+        if wrong is None and differ.size:
+            i = int(differ[0])
+            lineno = first + [k for k, line in enumerate(lines) if line][i]
+            wrong = f"{ids_path}:{lineno}: {counts[i]} kept tokens, but {counts_path} holds {expected[i]}"
+        row += len(counts)
+    if row != len(sums):
+        raise DataError(f"{ids_path}: {row} ids for the {len(sums)} tweets of {counts_path}")
+    if wrong is not None:
+        raise DataError(wrong)
+    return TweetIds(b"".join(chunks))
 
 
 def build_word_tweet_matrix(corpus: CorpusCounts) -> SparseCountMatrix:

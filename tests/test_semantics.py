@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfquant.semantics
+from mfquant import tables
 from mfquant.corpus import TokenizedTweet
 from mfquant.errors import DataError, LexiconError
 from mfquant.lexicon import (
@@ -18,6 +19,7 @@ from mfquant.semantics import (
     dominant_indices,
     extend_dictionary,
     foundation_counts,
+    load_foundation_counts,
     load_loadings,
     loading_matrix,
     mf_similarity_matrix,
@@ -312,6 +314,38 @@ class TestFoundationCounts:
         assert [line.split(",")[-2] for line in lines] == expected
 
 
+# loadings.csv with LINE_BLOCK + 1 rows, a blank line on line 3 and no line break after the last row;
+# each edit makes the row on line LINE_BLOCK + 2, in the second block of lines, bad
+BAD_LOADINGS_ROWS = {
+    "seven fields": (lambda f: f[:-1], "expected 8 fields, got 7"),
+    "bad flag": (lambda f: f[:-1] + ["2"], "degenerate flag must be 0 or 1, got '2'"),
+    "unknown dominant": (lambda f: f[:-2] + ["Harm", "0"], "dominant must be a foundation or 'unclassified', got 'Harm'"),
+    "degenerate but classified": (lambda f: f[:-2] + ["Care", "1"], "a degenerate row must be 'unclassified', got 'Care'"),
+}
+
+
+@pytest.mark.parametrize("bad", [None, *BAD_LOADINGS_ROWS])
+def test_foundation_counts_read_loadings_a_block_of_lines_at_a_time(rng, tmp_path, bad):
+    rows = tables.LINE_BLOCK + 1
+    values = rng.standard_normal((rows, 5))
+    degenerate = rng.random(rows) < 0.1
+    values[degenerate] = 0.0
+    matrix = LoadingMatrix(tuple(f"t{i}" for i in range(rows)), values, tuple(degenerate.tolist()))
+    path = tmp_path / "loadings.csv"
+    save_loadings(matrix, path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    lines.insert(2, "")
+    if bad is not None:
+        edit, message = BAD_LOADINGS_ROWS[bad]
+        lines[tables.LINE_BLOCK + 1] = ",".join(edit(lines[tables.LINE_BLOCK + 1].split(",")))
+    path.write_text("\n".join(lines), encoding="utf-8")
+    if bad is None:
+        assert load_foundation_counts(path) == foundation_counts(matrix)
+    else:
+        with pytest.raises(DataError, match=rf"loadings\.csv:{tables.LINE_BLOCK + 2}: {message}$"):
+            load_foundation_counts(path)
+
+
 class TestMfSimilarityMatrix:
     def test_identical_vectors_all_ones(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -471,7 +505,11 @@ def oracle_loadings_csv(matrix):
 
 
 LOADING_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1]),
+    st.sampled_from([
+        0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1, 1e-5, -1e-5,
+        # either side of 1e-4, where %g switches to exponent notation
+        1e-4, -1e-4, 9.99999999e-5, 9.999999999999999e-5, 1.00000001e-4,
+    ]),
     st.floats(min_value=-1.0, max_value=1.0),
 )
 
@@ -498,13 +536,16 @@ class TestLoadingsPersistence:
                 st.booleans(),
             ),
             max_size=12,
-        )
+        ),
+        block=st.integers(1, 5),
     )
-    def test_bytes_match_f_string_rows(self, tmp_path_factory, rows):
+    def test_bytes_match_f_string_rows(self, tmp_path_factory, rows, block):
         values = np.array([r[0] for r in rows], dtype=np.float64).reshape(len(rows), 5)
         degenerate = tuple(r[1] for r in rows)
         values[np.asarray(degenerate, dtype=bool)] = 0.0  # as loading_matrix leaves a degenerate row
         matrix = LoadingMatrix(row_labels=tuple(f"t{i}" for i in range(len(rows))), values=values, degenerate=degenerate)
         path = tmp_path_factory.mktemp("loadings") / "loadings.csv"
-        save_loadings(matrix, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mfquant.semantics, "SCORE_BLOCK_ROWS", block)  # rows formatted and written at a time
+            save_loadings(matrix, path)
         assert path.read_bytes() == oracle_loadings_csv(matrix).encode()

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from mfquant.corpus import TokenizedTweet
-from mfquant import linalg, vectorizer
+from mfquant import linalg, tables, vectorizer
 from mfquant.errors import DataError
 from mfquant.vectorizer import (
     ROW_SUM_BLOCK,
@@ -574,3 +574,50 @@ def test_lengths_are_the_row_sums_of_the_archive(tmp_path, monkeypatch, block, t
     lengths = loaded.lengths
     assert lengths.dtype == np.int64
     assert lengths.tolist() == np.asarray(loaded.counts.sum(axis=1)).ravel().tolist() == dense.sum(axis=1).tolist()
+
+
+def counts_archive(path, sums):
+    """A save_corpus_counts archive of one word whose rows sum to ``sums``."""
+    counts = sparse.csr_matrix(np.array(sums).reshape(-1, 1))
+    save_corpus_counts(CorpusCounts(Vocabulary(("w",)), counts, tuple(map(str, sums))), path, path.with_suffix(".tsv"))
+
+
+def test_ids_file_error_names_the_line_after_a_blank_line(tmp_path):
+    counts_archive(tmp_path / "c.npz", [1, 2, 3])
+    (tmp_path / "c.tsv").write_text("a\t1\n\nb\t2\nc\t9\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"c\.tsv:4: 9 kept tokens, but .*c\.npz holds 3$"):
+        load_corpus_counts(tmp_path / "c.npz", tmp_path / "c.tsv")
+
+
+# a table of LINE_BLOCK + 1 rows: a blank line on line 3, the last line without its line break, and each
+# bad row on line LINE_BLOCK + 2, in the second block of lines
+IDS_ROWS = tables.LINE_BLOCK + 1
+BAD_IDS_ROWS = {
+    "three fields": ("t\t1\t1", "expected 2 fields, got 3"),
+    "one field": ("t", "expected 2 fields, got 1"),
+    "no count": ("t\tx1", "invalid literal for int"),
+    "count too large": ("t\t99999999999999999999", "kept-token count '9+' is out of range"),
+    "another count": ("t\t2", "2 kept tokens, but .* holds 1"),
+}
+
+
+@pytest.mark.parametrize("bad", [None, *BAD_IDS_ROWS])
+def test_ids_file_is_read_a_block_of_lines_at_a_time(tmp_path, bad):
+    counts_archive(tmp_path / "c.npz", [1] * IDS_ROWS)
+    rows = [f"{i} é\t1" for i in range(IDS_ROWS)]
+    if bad is not None:
+        rows[tables.LINE_BLOCK] = BAD_IDS_ROWS[bad][0]
+    (tmp_path / "c.tsv").write_text("\n".join(rows[:2] + [""] + rows[2:]), encoding="utf-8")
+    if bad is None:
+        loaded = load_corpus_counts(tmp_path / "c.npz", tmp_path / "c.tsv")
+        assert loaded.ids == [row.split("\t")[0] for row in rows]
+    else:
+        with pytest.raises(DataError, match=rf"c\.tsv:{tables.LINE_BLOCK + 2}: {BAD_IDS_ROWS[bad][1]}"):
+            load_corpus_counts(tmp_path / "c.npz", tmp_path / "c.tsv")
+
+
+def test_ids_file_writer_formats_a_block_of_lines_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(vectorizer, "ROW_SUM_BLOCK", 2)
+    counts = CorpusCounts(Vocabulary(("w",)), sparse.csr_matrix(np.array([[3], [0], [1], [7], [2]])), tuple("abcde"))
+    save_corpus_counts(counts, tmp_path / "c.npz", tmp_path / "c.tsv")
+    assert (tmp_path / "c.tsv").read_text(encoding="utf-8") == "a\t3\nb\t0\nc\t1\nd\t7\ne\t2\n"
