@@ -242,6 +242,7 @@ def read_corpus(
         "loaded %d records from %s (%d malformed, %d duplicate ids, %d filtered by lang)",
         stats.loaded, path, stats.malformed, stats.duplicate_ids, stats.lang_filtered,
     )
+    del seen_ids  # before the ids buffer is formed, which can then take the set's memory
     return TokenRows(words, flat, ends, id_lines.getvalue().encode("utf-8"))
 
 
