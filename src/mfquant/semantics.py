@@ -43,7 +43,7 @@ _FOUNDATION_COLUMNS = ",".join(f.lower() for f in FOUNDATIONS)
 _LOADINGS_HEADER = f"id,{_FOUNDATION_COLUMNS},dominant,degenerate"
 # one loadings.csv line; %.9g formats a float exactly as the f-string spec .9g does
 _LOADINGS_ROW = "%s" + ",%.9g" * len(FOUNDATIONS) + ",%s,%d\n"
-# tweets per block in score_corpus and save_loadings: bounds their temporaries at 4096 rows
+# tweets per block in score_corpus: bounds its temporaries at 4096 rows
 SCORE_BLOCK_ROWS = 4096
 
 
@@ -250,15 +250,15 @@ def save_loadings(
 ) -> None:
     """CSV: id, care, fairness, ingroup, authority, purity, dominant, degenerate_flag.
 
-    Formatted and written SCORE_BLOCK_ROWS rows at a time, so that only one
+    Formatted and written tables.LINE_BLOCK rows at a time, so that only one
     block's values are Python floats and each block takes one write.
     """
     names = _DOMINANT_NAMES.tolist()
     dominant = dominant_indices(matrix)
 
     def blocks():
-        for start in range(0, len(matrix.row_labels), SCORE_BLOCK_ROWS):
-            block = slice(start, start + SCORE_BLOCK_ROWS)
+        for start in range(0, len(matrix.row_labels), tables.LINE_BLOCK):
+            block = slice(start, start + tables.LINE_BLOCK)
             yield "".join(map(_LOADINGS_ROW.__mod__, zip(
                 matrix.row_labels[block], *matrix.values[block].T.tolist(),
                 map(names.__getitem__, dominant[block].tolist()), matrix.degenerate[block],

@@ -314,7 +314,7 @@ def _first_occurrences(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: str | Path) -> None:
     """Write the counts as one tables.write_csr archive and the ids as ``id<TAB>kept-token count`` lines.
 
-    The ids file is formatted and written ROW_SUM_BLOCK lines at a time.
+    The ids file is formatted and written tables.LINE_BLOCK lines at a time.
 
     The archive holds the vocabulary as newline-joined UTF-8 bytes (``vocab``)
     and the counts in the narrowest unsigned integer dtype that holds them.
@@ -325,11 +325,10 @@ def save_corpus_counts(corpus: CorpusCounts, counts_path: str | Path, ids_path: 
         counts_path, sparse.csr_matrix((counts.data.astype(dtype), counts.indices, counts.indptr), shape=counts.shape),
         vocab=np.frombuffer("\n".join(corpus.vocab.words).encode("utf-8"), dtype=np.uint8),
     )
-    lengths = corpus.lengths
+    lengths, block = corpus.lengths, tables.LINE_BLOCK
     tables.write_blocks(ids_path, (
-        "".join(map("%s\t%d\n".__mod__, zip(corpus.ids[start:start + ROW_SUM_BLOCK],
-                                             lengths[start:start + ROW_SUM_BLOCK].tolist())))
-        for start in range(0, len(lengths), ROW_SUM_BLOCK)
+        "".join(map("%s\t%d\n".__mod__, zip(corpus.ids[start:start + block], lengths[start:start + block].tolist())))
+        for start in range(0, len(lengths), block)
     ))
 
 

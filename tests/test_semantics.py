@@ -546,6 +546,6 @@ class TestLoadingsPersistence:
         matrix = LoadingMatrix(row_labels=tuple(f"t{i}" for i in range(len(rows))), values=values, degenerate=degenerate)
         path = tmp_path_factory.mktemp("loadings") / "loadings.csv"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mfquant.semantics, "SCORE_BLOCK_ROWS", block)  # rows formatted and written at a time
+            patch.setattr(tables, "LINE_BLOCK", block)  # rows formatted and written at a time
             save_loadings(matrix, path)
         assert path.read_bytes() == oracle_loadings_csv(matrix).encode()

@@ -617,7 +617,7 @@ def test_ids_file_is_read_a_block_of_lines_at_a_time(tmp_path, bad):
 
 
 def test_ids_file_writer_formats_a_block_of_lines_at_a_time(tmp_path, monkeypatch):
-    monkeypatch.setattr(vectorizer, "ROW_SUM_BLOCK", 2)
+    monkeypatch.setattr(tables, "LINE_BLOCK", 2)
     counts = CorpusCounts(Vocabulary(("w",)), sparse.csr_matrix(np.array([[3], [0], [1], [7], [2]])), tuple("abcde"))
     save_corpus_counts(counts, tmp_path / "c.npz", tmp_path / "c.tsv")
     assert (tmp_path / "c.tsv").read_text(encoding="utf-8") == "a\t3\nb\t0\nc\t1\nd\t7\ne\t2\n"
