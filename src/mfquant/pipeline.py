@@ -443,7 +443,6 @@ def _stage_ingest(config: PipelineConfig, art: Artifacts) -> dict:
     for name, source in _corpus_paths(config).items():
         cleaning = config.cleaning_config(name, stopwords)
         stats = corpus_mod.IngestStats()
-        # no name holds the rows, so count_unique_tweets can let each buffer go once it is used
         counts, removed = vectorizer_mod.count_unique_tweets(
             corpus_mod.read_corpus(source, config.lang_filter, stats, cleaning)
         )

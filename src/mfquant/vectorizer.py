@@ -243,9 +243,7 @@ def count_unique_tweets(rows: TokenRows) -> tuple[CorpusCounts, int]:
     ``TweetIds`` buffer.
     """
     positions, flat, ends, id_lines = rows
-    del rows
     ids = TweetIds(id_lines)
-    del id_lines
     values, bounds = np.frombuffer(flat, dtype=np.intc), np.frombuffer(ends, dtype=np.longlong)
     keep = _first_occurrences(values, bounds)
     removed = len(keep) - int(np.count_nonzero(keep))
