@@ -7,9 +7,8 @@ pass as text: one array in a ``.npy`` file, or one CSR matrix, after any
 further named 1-D arrays, in one uncompressed ``.npz`` archive, which is
 read as read-only views of a read-only map of the file. Writers
 stream to ``<file>.tmp`` and rename it over the target, so a killed or
-failed write leaves the previous file intact. Text tables are read one
-line at a time (``read_rows``) or LINE_BLOCK lines at a time
-(``read_line_blocks``); text readers skip blank
+failed write leaves the previous file intact. Text tables are read
+LINE_BLOCK lines at a time (``read_line_blocks``); text readers skip blank
 lines, require every row to have as many fields as the first, and report
 every malformed row as a DataError naming ``path:line``; the array
 readers report a missing, truncated or unreadable file, a missing,
@@ -228,12 +227,13 @@ def read_csr(
     return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols)), arrays
 
 
-@contextmanager
-def _table_lines(path: str | Path, header: str | None) -> Iterator[tuple[int, IO[str]]]:
-    """The number of a text table's first line after ``header``, and a handle on its lines from there.
+def read_line_blocks(path: str | Path, header: str | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Each run of LINE_BLOCK lines of a table (fewer at its end), without their line breaks, and the
+    number of the run's first line.
 
-    A missing or unreadable file, text that is not UTF-8, or a first line other than ``header`` is a
-    DataError that names the path.
+    Lines end as a text file's do, at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, and the last may end at the
+    end of the file. A missing or unreadable file, text that is not UTF-8, or a first line other than
+    ``header`` is a DataError that names the path.
     """
     path = Path(path)
     try:
@@ -244,26 +244,15 @@ def _table_lines(path: str | Path, header: str | None) -> Iterator[tuple[int, IO
         try:
             if header is not None and handle.readline().rstrip("\n") != header:
                 raise DataError(f"{path}:1: expected header {header!r}")
-            yield 1 if header is None else 2, handle
+            lineno = 1 if header is None else 2
+            while text := "".join(islice(handle, LINE_BLOCK)):
+                lines = text.split("\n")
+                if not lines[-1]:  # the break that ends the run's last line
+                    lines.pop()
+                yield lineno, lines
+                lineno += len(lines)
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def read_line_blocks(path: str | Path, header: str | None = None) -> Iterator[tuple[int, list[str]]]:
-    """Each run of LINE_BLOCK lines of a table (fewer at its end), without their line breaks, and the
-    number of the run's first line.
-
-    Lines end as a text file's do, at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, and the last may end at the
-    end of the file. A missing or unreadable file, text that is not UTF-8, or a first line other than
-    ``header`` is a DataError that names the path.
-    """
-    with _table_lines(path, header) as (lineno, handle):
-        while text := "".join(islice(handle, LINE_BLOCK)):
-            lines = text.split("\n")
-            if not lines[-1]:  # the break that ends the run's last line
-                lines.pop()
-            yield lineno, lines
-            lineno += len(lines)
 
 
 def read_rows(
@@ -272,15 +261,13 @@ def read_rows(
 ) -> Iterator[T]:
     """Yield ``parse(fields)`` for each non-blank line of a table.
 
-    A missing or unreadable file, text that is not UTF-8, a first line other
-    than ``header``, a row whose field count differs from ``ncols`` (default:
-    the first row's), or a ValueError raised by ``parse`` becomes a DataError
-    that names the path and line number.
+    A missing or unreadable file, a first line other than ``header``, a
+    row whose field count differs from ``ncols`` (default: the first
+    row's), or a ValueError raised by ``parse`` becomes a DataError that
+    names the path and line number.
     """
-    # one line at a time: each row's parsed values then fill the memory its line's text just freed
-    with _table_lines(path, header) as (first, handle):
-        for lineno, line in enumerate(handle, start=first):
-            line = line.rstrip("\n")
+    for first, lines in read_line_blocks(path, header):
+        for lineno, line in enumerate(lines, start=first):
             if not line:
                 continue
             fields = line.split(sep)
