@@ -11,6 +11,10 @@ five rows of ``lexicon.foundation_matrix`` over the keywords times U_k
 (``mf_vectors``), and one row-wise cosine kernel against it gives every
 loading (``loading_matrix``, ``score_corpus``). Foundation rows and
 loadings are in canonical order (Care, Fairness, Ingroup, Authority, Purity).
+``loadings.csv`` is formatted and written a block of ``tables.LINE_BLOCK``
+rows at a time (``save_loadings``), and the report stage reads back only
+its dominant and degenerate columns, checking and tallying a block of lines
+at a time (``load_foundation_counts``).
 """
 
 from __future__ import annotations
