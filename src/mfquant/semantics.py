@@ -12,20 +12,15 @@ five rows of ``lexicon.foundation_matrix`` over the keywords times U_k
 loading (``loading_matrix``, ``score_corpus``). Foundation rows and
 loadings are in canonical order (Care, Fairness, Ingroup, Authority, Purity).
 ``loadings.csv`` is formatted and written a block of ``tables.LINE_BLOCK``
-rows at a time (``save_loadings``), and the report stage reads back only
-its dominant and degenerate columns, checking and tallying a block of lines
-at a time (``load_foundation_counts``).
+rows at a time (``save_loadings``).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -293,14 +288,9 @@ def load_foundation_counts(path: str | Path) -> dict[str, int]:
 
     Every row must have the CSV's field count, a ``dominant`` that is a
     foundation or ``unclassified`` (always the latter on a degenerate row)
-    and a flag of 0 or 1; the loadings themselves are not parsed. The file
-    is read tables.LINE_BLOCK lines at a time, and each block's rows are
-    tallied by their last two fields; at a block that fails a check,
-    ``tables.reject_rows`` names the first bad line.
+    and a flag of 0 or 1; the loadings themselves are not parsed.
     """
     index = {name: i for i, name in enumerate(_DOMINANT_NAMES.tolist())}
-    # every (dominant, flag) pair a row may end in
-    valid = {(name, "0"): i for name, i in index.items()} | {(UNCLASSIFIED, "1"): index[UNCLASSIFIED]}
 
     def parse(fields: list[str]) -> int:
         dominant, flag = fields[-2:]
@@ -312,17 +302,8 @@ def load_foundation_counts(path: str | Path) -> dict[str, int]:
             raise ValueError(f"a degenerate row must be {UNCLASSIFIED!r}, got {dominant!r}")
         return index[dominant]
 
-    reject = partial(tables.reject_rows, path, parse, sep=",", ncols=len(FOUNDATIONS) + 3, header=_LOADINGS_HEADER)
-    counts = np.zeros(len(_DOMINANT_NAMES), dtype=np.int64)
-    for _, lines in tables.read_line_blocks(path, header=_LOADINGS_HEADER):
-        rows = list(filter(None, lines))  # blank lines are skipped
-        if set(map(str.count, rows, repeat(","))) - {len(FOUNDATIONS) + 2}:
-            reject()
-        ends = Counter(map(itemgetter(1, 2), map(str.rsplit, rows, repeat(","), repeat(2))))
-        if not ends.keys() <= valid.keys():
-            reject()
-        for end, n in ends.items():
-            counts[valid[end]] += n
+    rows = tables.read_rows(path, parse, sep=",", ncols=len(FOUNDATIONS) + 3, header=_LOADINGS_HEADER)
+    counts = np.bincount(np.fromiter(rows, dtype=np.int64), minlength=len(_DOMINANT_NAMES))
     return dict(zip(FOUNDATIONS, counts.tolist()))
 
 

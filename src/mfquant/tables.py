@@ -8,7 +8,7 @@ further named 1-D arrays, in one uncompressed ``.npz`` archive, which is
 read as read-only views of a read-only map of the file. Writers
 stream to ``<file>.tmp`` and rename it over the target, so a killed or
 failed write leaves the previous file intact. Text tables are read
-LINE_BLOCK lines at a time (``read_line_blocks``); text readers skip blank
+LINE_BLOCK lines at a time (``read_rows``); text readers skip blank
 lines, require every row to have as many fields as the first, and report
 every malformed row as a DataError naming ``path:line``; the array
 readers report a missing, truncated or unreadable file, a missing,
@@ -29,7 +29,7 @@ import zlib
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -227,7 +227,7 @@ def read_csr(
     return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols)), arrays
 
 
-def read_line_blocks(path: str | Path, header: str | None = None) -> Iterator[tuple[int, list[str]]]:
+def _line_blocks(path: str | Path, header: str | None = None) -> Iterator[tuple[int, list[str]]]:
     """Each run of LINE_BLOCK lines of a table (fewer at its end), without their line breaks, and the
     number of the run's first line.
 
@@ -266,7 +266,7 @@ def read_rows(
     row's), or a ValueError raised by ``parse`` becomes a DataError that
     names the path and line number.
     """
-    for first, lines in read_line_blocks(path, header):
+    for first, lines in _line_blocks(path, header):
         for lineno, line in enumerate(lines, start=first):
             if not line:
                 continue
@@ -279,16 +279,6 @@ def read_rows(
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
             yield row
-
-
-def reject_rows(path: str | Path, parse: Callable[[list[str]], object], **options) -> NoReturn:
-    """Raise the DataError ``read_rows(path, parse, **options)`` raises at a table's first bad line.
-
-    For readers that check a block of lines at once and find it at fault: read_rows names the line.
-    """
-    for _ in read_rows(path, parse, **options):
-        pass
-    raise DataError(f"{path}: a row fails a check that read_rows does not make")
 
 
 def write_vectors(path: str | Path, labels: Sequence[str], vectors: Iterable[np.ndarray]) -> None:

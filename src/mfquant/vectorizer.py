@@ -8,8 +8,8 @@ buffer and its id to one text buffer, and ``count_unique_tweets`` drops
 the repeats after the last tweet by hashing the rows and comparing the
 bytes of rows whose hashes are equal, so no object is held per tweet.
 ``count_corpus`` counts a list of tweets the same way. The ids stay in one
-UTF-8 buffer (``TweetIds``); the ids file is written and read a block of
-lines at a time, and read straight into that buffer. The
+UTF-8 buffer (``TweetIds``), decoded a block at a time where they are
+written out, and the ids file is written a block of lines per write. The
 overlap score that ranks keywords / context words, a word's tf-idf
 (natural log) summed over tweets, is its total count times its idf
 (``overlap_scores``), read from the matrix's column indices; no stage
@@ -22,6 +22,7 @@ archive layout (``save_triplets``), so ``tables.read_csr`` checks both.
 
 from __future__ import annotations
 
+import io
 import logging
 import operator
 from dataclasses import dataclass, field
@@ -242,9 +243,8 @@ def count_unique_tweets(rows: TokenRows) -> tuple[CorpusCounts, int]:
     vocabulary and moved up in place over the repeats. The ids stay one
     ``TweetIds`` buffer.
     """
-    positions, flat, ends, id_lines = rows
-    ids = TweetIds(id_lines)
-    values, bounds = np.frombuffer(flat, dtype=np.intc), np.frombuffer(ends, dtype=np.longlong)
+    positions, values, bounds = rows.words, rows.values, rows.bounds
+    ids = TweetIds(rows.ids)
     keep = _first_occurrences(values, bounds)
     removed = len(keep) - int(np.count_nonzero(keep))
     words = sorted(positions)
@@ -355,49 +355,29 @@ def load_corpus_counts(counts_path: str | Path, ids_path: str | Path | None = No
     return corpus
 
 
-def _id_row(fields: list[str]) -> tuple[str, int]:
-    """An ids file row: the id and its kept-token count, which must fit in int64."""
-    n = int(fields[1])
-    if n.bit_length() > 63:
-        raise ValueError(f"kept-token count {fields[1]!r} is out of range")
-    return fields[0], n
-
-
 def _load_ids(ids_path: str | Path, sums: np.ndarray, counts_path: str | Path) -> TweetIds:
     """Tweet ids of an ids file whose kept-token counts equal ``sums``, the row sums of the archive.
 
-    The file is read tables.LINE_BLOCK lines at a time: each block's ids are
-    appended to one UTF-8 buffer and its counts compared with their sums, and
-    the first count that differs is reported once the row count is known to
-    match. At a block that fails a row check of ``tables.read_rows`` (two
-    fields, an integer count), ``tables.reject_rows`` names the first bad line.
+    The file is read once, one row at a time, into one text buffer of ids;
+    each row's count is compared with its tweet's row sum as the row is
+    read, so that ``tables.read_rows`` names the line of the first that differs.
     """
-    chunks, row, wrong = [], 0, None
-    for first, lines in tables.read_line_blocks(ids_path):
-        rows = list(filter(None, lines))  # blank lines are skipped
-        if not rows:
-            continue
-        fields = "\t".join(rows).split("\t")
-        try:
-            # as many tabs as rows, and a tab in every row: each row has two fields
-            if len(fields) != 2 * len(rows) or not all(map(str.__contains__, rows, repeat("\t"))):
-                raise ValueError("a row without two fields")
-            counts = np.fromiter(map(int, fields[1::2]), dtype=np.int64, count=len(rows))
-        except (ValueError, OverflowError):
-            tables.reject_rows(ids_path, _id_row, ncols=2)
-        chunks.append(("\n".join(fields[0::2]) + "\n").encode("utf-8"))
-        expected = sums[row:row + len(counts)]
-        differ = np.flatnonzero(counts[:len(expected)] != expected)
-        if wrong is None and differ.size:
-            i = int(differ[0])
-            lineno = first + [k for k, line in enumerate(lines) if line][i]
-            wrong = f"{ids_path}:{lineno}: {counts[i]} kept tokens, but {counts_path} holds {expected[i]}"
-        row += len(counts)
+    ids, row = io.StringIO(), 0
+
+    def checked_id(fields: list[str]) -> str:
+        nonlocal row
+        n = int(fields[1])
+        if row < len(sums) and n != sums[row]:
+            raise ValueError(f"{n} kept tokens, but {counts_path} holds {sums[row]}")
+        row += 1
+        return fields[0]
+
+    for tweet_id in tables.read_rows(ids_path, checked_id, ncols=2):
+        ids.write(tweet_id)
+        ids.write("\n")
     if row != len(sums):
         raise DataError(f"{ids_path}: {row} ids for the {len(sums)} tweets of {counts_path}")
-    if wrong is not None:
-        raise DataError(wrong)
-    return TweetIds(b"".join(chunks))
+    return TweetIds.from_text(ids.getvalue())
 
 
 def build_word_tweet_matrix(corpus: CorpusCounts) -> SparseCountMatrix:
