@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import tables
 from .errors import CorpusError
 from .stopwords import DEFAULT_STOPWORDS
@@ -132,16 +134,19 @@ class _FirstSeenPositions(dict):
 
 
 class TokenRows(NamedTuple):
-    """The cleaned records of one corpus, one row each, in file order, held in flat buffers.
+    """The cleaned records of one corpus, one row each, in file order (``read_corpus``).
 
-    Row r's tokens are the word positions ``flat[ends[r]:ends[r + 1]]``, where
-    ``words`` maps each word to its position in first-seen order, and its id
-    is the r-th newline-terminated line of the UTF-8 bytes ``ids``.
+    Row r's tokens are the word positions ``values[bounds[r]:bounds[r + 1]]``,
+    where ``words`` maps each word to its position in first-seen order and
+    ``bounds`` starts at 0; ``values`` (C int) and ``bounds`` (int64) are
+    writable views of the buffers the rows were appended to. Row r's id is
+    the r-th newline-terminated line of the UTF-8 bytes ``ids``, the layout a
+    ``vectorizer.TweetIds`` holds.
     """
 
     words: dict[str, int]
-    flat: array
-    ends: array
+    values: np.ndarray
+    bounds: np.ndarray
     ids: bytes
 
 
@@ -153,17 +158,12 @@ _scan_json = json.JSONDecoder().scan_once
 _new_tuple = tuple.__new__
 
 
-def read_corpus(
-    path: str | Path, lang_filter: str | None, stats: IngestStats,
-    cleaning: CleaningConfig | None = None, records: list[TweetRecord] | None = None,
-) -> TokenRows:
+def read_corpus(path: str | Path, lang_filter: str | None, stats: IngestStats, cleaning: CleaningConfig) -> TokenRows:
     """Read line-delimited JSON records in file order, cleaning each loaded record as its line is read.
 
     This is the one loop from JSON line to token row. Each loaded record is
     cleaned by ``clean_and_tokenize`` (the module attribute, looked up once per
-    call) through ``cleaning``, and appended as one row of the result. With
-    ``records`` given, each loaded record is appended to it instead, uncleaned,
-    and the result has no rows (``load_records``).
+    call) through ``cleaning``, and appended as one row of the result.
 
     A UTF-8 byte-order mark at the start of the file is skipped. A line is
     decoded exactly as ``json.loads`` decodes it. Malformed lines (bytes
@@ -173,6 +173,15 @@ def read_corpus(
     ``lang_filter`` are dropped silently. ``stats`` counts each outcome as it
     happens. An unreadable file raises CorpusError.
     """
+    return _read_lines(path, lang_filter, stats, cleaning, None)
+
+
+def _read_lines(
+    path: str | Path, lang_filter: str | None, stats: IngestStats,
+    cleaning: CleaningConfig | None, records: list[TweetRecord] | None,
+) -> TokenRows:
+    """``read_corpus``'s loop; with ``records`` given, each loaded record is appended to it instead,
+    uncleaned, and the result has no rows (``load_records``)."""
     path = Path(path)
     clean = clean_and_tokenize
     seen_ids: set[str] = set()
@@ -243,7 +252,10 @@ def read_corpus(
         stats.loaded, path, stats.malformed, stats.duplicate_ids, stats.lang_filtered,
     )
     del seen_ids  # before the ids buffer is formed, which can then take the set's memory
-    return TokenRows(words, flat, ends, id_lines.getvalue().encode("utf-8"))
+    return TokenRows(
+        words, np.frombuffer(flat, dtype=np.intc), np.frombuffer(ends, dtype=np.longlong),
+        id_lines.getvalue().encode("utf-8"),
+    )
 
 
 def load_records(
@@ -251,7 +263,7 @@ def load_records(
 ) -> tuple[list[TweetRecord], IngestStats]:
     """Every record ``read_corpus`` loads, uncleaned, as a list, and the IngestStats of reading them."""
     stats, records = IngestStats(), []
-    read_corpus(path, lang_filter, stats, records=records)
+    _read_lines(path, lang_filter, stats, None, records)
     return records, stats
 
 
