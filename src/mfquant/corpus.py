@@ -133,7 +133,8 @@ class _FirstSeenPositions(dict):
         return position
 
 
-class TokenRows(NamedTuple):
+@dataclass
+class TokenRows:
     """The cleaned records of one corpus, one row each, in file order (``read_corpus``).
 
     Row r's tokens are the word positions ``values[bounds[r]:bounds[r + 1]]``,
@@ -141,7 +142,9 @@ class TokenRows(NamedTuple):
     ``bounds`` starts at 0; ``values`` (C int) and ``bounds`` (int64) are
     writable views of the buffers the rows were appended to. Row r's id is
     the r-th newline-terminated line of the UTF-8 bytes ``ids``, the layout a
-    ``vectorizer.TweetIds`` holds.
+    ``vectorizer.TweetIds`` holds. ``vectorizer.count_unique_tweets`` consumes
+    the rows: it renumbers ``values`` in place and takes ``ids``, leaving it
+    empty, so that the ids are freed once it has compacted them.
     """
 
     words: dict[str, int]

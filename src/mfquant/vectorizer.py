@@ -241,10 +241,12 @@ def count_unique_tweets(rows: TokenRows) -> tuple[CorpusCounts, int]:
     tweet repeats an earlier one when their rows have equal ``_row_hashes``
     and equal bytes, and the rows that do not are renumbered to the sorted
     vocabulary and moved up in place over the repeats. The ids stay one
-    ``TweetIds`` buffer.
+    ``TweetIds`` buffer. The rows are consumed: their ``values`` are
+    overwritten, and their ``ids`` are taken, so that only the kept ids
+    outlive the compaction, whoever holds the rows.
     """
     positions, values, bounds = rows.words, rows.values, rows.bounds
-    ids = TweetIds(rows.ids)
+    ids, rows.ids = TweetIds(rows.ids), b""
     keep = _first_occurrences(values, bounds)
     removed = len(keep) - int(np.count_nonzero(keep))
     words = sorted(positions)

@@ -259,6 +259,7 @@ def assert_counted_like_the_oracle(token_lists):
         path = write_corpus(Path(tmp) / "c.jsonl", [{"id": t.id, "text": " ".join(t.tokens)} for t in tweets])
         rows = read_corpus(path, None, IngestStats(), CleaningConfig(stopwords=frozenset(), min_token_len=1))
     found, removed = count_unique_tweets(rows)
+    assert rows.ids == b""  # taken, so that only the kept ids outlive the compaction
     kept, expected_removed = deduplicate(tweets)
     expected = count_corpus(kept)
     assert removed == expected_removed
