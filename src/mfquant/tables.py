@@ -7,8 +7,7 @@ pass as text: one array in a ``.npy`` file, or one CSR matrix, after any
 further named 1-D arrays, in one uncompressed ``.npz`` archive, which is
 read as read-only views of a read-only map of the file. Writers
 stream to ``<file>.tmp`` and rename it over the target, so a killed or
-failed write leaves the previous file intact. Text tables are read
-LINE_BLOCK lines at a time (``read_rows``); text readers skip blank
+failed write leaves the previous file intact. Text readers skip blank
 lines, require every row to have as many fields as the first, and report
 every malformed row as a DataError naming ``path:line``; the array
 readers report a missing, truncated or unreadable file, a missing,
@@ -27,7 +26,6 @@ import struct
 import zipfile
 import zlib
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -39,8 +37,9 @@ from .errors import DataError
 T = TypeVar("T")
 # entries a CSR check reads at a time: bounds its temporaries at about 2 MB whatever the archive's size
 CHECK_BLOCK = 1 << 16
-# lines of a text table read or written at a time: keeps each block's text under the 128 KiB above
-# which malloc maps memory of its own (4096 lines raised the loadings stage's peak by about 1.3 MB)
+# lines of a text table formatted and written at a time: keeps each block's text under the 128 KiB
+# above which malloc maps memory of its own (4096-line blocks, when tables were also read in such
+# blocks, raised the loadings stage's peak by about 1.3 MB)
 LINE_BLOCK = 1024
 # bytes of a member read to parse its .npy header: np.load's own limit on a header is 10,000 bytes
 _NPY_HEADER_BYTES = 1 << 14
@@ -227,13 +226,16 @@ def read_csr(
     return sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols)), arrays
 
 
-def _line_blocks(path: str | Path, header: str | None = None) -> Iterator[tuple[int, list[str]]]:
-    """Each run of LINE_BLOCK lines of a table (fewer at its end), without their line breaks, and the
-    number of the run's first line.
+def read_rows(
+    path: str | Path, parse: Callable[[list[str]], T] = list, *,
+    sep: str = "\t", ncols: int | None = None, header: str | None = None,
+) -> Iterator[T]:
+    """Yield ``parse(fields)`` for each non-blank line of a table.
 
-    Lines end as a text file's do, at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, and the last may end at the
-    end of the file. A missing or unreadable file, text that is not UTF-8, or a first line other than
-    ``header`` is a DataError that names the path.
+    A missing or unreadable file, text that is not UTF-8, a first line
+    other than ``header``, a row whose field count differs from ``ncols``
+    (default: the first row's), or a ValueError raised by ``parse`` becomes
+    a DataError that names the path, and the line number where there is one.
     """
     path = Path(path)
     try:
@@ -244,41 +246,21 @@ def _line_blocks(path: str | Path, header: str | None = None) -> Iterator[tuple[
         try:
             if header is not None and handle.readline().rstrip("\n") != header:
                 raise DataError(f"{path}:1: expected header {header!r}")
-            lineno = 1 if header is None else 2
-            while text := "".join(islice(handle, LINE_BLOCK)):
-                lines = text.split("\n")
-                if not lines[-1]:  # the break that ends the run's last line
-                    lines.pop()
-                yield lineno, lines
-                lineno += len(lines)
+            for lineno, line in enumerate(handle, start=1 if header is None else 2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(sep)
+                ncols = ncols or len(fields)
+                if len(fields) != ncols:
+                    raise DataError(f"{path}:{lineno}: expected {ncols} fields, got {len(fields)}")
+                try:
+                    row = parse(fields)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+                yield row
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def read_rows(
-    path: str | Path, parse: Callable[[list[str]], T] = list, *,
-    sep: str = "\t", ncols: int | None = None, header: str | None = None,
-) -> Iterator[T]:
-    """Yield ``parse(fields)`` for each non-blank line of a table.
-
-    A missing or unreadable file, a first line other than ``header``, a
-    row whose field count differs from ``ncols`` (default: the first
-    row's), or a ValueError raised by ``parse`` becomes a DataError that
-    names the path and line number.
-    """
-    for first, lines in _line_blocks(path, header):
-        for lineno, line in enumerate(lines, start=first):
-            if not line:
-                continue
-            fields = line.split(sep)
-            ncols = ncols or len(fields)
-            if len(fields) != ncols:
-                raise DataError(f"{path}:{lineno}: expected {ncols} fields, got {len(fields)}")
-            try:
-                row = parse(fields)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            yield row
 
 
 def write_vectors(path: str | Path, labels: Sequence[str], vectors: Iterable[np.ndarray]) -> None:

@@ -314,8 +314,8 @@ class TestFoundationCounts:
         assert [line.split(",")[-2] for line in lines] == expected
 
 
-# loadings.csv with LINE_BLOCK + 1 rows, a blank line on line 3 and no line break after the last row;
-# each edit makes the row on line LINE_BLOCK + 2, in the second block of lines, bad
+# loadings.csv with LINE_BLOCK + 1 rows, written in two blocks, a blank line on line 3 and no line break
+# after the last row; each edit makes the row on line LINE_BLOCK + 2 bad
 BAD_LOADINGS_ROWS = {
     "seven fields": (lambda f: f[:-1], "expected 8 fields, got 7"),
     "bad flag": (lambda f: f[:-1] + ["2"], "degenerate flag must be 0 or 1, got '2'"),
@@ -325,7 +325,7 @@ BAD_LOADINGS_ROWS = {
 
 
 @pytest.mark.parametrize("bad", [None, *BAD_LOADINGS_ROWS])
-def test_foundation_counts_read_loadings_a_block_of_lines_at_a_time(rng, tmp_path, bad):
+def test_foundation_counts_name_the_line_of_a_bad_row(rng, tmp_path, bad):
     rows = tables.LINE_BLOCK + 1
     values = rng.standard_normal((rows, 5))
     degenerate = rng.random(rows) < 0.1

@@ -6,7 +6,7 @@ import pytest
 from scipy import sparse
 
 from mfquant.errors import DataError
-from mfquant.tables import read_array, read_csr, write_array, write_csr, write_lines
+from mfquant.tables import read_array, read_csr, read_rows, write_array, write_csr, write_lines
 
 
 def test_failed_write_keeps_previous_file(tmp_path):
@@ -21,6 +21,13 @@ def test_failed_write_keeps_previous_file(tmp_path):
         write_lines(target, lines(), header="col\tcol")
     assert target.read_bytes() == b"old\tbytes\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_table_that_is_not_utf8_names_path(tmp_path):
+    table = tmp_path / "table.tsv"
+    table.write_bytes(b"a\t1\ncaf\xe9\t2\n")
+    with pytest.raises(DataError, match=r"cannot read .*table\.tsv: 'utf-8' codec can't decode"):
+        list(read_rows(table))
 
 
 def test_failed_write_array_keeps_previous_file(tmp_path):

@@ -589,8 +589,8 @@ def test_ids_file_error_names_the_line_after_a_blank_line(tmp_path):
         load_corpus_counts(tmp_path / "c.npz", tmp_path / "c.tsv")
 
 
-# a table of LINE_BLOCK + 1 rows: a blank line on line 3, the last line without its line break, and each
-# bad row on line LINE_BLOCK + 2, in the second block of lines
+# a table of LINE_BLOCK + 1 rows, written in two blocks: a blank line on line 3, the last line without its
+# line break, and each bad row on line LINE_BLOCK + 2
 IDS_ROWS = tables.LINE_BLOCK + 1
 BAD_IDS_ROWS = {
     "three fields": ("t\t1\t1", "expected 2 fields, got 3"),
@@ -602,7 +602,7 @@ BAD_IDS_ROWS = {
 
 
 @pytest.mark.parametrize("bad", [None, *BAD_IDS_ROWS])
-def test_ids_file_is_read_a_block_of_lines_at_a_time(tmp_path, bad):
+def test_ids_file_errors_name_their_line(tmp_path, bad):
     counts_archive(tmp_path / "c.npz", [1] * IDS_ROWS)
     rows = [f"{i} é\t1" for i in range(IDS_ROWS)]
     if bad is not None:
