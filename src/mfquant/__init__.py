@@ -27,7 +27,7 @@ from .lexicon import (
     load_packaged_dictionary,
     write_dictionary_report,
 )
-from .linalg import EmbeddingSpace, PCAProjection, SVDResult, cosine, pca_2d, truncated_svd
+from .linalg import EmbeddingSpace, PCAProjection, SVDResult, pca_2d, truncated_svd
 from .pipeline import PipelineConfig, RunManifest, load_config, run
 from .semantics import (
     ContextVector,

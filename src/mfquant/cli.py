@@ -123,7 +123,7 @@ def _render_config(topics: dict[str, str], query_words: dict[str, list[str]]) ->
     config = {
         "inputs": {"immorality": "immorality.jsonl", "topics": dict(sorted(topics.items()))},
         "output": "out",
-        "params": {"n1": 2000, "n2": 20000, "k": 100, "topic_n": [10, 100], "extend_n": 100, "seed": 42},
+        "params": {"n1": 2000, "n2": 20000, "k": 100, "topic_n": [10, 100], "extend_n": 100},
         "cleaning": {"lang_filter": "en", "query_words": dict(sorted(query_words.items()))},
     }
     return yaml.safe_dump(config, sort_keys=False)

@@ -1,19 +1,19 @@
 """Numerical kernels: exact truncated SVD, row-wise cosine similarity, 2D PCA.
 
-The SVD is exact: it takes the top-k eigenpairs of the Gram matrix on the
-smaller side of the input (``A @ A.T``, 2000 x 2000, at the paper
-defaults) and keeps only U_k and the singular values. Of a sparse input's
-Gram matrix only the lower triangle, the part the eigensolver reads, is
-formed, in column blocks shared out over every CPU the process may use,
-straight into the Fortran-order array LAPACK works in; its bytes do not
-depend on the thread count. Each block reads the matrix's own arrays in
-place. Where they view a read-only file map, as ``tables.read_csr``
-returns them, the fill hands back the pages of the rows it has passed, so
-a wide CSR A is not held whole while the Gram matrix fills; it is let go
-before the eigensolver. Each singular vector's sign is fixed so that
-its largest-magnitude entry is positive, as in the PCA. U_k is persisted
-as one binary array whose rows follow a word list kept elsewhere. All
-kernels are pure.
+The SVD is exact: it takes the top-k eigenpairs of ``A @ A.T`` (2000 x
+2000 at the paper defaults) for a CSR matrix A with no more rows than
+columns, as the keyword x context PPMI matrix is (a taller A is refused),
+and keeps only U_k and the singular values. Only the lower triangle of the Gram matrix, the part
+the eigensolver reads, is formed, in column blocks shared out over every
+CPU the process may use, straight into the Fortran-order array LAPACK
+works in; its bytes do not depend on the thread count. Each block reads
+A's own arrays in place. Where they view a read-only file map, as
+``tables.read_csr`` returns them, the fill hands back the pages of the
+rows it has passed, so A is not held whole while the Gram matrix fills;
+it is let go before the eigensolver. Each singular vector's sign is fixed
+so that its largest-magnitude entry is positive, as in the PCA. U_k is
+persisted as one binary array whose rows follow a word list kept
+elsewhere. All kernels are pure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import ctypes
 import mmap
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .vectorizer import Vocabulary, WeightedMatrix
 
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
-# columns of the Gram matrix one numeric pass forms: bounds each worker's buffers at min(m, n) x 64 entries
+# columns of the Gram matrix one numeric pass forms: bounds each worker's buffers at m x 64 entries
 GRAM_BLOCK_COLS = 64
 
 try:  # glibc's; other C libraries have no malloc_trim
@@ -59,14 +60,6 @@ class EmbeddingSpace:
 
     words: Vocabulary
     vectors: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.vectors.shape[1]
-
-    def vector(self, word: str) -> np.ndarray | None:
-        i = self.words.index.get(word)
-        return self.vectors[i] if i is not None else None
 
 
 @dataclass
@@ -162,24 +155,24 @@ def _page_releaser(arrays: list[np.ndarray]):
 
 
 def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
-    """The smaller Gram matrix of A, ``A @ A.T`` if A has no more rows than columns, else ``A.T @ A``.
+    """The Gram matrix ``A @ A.T`` of the rows of A, formed from A's CSR form.
 
-    Returned as a float64 array in Fortran order. A dense A gives the whole
-    product. A sparse A gives only its lower triangle and diagonal, the part
-    ``eigh`` reads; the strict upper triangle is zero. It lives in a fresh
-    anonymous memory map, not a numpy allocation, which may be advised
-    into huge pages, so the pages wholly above the diagonal are never
-    touched and never become resident (8.5 of the 30.5 MiB at 2000 x
-    2000). The product is formed GRAM_BLOCK_COLS columns at
-    a time, one numeric pass per block, reading the rows of the CSR form
-    of A (of A.T when m > n) in place, not as a copy (see
-    ``_fill_gram_columns``). The blocks are dealt round-robin to the
-    calling thread and one helper thread per further CPU
-    (``_available_cpus``), and all helpers have ended when this returns or
-    raises; an exception in a helper is raised here. Each entry is the same
-    products summed in the same order as in the public sparse product
-    ``A @ A.T``, so the lower triangle equals that product's bit for bit,
-    whatever the thread count.
+    It is m x m whatever A's shape, so a tall A gives the larger of its two
+    Gram matrices (``truncated_svd`` refuses one). Returned as a float64
+    array in Fortran order, of which only the lower triangle and diagonal,
+    the part ``eigh`` reads, are formed; the strict upper triangle is zero.
+    It lives in a fresh anonymous memory map, not a numpy allocation, which
+    may be advised into huge pages, so the pages wholly above the diagonal
+    are never touched and never become resident (8.5 of the 30.5 MiB at
+    2000 x 2000). The product is formed GRAM_BLOCK_COLS columns at a time, one
+    numeric pass per block, reading the rows of ``sparse.csr_matrix(A)`` in
+    place, not as a copy (see ``_fill_gram_columns``). The blocks are dealt
+    round-robin to the calling thread and one pool thread per further CPU
+    (``_available_cpus``), and every pool thread has ended when this returns
+    or raises; an exception in the calling thread is raised here, else the
+    first one of a pool thread. Each entry is the same products summed in
+    the same order as in the public sparse product ``A @ A.T``, so the lower
+    triangle equals that product's bit for bit, whatever the thread count.
 
     Block ``[s, s+B)`` reads only rows ``s:``. So where the CSR form's data
     and indices are read-only views of a file map, as ``tables.read_csr``
@@ -189,11 +182,7 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     matrix fills. A stays intact for the caller, as a page read again is
     read back from the file.
     """
-    m, n = matrix.shape
-    left = matrix if m <= n else matrix.T
-    if not sparse.issparse(left):
-        return np.asarray(left @ left.T, dtype=np.float64, order="F")
-    left = sparse.csr_matrix(left)
+    left = sparse.csr_matrix(matrix)
     size = left.shape[0]
     # private, so that a read of a page never written (eigh's finiteness check reads every entry)
     # maps the shared zero page rather than a new one; a map of length 0 is refused
@@ -201,7 +190,6 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     gram = np.ndarray((size, size), dtype=np.float64, buffer=buffer, order="F")
     starts = range(0, size, GRAM_BLOCK_COLS)
     workers = max(1, min(_available_cpus(), len(starts)))
-    errors: list[BaseException] = []
     release, lock = _page_releaser([left.data, left.indices]), threading.Lock()
     pending = list(starts[:workers])  # the block each worker runs or runs next; size once it has none left
 
@@ -213,24 +201,11 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
                 pending[worker] = min(start + workers * GRAM_BLOCK_COLS, size)
                 release(left.indptr[min(pending)])
 
-    def helper(worker: int) -> None:
-        try:
-            _fill_gram_columns(left, gram, share(worker))
-        except BaseException as exc:
-            errors.append(exc)
-
-    started: list[threading.Thread] = []
-    try:
-        for worker in range(1, workers):
-            thread = threading.Thread(target=helper, args=(worker,))
-            thread.start()
-            started.append(thread)
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(_fill_gram_columns, left, gram, share(w)) for w in range(1, workers)]
         _fill_gram_columns(left, gram, share(0))
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for helper in helpers:
+        helper.result()
     return gram
 
 
@@ -241,23 +216,22 @@ def truncated_svd(
     oversample: int = DEFAULT_OVERSAMPLE,
     power_iters: int = DEFAULT_POWER_ITERS,
 ) -> SVDResult:
-    """Exact top-k singular values and left singular vectors of a (possibly sparse) real m x n matrix A.
+    """Exact top-k singular values and left singular vectors of a real m x n matrix A, m <= n.
 
-    One symmetric eigendecomposition of the smaller Gram matrix gives
-    them: U and Sigma^2 from ``A @ A.T`` when m <= n; otherwise V and
-    Sigma^2 from ``A.T @ A``, with U the Q factor of A V, so that its
-    columns stay orthonormal where sigma is 0. Sigma is the square root
-    of the eigenvalues clipped at 0, in descending order, and each column
-    of U_k has its largest-magnitude entry made positive. When m <= n,
-    the Gram matrix alone gives U, so this drops its references to A once
-    that is formed; if the caller keeps none, A is freed before the
-    eigensolver (from CPython 3.11, whose calls leave no reference to an
-    argument on the caller's stack), and with glibc the heap's free pages
-    are then handed back to the system. An A read by ``tables.read_csr``
-    views a read-only map of its archive, and ``gram_matrix`` hands back
-    each of its rows once the fill has passed it, on any CPython, so such
-    an A is not held whole while the Gram matrix fills; a row read again,
-    as after this returns, is read back from the file.
+    A is taken in its CSR form, ``sparse.csr_matrix(A)``, so a dense A
+    gives the same bytes as its CSR form. One symmetric eigendecomposition
+    of ``A @ A.T`` gives U and Sigma^2. Sigma is the square root of the
+    eigenvalues clipped at 0, in descending order, and each column of U_k
+    has its largest-magnitude entry made positive. The Gram matrix alone
+    gives U, so this drops its references to A once that is formed; if the
+    caller keeps none, A is freed before the eigensolver (from CPython
+    3.11, whose calls leave no reference to an argument on the caller's
+    stack), and with glibc the heap's free pages are then handed back to
+    the system. An A read by ``tables.read_csr`` views a read-only map of
+    its archive, and ``gram_matrix`` hands back each of its rows once the
+    fill has passed it, on any CPython, so such an A is not held whole
+    while the Gram matrix fills; a row read again, as after this returns,
+    is read back from the file.
 
     ``seed``, ``oversample`` and ``power_iters`` are ignored; they remain
     only because callers still pass them. Deterministic for a fixed matrix
@@ -265,33 +239,28 @@ def truncated_svd(
     count rounds differently in the eigensolver (on the 2000 x 20000 PPMI
     matrix of 50k tweets, 1 against 2 threads moved entries of U_k by up
     to 1.48e-12). The number of threads ``gram_matrix`` runs on changes no
-    bit, and nor does its zero upper triangle, which ``eigh`` never reads. Raises ValueError
-    for k out of range or non-finite entries.
+    bit, and nor does its zero upper triangle, which ``eigh`` never reads.
+    Raises ValueError for a matrix with more rows than columns (naming its
+    shape), k out of range or non-finite entries.
     """
-    mat = matrix.weights if isinstance(matrix, WeightedMatrix) else matrix
+    mat = sparse.csr_matrix(matrix.weights if isinstance(matrix, WeightedMatrix) else matrix)
     m, n = mat.shape
-    if k < 1 or k > min(m, n):
-        raise ValueError(f"k={k} out of range for matrix of shape {m}x{n}")
-    if not np.all(np.isfinite(mat.data if sparse.issparse(mat) else np.asarray(mat))):
+    if not 1 <= k <= m <= n:
+        raise ValueError(f"k={k} out of range for matrix of shape {m}x{n}: need 1 <= k <= rows <= columns")
+    if not np.all(np.isfinite(mat.data)):
         raise ValueError("matrix contains non-finite entries")
 
     gram = gram_matrix(mat)
-    if m <= n:
-        del matrix, mat
-        # A's arrays sit in the C heap, and a small block that outlives them above them (which one
-        # varies from run to run) can keep the heap from shrinking, so that their 15 MB stay resident
-        # through eigh at the paper defaults (in about 1 of 20 one-process runs of every stage).
-        # Trimming hands back every wholly free page.
-        if _malloc_trim is not None:
-            _malloc_trim(0)
-    size = len(gram)
-    eigenvalues, vectors = scipy.linalg.eigh(
-        gram, subset_by_index=[size - k, size - 1], driver="evr", overwrite_a=True
-    )
+    del matrix, mat
+    # A's arrays sit in the C heap, and a small block that outlives them above them (which one
+    # varies from run to run) can keep the heap from shrinking, so that their 15 MB stay resident
+    # through eigh at the paper defaults (in about 1 of 20 one-process runs of every stage).
+    # Trimming hands back every wholly free page.
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+    eigenvalues, vectors = scipy.linalg.eigh(gram, subset_by_index=[m - k, m - 1], driver="evr", overwrite_a=True)
     singular_values = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     vectors = vectors[:, ::-1]
-    if m > n:
-        vectors, _ = np.linalg.qr(mat @ vectors)
     pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(k)]
     u_k = np.ascontiguousarray(vectors * np.where(pivots < 0, -1.0, 1.0))
     return SVDResult(u_k=u_k, singular_values=singular_values)
@@ -314,14 +283,6 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Values are clipped to [-1, 1]; a zero row has cosine 0 with everything.
     """
     return np.clip(_unit_rows(a) @ _unit_rows(b).T, -1.0, 1.0)
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u| |v|) of two vectors, by ``row_cosines``; a zero vector gives 0.0.
-
-    Vectors of different lengths raise ValueError.
-    """
-    return float(row_cosines(u, v)[0, 0])
 
 
 def pca_2d(points: np.ndarray, labels: list[str]) -> PCAProjection:

@@ -21,7 +21,7 @@ import mfquant
 from mfquant.corpus import CleaningConfig, clean_and_tokenize, deduplicate, load_records
 from mfquant.corpus import TweetRecord
 from mfquant.lexicon import FOUNDATIONS, VICE, MFDictionary, MFEntry, load_packaged_dictionary
-from mfquant.linalg import EmbeddingSpace, cosine, truncated_svd
+from mfquant.linalg import EmbeddingSpace, row_cosines, truncated_svd
 from mfquant.pipeline import Artifacts, PipelineConfig, RunManifest, run
 from mfquant.semantics import (
     ContextVector,
@@ -277,7 +277,8 @@ def test_criterion_06_extended_dictionary(announce, planted_5k):
         sims = [s for _, s in entries]
         assert all(sims[i] >= sims[i + 1] for i in range(len(sims) - 1))
         for word, sim in entries:
-            recomputed = cosine(embedding.vector(word), mf[FOUNDATIONS.index(foundation)])
+            row = embedding.vectors[embedding.words.index[word]]
+            recomputed = row_cosines(row, mf[FOUNDATIONS.index(foundation)])[0, 0]
             assert abs(sim - recomputed) <= 1e-12
     announce(6, "extended dictionary: 500 entries, nonincreasing, cosines verified to 1e-12")
 

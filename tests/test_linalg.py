@@ -10,10 +10,10 @@ from scipy import sparse
 from mfquant import linalg, tables
 from mfquant.linalg import (
     EmbeddingSpace,
-    cosine,
     gram_matrix,
     load_embedding,
     pca_2d,
+    row_cosines,
     save_embedding,
     truncated_svd,
 )
@@ -99,13 +99,27 @@ class TestTruncatedSvd:
         np.testing.assert_array_equal(first.singular_values, second.singular_values)
 
     def test_singular_values_nonincreasing(self):
-        matrix = planted_rank_matrix(80, 60, rank=30, seed=8)
+        matrix = planted_rank_matrix(60, 80, rank=30, seed=8)
         result = truncated_svd(matrix, k=10)
         assert (np.diff(result.singular_values) <= 1e-12).all()
         assert (result.singular_values >= 0).all()
 
+    def test_tall_matrix_is_refused_with_its_shape(self):
+        with pytest.raises(ValueError, match="matrix of shape 90x60: need 1 <= k <= rows <= columns"):
+            truncated_svd(planted_rank_matrix(90, 60, rank=10, seed=7), k=5)
+        with pytest.raises(ValueError, match="shape 7x0"):
+            truncated_svd(sparse.csr_matrix((7, 0)), k=1)
 
-    @pytest.mark.parametrize("m,n", [(60, 90), (90, 60)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("m,n", [(60, 90), (200, 300)])
+    def test_dense_input_gives_the_bytes_of_its_csr_form(self, m, n):
+        matrix = planted_rank_matrix(m, n, rank=30, seed=m)
+        matrix[np.abs(matrix) < 0.01] = 0.0
+        dense = truncated_svd(matrix, k=10)
+        csr = truncated_svd(sparse.csr_matrix(matrix), k=10)
+        assert dense.u_k.tobytes() == csr.u_k.tobytes()
+        assert dense.singular_values.tobytes() == csr.singular_values.tobytes()
+
+    @pytest.mark.parametrize("m,n", [(60, 90)], ids=["wide"])
     @pytest.mark.parametrize("blocks", [1, 3], ids=["dense", "sparse"])
     def test_exact_on_flat_spectrum(self, m, n, blocks):
         """Singular values and the span of U_k match the dense SVD where sigma_k / sigma_k+1 is 1.002."""
@@ -121,12 +135,10 @@ class TestTruncatedSvd:
         assert (pivots > 0).all()
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps call arguments on the caller's stack")
-    @pytest.mark.parametrize("m,n", [(300, 500), (500, 300)], ids=["wide", "tall"])
-    def test_only_a_tall_matrix_outlives_the_gram_matrix(self, monkeypatch, m, n):
-        """A wide A is the Gram matrix's only input, so truncated_svd lets it go before eigh, and then
-        trims the C heap; a tall A is still needed for U = qr(A V), which comes out as when the caller
-        keeps A."""
-        matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m)
+    def test_the_matrix_is_let_go_before_eigh(self, monkeypatch):
+        """A is the Gram matrix's only input, so truncated_svd lets it go before eigh, and then trims the
+        C heap; U_k comes out as when the caller keeps A."""
+        matrix = sparse.random(300, 500, density=0.05, format="csr", random_state=300)
         held = truncated_svd(matrix, k=10)
         eigh, alive, trimmed = linalg.scipy.linalg.eigh, [], []
         refs = [weakref.ref(a) for a in (matrix, matrix.data, matrix.indices)]
@@ -140,22 +152,21 @@ class TestTruncatedSvd:
         only = [matrix]
         del matrix
         result = truncated_svd(only.pop(), k=10)
-        assert alive == [[m > n] * 3]
-        assert trimmed == ([] if m > n else [[False] * 3])
+        assert alive == [[False] * 3]
+        assert trimmed == [[False] * 3]
         np.testing.assert_array_equal(result.u_k, held.u_k)
         np.testing.assert_array_equal(result.singular_values, held.singular_values)
 
-    @pytest.mark.parametrize("m,n", [(300, 500), (500, 300)], ids=["wide", "tall"])
-    def test_lower_triangle_gives_the_eigenpairs_of_the_mirrored_gram_matrix(self, monkeypatch, m, n):
+    def test_lower_triangle_gives_the_eigenpairs_of_the_mirrored_gram_matrix(self, monkeypatch):
         """eigh reads only the lower triangle: the zero upper one changes no bit of U_k or sigma."""
-        matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m + 2 * n)
+        matrix = sparse.random(300, 500, density=0.05, format="csr", random_state=1300)
         lower_only = truncated_svd(matrix, k=12)
         gram = linalg.gram_matrix
 
         def mirrored_gram(a):
             lower = gram(a)
             full = np.asfortranarray(lower + np.tril(lower, -1).T)
-            oracle = (a @ a.T if m <= n else a.T @ a).toarray()
+            oracle = (a @ a.T).toarray()
             assert full.tobytes(order="F") == np.asfortranarray(oracle).tobytes(order="F")
             return full
 
@@ -168,18 +179,21 @@ class TestTruncatedSvd:
 def assert_lower_gram(gram, matrix):
     """``gram`` is a float64 Fortran array whose lower triangle, diagonal included, is the public sparse
     Gram product's bit for bit, and whose strict upper triangle is exactly zero."""
-    m, n = matrix.shape
-    oracle = (matrix @ matrix.T if m <= n else matrix.T @ matrix).toarray()
+    oracle = (matrix @ matrix.T).toarray()
     assert gram.flags.f_contiguous and gram.dtype == np.float64 and gram.shape == oracle.shape
     assert np.tril(gram).tobytes() == np.tril(oracle).tobytes()
     assert not np.triu(gram, 1).any()
 
 
+class BlockStopped(BaseException):
+    """Not an Exception, as KeyboardInterrupt and SystemExit are not."""
+
+
 class TestGramMatrix:
     @pytest.mark.parametrize(
         "m,n",
-        [(50, 700), (600, 900), (900, 300), (700, 50), (512, 512)],
-        ids=["wide-under-one-block", "wide-partial-block", "tall-partial-block", "tall-under-one-block", "square"],
+        [(50, 700), (600, 900), (512, 512)],
+        ids=["wide-under-one-block", "wide-partial-block", "square"],
     )
     def test_blocked_gram_is_the_sparse_product_bit_for_bit(self, m, n):
         assert linalg.GRAM_BLOCK_COLS == 64  # the ids name block counts at this width
@@ -201,16 +215,18 @@ class TestGramMatrix:
 
     @pytest.mark.parametrize("shape", [(0, 7), (7, 0), (0, 0)], ids=["no-rows", "no-columns", "empty"])
     def test_empty_side_gives_an_empty_gram_matrix(self, shape):
+        """No rows give a 0 x 0 Gram matrix; rows without columns give their m x m zero A A^T."""
         gram = gram_matrix(sparse.csr_matrix(shape))
-        assert gram.shape == (0, 0) and gram.dtype == np.float64 and gram.flags.f_contiguous
+        assert gram.shape == (shape[0],) * 2 and gram.dtype == np.float64 and gram.flags.f_contiguous
+        assert not gram.any()
 
     def test_dense_input(self):
-        matrix = planted_rank_matrix(30, 20, rank=5, seed=2)
-        np.testing.assert_array_equal(gram_matrix(matrix), matrix.T @ matrix)
+        matrix = planted_rank_matrix(20, 30, rank=5, seed=2)
+        assert_lower_gram(gram_matrix(matrix), sparse.csr_matrix(matrix))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
-        "m,n,blocks", [(60, 700, 1), (120, 700, 2), (900, 300, 5)], ids=["one-block", "two-blocks", "five-blocks"]
+        "m,n,blocks", [(60, 700, 1), (120, 700, 2), (300, 900, 5)], ids=["one-block", "two-blocks", "five-blocks"]
     )
     def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, m, n, blocks, cpus):
         matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m * n)
@@ -223,7 +239,7 @@ class TestGramMatrix:
         monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(linalg, "_fill_gram_columns", recording_fill)
         assert_lower_gram(gram_matrix(matrix), matrix)
-        assert -(-min(m, n) // linalg.GRAM_BLOCK_COLS) == blocks
+        assert -(-m // linalg.GRAM_BLOCK_COLS) == blocks
         assert len(threads) == min(cpus, blocks)
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -277,46 +293,59 @@ class TestGramMatrix:
         np.testing.assert_array_equal(mapped.data, before[0])
         np.testing.assert_array_equal(mapped.indices, before[1])
 
-    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    @pytest.mark.parametrize(
+        "failing",
+        [
+            {"helper": RuntimeError},
+            {"caller": RuntimeError},
+            {"helper": BlockStopped},
+            {"caller": RuntimeError, "helper": ValueError},
+        ],
+        ids=["helper", "caller", "helper-base-exception", "caller-and-helper"],
+    )
     def test_block_exception_reaches_the_caller_after_every_helper_ends(self, monkeypatch, failing):
+        """A failed block's exception is raised once every helper has ended; the caller's wins over a
+        helper's, and a BaseException that is no Exception is raised like any other."""
         fill, caller = linalg._fill_gram_columns, threading.get_ident()
 
         def failing_fill(left, gram, starts):
-            if (threading.get_ident() == caller) == (failing == "caller"):
-                raise RuntimeError(f"{failing} block failed")
+            who = "caller" if threading.get_ident() == caller else "helper"
+            if who in failing:
+                raise failing[who](f"{who} block failed")
             fill(left, gram, starts)
 
         monkeypatch.setattr(linalg, "_available_cpus", lambda: 3)
         monkeypatch.setattr(linalg, "_fill_gram_columns", failing_fill)
         before = threading.enumerate()
-        with pytest.raises(RuntimeError, match=f"{failing} block failed"):
+        raised = "caller" if "caller" in failing else "helper"
+        with pytest.raises(failing[raised], match=f"{raised} block failed"):
             gram_matrix(sparse.random(600, 900, density=0.05, format="csr", random_state=1))
         assert threading.enumerate() == before
 
 
 class TestCosine:
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert row_cosines(np.array([1.0, 0.0]), np.array([0.0, 1.0]))[0, 0] == 0.0
 
     def test_self_similarity(self):
         v = np.array([0.3, -1.2, 4.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert row_cosines(v, v)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(
+        assert row_cosines(np.array([1.0, 0.0]), np.array([1.0, 1.0]))[0, 0] == pytest.approx(
             0.7071067811865475, abs=1e-9
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cosine(np.ones(3), np.ones(4))
+            row_cosines(np.ones(3), np.ones(4))
 
     def test_zero_vector_gives_zero(self):
-        assert cosine(np.zeros(3), np.ones(3)) == 0.0
+        assert row_cosines(np.zeros(3), np.ones(3))[0, 0] == 0.0
 
     def test_tiny_magnitudes_do_not_underflow(self):
-        assert cosine(1e-170 * np.ones(3), np.ones(3)) == pytest.approx(1.0, abs=1e-12)
-        assert cosine(np.array([1e-159, 1e-159]), np.array([3e-159, 3e-159])) <= 1.0
+        assert row_cosines(1e-170 * np.ones(3), np.ones(3))[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert row_cosines(np.array([1e-159, 1e-159]), np.array([3e-159, 3e-159]))[0, 0] <= 1.0
 
     @given(
         # a subnormal v times b can round to the zero vector, whose cosine is 0 by definition
@@ -328,9 +357,9 @@ class TestCosine:
     def test_range_and_scale_invariance(self, values, a, b):
         u = np.array(values)
         v = u[::-1].copy()
-        base = cosine(u, v)
+        base = row_cosines(u, v)[0, 0]
         assert -1.0 - 1e-12 <= base <= 1.0 + 1e-12
-        assert cosine(a * u, b * v) == pytest.approx(base, abs=1e-9)
+        assert row_cosines(a * u, b * v)[0, 0] == pytest.approx(base, abs=1e-9)
 
 
 class TestPca2d:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import mfquant
@@ -1346,6 +1347,23 @@ class TestCli:
         assert config.query_words == {
             "immorality": ("immoral", "immorality"),
             **{t: (t.replace("_", ""),) for t, _ in DEFAULT_TOPICS},
+        }
+
+    def test_synth_config_names_no_seed(self, tmp_path):
+        """No stage reads seed, so the generated config leaves it out; a run records the default."""
+        workdir = tmp_path / "ws"
+        assert main(["synth", "--out", str(workdir), "--tweets", "30", "--topic-tweets", "10"]) == 0
+        config = workdir / "config.yaml"
+        assert "seed" not in yaml.safe_load(config.read_text(encoding="utf-8"))["params"]
+        assert main(["run", "--config", str(config), "--stage", "ingest"]) == 0
+        manifest = json.loads((workdir / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["params"] == {
+            "n1": 2000, "n2": 20000, "k": 100, "topic_n": [10, 100], "extend_n": 100, "seed": 42,
+            "min_token_len": 3, "lowercase": True, "lang_filter": "en",
+            "query_words": {
+                "immorality": ["immoral", "immorality"],
+                **{t: [t.replace("_", "")] for t, _ in DEFAULT_TOPICS},
+            },
         }
 
     def test_repeated_topic_n_is_usage_error(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from mfquant.errors import DataError, LexiconError
 from mfquant.lexicon import (
     ALL_FOUNDATIONS, FOUNDATIONS, POLARITIES, VICE, MFDictionary, MFEntry, foundation_matrix, match_matrix,
 )
-from mfquant.linalg import EmbeddingSpace, cosine
+from mfquant.linalg import EmbeddingSpace, row_cosines
 from mfquant.semantics import (
     UNCLASSIFIED,
     LoadingMatrix,
@@ -65,10 +65,11 @@ class TestTweetVector:
     def test_sum_of_keyword_vectors(self, fixture_embedding):
         tweet = TokenizedTweet("1", ("sin", "disgust", "god"))
         cv = context_vectors_for_corpus(count_corpus([tweet]), fixture_embedding)[0]
+        index = fixture_embedding.words.index
         expected = (
-            fixture_embedding.vector("sin")
-            + fixture_embedding.vector("disgust")
-            + fixture_embedding.vector("god")
+            fixture_embedding.vectors[index["sin"]]
+            + fixture_embedding.vectors[index["disgust"]]
+            + fixture_embedding.vectors[index["god"]]
         )
         np.testing.assert_allclose(cv.vector, expected, atol=1e-12)
         assert not cv.degenerate
@@ -83,7 +84,7 @@ class TestTweetVector:
     def test_repeats_add(self, fixture_embedding):
         cv = context_vectors_for_corpus(count_corpus([TokenizedTweet("1", ("war", "war"))]), fixture_embedding)[0]
         np.testing.assert_allclose(
-            cv.vector, 2.0 * fixture_embedding.vector("war"), atol=1e-12
+            cv.vector, 2.0 * fixture_embedding.vectors[fixture_embedding.words.index["war"]], atol=1e-12
         )
         assert cv.contributing_words == (("war", 2),)
 
@@ -102,7 +103,8 @@ class TestTweetVector:
 class TestMfVectors:
     def test_hand_assembly(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        expected_care = fixture_embedding.vector("kill") + fixture_embedding.vector("war")
+        index = fixture_embedding.words.index
+        expected_care = fixture_embedding.vectors[index["kill"]] + fixture_embedding.vectors[index["war"]]
         np.testing.assert_allclose(mf[0], expected_care, atol=1e-12)
         assert mf.shape == (len(FOUNDATIONS), 6)
 
@@ -114,14 +116,15 @@ class TestMfVectors:
 
     def test_multi_foundation_word_in_both_sums(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        treason = fixture_embedding.vector("treason")
+        index = fixture_embedding.words.index
+        treason = fixture_embedding.vectors[index["treason"]]
         ingroup_without = mf[FOUNDATIONS.index("Ingroup")] - treason
         authority_without = mf[FOUNDATIONS.index("Authority")] - treason
         np.testing.assert_allclose(
-            ingroup_without, fixture_embedding.vector("enemy"), atol=1e-12
+            ingroup_without, fixture_embedding.vectors[index["enemy"]], atol=1e-12
         )
         np.testing.assert_allclose(
-            authority_without, fixture_embedding.vector("illegal"), atol=1e-12
+            authority_without, fixture_embedding.vectors[index["illegal"]], atol=1e-12
         )
 
 
@@ -136,17 +139,18 @@ class TestTopicVector:
     def test_no_filtering(self, fixture_embedding):
         words = list(fixture_embedding.words.words)[:5]
         vector = topic_vector(self.selection(words), fixture_embedding, n=5, label="t")
-        expected = sum(fixture_embedding.vector(w) for w in words)
+        expected = sum(fixture_embedding.vectors[fixture_embedding.words.index[w]] for w in words)
         np.testing.assert_allclose(vector, expected, atol=1e-12)
 
     def test_absent_words_skipped(self, fixture_embedding):
         # 3 of the top 6 are absent; survivors among the ranking fill n=3
         words = ["kill", "absent1", "war", "absent2", "absent3", "sin", "god"]
         vector = topic_vector(self.selection(words), fixture_embedding, n=3, label="t")
+        index = fixture_embedding.words.index
         expected = (
-            fixture_embedding.vector("kill")
-            + fixture_embedding.vector("war")
-            + fixture_embedding.vector("sin")
+            fixture_embedding.vectors[index["kill"]]
+            + fixture_embedding.vectors[index["war"]]
+            + fixture_embedding.vectors[index["sin"]]
         )
         np.testing.assert_allclose(vector, expected, atol=1e-12)
 
@@ -154,7 +158,7 @@ class TestTopicVector:
         words = ["kill", "absent1", "absent2"]
         vector = topic_vector(self.selection(words), fixture_embedding, n=10, label="t")
         np.testing.assert_allclose(
-            vector, fixture_embedding.vector("kill"), atol=1e-12
+            vector, fixture_embedding.vectors[fixture_embedding.words.index["kill"]], atol=1e-12
         )
 
 
@@ -173,7 +177,7 @@ class TestLoadingMatrix:
 
     def test_degenerate_rows_flagged_zero(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        vectors = np.stack([np.zeros(6), fixture_embedding.vector("god")])
+        vectors = np.stack([np.zeros(6), fixture_embedding.vectors[fixture_embedding.words.index["god"]]])
         matrix = loading_matrix(["d", "l"], vectors, mf, degenerate=[True, False])
         assert matrix.degenerate == (True, False)
         np.testing.assert_array_equal(matrix.values[0], np.zeros(5))
@@ -213,13 +217,13 @@ class TestScoreCorpus:
         matrix = score_corpus(count_corpus(corpus), space, mf)
 
         for i, tweet in enumerate(corpus):
-            found = [space.vector(t) for t in tweet.tokens if space.vector(t) is not None]
+            found = [space.vectors[space.words.index[t]] for t in tweet.tokens if t in space.words.index]
             assert matrix.row_labels[i] == tweet.id
             assert matrix.degenerate[i] == (not found)
             expected = np.zeros(5)
             if found:
                 summed = np.sum(found, axis=0)
-                expected = np.array([cosine(summed, row) for row in mf])
+                expected = row_cosines(summed, mf)[0]
             np.testing.assert_allclose(matrix.values[i], expected, rtol=0, atol=1e-12)
         assert matrix.degenerate[-4:] == (False, True, True, False)
         np.testing.assert_array_equal(matrix.values[-4], np.zeros(5))
@@ -375,8 +379,8 @@ class TestExtendDictionary:
         extended = extend_dictionary(fixture_embedding, mf, 1)
         for foundation in FOUNDATIONS:
             sims = {
-                w: cosine(fixture_embedding.vector(w), mf[FOUNDATIONS.index(foundation)])
-                for w in fixture_embedding.words.words
+                w: row_cosines(fixture_embedding.vectors[i], mf[FOUNDATIONS.index(foundation)])[0, 0]
+                for i, w in enumerate(fixture_embedding.words.words)
             }
             best = max(sorted(sims), key=lambda w: sims[w])
             assert extended.per_foundation[foundation][0][0] == best
@@ -394,7 +398,8 @@ class TestExtendDictionary:
             sims = [s for _, s in entries]
             assert all(sims[i] >= sims[i + 1] for i in range(len(sims) - 1))
             for word, sim in entries[:10]:
-                recomputed = cosine(space.vector(word), mf[FOUNDATIONS.index(foundation)])
+                row = space.vectors[space.words.index[word]]
+                recomputed = row_cosines(row, mf[FOUNDATIONS.index(foundation)])[0, 0]
                 assert sim == pytest.approx(recomputed, abs=1e-12)
 
     def test_n_larger_than_vocab_takes_all(self, fixture_dict, fixture_embedding):
