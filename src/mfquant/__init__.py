@@ -31,9 +31,7 @@ from .linalg import EmbeddingSpace, PCAProjection, SVDResult, pca_2d, truncated_
 from .pipeline import PipelineConfig, RunManifest, load_config, run
 from .semantics import (
     ContextVector,
-    ExtendedDictionary,
     LoadingMatrix,
-    dominant_foundation,
     extend_dictionary,
     foundation_counts,
     loading_matrix,

@@ -7,6 +7,7 @@ One subcommand per pipeline stage plus ``run`` (with ``--stage``) and
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -120,10 +121,13 @@ def synth_cmd(out, tweets, topic_tweets, seed, verbose) -> None:
 
 
 def _render_config(topics: dict[str, str], query_words: dict[str, list[str]]) -> str:
+    defaults = {f.name: f.default for f in dataclasses.fields(pipeline.PipelineConfig)}
+    params = {key: defaults[key] for key in ("n1", "n2", "k", "topic_n", "extend_n")}
+    params["topic_n"] = list(params["topic_n"])  # safe_dump writes lists, not tuples
     config = {
         "inputs": {"immorality": "immorality.jsonl", "topics": dict(sorted(topics.items()))},
         "output": "out",
-        "params": {"n1": 2000, "n2": 20000, "k": 100, "topic_n": [10, 100], "extend_n": 100},
+        "params": params,
         "cleaning": {"lang_filter": "en", "query_words": dict(sorted(query_words.items()))},
     }
     return yaml.safe_dump(config, sort_keys=False)

@@ -76,11 +76,6 @@ class MFDictionary:
         """Entries of ``polarity`` whose foundation is one of ``foundations``, in file order."""
         return [e for e in self.entries if e.polarity == polarity and e.foundation in foundations]
 
-    @property
-    def vice_count(self) -> int:
-        """Number of vice entries across the five foundations."""
-        return len(self.select(VICE))
-
     def match_word(self, word: str, polarity: str = VICE) -> set[str]:
         """Foundations whose entries of ``polarity`` match ``word``; empty on no match."""
         return {ALL_FOUNDATIONS[i] for i in foundation_matrix(self, [word], polarity).nonzero()[0]}

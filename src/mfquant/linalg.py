@@ -192,9 +192,14 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     workers = max(1, min(_available_cpus(), len(starts)))
     release, lock = _page_releaser([left.data, left.indices]), threading.Lock()
     pending = list(starts[:workers])  # the block each worker runs or runs next; size once it has none left
+    # set once every helper is submitted: a helper that finished first would free its pool thread
+    # for the next helper, and the fill would run on fewer threads than workers
+    submitted = threading.Event()
 
     def share(worker: int):
-        """The starts of ``worker``'s blocks; asked for the next one, it marks the last one done."""
+        """The starts of ``worker``'s blocks, once every helper is submitted; asked for the next one, it marks
+        the last one done."""
+        submitted.wait()
         for start in starts[worker::workers]:
             yield start
             with lock:
@@ -202,7 +207,10 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
                 release(left.indptr[min(pending)])
 
     with ThreadPoolExecutor(workers) as pool:
-        helpers = [pool.submit(_fill_gram_columns, left, gram, share(w)) for w in range(1, workers)]
+        try:
+            helpers = [pool.submit(_fill_gram_columns, left, gram, share(w)) for w in range(1, workers)]
+        finally:
+            submitted.set()
         _fill_gram_columns(left, gram, share(0))
     for helper in helpers:
         helper.result()

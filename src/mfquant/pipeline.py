@@ -188,7 +188,16 @@ def load_config(path: str | Path) -> PipelineConfig:
     topics_raw = {name: _typed(f"inputs.topics.{name}", p, str, "a path") for name, p in topics.items()}
     params = _typed("params", raw.get("params") or {}, dict, "a mapping")
     cleaning = _typed("cleaning", raw.get("cleaning") or {}, dict, "a mapping")
-    topic_n = _typed("params.topic_n", params.get("topic_n", [10, 100]), list, "a list of integers")
+    # only the values the YAML sets: one it leaves out keeps PipelineConfig's default
+    values = {key: _typed(f"params.{key}", params[key], int) for key in ("n1", "n2", "k", "extend_n", "seed")
+              if key in params}
+    if "topic_n" in params:
+        topic_n = _typed("params.topic_n", params["topic_n"], list, "a list of integers")
+        values["topic_n"] = tuple(_typed("params.topic_n", n, int) for n in topic_n)
+    for key, kind, what in (("min_token_len", int, "an integer"), ("lowercase", bool, "true or false"),
+                            ("lang_filter", (str, type(None)), "a string or null")):
+        if key in cleaning:
+            values[key] = _typed(f"cleaning.{key}", cleaning[key], kind, what)
     query_words = {}
     for name, words in _typed("cleaning.query_words", cleaning.get("query_words") or {}, dict, "a mapping").items():
         key, what = f"cleaning.query_words.{name}", "a list of words"
@@ -203,19 +212,9 @@ def load_config(path: str | Path) -> PipelineConfig:
             topic_paths={name: _resolve(f"inputs.topics.{name}", p) for name, p in sorted(topics_raw.items())},
             dictionary_path=(_resolve("inputs.dictionary", inputs.get("dictionary"))
                              or lexicon_mod.packaged_dictionary_path()),
-            n1=_typed("params.n1", params.get("n1", 2000), int),
-            n2=_typed("params.n2", params.get("n2", 20000), int),
-            k=_typed("params.k", params.get("k", 100), int),
-            topic_n=tuple(_typed("params.topic_n", n, int) for n in topic_n),
-            extend_n=_typed("params.extend_n", params.get("extend_n", 100), int),
-            seed=_typed("params.seed", params.get("seed", 42), int),
             query_words=query_words,
-            min_token_len=_typed("cleaning.min_token_len", cleaning.get("min_token_len", 3), int),
-            lowercase=_typed("cleaning.lowercase", cleaning.get("lowercase", True), bool, "true or false"),
-            lang_filter=_typed(
-                "cleaning.lang_filter", cleaning.get("lang_filter"), (str, type(None)), "a string or null"
-            ),
             stopwords_path=_resolve("cleaning.stopwords_file", cleaning.get("stopwords_file")),
+            **values,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path} has a malformed value: {exc}") from exc
@@ -542,7 +541,7 @@ def _stage_pca(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
     extended = semantics_mod.load_extended_dictionary(art.extended)
-    words = dict.fromkeys(w for entries in extended.per_foundation.values() for w, _ in entries)
+    words = dict.fromkeys(w for entries in extended.values() for w, _ in entries)
     words = [w for w in words if w in embedding.words]
     points = np.vstack([embedding.vectors[[embedding.words.index[w] for w in words]], mf])
     labels = words + [f"MF_{foundation}" for foundation in lexicon_mod.FOUNDATIONS]

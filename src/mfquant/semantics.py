@@ -3,9 +3,8 @@
 A text's context vector is the sum of its keywords' embedding vectors
 (per occurrence). A corpus is scored with matrix products: its tweets x
 keywords count matrix, the keyword columns of its ``CorpusCounts``, times
-U_k gives every context vector (``corpus_vectors``); ``score_corpus``
-forms that product one block of rows at a time, so that only one block's
-vectors are held.
+U_k gives every context vector; ``score_corpus`` forms that product one
+block of rows at a time, so that only one block's vectors are held.
 The five foundation vectors are the rows of one 5 x k matrix, the first
 five rows of ``lexicon.foundation_matrix`` over the keywords times U_k
 (``mf_vectors``), and one row-wise cosine kernel against it gives every
@@ -25,7 +24,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import tables
 from .errors import DataError
@@ -72,29 +70,6 @@ class LoadingMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-
-@dataclass
-class ExtendedDictionary:
-    """Per-foundation ranked (word, similarity) lists."""
-
-    per_foundation: dict[str, list[tuple[str, float]]]
-    n: int
-
-    @property
-    def total_entries(self) -> int:
-        return sum(len(v) for v in self.per_foundation.values())
-
-
-def corpus_vectors(
-    corpus: CorpusCounts, embedding: EmbeddingSpace
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Keyword counts (tweets x keywords) and context vectors counts @ U_k (tweets x k).
-
-    A tweet with no keyword tokens has an empty counts row and is degenerate.
-    """
-    counts = corpus.select(embedding.words)
-    return counts, np.asarray(counts @ embedding.vectors)
 
 
 def mf_vectors(
@@ -166,8 +141,9 @@ def _tweet_ids(corpus: CorpusCounts) -> Sequence[str]:
 def score_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace, mf: np.ndarray) -> LoadingMatrix:
     """Loadings of every tweet, one row per tweet in corpus order, labeled with its id.
 
-    Equal to ``loading_matrix`` of the ``corpus_vectors``, computed
-    SCORE_BLOCK_ROWS tweets at a time; a tweet with no keywords is degenerate.
+    Equal to ``loading_matrix`` of every context vector, counts @ U_k, at
+    once, computed SCORE_BLOCK_ROWS tweets at a time; a tweet with no
+    keywords is degenerate.
     """
     ids = _tweet_ids(corpus)
     counts = corpus.select(embedding.words)
@@ -182,26 +158,11 @@ def score_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace, mf: np.ndarray
     return LoadingMatrix(row_labels=ids, values=values, degenerate=tuple(degenerate.tolist()))
 
 
-def dominant_foundation(row: np.ndarray | Sequence[float]) -> str:
-    """Foundation with the maximum loading; canonical order breaks ties.
-
-    An all-zero row carries no signal and returns the ``unclassified``
-    sentinel. ``dominant_indices`` is the same rule for a whole matrix.
-    """
-    values = np.asarray(row, dtype=np.float64)
-    if values.shape != (len(FOUNDATIONS),):
-        raise ValueError(f"expected {len(FOUNDATIONS)} loadings, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("loadings must be finite")
-    if np.all(values == 0.0):
-        return UNCLASSIFIED
-    return FOUNDATIONS[int(np.argmax(values))]
-
-
 def dominant_indices(matrix: LoadingMatrix) -> np.ndarray:
-    """Per row, the index of its ``dominant_foundation`` in ``(*FOUNDATIONS, UNCLASSIFIED)``.
+    """Per row, the index in ``(*FOUNDATIONS, UNCLASSIFIED)`` of the foundation with the maximum loading.
 
-    Degenerate rows are unclassified.
+    Canonical order breaks ties. An all-zero row carries no signal, and it
+    and every degenerate row are unclassified.
     """
     index = np.argmax(matrix.values, axis=1)
     index[~matrix.values.any(axis=1) | np.asarray(matrix.degenerate, dtype=bool)] = len(FOUNDATIONS)
@@ -221,10 +182,10 @@ def mf_similarity_matrix(mf: np.ndarray) -> np.ndarray:
 
 def extend_dictionary(
     embedding: EmbeddingSpace, mf: np.ndarray, n: int
-) -> ExtendedDictionary:
-    """Top-n keywords by cosine to each foundation vector, ties broken by word.
+) -> dict[str, list[tuple[str, float]]]:
+    """Per foundation, in canonical order, its top-n keywords by cosine to its vector, ties broken by word.
 
-    A word may repeat across foundations.
+    Each list holds (word, cosine) pairs; a word may repeat across foundations.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -237,7 +198,7 @@ def extend_dictionary(
     for j, foundation in enumerate(FOUNDATIONS):
         top = np.lexsort((word_keys, -sims[:, j]))[:n]
         per_foundation[foundation] = list(zip(word_keys[top].tolist(), sims[top, j].tolist()))
-    return ExtendedDictionary(per_foundation=per_foundation, n=n)
+    return per_foundation
 
 
 def _csv_values(values: np.ndarray) -> str:
@@ -319,26 +280,23 @@ def save_topic_loadings(
     tables.write_lines(path, rows, header=f"topic,keywords_used,{_FOUNDATION_COLUMNS}")
 
 
-def save_extended_dictionary(extended: ExtendedDictionary, path: str | Path) -> None:
+def save_extended_dictionary(extended: Mapping[str, list[tuple[str, float]]], path: str | Path) -> None:
     """TSV: foundation, rank, word, similarity."""
     rows = (
         f"{foundation}\t{rank}\t{word}\t{sim:.9g}"
         for foundation in FOUNDATIONS
-        for rank, (word, sim) in enumerate(extended.per_foundation[foundation], start=1)
+        for rank, (word, sim) in enumerate(extended[foundation], start=1)
     )
     tables.write_lines(path, rows, header=_EXTENDED_HEADER)
 
 
-def load_extended_dictionary(path: str | Path) -> ExtendedDictionary:
-    """Rebuild an ExtendedDictionary from a TSV written by save_extended_dictionary.
-
-    ``n`` is the length of the longest per-foundation list.
-    """
+def load_extended_dictionary(path: str | Path) -> dict[str, list[tuple[str, float]]]:
+    """The per-foundation (word, cosine) lists of a TSV written by save_extended_dictionary."""
     per_foundation: dict[str, list[tuple[str, float]]] = {}
     rows = tables.read_rows(path, lambda f: (f[0], f[2], float(f[3])), ncols=4, header=_EXTENDED_HEADER)
     for foundation, word, sim in rows:
         per_foundation.setdefault(foundation, []).append((word, sim))
-    return ExtendedDictionary(per_foundation, n=max(map(len, per_foundation.values()), default=0))
+    return per_foundation
 
 
 def save_similarity_matrix(matrix: np.ndarray, path: str | Path) -> None:
@@ -353,9 +311,13 @@ def save_foundation_counts(counts: Mapping[str, int], path: str | Path) -> None:
 
 
 def context_vectors_for_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace) -> list[ContextVector]:
-    """One ContextVector per tweet, with its keyword counts, from ``corpus_vectors``."""
+    """One ContextVector per tweet, with its keyword counts, from the product counts @ U_k.
+
+    A tweet with no keyword tokens has an empty counts row and is degenerate.
+    """
     ids = _tweet_ids(corpus)
-    counts, vectors = corpus_vectors(corpus, embedding)
+    counts = corpus.select(embedding.words)
+    vectors = np.asarray(counts @ embedding.vectors)
     lengths = corpus.lengths.tolist()
     words = embedding.words.words
     rows = counts.tolil()

@@ -4,16 +4,16 @@ An artifact is a UTF-8 text file with one record per line and fields
 joined by a single delimiter (tab or comma), optionally preceded by a
 header line, or numpy arrays (no pickled objects) for data too large to
 pass as text: one array in a ``.npy`` file, or one CSR matrix, after any
-further named 1-D arrays, in one uncompressed ``.npz`` archive, which is
-read as read-only views of a read-only map of the file. Writers
-stream to ``<file>.tmp`` and rename it over the target, so a killed or
-failed write leaves the previous file intact. Text readers skip blank
-lines, require every row to have as many fields as the first, and report
-every malformed row as a DataError naming ``path:line``; the array
-readers report a missing, truncated or unreadable file, a missing,
-compressed or damaged archive member, a dtype, ndim or length other than
-the caller expects, or a broken CSR structure, as a DataError naming the
-path.
+further named 1-D arrays, in one uncompressed ``.npz`` archive whose
+arrays each start at a multiple of ALIGN bytes, read as read-only views of
+a read-only map of the file. Writers stream to ``<file>.tmp`` and rename
+it over the target, so a killed or failed write leaves the previous file
+intact. Text readers skip blank lines, require every row to have as many
+fields as the first, and report every malformed row as a DataError naming
+``path:line``; the array readers report a missing, truncated or
+unreadable file, a missing, compressed or damaged archive member, a dtype,
+ndim or length other than the caller expects, or a broken CSR structure,
+as a DataError naming the path.
 """
 
 from __future__ import annotations
@@ -36,7 +36,16 @@ from .errors import DataError
 
 T = TypeVar("T")
 # entries a CSR check reads at a time: bounds its temporaries at about 2 MB whatever the archive's size
+# (checks over whole arrays raised the matrix stage's peak by 3 MB on 150k tweets)
 CHECK_BLOCK = 1 << 16
+# byte boundary each member of a write_csr archive starts on; a .npy header pads the array to the same
+ALIGN = 64
+# a local-header extra field that pads a member to ALIGN: header id, data size, ALIGN, then zeros
+# (the id and layout Android's zipalign uses; zip readers skip a field they do not know)
+_ALIGN_FIELD = struct.Struct("<HHH")
+_ALIGN_FIELD_ID = 0xD935
+# bytes of a local file header ahead of its name, and of the zip64 extra field zipfile adds after ours
+_LOCAL_HEADER_BYTES, _ZIP64_FIELD_BYTES = 30, 20
 # lines of a text table formatted and written at a time: keeps each block's text under the 128 KiB
 # above which malloc maps memory of its own (4096-line blocks, when tables were also read in such
 # blocks, raised the loadings stage's peak by about 1.3 MB)
@@ -107,7 +116,10 @@ def write_csr(path: str | Path, matrix: sparse.csr_matrix, **arrays: np.ndarray)
 
     The matrix is stored in canonical form, with sorted indices and no duplicates or zeros (``matrix`` itself
     is left as it is), as ``shape`` and ``indptr`` (``<i8``), ``indices`` (``<i4``) and ``data`` in its dtype.
-    The bytes are those of ``np.savez``, each array written from its own memory rather than copied first.
+    Each member holds the bytes ``np.save`` writes, written from the array's own memory rather than copied
+    first. Its local header carries an extra field of padding, so that the member starts at a multiple of
+    ALIGN bytes into the file; its ``.npy`` header pads to ALIGN as well, so every array does too, and so
+    does its view in a map of the file. ``np.load`` reads the archive as it reads one ``np.savez`` writes.
     """
     if not matrix.has_canonical_format or np.count_nonzero(matrix.data) < matrix.nnz:
         matrix = matrix.copy()
@@ -120,7 +132,11 @@ def write_csr(path: str | Path, matrix: sparse.csr_matrix, **arrays: np.ndarray)
     with _replacing(path, binary=True) as handle, zipfile.ZipFile(handle, "w", allowZip64=True) as archive:
         for name, array in members.items():
             array = np.ascontiguousarray(array)
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+            info = zipfile.ZipInfo(f"{name}.npy")
+            header = _LOCAL_HEADER_BYTES + len(info.filename.encode()) + _ALIGN_FIELD.size + _ZIP64_FIELD_BYTES
+            padding = -(handle.tell() + header) % ALIGN
+            info.extra = _ALIGN_FIELD.pack(_ALIGN_FIELD_ID, 2 + padding, ALIGN) + bytes(padding)
+            with archive.open(info, "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
                 member.write(memoryview(array).cast("B"))
 
@@ -130,8 +146,9 @@ def _map_members(path: str | Path, names: Collection[str]) -> dict[str, np.ndarr
 
     Only the archive's central directory is read as a file; each member's bytes are checked against the
     CRC-32 the directory records, as zipfile checks them, and its ``.npy`` header is parsed without pickling.
-    A member that is compressed, and so cannot be mapped, is a DataError naming the path, and so is one that
-    holds Python objects.
+    An array whose bytes are not aligned for its dtype, which an archive write_csr did not write can hold, is
+    copied instead. A member that is compressed, and so cannot be mapped, is a DataError naming the path,
+    and so is one that holds Python objects.
     """
     with open(path, "rb") as handle:
         if handle.read(len(np.lib.format.MAGIC_PREFIX)) == np.lib.format.MAGIC_PREFIX:
@@ -150,7 +167,7 @@ def _map_members(path: str | Path, names: Collection[str]) -> dict[str, np.ndarr
         if whole[info.header_offset:info.header_offset + 4] != b"PK\x03\x04":
             raise DataError(f"{path}: array {name!r} has no local file header")
         name_length, extra_length = struct.unpack_from("<2H", whole, info.header_offset + 26)
-        start = info.header_offset + 30 + name_length + extra_length
+        start = info.header_offset + _LOCAL_HEADER_BYTES + name_length + extra_length
         member = whole[start:start + info.compress_size]
         if len(member) != info.compress_size or zlib.crc32(member) != info.CRC:
             raise DataError(f"{path}: array {name!r} fails its CRC-32 check")
@@ -165,7 +182,8 @@ def _map_members(path: str | Path, names: Collection[str]) -> dict[str, np.ndarr
         if header.tell() + count * dtype.itemsize > len(member):
             raise DataError(f"{path}: array {name!r} is shorter than its header says")
         array = np.frombuffer(member, dtype=dtype, count=count, offset=header.tell())
-        arrays[name] = array.reshape(shape, order="F" if fortran_order else "C")
+        array = array.reshape(shape, order="F" if fortran_order else "C")
+        arrays[name] = array if array.flags.aligned else array.copy()
     return arrays
 
 
@@ -183,8 +201,9 @@ def read_csr(
     """The matrix of a write_csr archive and its 1-D arrays named in ``extra_dtypes``.
 
     The archive is mapped read-only, and every array returned, the matrix's included, is a read-only view
-    of the map, so a page of it is read from the file only when touched. An array starts wherever its
-    member's bytes do, so a view may be unaligned; numpy and scipy's sparse kernels read it in place.
+    of the map, so a page of it is read from the file only when touched. In a write_csr archive each array
+    starts at a multiple of ALIGN bytes; an array of another archive that is not aligned for its dtype is
+    copied, so that scipy's sparse kernels never read through a misaligned pointer.
 
     A dtype is a dtype (``"<f8"``) or a dtype kind (``"u"``: any unsigned integer). An unreadable archive, a
     missing, compressed or damaged (CRC-32) array, another dtype or ndim, a shape that is not two lengths, an

@@ -17,7 +17,8 @@ builds the per-entry tf-idf matrix (``tfidf``). The presence-based
 word-context co-occurrence matrix (keywords as rows) selects word columns
 from the counts (``CorpusCounts.select``), and PPMI (base-2 log, clamped
 at zero) is applied to it. The PPMI matrix goes to disk in the same CSR
-archive layout (``save_triplets``), so ``tables.read_csr`` checks both.
+archive layout (``save_triplets``), so ``tables.read_csr`` checks both and
+maps both, every array aligned to ``tables.ALIGN`` bytes.
 """
 
 from __future__ import annotations
@@ -137,9 +138,6 @@ class SparseCountMatrix:
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
 
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self.counts.todense())
-
 
 @dataclass
 class WeightedMatrix:
@@ -152,9 +150,6 @@ class WeightedMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.weights.shape
-
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self.weights.todense())
 
 
 def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

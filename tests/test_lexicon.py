@@ -40,7 +40,7 @@ class TestLoadDictionary:
         path = tmp_path / "empty.tsv"
         path.write_text("", encoding="utf-8")
         d = load_dictionary(path)
-        assert len(d.entries) == 0 and d.vice_count == 0
+        assert len(d.entries) == 0 and len(d.select(VICE)) == 0
 
     def test_vice_count_counts_only_five_foundations(self, tmp_path, packaged_dict):
         vice_rows = [
@@ -50,10 +50,10 @@ class TestLoadDictionary:
         ]
         assert len(vice_rows) == 149
         d = load_dictionary(write_dict(tmp_path, vice_rows + [("safe*", "Care", "virtue")]))
-        assert d.vice_count == 149
+        assert len(d.select(VICE)) == 149
 
     def test_packaged_dictionary_has_149_vice_entries(self, packaged_dict):
-        assert packaged_dict.vice_count == 149
+        assert len(packaged_dict.select(VICE)) == 149
 
     def test_leading_byte_order_mark_is_not_part_of_the_first_pattern(self, tmp_path):
         path = write_dict(tmp_path, [("harm", "Care", "vice"), ("cheat*", "Fairness", "vice")])

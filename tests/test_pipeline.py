@@ -119,6 +119,18 @@ cleaning:
         assert config.lang_filter == "en"
         config.validate()
 
+    def test_values_left_out_keep_the_pipeline_defaults(self, tmp_path):
+        body = """
+inputs: {immorality: corpus.jsonl}
+output: out
+cleaning: {query_words: {immorality: [immoral]}}
+"""
+        config = load_config(self.write_config(tmp_path, body))
+        assert config == PipelineConfig(
+            immorality_path=tmp_path / "corpus.jsonl", out_dir=tmp_path / "out",
+            query_words={"immorality": ("immoral",)},
+        )
+
     def test_missing_immorality_input(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(self.write_config(tmp_path, "output: out\n"))

@@ -14,8 +14,6 @@ from mfquant.semantics import (
     UNCLASSIFIED,
     LoadingMatrix,
     context_vectors_for_corpus,
-    corpus_vectors,
-    dominant_foundation,
     dominant_indices,
     extend_dictionary,
     foundation_counts,
@@ -193,7 +191,7 @@ class TestLoadingMatrix:
         vector = rng.standard_normal(6)
         base = loading_matrix(["a"], vector[None, :], mf)
         scaled = loading_matrix(["a"], 37.5 * vector[None, :], mf)
-        assert dominant_foundation(base.values[0]) == dominant_foundation(scaled.values[0])
+        np.testing.assert_array_equal(dominant_indices(base), dominant_indices(scaled))
 
 
 class TestScoreCorpus:
@@ -235,7 +233,8 @@ class TestScoreCorpus:
             for i in range(100)
         ]
         mf = mf_vectors(fixture_dict, fixture_embedding)
-        counts, vectors = corpus_vectors(count_corpus(corpus), fixture_embedding)
+        counts = count_corpus(corpus).select(fixture_embedding.words)
+        vectors = np.asarray(counts @ fixture_embedding.vectors)
         one_batch = loading_matrix([t.id for t in corpus], vectors, mf, np.diff(counts.indptr) == 0)
         monkeypatch.setattr(mfquant.semantics, "SCORE_BLOCK_ROWS", 7)
         blocked = score_corpus(count_corpus(corpus), fixture_embedding, mf)
@@ -247,37 +246,38 @@ class TestScoreCorpus:
     def test_context_vectors_share_the_batch(self, fixture_embedding):
         corpus = [TokenizedTweet("a", ("war", "x", "sin", "war")), TokenizedTweet("b", ("x",))]
         vectors = context_vectors_for_corpus(count_corpus(corpus), fixture_embedding)
-        _, batch = corpus_vectors(count_corpus(corpus), fixture_embedding)
+        batch = count_corpus(corpus).select(fixture_embedding.words) @ fixture_embedding.vectors
         np.testing.assert_array_equal(np.stack([cv.vector for cv in vectors]), batch)
         assert dict(vectors[0].contributing_words) == {"war": 2, "sin": 1}
         assert vectors[0].skipped == 1 and vectors[1].degenerate
 
 
+def loadings_of(rows) -> LoadingMatrix:
+    """A LoadingMatrix of ``rows``, none of them degenerate."""
+    values = np.array(rows, dtype=np.float64)
+    return LoadingMatrix(tuple(map(str, range(len(values)))), values, (False,) * len(values))
+
+
 class TestDominantFoundation:
+    """``dominant_indices``: per row, the foundation with the maximum loading."""
+
     def test_clear_maximum(self):
-        assert dominant_foundation([0.772, -0.016, 0.199, 0.063, 0.113]) == "Care"
+        assert dominant_indices(loadings_of([[0.772, -0.016, 0.199, 0.063, 0.113]])).tolist() == [0]
 
     def test_tie_breaks_canonical(self):
-        assert dominant_foundation([0.5, 0.5, 0.0, 0.0, 0.0]) == "Care"
-        assert dominant_foundation([0.0, 0.3, 0.3, 0.0, 0.0]) == "Fairness"
+        assert dominant_indices(loadings_of([[0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.3, 0.3, 0.0, 0.0]])).tolist() == [0, 1]
 
     def test_all_zero_unclassified(self):
-        assert dominant_foundation(np.zeros(5)) == UNCLASSIFIED
+        assert dominant_indices(loadings_of(np.zeros((1, 5)))).tolist() == [len(FOUNDATIONS)]
 
     def test_matches_brute_force_scan(self, rng):
-        for _ in range(100):
-            row = rng.standard_normal(5)
+        rows = rng.standard_normal((100, 5))
+        for row, index in zip(rows, dominant_indices(loadings_of(rows)).tolist()):
             best, best_value = None, -np.inf
             for name, value in zip(FOUNDATIONS, row):
                 if value > best_value:
                     best, best_value = name, value
-            assert dominant_foundation(row) == best
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            dominant_foundation([0.1, 0.2])
-        with pytest.raises(ValueError):
-            dominant_foundation([np.nan, 0, 0, 0, 0])
+            assert FOUNDATIONS[index] == best
 
 
 class TestFoundationCounts:
@@ -297,7 +297,7 @@ class TestFoundationCounts:
         counts = foundation_counts(matrix)
         assert sum(counts.values()) == sum(1 for d in matrix.degenerate if not d)
 
-    def test_matches_dominant_foundation_loop(self, rng, tmp_path):
+    def test_matches_per_row_scan(self, rng, tmp_path):
         values = rng.standard_normal((300, 5))
         values[::7] = 0.0  # all-zero rows
         values[1::7] = [0.4, 0.4, 0.1, -0.2, 0.4]  # exact three-way tie
@@ -308,7 +308,7 @@ class TestFoundationCounts:
             tuple(str(i) for i in range(300)), values, tuple(degenerate.tolist())
         )
         expected = [
-            UNCLASSIFIED if flag else dominant_foundation(row)
+            UNCLASSIFIED if flag or not row.any() else FOUNDATIONS[int(np.argmax(row))]
             for row, flag in zip(values, degenerate)
         ]
         oracle = {f: expected.count(f) for f in FOUNDATIONS}
@@ -372,7 +372,7 @@ class TestExtendDictionary:
     def test_empty_for_n_zero(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
         extended = extend_dictionary(fixture_embedding, mf, 0)
-        assert extended.total_entries == 0
+        assert sum(map(len, extended.values())) == 0
 
     def test_top1_matches_exhaustive_scan(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
@@ -383,7 +383,7 @@ class TestExtendDictionary:
                 for i, w in enumerate(fixture_embedding.words.words)
             }
             best = max(sorted(sims), key=lambda w: sims[w])
-            assert extended.per_foundation[foundation][0][0] == best
+            assert extended[foundation][0][0] == best
 
     def test_full_size_and_recomputed_similarities(self, fixture_dict, rng):
         words = tuple(f"w{i:03d}" for i in range(150)) + (
@@ -392,9 +392,9 @@ class TestExtendDictionary:
         space = EmbeddingSpace(words=Vocabulary(words), vectors=rng.standard_normal((len(words), 8)))
         mf = mf_vectors(fixture_dict, space)
         extended = extend_dictionary(space, mf, 100)
-        assert extended.total_entries == 500
+        assert sum(map(len, extended.values())) == 500
         for foundation in FOUNDATIONS:
-            entries = extended.per_foundation[foundation]
+            entries = extended[foundation]
             sims = [s for _, s in entries]
             assert all(sims[i] >= sims[i + 1] for i in range(len(sims) - 1))
             for word, sim in entries[:10]:
@@ -405,7 +405,7 @@ class TestExtendDictionary:
     def test_n_larger_than_vocab_takes_all(self, fixture_dict, fixture_embedding):
         mf = mf_vectors(fixture_dict, fixture_embedding)
         extended = extend_dictionary(fixture_embedding, mf, 1000)
-        assert extended.total_entries == 5 * len(fixture_embedding.words.words)
+        assert sum(map(len, extended.values())) == 5 * len(fixture_embedding.words.words)
 
 
 class TestViceFrequencyReport:

@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from mfquant.corpus import CleaningConfig, clean_and_tokenize, deduplicate, load_records
 from mfquant.errors import ConfigError
-from mfquant.lexicon import MFDictionary, MFEntry, load_packaged_dictionary
+from mfquant.lexicon import FOUNDATIONS, MFDictionary, MFEntry, load_packaged_dictionary
 from mfquant.linalg import EmbeddingSpace, truncated_svd
-from mfquant.semantics import dominant_foundation, mf_vectors, score_corpus
+from mfquant.semantics import dominant_indices, mf_vectors, score_corpus
 from mfquant.synth import default_plan, synth_corpus, synth_topic_corpus
 from mfquant.vectorizer import (
     build_cooccurrence,
@@ -128,10 +129,6 @@ class TestPlantedStructure:
         mf = mf_vectors(load_packaged_dictionary(), space)
         care_rows = [t for t in tokenized if t.id.startswith("care-")]
         matrix = score_corpus(count_corpus(care_rows), space, mf)
-        assignments = [
-            dominant_foundation(matrix.values[i])
-            for i in range(matrix.shape[0])
-            if not matrix.degenerate[i]
-        ]
-        care_rate = sum(1 for a in assignments if a == "Care") / len(assignments)
+        assignments = dominant_indices(matrix)[~np.array(matrix.degenerate)]
+        care_rate = np.mean(assignments == FOUNDATIONS.index("Care"))
         assert care_rate > 0.7

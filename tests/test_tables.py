@@ -62,6 +62,21 @@ def test_csr_round_trip(tmp_path, dense, dtype, data_dtype):
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(matrix, name))
     assert list(arrays) == ["extra"] and arrays["extra"].tobytes() == extra.tobytes()
+    for array in (loaded.data, loaded.indices, arrays["extra"]):  # views of the map (scipy copies indptr)
+        assert array.ctypes.data % 64 == 0
+
+
+def test_misaligned_array_of_another_archive_is_read_as_an_aligned_copy(tmp_path):
+    """np.savez stores each array wherever its member's headers end; read_csr copies one not aligned for its
+    dtype."""
+    target = tmp_path / "m.npz"
+    matrix = sparse.csr_matrix(np.asarray(CSR_MATRICES["non-empty"], dtype=np.float64))
+    shape = np.array(matrix.shape, dtype="<i8")
+    np.savez(target, data=matrix.data, shape=shape, indptr=matrix.indptr.astype("<i8"), indices=matrix.indices)
+    assert target.read_bytes().index(matrix.data.tobytes()) % 8  # the stored float64 values are misaligned
+    loaded, _ = read_csr(target, "<f8", {})
+    assert loaded.data.flags.aligned and loaded.indices.flags.aligned
+    np.testing.assert_array_equal(loaded.toarray(), matrix.toarray())
 
 
 def test_write_csr_stores_the_canonical_form_and_keeps_its_input(tmp_path):

@@ -122,7 +122,7 @@ def brute_cooccurrence_oracle(corpus, keywords, context_words):
 class TestWordTweetMatrix:
     def test_direct_counts(self):
         matrix = build_word_tweet_matrix(count_corpus(tweets(["a", "b", "a"], ["b"])))
-        dense = matrix.to_dense()
+        dense = matrix.counts.toarray()
         idx = matrix.row_vocab.index
         assert dense[idx["a"], 0] == 2
         assert dense[idx["b"], 0] == 1
@@ -142,21 +142,21 @@ class TestWordTweetMatrix:
         matrix = build_word_tweet_matrix(count_corpus(corpus))
         vocab, dense = dense_counts_oracle(corpus)
         assert matrix.row_vocab.words == tuple(vocab)
-        np.testing.assert_array_equal(matrix.to_dense(), dense)
+        np.testing.assert_array_equal(matrix.counts.toarray(), dense)
 
 
 class TestTfidf:
     def test_single_cell(self):
         matrix = build_word_tweet_matrix(count_corpus(tweets(["abc"])))
         weighted = tfidf(matrix)
-        assert weighted.to_dense()[0, 0] == pytest.approx(math.log(2), abs=1e-12)
+        assert weighted.weights.toarray()[0, 0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_hand_value(self):
         # tf=2, M=4, df=2 -> 2 (ln 5 - ln 2)
         corpus = tweets(["x", "x"], ["x"], ["y"], ["y"])
         weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
         idx = weighted.row_vocab.index
-        assert weighted.to_dense()[idx["x"], 0] == pytest.approx(
+        assert weighted.weights.toarray()[idx["x"], 0] == pytest.approx(
             2 * (math.log(5) - math.log(2)), abs=1e-12
         )
 
@@ -173,7 +173,7 @@ class TestTfidf:
         weighted = tfidf(build_word_tweet_matrix(count_corpus(corpus)))
         _, dense = dense_counts_oracle(corpus)
         np.testing.assert_allclose(
-            weighted.to_dense(), dense_tfidf_oracle(dense), atol=1e-12
+            weighted.weights.toarray(), dense_tfidf_oracle(dense), atol=1e-12
         )
 
 
@@ -249,7 +249,7 @@ class TestCooccurrence:
         corpus = tweets(["a", "b"], ["a", "b"], ["a", "c"])
         sel = SelectionResult(("a",), ("a", "b", "c"), {"a": 3.0, "b": 2.0, "c": 1.0})
         matrix = build_cooccurrence(count_corpus(corpus), sel)
-        dense = matrix.to_dense()
+        dense = matrix.counts.toarray()
         assert dense[0, 0] == 0  # 'a' never repeats within a tweet
         assert dense[0, 1] == 2
         assert dense[0, 2] == 1
@@ -257,12 +257,12 @@ class TestCooccurrence:
     def test_one_token_tweets_all_zero(self):
         corpus = tweets(["a"], ["b"], ["c"])
         sel = SelectionResult(("a", "b"), ("a", "b", "c"), {"a": 3, "b": 2, "c": 1})
-        assert build_cooccurrence(count_corpus(corpus), sel).to_dense().sum() == 0
+        assert build_cooccurrence(count_corpus(corpus), sel).counts.toarray().sum() == 0
 
     def test_same_word_needs_two_occurrences(self):
         corpus = tweets(["a", "a", "b"])
         sel = SelectionResult(("a", "b"), ("a", "b"), {"a": 2, "b": 1})
-        dense = build_cooccurrence(count_corpus(corpus), sel).to_dense()
+        dense = build_cooccurrence(count_corpus(corpus), sel).counts.toarray()
         assert dense[0, 0] == 1  # 'a' twice in one tweet
         assert dense[1, 1] == 0  # 'b' only once
         assert dense[0, 1] == 1 and dense[1, 0] == 1
@@ -273,14 +273,14 @@ class TestCooccurrence:
         sel = select_terms(scores, 8, 15)
         matrix = build_cooccurrence(count_corpus(corpus), sel)
         oracle = brute_cooccurrence_oracle(corpus, sel.keywords, sel.context_words)
-        np.testing.assert_array_equal(matrix.to_dense(), oracle)
+        np.testing.assert_array_equal(matrix.counts.toarray(), oracle)
 
     def test_order_independent(self):
         corpus = random_corpus(60, vocab_size=15, seed=9)
         scores = overlap_scores(count_corpus(corpus))
         sel = select_terms(scores, 5, 10)
-        forward = build_cooccurrence(count_corpus(corpus), sel).to_dense()
-        backward = build_cooccurrence(count_corpus(list(reversed(corpus))), sel).to_dense()
+        forward = build_cooccurrence(count_corpus(corpus), sel).counts.toarray()
+        backward = build_cooccurrence(count_corpus(list(reversed(corpus))), sel).counts.toarray()
         np.testing.assert_array_equal(forward, backward)
 
     def test_empty_selection_errors(self):
@@ -303,7 +303,7 @@ class TestPpmi:
 
     def test_diagonal_example(self):
         weighted = ppmi(self.from_dense([[2, 0], [0, 2]]))
-        dense = weighted.to_dense()
+        dense = weighted.weights.toarray()
         assert dense[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert dense[1, 1] == pytest.approx(1.0, abs=1e-12)
         assert dense[0, 1] == 0.0 and dense[1, 0] == 0.0
@@ -312,12 +312,12 @@ class TestPpmi:
         # rank-one counts: C_ij proportional to row_i * col_j -> PMI = 0 everywhere
         dense = np.outer([1, 2, 3], [2, 1, 1])
         weighted = ppmi(self.from_dense(dense))
-        np.testing.assert_allclose(weighted.to_dense(), 0.0, atol=1e-12)
+        np.testing.assert_allclose(weighted.weights.toarray(), 0.0, atol=1e-12)
 
     def test_negative_pmi_clamped(self):
         dense = np.array([[1, 9], [9, 1]])
         weighted = ppmi(self.from_dense(dense))
-        out = weighted.to_dense()
+        out = weighted.weights.toarray()
         assert out[0, 0] == 0.0 and out[1, 1] == 0.0
         assert (out >= 0).all()
 
@@ -332,7 +332,7 @@ class TestPpmi:
                 continue
             weighted = ppmi(self.from_dense(dense))
             np.testing.assert_allclose(
-                weighted.to_dense(), dense_ppmi_oracle(dense), atol=1e-12
+                weighted.weights.toarray(), dense_ppmi_oracle(dense), atol=1e-12
             )
 
 
@@ -419,7 +419,7 @@ class TestPersistence:
             Vocabulary(("a", "b", "c", "d")), ("x", "y", "z"),
             sparse.csr_matrix([[0.0, 0.0, 0.0], [1.5, 0.0, 2.25], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         )
-        for matrix in (weighted, counts, empty_rows):
+        for matrix, source in ((weighted, weighted.weights), (counts, counts.counts), (empty_rows, empty_rows.weights)):
             save_triplets(matrix, tmp_path / "m.npz")
             save_vocabulary(matrix.row_vocab.words, tmp_path / "rows.tsv")
             save_vocabulary(matrix.col_labels, tmp_path / "cols.tsv")
@@ -431,7 +431,7 @@ class TestPersistence:
             assert loaded.row_vocab.words == matrix.row_vocab.words
             assert loaded.col_labels == matrix.col_labels
             assert loaded.weights.dtype == np.float64
-            np.testing.assert_array_equal(loaded.to_dense(), matrix.to_dense())
+            np.testing.assert_array_equal(loaded.weights.toarray(), source.toarray())
 
     def test_loaded_weights_view_the_archive_map(self, tmp_path):
         """scipy's csr_matrix constructor copies an array that views less than half of its base; each array
@@ -460,7 +460,7 @@ class TestPersistence:
         for before, after in zip(arrays, (messy.data, messy.indices, messy.indptr)):
             np.testing.assert_array_equal(after, before)
         loaded = load_triplets(tmp_path / "messy.npz", ("a", "b", "c"), ("x", "y", "z"))
-        np.testing.assert_array_equal(loaded.to_dense(), [[0.25, 0.0, 3.5], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        np.testing.assert_array_equal(loaded.weights.toarray(), [[0.25, 0.0, 3.5], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
 
     @pytest.mark.parametrize("rows,cols", [(("a", "b"), ("x", "y", "z")), (("a", "b", "c"), ("x", "y"))])
     def test_shape_other_than_the_sidecars_names_path(self, tmp_path, rows, cols):
