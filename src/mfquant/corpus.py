@@ -143,8 +143,10 @@ class TokenRows:
     writable views of the buffers the rows were appended to. Row r's id is
     the r-th newline-terminated line of the UTF-8 bytes ``ids``, the layout a
     ``vectorizer.TweetIds`` holds. ``vectorizer.count_unique_tweets`` consumes
-    the rows: it renumbers ``values`` in place and takes ``ids``, leaving it
-    empty, so that the ids are freed once it has compacted them.
+    the rows: it renumbers ``values`` in place and takes ``words`` and ``ids``,
+    leaving them empty, so that the word dict is freed once the renumbering is
+    known and the ids once it has compacted them. The cleaning config's word
+    table, which holds every word seen too, is the caller's to let go.
     """
 
     words: dict[str, int]

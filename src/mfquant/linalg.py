@@ -39,11 +39,20 @@ DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
 # columns of the Gram matrix one numeric pass forms: bounds each worker's buffers at m x 64 entries
 GRAM_BLOCK_COLS = 64
+# multiply-adds of one block of row_cosines' product (about 520 rows against 5 at k = 100): OpenBLAS's
+# dgemm runs a product of at most 65536 * 4 of them on one thread
+COSINE_BLOCK_MADDS = 1 << 18
 
 try:  # glibc's; other C libraries have no malloc_trim
     _malloc_trim = ctypes.CDLL(None).malloc_trim
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
+
+
+def trim_heap() -> None:
+    """Hand every wholly free page of the C heap back to the system, where the C library can (glibc)."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 @dataclass
@@ -263,9 +272,7 @@ def truncated_svd(
     # A's arrays sit in the C heap, and a small block that outlives them above them (which one
     # varies from run to run) can keep the heap from shrinking, so that their 15 MB stay resident
     # through eigh at the paper defaults (in about 1 of 20 one-process runs of every stage).
-    # Trimming hands back every wholly free page.
-    if _malloc_trim is not None:
-        _malloc_trim(0)
+    trim_heap()
     eigenvalues, vectors = scipy.linalg.eigh(gram, subset_by_index=[m - k, m - 1], driver="evr", overwrite_a=True)
     singular_values = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     vectors = vectors[:, ::-1]
@@ -286,11 +293,25 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """len(a) x len(b) cosines between the rows of ``a`` and ``b``, as one product.
+    """len(a) x len(b) cosines between the rows of ``a`` and ``b``: the product of their unit rows.
 
     Values are clipped to [-1, 1]; a zero row has cosine 0 with everything.
+    The product is formed in the fewest blocks of rows of ``a``, equal in
+    size to a row, of at most COSINE_BLOCK_MADDS multiply-adds each: the
+    size up to which OpenBLAS runs a product on the calling thread rather
+    than waking its worker threads, which then spin. A BLAS may pick its
+    kernel by a product's size, so an entry can differ in its last bit from
+    the single product's (equal-sized blocks leave no small tail block,
+    where that is likeliest).
     """
-    return np.clip(_unit_rows(a) @ _unit_rows(b).T, -1.0, 1.0)
+    unit_a, unit_b = _unit_rows(a), _unit_rows(b)
+    cosines = np.empty((len(unit_a), len(unit_b)))
+    most_rows = max(1, COSINE_BLOCK_MADDS // max(unit_b.size, 1))
+    blocks = max(1, -(-len(unit_a) // most_rows))
+    bounds = [len(unit_a) * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        cosines[start:stop] = unit_a[start:stop] @ unit_b.T
+    return np.clip(cosines, -1.0, 1.0, out=cosines)
 
 
 def pca_2d(points: np.ndarray, labels: list[str]) -> PCAProjection:

@@ -16,14 +16,26 @@ ranking, and n1 cuts it where it is read); matrix and report ``n1``; svd
 ``k``; vectors ``topic_n``; extend ``extend_n``; loadings and pca none. No
 stage reads ``seed``, and the SVD is exact, so ``seed`` changes no artifact.
 A stage's entry in manifest.json hashes the files it wrote, and records under
-``inputs`` what it read (``stage_inputs``); ingest's entry also records under
-``metrics`` each corpus's record counts (``IngestStats``, the repeats removed and
-the tweets kept), which no check reads. A stage has no entry while it
+``inputs`` what it read (``stage_inputs``) and under ``metrics`` what it did,
+which no check reads: its wall time (``wall_s``) and, where
+``/proc/self/status`` can be read, the process's resident-set high-water mark
+after it (``peak_rss_mb``, ``VmHWM``: a process-wide mark, so a stage run after
+others in one process reports the highest of them all); ingest's entry also
+records each corpus's record counts (``IngestStats``, the repeats removed and
+the tweets kept). A stage has no entry while it
 runs, and refuses to start, naming the first stage to rerun, while a file it
 reads is missing or unrecorded, or a stage upstream of it has no entry or an
 input record other than what it would read now. That check re-hashes each raw
 input once per command. A rerun with identical inputs, parameters and BLAS
 thread count reproduces identical artifact bytes on the same platform/build.
+
+The per-tweet stages hold no whole-corpus structure that no later step of
+theirs reads: matrix and loadings pass the corpus they load straight to
+``build_cooccurrence`` and ``score_corpus``, which let it, its archive map and
+its vocabulary go once its words are selected; report lets it go once the
+keyword frequencies are summed; and after each stage ``run`` hands the heap's
+free pages back to the system (``linalg.trim_heap``), so that what a stage
+freed is not held resident into the next.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import hashlib
 import json
 import logging
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -297,15 +310,14 @@ class RunManifest:
         data.pop("inputs", None)  # an older run's record of the raw inputs; stage entries record them now
         return cls(path, data)
 
-    def record_stage(self, stage: str, art: Artifacts, writes: list[Path], inputs: dict,
-                     metrics: dict | None = None) -> None:
-        """Hash the files ``stage`` wrote, and record ``inputs``, what it read (``stage_inputs``), and the
-        ``metrics`` it reported, if any: what it did, which no check reads."""
+    def record_stage(self, stage: str, art: Artifacts, writes: list[Path], inputs: dict, metrics: dict) -> None:
+        """Hash the files ``stage`` wrote, and record ``inputs``, what it read (``stage_inputs``), and
+        ``metrics``, what it did, which no check reads."""
         self.data["stages"][stage] = {
             "completed": _now(),
             "artifacts": {art.rel(p): sha256_file(p) for p in sorted(writes)},
             "inputs": inputs,
-            **({"metrics": metrics} if metrics is not None else {}),
+            "metrics": metrics,
         }
         self.data["updated"] = _now()
         self.save()
@@ -435,15 +447,28 @@ def _check_upstream(stage: str, config: PipelineConfig, table: dict, manifest: R
                 raise PipelineError(f"{table[name][1][0]}: {why}; rerun stage {name!r}")
 
 
+def _peak_rss() -> dict[str, float]:
+    """``{"peak_rss_mb": ...}``: the process's resident-set high-water mark so far (``VmHWM`` in
+    ``/proc/self/status``), in MiB, or an empty dict where that cannot be read."""
+    try:
+        with open("/proc/self/status", encoding="utf-8") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return {"peak_rss_mb": round(int(line.split()[1]) / 1024, 1)}
+    except OSError:  # no /proc
+        pass
+    return {}
+
+
 def _stage_ingest(config: PipelineConfig, art: Artifacts) -> dict:
     """Read, clean and count each corpus, JSON line to count row; returns each corpus's record counts."""
     stopwords = config.read_stopwords()  # one read serves every corpus
     corpora = {}
     for name, source in _corpus_paths(config).items():
-        cleaning = config.cleaning_config(name, stopwords)
         stats = corpus_mod.IngestStats()
+        # no name holds the cleaning config, whose word table goes once the corpus is read
         counts, removed = vectorizer_mod.count_unique_tweets(
-            corpus_mod.read_corpus(source, config.lang_filter, stats, cleaning)
+            corpus_mod.read_corpus(source, config.lang_filter, stats, config.cleaning_config(name, stopwords))
         )
         kept = counts.counts.shape[0]
         logger.info("%s: %d records -> %d after dedup (%d removed)", name, stats.loaded, kept, removed)
@@ -465,10 +490,12 @@ def _stage_select(config: PipelineConfig, art: Artifacts) -> None:
 
 
 def _stage_matrix(config: PipelineConfig, art: Artifacts) -> None:
-    counts = vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"))
     selection = vectorizer_mod.load_selection(art.terms("immorality"), config.n1)
-    # no name holds the co-occurrence counts, so ppmi can let them go before the save
-    weighted = vectorizer_mod.ppmi(vectorizer_mod.build_cooccurrence(counts, selection))
+    # no name holds the corpus or the co-occurrence counts, so build_cooccurrence can let the corpus go
+    # before its product, and ppmi the counts before the save
+    weighted = vectorizer_mod.ppmi(vectorizer_mod.build_cooccurrence(
+        vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality")), selection
+    ))
     vectorizer_mod.save_triplets(weighted, art.ppmi)
     vectorizer_mod.save_vocabulary(weighted.row_vocab.words, art.row_vocab)
     vectorizer_mod.save_vocabulary(weighted.col_labels, art.col_vocab)
@@ -518,8 +545,11 @@ def _load_mf_vectors(art: Artifacts) -> np.ndarray:
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
     mf = _load_mf_vectors(art)
-    counts = vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"), art.corpus("immorality"))
-    semantics_mod.save_loadings(semantics_mod.score_corpus(counts, embedding, mf), art.loadings)
+    # no name holds the corpus, so score_corpus can let it go once its keyword counts are selected
+    loadings = semantics_mod.score_corpus(
+        vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"), art.corpus("immorality")), embedding, mf
+    )
+    semantics_mod.save_loadings(loadings, art.loadings)
 
     topics, vectors = tables.read_vectors(art.topic_vectors, semantics_mod.parse_topic_label)
     ns = np.array([n for _, n in topics], dtype=np.int64)
@@ -559,6 +589,7 @@ def _stage_report(config: PipelineConfig, art: Artifacts) -> None:
     selection = vectorizer_mod.load_selection(art.terms("immorality"), config.n1)
     keywords = vectorizer_mod.Vocabulary(selection.keywords)
     freqs = np.asarray(counts.select(keywords).sum(axis=0)).ravel()
+    del counts  # its archive map and vocabulary: nothing below reads them
     dictionary = lexicon_mod.load_dictionary(config.dictionary_path)
     lexicon_mod.write_dictionary_report(
         dictionary, dict(zip(keywords.words, freqs.tolist())), art.coverage_tsv, art.vice_report
@@ -596,7 +627,12 @@ def run(stage: str, config: PipelineConfig) -> dict[str, list[str]]:
             manifest.data["stages"].pop(name, None)
             manifest.save()
             logger.info("stage %s: starting", name)
-            metrics = _STAGE_FUNCS[name](config, art)
+            start = time.perf_counter()
+            metrics = _STAGE_FUNCS[name](config, art) or {}
+            metrics["wall_s"] = round(time.perf_counter() - start, 4)
+            # what the stage freed is handed back before the next one allocates
+            linalg_mod.trim_heap()
+            metrics.update(_peak_rss())
             _remove_stale(writes)
             # only the values the stage read, and not before: a failed stage leaves them as they were
             manifest.data.setdefault("params", {}).update({key: inputs[key] for key in table[name][2]})

@@ -4,11 +4,14 @@ A text's context vector is the sum of its keywords' embedding vectors
 (per occurrence). A corpus is scored with matrix products: its tweets x
 keywords count matrix, the keyword columns of its ``CorpusCounts``, times
 U_k gives every context vector; ``score_corpus`` forms that product one
-block of rows at a time, so that only one block's vectors are held.
-The five foundation vectors are the rows of one 5 x k matrix, the first
-five rows of ``lexicon.foundation_matrix`` over the keywords times U_k
-(``mf_vectors``), and one row-wise cosine kernel against it gives every
-loading (``loading_matrix``, ``score_corpus``). Foundation rows and
+block of rows at a time, so that only one block's vectors are held, and
+lets the rest of the corpus (its archive map and vocabulary) go once the
+keyword columns are selected. The five foundation vectors are the rows of
+one 5 x k matrix, the first five rows of ``lexicon.foundation_matrix``
+over the keywords times U_k (``mf_vectors``), and one row-wise cosine
+kernel against it gives every loading (``loading_matrix``,
+``score_corpus``); ``linalg.row_cosines`` forms its product in row blocks
+small enough to run on the calling thread. Foundation rows and
 loadings are in canonical order (Care, Fairness, Ingroup, Authority, Purity).
 ``loadings.csv`` is formatted and written a block of ``tables.LINE_BLOCK``
 rows at a time (``save_loadings``).
@@ -143,10 +146,15 @@ def score_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace, mf: np.ndarray
 
     Equal to ``loading_matrix`` of every context vector, counts @ U_k, at
     once, computed SCORE_BLOCK_ROWS tweets at a time; a tweet with no
-    keywords is degenerate.
+    keywords is degenerate. Only the ids and the keyword counts are read
+    after ``corpus.select``, so this drops its reference to ``corpus`` there:
+    if the caller keeps none, the rest of the corpus (its archive map and
+    vocabulary) is freed before any product (from CPython 3.11, whose calls
+    leave no reference to an argument on the caller's stack).
     """
     ids = _tweet_ids(corpus)
     counts = corpus.select(embedding.words)
+    del corpus
     degenerate = np.diff(counts.indptr) == 0
     if degenerate.any():
         logger.info("%d of %d tweets have no keywords (degenerate)", degenerate.sum(), len(ids))

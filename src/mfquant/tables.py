@@ -112,14 +112,10 @@ def read_array(path: str | Path, dtype: np.dtype, shape: tuple[int | None, ...] 
 
 
 def write_csr(path: str | Path, matrix: sparse.csr_matrix, **arrays: np.ndarray) -> None:
-    """Atomically replace ``path`` with an uncompressed ``.npz`` archive of the 1-D ``arrays``, then ``matrix``.
+    """Atomically replace ``path`` with a ``write_npz`` archive of the 1-D ``arrays``, then ``matrix``.
 
     The matrix is stored in canonical form, with sorted indices and no duplicates or zeros (``matrix`` itself
     is left as it is), as ``shape`` and ``indptr`` (``<i8``), ``indices`` (``<i4``) and ``data`` in its dtype.
-    Each member holds the bytes ``np.save`` writes, written from the array's own memory rather than copied
-    first. Its local header carries an extra field of padding, so that the member starts at a multiple of
-    ALIGN bytes into the file; its ``.npy`` header pads to ALIGN as well, so every array does too, and so
-    does its view in a map of the file. ``np.load`` reads the archive as it reads one ``np.savez`` writes.
     """
     if not matrix.has_canonical_format or np.count_nonzero(matrix.data) < matrix.nnz:
         matrix = matrix.copy()
@@ -127,10 +123,21 @@ def write_csr(path: str | Path, matrix: sparse.csr_matrix, **arrays: np.ndarray)
         matrix.eliminate_zeros()
     shape = np.array(matrix.shape, dtype="<i8")
     indptr, indices = matrix.indptr.astype("<i8", copy=False), matrix.indices.astype("<i4", copy=False)
-    members = {**arrays, "shape": shape, "indptr": indptr, "indices": indices, "data": matrix.data}
+    write_npz(path, {**arrays, "shape": shape, "indptr": indptr, "indices": indices, "data": matrix.data})
+
+
+def write_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Atomically replace ``path`` with an uncompressed ``.npz`` archive of ``arrays``, in their order.
+
+    Each member holds the bytes ``np.save`` writes, written from the array's own memory rather than copied
+    first. Its local header carries an extra field of padding, so that the member starts at a multiple of
+    ALIGN bytes into the file; its ``.npy`` header pads to ALIGN as well, so every array does too, and so
+    does its view in a map of the file. The central directory carries no padding, as it aligns nothing
+    there. ``np.load`` reads the archive as it reads one ``np.savez`` writes.
+    """
     # np.savez would copy each array in 16 MiB chunks on its way into the archive
     with _replacing(path, binary=True) as handle, zipfile.ZipFile(handle, "w", allowZip64=True) as archive:
-        for name, array in members.items():
+        for name, array in arrays.items():
             array = np.ascontiguousarray(array)
             info = zipfile.ZipInfo(f"{name}.npy")
             header = _LOCAL_HEADER_BYTES + len(info.filename.encode()) + _ALIGN_FIELD.size + _ZIP64_FIELD_BYTES
@@ -139,6 +146,9 @@ def write_csr(path: str | Path, matrix: sparse.csr_matrix, **arrays: np.ndarray)
             with archive.open(info, "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
                 member.write(memoryview(array).cast("B"))
+            # the local header, rewritten as the member closed, keeps the padding; the directory entry,
+            # written from ``info`` as the archive closes, does not
+            info.extra = b""
 
 
 def _map_members(path: str | Path, names: Collection[str]) -> dict[str, np.ndarray]:

@@ -19,6 +19,13 @@ from the counts (``CorpusCounts.select``), and PPMI (base-2 log, clamped
 at zero) is applied to it. The PPMI matrix goes to disk in the same CSR
 archive layout (``save_triplets``), so ``tables.read_csr`` checks both and
 maps both, every array aligned to ``tables.ALIGN`` bytes.
+
+The passes over every stored count (``CorpusCounts.select``,
+``overlap_scores``) read it ``tables.CHECK_BLOCK`` entries at a time, so no
+temporary grows with the corpus, and ``build_cooccurrence`` lets the corpus
+go once its columns are selected. A ``Vocabulary`` builds its word ->
+position index only when first looked up, which no stage does for a
+corpus's whole vocabulary.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from __future__ import annotations
 import io
 import logging
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, groupby, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -50,16 +58,22 @@ _HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered set of unique words with a word -> position index."""
+    """Ordered set of unique words with a word -> position index.
+
+    The index is built on its first lookup: no stage looks up a corpus's
+    whole vocabulary (77,088 words, a dict of about 5 MB, at 150k tweets),
+    only the selected keyword and context words.
+    """
 
     words: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index = {w: i for i, w in enumerate(self.words)}
-        if len(index) != len(self.words):
+        if len(set(self.words)) != len(self.words):
             raise ValueError("vocabulary words must be unique")
-        object.__setattr__(self, "index", index)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.words)}
 
     def __len__(self) -> int:
         return len(self.words)
@@ -200,16 +214,30 @@ class CorpusCounts:
 
         Equal to counting each tweet's tokens over ``words`` and dropping the
         rest. int32 holds every count, since a count is at most its tweet's token count.
+
+        The counts are read tables.CHECK_BLOCK entries at a time, twice: once
+        to count the selected entries ahead of each row, which size the result
+        once, and once to fill it, so that no temporary grows with the corpus.
         """
         positions = map(words.index.get, self.vocab.words, repeat(-1))
         columns = np.fromiter(positions, dtype=np.int32, count=len(self.vocab))
-        cols = columns[self.counts.indices]
-        keep = cols >= 0
-        indptr = np.zeros(self.counts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(row_sums(keep, self.counts.indptr), out=indptr[1:])
-        cols = cols[keep]
-        data = self.counts.data[keep].astype(np.int32)
-        selected = sparse.csr_matrix((data, cols, indptr), shape=(self.counts.shape[0], len(words)))
+        counts, block = self.counts, tables.CHECK_BLOCK
+        firsts = range(0, counts.nnz, block)
+        indptr, total = np.zeros(counts.shape[0] + 1, dtype=np.int64), 0
+        for first in firsts:
+            ahead = np.cumsum(columns[counts.indices[first:first + block]] >= 0)  # selected up to each entry
+            rows = slice(*np.searchsorted(counts.indptr, [first, first + len(ahead)], side="right"))
+            indptr[rows] = total + ahead[counts.indptr[rows] - first - 1]
+            total += int(ahead[-1])
+        cols, data, end = np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32), 0
+        for first in firsts:
+            found = columns[counts.indices[first:first + block]]
+            keep = found >= 0
+            stop = end + int(np.count_nonzero(keep))
+            cols[end:stop] = found[keep]
+            data[end:stop] = counts.data[first:first + block][keep]
+            end = stop
+        selected = sparse.csr_matrix((data, cols, indptr), shape=(counts.shape[0], len(words)))
         selected.sort_indices()  # counts @ U_k sums in stored order, so column order fixes its bits
         return selected
 
@@ -237,16 +265,19 @@ def count_unique_tweets(rows: TokenRows) -> tuple[CorpusCounts, int]:
     and equal bytes, and the rows that do not are renumbered to the sorted
     vocabulary and moved up in place over the repeats. The ids stay one
     ``TweetIds`` buffer. The rows are consumed: their ``values`` are
-    overwritten, and their ``ids`` are taken, so that only the kept ids
-    outlive the compaction, whoever holds the rows.
+    overwritten, and their ``words`` and ``ids`` are taken, so that the word
+    -> position dict is freed once the renumbering is known and only the
+    kept ids outlive the compaction, whoever holds the rows.
     """
-    positions, values, bounds = rows.words, rows.values, rows.bounds
-    ids, rows.ids = TweetIds(rows.ids), b""
-    keep = _first_occurrences(values, bounds)
-    removed = len(keep) - int(np.count_nonzero(keep))
+    values, bounds = rows.values, rows.bounds
+    positions, rows.words = rows.words, {}
     words = sorted(positions)
     rank = np.empty(len(words), dtype=np.intc)  # first-seen position -> sorted position
     rank[[positions[word] for word in words]] = np.arange(len(words))
+    del positions
+    ids, rows.ids = TweetIds(rows.ids), b""
+    keep = _first_occurrences(values, bounds)
+    removed = len(keep) - int(np.count_nonzero(keep))
     lengths = np.diff(bounds)
     end = 0
     for start in range(0, len(keep), ROW_SUM_BLOCK):
@@ -426,9 +457,13 @@ def overlap_scores(corpus: CorpusCounts) -> dict[str, float]:
         raise DataError("cannot score terms of an empty corpus")
     if n_words == 0:
         logger.warning("corpus contains no tokens; no terms to score")
-    indices = corpus.counts.indices  # canonical CSR: one entry per (tweet, word)
-    df = np.bincount(indices, minlength=n_words)
-    tf = np.bincount(indices, weights=corpus.counts.data, minlength=n_words)
+    indices, data, block = corpus.counts.indices, corpus.counts.data, tables.CHECK_BLOCK
+    df, tf = np.zeros(n_words, dtype=np.int64), np.zeros(n_words)
+    # a block at a time: np.bincount copies whole what it reads to intp and float64; the float64 sums
+    # are exact, as integers below 2**53
+    for first in range(0, len(indices), block):
+        df += np.bincount(indices[first:first + block], minlength=n_words)  # canonical: one entry per (tweet, word)
+        tf += np.bincount(indices[first:first + block], weights=data[first:first + block], minlength=n_words)
     return dict(zip(corpus.vocab.words, (tf * _idf(df, n_tweets)).tolist()))
 
 
@@ -466,6 +501,12 @@ def build_cooccurrence(corpus: CorpusCounts, selection: SelectionResult) -> Spar
     since the keywords are the first n1 context words. A keyword paired
     with itself counts tweets where the word occurs at least twice.
     Keywords that never co-occur produce zero rows (flagged in the log).
+
+    Only the selected counts are read after ``corpus.select``, so this drops
+    its reference to ``corpus`` there: if the caller keeps none, the corpus
+    (its archive map and vocabulary) is freed before the product (from
+    CPython 3.11, whose calls leave no reference to an argument on the
+    caller's stack).
     """
     if not selection.keywords or not selection.context_words:
         raise DataError("selection is empty; nothing to co-occur")
@@ -473,6 +514,7 @@ def build_cooccurrence(corpus: CorpusCounts, selection: SelectionResult) -> Spar
     if selection.context_words[:n1] != selection.keywords:
         raise DataError("keywords must be a prefix of the context words")
     presence = corpus.select(Vocabulary(selection.context_words))
+    del corpus
     # the product pairs a keyword with itself in every tweet containing it: drop single occurrences
     once = np.bincount(presence.indices[presence.data == 1], minlength=n1)[:n1]
     presence.data.fill(1)  # the counts become presence in place, sharing their indices

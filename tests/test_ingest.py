@@ -215,9 +215,9 @@ def test_ingest_metrics_count_each_kind_of_line(tmp_path):
     )
     run("ingest", config)
     entry = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]["ingest"]
-    assert entry["metrics"] == {"corpora": {"immorality": {
+    assert entry["metrics"]["corpora"] == {"immorality": {
         "loaded": 2, "malformed": 1, "duplicate_ids": 1, "lang_filtered": 1, "repeats_removed": 1, "kept": 1,
-    }}}
+    }}
     assert "metrics" not in json.dumps(entry["inputs"])
     run("select", config)  # the upstream check reads inputs alone
 

@@ -361,6 +361,26 @@ class TestCosine:
         assert -1.0 - 1e-12 <= base <= 1.0 + 1e-12
         assert row_cosines(a * u, b * v)[0, 0] == pytest.approx(base, abs=1e-9)
 
+    @pytest.mark.parametrize("k,b_rows", [(100, 5), (50, 5), (7, 3), (300, 5), (1000, 300)])
+    def test_row_blocks_equal_the_single_product(self, k, b_rows):
+        """Rows of ``a`` one short of a block, one block, one past it and several blocks; with 300 rows of
+        ``b`` at k = 1000 a block is one row. One block is the single product bit for bit. Several may
+        round differently where the BLAS picks another kernel for a smaller product (OpenBLAS's small-matrix
+        kernel, say, or a matrix-vector kernel for one row), by at most the rounding of a length-k dot
+        product of unit rows, 2 k eps."""
+        step = max(1, linalg.COSINE_BLOCK_MADDS // (k * b_rows))
+        rng = np.random.default_rng(k)
+        b = rng.standard_normal((b_rows, k))
+        for a_rows in sorted({1, max(step - 1, 1), step, step + 1, 3 * step + 7}):
+            a = rng.standard_normal((a_rows, k))
+            a[a_rows // 2] = 0.0
+            single = np.clip(linalg._unit_rows(a) @ linalg._unit_rows(b).T, -1.0, 1.0)
+            blocked = row_cosines(a, b)
+            if a_rows <= step:
+                assert blocked.tobytes() == single.tobytes(), a_rows
+            np.testing.assert_allclose(blocked, single, rtol=0, atol=2 * k * np.finfo(np.float64).eps)
+            assert not blocked[a_rows // 2].any()
+
 
 class TestPca2d:
     def test_collinear_points_have_zero_pc2(self):

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 import mfquant
-from mfquant import linalg, pipeline, vectorizer
+from mfquant import linalg, pipeline, semantics, tables, vectorizer
 from mfquant.cli import main
 from mfquant.corpus import TokenizedTweet
 from mfquant.errors import ConfigError, DataError, PipelineError
@@ -381,6 +382,56 @@ class TestStages:
         run("svd", config)
         assert alive == [[False] * 5]
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps call arguments on the caller's stack")
+    @pytest.mark.parametrize("stage,step", [
+        ("matrix", "co-occurrence product"), ("loadings", "first cosine"), ("report", "first cosine"),
+    ])
+    def test_corpus_counts_are_freed_before_the_product(self, tmp_path, monkeypatch, stage, step):
+        """The CorpusCounts a stage loads, with its archive map, is gone once its words are selected: before
+        build_cooccurrence's product (matrix), score_corpus's cosines (loadings) or the foundation
+        similarities (report)."""
+        config = make_workspace(tmp_path, tweets=200, topics=())
+        run("all", config)
+        load, refs, alive = vectorizer.load_corpus_counts, [], []
+
+        def recording_load(*args, **kwargs):
+            corpus = load(*args, **kwargs)
+            refs.extend(weakref.ref(a) for a in (corpus, corpus.counts, corpus.counts.data, corpus.counts.indices))
+            return corpus
+
+        def recording(function):
+            def recorded(*args, **kwargs):
+                alive.append([ref() is not None for ref in refs])
+                return function(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(vectorizer, "load_corpus_counts", recording_load)
+        if step == "co-occurrence product":
+            monkeypatch.setattr(sparse.csr_matrix, "__matmul__", recording(sparse.csr_matrix.__matmul__))
+        else:
+            monkeypatch.setattr(semantics, "row_cosines", recording(semantics.row_cosines))
+        run(stage, config)
+        assert len(refs) == 4 and alive and alive[0] == [False] * 4
+
+    def test_each_stage_entry_records_its_wall_time_and_the_peak_rss_after_it(self, tmp_path, monkeypatch):
+        config = make_workspace(tmp_path, tweets=200, topics=())
+        run("all", config)
+        stages = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+        for name in STAGES:
+            metrics = stages[name]["metrics"]
+            assert metrics["wall_s"] >= 0
+            if Path("/proc/self/status").exists():
+                assert metrics["peak_rss_mb"] > 0
+        assert stages["ingest"]["metrics"]["corpora"]["immorality"]["kept"] > 0
+
+        def no_proc(file, *args, **kwargs):
+            raise FileNotFoundError(file)
+
+        monkeypatch.setattr(pipeline, "open", no_proc, raising=False)
+        run("report", config)
+        stages = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+        assert sorted(stages["report"]["metrics"]) == ["wall_s"]
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
     def test_svd_stage_holds_each_ppmi_row_only_until_the_gram_fill_passes_it(self, tmp_path):
         """At the paper's n1 and n2 on 30k tweets, the svd stage's peak RSS rises by less than the whole Gram
@@ -713,7 +764,8 @@ def test_stopwords_file_may_start_with_a_byte_order_mark(tmp_path):
 
 def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
     """Raw inputs are keyed by their role: two copies of one workspace, at paths of different lengths,
-    write equal ingest ``inputs`` and manifests of equal size."""
+    write equal ingest ``inputs`` and manifests of equal size once the stages' measured ``metrics`` are left
+    out (a wall time or a peak RSS may take another number of digits from run to run)."""
     (tmp_path / "source").mkdir()
     config = make_workspace(tmp_path / "source", tweets=60, topic_tweets=20)
     manifests = []
@@ -730,7 +782,9 @@ def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
     inputs = first["stages"]["ingest"]["inputs"]
     assert inputs["corpus:immorality"] == sha256_file(config.immorality_path)
     assert inputs == second["stages"]["ingest"]["inputs"]
-    assert manifests[0].stat().st_size == manifests[1].stat().st_size
+    for manifest in (first, second):
+        del manifest["stages"]["ingest"]["metrics"]
+    assert len(json.dumps(first, indent=2, sort_keys=True)) == len(json.dumps(second, indent=2, sort_keys=True))
 
 
 def test_every_file_a_stage_opens_is_in_the_stage_table(tmp_path, monkeypatch):
@@ -754,7 +808,7 @@ def test_every_file_a_stage_opens_is_in_the_stage_table(tmp_path, monkeypatch):
     seen = set()
     for stage in STAGES:
         func = pipeline._STAGE_FUNCS[stage]
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, lambda *args, func=func: (opened.clear(), func(*args)))
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, lambda *args, func=func: opened.clear() or func(*args))
         run(stage, config)
         read = {p for p in opened if p.is_relative_to(tmp_path) or p == dictionary}
         listed = {Path(os.path.abspath(p)) for p in (*table[stage][0].values(), *table[stage][1])}
@@ -1087,7 +1141,10 @@ CSR_CORRUPTIONS = {
 
 
 def corrupt_archive_and_run(completed_run, tmp_path, artifact, stage, corruption):
-    """Apply CSR_CORRUPTIONS[corruption] (or truncate) to the archive; expect a DataError naming it."""
+    """Apply CSR_CORRUPTIONS[corruption] (or truncate) to the archive; expect a DataError naming it.
+
+    The edited arrays are written in write_csr's member layout (``tables.write_npz``), so that the checks
+    run on views of the archive's map, as on the pipeline's own archives, not on copies."""
     config, _ = completed_run
     out_dir = tmp_path / "out"
     shutil.copytree(config.out_dir, out_dir)
@@ -1097,9 +1154,24 @@ def corrupt_archive_and_run(completed_run, tmp_path, artifact, stage, corruption
     else:
         with np.load(target) as archive:
             arrays = dict(archive)
-        np.savez(target, **CSR_CORRUPTIONS[corruption](arrays))
+        tables.write_npz(target, CSR_CORRUPTIONS[corruption](arrays))
     with pytest.raises(DataError, match=f"{target.name}: "):
         run(stage, PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
+
+
+@pytest.mark.parametrize("artifact", ["matrix/ppmi.npz", "corpus/immorality.npz"])
+def test_archive_rewritten_in_the_member_layout_is_read_as_views_of_its_map(completed_run, tmp_path, artifact):
+    """What corrupt_archive_and_run writes, unedited, is read back as read-only views of one map, copying none."""
+    config, _ = completed_run
+    target = tmp_path / "archive.npz"
+    with np.load(config.out_dir / artifact) as archive:
+        arrays = dict(archive)
+    tables.write_npz(target, arrays)
+    assert target.read_bytes() == (config.out_dir / artifact).read_bytes()
+    mapped = tables._map_members(target, arrays)
+    for name, array in mapped.items():
+        assert linalg._read_only_map(array) is not None and not array.flags.writeable, name
+        np.testing.assert_array_equal(array, arrays[name])
 
 
 @pytest.mark.parametrize("corruption", ["truncated", *CSR_CORRUPTIONS])

@@ -3,10 +3,11 @@ import random
 import tempfile
 from itertools import chain, repeat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from mfquant.corpus import TokenizedTweet
@@ -621,3 +622,72 @@ def test_ids_file_writer_formats_a_block_of_lines_at_a_time(tmp_path, monkeypatc
     counts = CorpusCounts(Vocabulary(("w",)), sparse.csr_matrix(np.array([[3], [0], [1], [7], [2]])), tuple("abcde"))
     save_corpus_counts(counts, tmp_path / "c.npz", tmp_path / "c.tsv")
     assert (tmp_path / "c.tsv").read_text(encoding="utf-8") == "a\t3\nb\t0\nc\t1\nd\t7\ne\t2\n"
+
+
+class TestVocabulary:
+    def test_a_repeated_word_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="unique"):
+            Vocabulary(("war", "sin", "war"))
+
+    def test_index_is_built_when_first_read(self):
+        vocab = Vocabulary(("war", "sin"))
+        assert "index" not in vars(vocab)
+        assert len(vocab) == 2 and "index" not in vars(vocab)
+        assert "sin" in vocab and "kill" not in vocab
+        assert vars(vocab)["index"] == vocab.index == {"war": 0, "sin": 1}
+        assert vocab == Vocabulary(("war", "sin")) and hash(vocab) == hash(Vocabulary(("war", "sin")))
+        assert repr(vocab) == "Vocabulary(words=('war', 'sin'))"
+
+
+def whole_array_select(corpus, words):
+    """CorpusCounts.select through a column of every stored entry, a mask and the filtered copies."""
+    columns = np.fromiter(map(words.index.get, corpus.vocab.words, repeat(-1)), dtype=np.int32, count=len(corpus.vocab))
+    cols = columns[corpus.counts.indices]
+    keep = cols >= 0
+    indptr = np.zeros(corpus.counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(vectorizer.row_sums(keep, corpus.counts.indptr), out=indptr[1:])
+    data = corpus.counts.data[keep].astype(np.int32)
+    selected = sparse.csr_matrix((data, cols[keep], indptr), shape=(corpus.counts.shape[0], len(words)))
+    selected.sort_indices()
+    return selected
+
+
+def whole_array_overlap_scores(corpus):
+    """overlap_scores with df and tf each from one np.bincount over every stored entry."""
+    n_tweets, n_words = corpus.counts.shape
+    df = np.bincount(corpus.counts.indices, minlength=n_words)
+    tf = np.bincount(corpus.counts.indices, weights=corpus.counts.data, minlength=n_words)
+    return dict(zip(corpus.vocab.words, (tf * vectorizer._idf(df, n_tweets)).tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(WORDS, max_size=8), min_size=1, max_size=12), st.lists(WORDS, unique=True, max_size=8),
+    st.integers(1, 9),
+)
+def test_blocked_select_and_scores_equal_the_whole_array_formulas(token_lists, words, block):
+    """Blocks of a few entries split rows anywhere, a row across several blocks included."""
+    corpus, selection = count_corpus(tweets(*token_lists)), Vocabulary(tuple(words))
+    with mock.patch.object(tables, "CHECK_BLOCK", block):
+        selected, scores = corpus.select(selection), overlap_scores(corpus)
+    expected = whole_array_select(corpus, selection)
+    assert selected.shape == expected.shape and selected.has_sorted_indices
+    for found, oracle in ((selected.indptr, expected.indptr), (selected.indices, expected.indices),
+                          (selected.data, expected.data)):
+        assert found.dtype == oracle.dtype and found.tolist() == oracle.tolist()
+    assert scores == whole_array_overlap_scores(corpus)
+
+
+COMPRESS_IDS = ("1", "ünfair", "", "4\t", "5")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.text(st.characters(exclude_characters="\n"), max_size=3), st.booleans()), max_size=20))
+@example(rows=[(i, True) for i in COMPRESS_IDS])  # all kept
+@example(rows=[(i, False) for i in COMPRESS_IDS])  # none kept
+@example(rows=list(zip(COMPRESS_IDS, (False, True, True, True, False))))  # first and last dropped
+@example(rows=list(zip(COMPRESS_IDS, (True, False, True, False, True))))
+def test_compress_keeps_the_ids_of_the_kept_rows(rows):
+    found = TweetIds.from_text("".join(f"{i}\n" for i, _ in rows)).compress(np.array([k for _, k in rows], dtype=bool))
+    assert found == TweetIds.from_text("".join(f"{i}\n" for i, k in rows if k))
+    assert list(found) == [i for i, k in rows if k]
