@@ -87,7 +87,6 @@ class CleaningConfig:
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
     query_words: frozenset[str] = frozenset()
     min_token_len: int = 3
-    lowercase: bool = True
 
     def __post_init__(self) -> None:
         if self.min_token_len < 1:
@@ -290,30 +289,26 @@ _CODE_POINT_RULE = _CodePointRule()
 def clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> TokenizedTweet:
     """Clean one record into a TokenizedTweet (empty output is valid).
 
-    Whitespace chunks containing a URL marker or starting with '@' are
-    dropped wholesale. Apostrophes and digits are deleted in place, other
-    punctuation splits tokens, and the stopword / query-word /
-    min-length filter runs on the lowercased results.
+    The text is lowercased first. Whitespace chunks containing a URL marker
+    or starting with '@' are dropped wholesale. Apostrophes and digits are
+    deleted in place, other punctuation splits tokens, and the stopword /
+    query-word / min-length filter runs on the results.
 
     Pure in its results: equal inputs give equal outputs. Each kept token
     is the word's entry in ``config``'s word table, which this call extends
     with the words it sees first.
     """
-    text = record.effective_text
-    lowered = text.lower()
+    # lowercase before the letter filter: some uppercase letters lower to letter + combining mark,
+    # which must not survive; lowering makes and removes no whitespace, and no final-sigma context
+    # crosses it, so the chunks are the lowered chunks of the text
+    text = record.effective_text.lower()
     # '@' and the URL markers hold no whitespace, so a text without them keeps every chunk,
     # and re-joining the chunks is moot: the code-point rule blanks all whitespace anyway
-    url = ("://" in lowered or "www." in lowered) and _URL_MARKER.search(lowered)
+    url = ("://" in text or "www." in text) and _URL_MARKER.search(text)
     if url or "@" in text:
         text = " ".join([
-            chunk for chunk in text.split()
-            if not chunk.startswith("@") and not (url and _URL_MARKER.search(chunk.lower()))
+            chunk for chunk in text.split() if not chunk.startswith("@") and not (url and _URL_MARKER.search(chunk))
         ])
-        lowered = text.lower()
-    if config.lowercase:
-        # lowercase before the letter filter: some uppercase letters
-        # lower to letter + combining mark, which must not survive
-        text = lowered
     tokens = text.translate(_CODE_POINT_RULE).split()
     # None marks a dropped word
     return TokenizedTweet(record.id, tuple(filter(None, map(config._words.__getitem__, tokens))))

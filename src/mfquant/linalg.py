@@ -3,17 +3,17 @@
 The SVD is exact: it takes the top-k eigenpairs of ``A @ A.T`` (2000 x
 2000 at the paper defaults) for a CSR matrix A with no more rows than
 columns, as the keyword x context PPMI matrix is (a taller A is refused),
-and keeps only U_k and the singular values. Only the lower triangle of the Gram matrix, the part
-the eigensolver reads, is formed, in column blocks shared out over every
-CPU the process may use, straight into the Fortran-order array LAPACK
-works in; its bytes do not depend on the thread count. Each block reads
-A's own arrays in place. Where they view a read-only file map, as
-``tables.read_csr`` returns them, the fill hands back the pages of the
-rows it has passed, so A is not held whole while the Gram matrix fills;
-it is let go before the eigensolver. Each singular vector's sign is fixed
-so that its largest-magnitude entry is positive, as in the PCA. U_k is
-persisted as one binary array whose rows follow a word list kept
-elsewhere. All kernels are pure.
+and keeps only U_k and the singular values. Only the lower triangle of
+the Gram matrix, the part the eigensolver reads, is formed, in column
+blocks mapped in order over one thread per CPU, straight into the
+Fortran-order array LAPACK works in; its bytes do not depend on the
+thread count. Each block reads A's own arrays in place. Where they view a
+read-only file map, as ``tables.read_csr`` returns them, the fill hands
+back the pages of the rows it has passed, so A is not held whole while
+the Gram matrix fills; it is let go before the eigensolver. Each singular
+vector's sign is fixed so that its largest-magnitude entry is positive,
+as in the PCA. U_k is persisted as one binary array whose rows follow a
+word list kept elsewhere. All kernels are pure.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 import ctypes
 import mmap
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 import scipy.linalg
@@ -84,51 +84,50 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_gram_columns(left: sparse.csr_matrix, gram: np.ndarray, starts) -> None:
-    """Fill the lower triangle, diagonal included, of the column blocks of ``gram`` = ``left @ left.T`` at ``starts``.
+def _fill_gram_block(left: sparse.csr_matrix, gram: np.ndarray, start: int, spare) -> int:
+    """Fill the lower triangle, diagonal included, of the column block at ``start`` of ``gram`` = ``left @ left.T``.
 
     Block ``[s, s+B)`` is the product of the row tail ``left[s:]`` and
-    ``left[s:s+B].T``, formed in one numeric pass: scipy's ``csr_matmat``
-    writes it into CSR buffers sized for the densest block, and
-    ``csr_todense`` spreads it over a dense buffer, whose entries on and
-    below the diagonal are copied into ``gram``. These are the two kernels
-    ``(tail @ left[s:s+B].T).toarray()`` runs, less the counting pass
-    (``csr_matmat_maxnnz``) that sizes its output, so every entry is the
-    same sum in the same order. The buffers hold rows x GRAM_BLOCK_COLS
-    entries and are allocated once per call. Blocks write disjoint parts of
-    ``gram`` and never an entry above its diagonal. Both kernels release
-    the GIL, so threads running this in parallel use separate cores. They
-    are scipy internals: the tests compare the result bit for bit with the
-    public product, so a scipy release that changes them fails there.
+    ``left[s:s+B].T``, formed in one numeric pass: scipy's ``csr_tocsc``
+    writes the block's rows transposed, ``csr_matmat`` writes the product
+    into CSR buffers sized for the densest block, and ``csr_todense``
+    spreads it over a dense buffer, whose entries on and below the diagonal
+    are copied into ``gram``; the block's stop is returned. These are the
+    kernels ``(tail @ left[s:s+B].T).toarray()`` runs, less the counting
+    pass (``csr_matmat_maxnnz``) that sizes its output, so every entry is
+    the same sum in the same order. ``spare`` holds the output's row
+    pointers, indices and data and the dense block, the last three of rows
+    x GRAM_BLOCK_COLS entries. Blocks write disjoint parts of ``gram`` and
+    never an entry above its diagonal. The kernels release the GIL, so
+    threads running this in parallel use separate cores. They are scipy
+    internals: the tests compare the result bit for bit with the public
+    product, so a scipy release that changes them fails there.
 
-    Each tail shares ``left``'s data and indices: they are passed to the
-    kernel as views, with only the tail's row pointers rebased.
+    The tail and the block's rows are read in place, as views of ``left``'s
+    data and indices with rebased row pointers. ``left[s:s+B].T.tocsr()``
+    would first copy the rows, in the pool thread's own malloc arena: at the
+    paper defaults on 2 CPUs, the svd stage then peaked about 3 MB higher.
     """
     size = left.shape[0]
     data, indices, indptr = left.data, left.indices, left.indptr
     index_dtype = indices.dtype
-    out_indptr = np.empty(size + 1, dtype=index_dtype)
-    out_indices = np.empty(size * GRAM_BLOCK_COLS, dtype=index_dtype)
-    out_data = np.empty(size * GRAM_BLOCK_COLS, dtype=data.dtype)
-    dense = np.empty(size * GRAM_BLOCK_COLS, dtype=data.dtype)
-    lower = np.tri(GRAM_BLOCK_COLS, dtype=bool)
-    for start in starts:
-        stop = min(start + GRAM_BLOCK_COLS, size)
-        rows, cols = size - start, stop - start
-        offset = indptr[start]
-        right = left[start:stop].T.tocsr()
-        _sparsetools.csr_matmat(
-            rows, cols,
-            (indptr[start:] - offset).astype(index_dtype, copy=False), indices[offset:], data[offset:],
-            right.indptr.astype(index_dtype, copy=False), right.indices.astype(index_dtype, copy=False), right.data,
-            out_indptr, out_indices, out_data,
-        )
-        block = dense[:rows * cols]
-        block.fill(0.0)  # csr_todense adds each entry to what the buffer holds
-        _sparsetools.csr_todense(rows, cols, out_indptr, out_indices, out_data, block)
-        block = block.reshape(rows, cols)
-        np.copyto(gram[start:stop, start:stop], block[:cols], where=lower[:cols, :cols])
-        gram[stop:, start:stop] = block[cols:]
+    out_indptr, out_indices, out_data, dense = spare
+    stop = min(start + GRAM_BLOCK_COLS, size)
+    rows, cols = size - start, stop - start
+    offset = indptr[start]
+    nnz = indptr[stop] - offset
+    tail = (indptr[start:] - offset).astype(index_dtype, copy=False), indices[offset:], data[offset:]
+    right = np.empty(left.shape[1] + 1, index_dtype), np.empty(nnz, index_dtype), np.empty(nnz, data.dtype)
+    # the block's rows are the tail's first
+    _sparsetools.csr_tocsc(cols, left.shape[1], tail[0][:cols + 1], *tail[1:], *right)
+    _sparsetools.csr_matmat(rows, cols, *tail, *right, out_indptr, out_indices, out_data)
+    block = dense[:rows * cols]
+    block.fill(0.0)  # csr_todense adds each entry to what the buffer holds
+    _sparsetools.csr_todense(rows, cols, out_indptr, out_indices, out_data, block)
+    block = block.reshape(rows, cols)
+    np.copyto(gram[start:stop, start:stop], block[:cols], where=np.tri(cols, dtype=bool))
+    gram[stop:, start:stop] = block[cols:]
+    return stop
 
 
 def _read_only_map(array: np.ndarray) -> mmap.mmap | None:
@@ -175,21 +174,22 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     are never touched and never become resident (8.5 of the 30.5 MiB at
     2000 x 2000). The product is formed GRAM_BLOCK_COLS columns at a time, one
     numeric pass per block, reading the rows of ``sparse.csr_matrix(A)`` in
-    place, not as a copy (see ``_fill_gram_columns``). The blocks are dealt
-    round-robin to the calling thread and one pool thread per further CPU
-    (``_available_cpus``), and every pool thread has ended when this returns
-    or raises; an exception in the calling thread is raised here, else the
-    first one of a pool thread. Each entry is the same products summed in
-    the same order as in the public sparse product ``A @ A.T``, so the lower
-    triangle equals that product's bit for bit, whatever the thread count.
+    place, not as a copy (see ``_fill_gram_block``). The blocks are mapped
+    in order over a pool of one thread per CPU (``_available_cpus``), no
+    more than there are blocks, each borrowing one of as many buffer sets.
+    Every pool thread has ended when this returns or raises, and the first
+    failed block's exception in block order is raised. Each entry is the
+    same products summed in the same order as in the public sparse product
+    ``A @ A.T``, so the lower triangle equals that product's bit for bit,
+    whatever the thread count.
 
     Block ``[s, s+B)`` reads only rows ``s:``. So where the CSR form's data
     and indices are read-only views of a file map, as ``tables.read_csr``
-    returns them, the whole pages of both that hold only rows below every
-    worker's next block are handed back to the system as the fill passes
-    them (``madvise(MADV_DONTNEED)``): A is not held whole while the Gram
-    matrix fills. A stays intact for the caller, as a page read again is
-    read back from the file.
+    returns them, the whole pages of both that hold only rows below a block
+    that is done, with every block before it, are handed back to the system
+    (``madvise(MADV_DONTNEED)``): A is not held whole while the Gram matrix
+    fills. A stays intact for the caller, as a page read again is read back
+    from the file.
     """
     left = sparse.csr_matrix(matrix)
     size = left.shape[0]
@@ -199,30 +199,29 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     gram = np.ndarray((size, size), dtype=np.float64, buffer=buffer, order="F")
     starts = range(0, size, GRAM_BLOCK_COLS)
     workers = max(1, min(_available_cpus(), len(starts)))
-    release, lock = _page_releaser([left.data, left.indices]), threading.Lock()
-    pending = list(starts[:workers])  # the block each worker runs or runs next; size once it has none left
-    # set once every helper is submitted: a helper that finished first would free its pool thread
-    # for the next helper, and the fill would run on fewer threads than workers
-    submitted = threading.Event()
+    # one buffer set per worker, allocated on this thread: a pool thread allocates from a malloc arena of its
+    # own, which keeps what it frees (sets allocated per block there: svd peaked 4 MB higher, paper defaults)
+    spares = SimpleQueue()
+    for _ in range(workers):
+        spares.put((
+            np.empty(size + 1, dtype=left.indices.dtype),
+            np.empty(size * GRAM_BLOCK_COLS, dtype=left.indices.dtype),
+            np.empty(size * GRAM_BLOCK_COLS, dtype=left.data.dtype),
+            np.empty(size * GRAM_BLOCK_COLS, dtype=left.data.dtype),
+        ))
 
-    def share(worker: int):
-        """The starts of ``worker``'s blocks, once every helper is submitted; asked for the next one, it marks
-        the last one done."""
-        submitted.wait()
-        for start in starts[worker::workers]:
-            yield start
-            with lock:
-                pending[worker] = min(start + workers * GRAM_BLOCK_COLS, size)
-                release(left.indptr[min(pending)])
-
-    with ThreadPoolExecutor(workers) as pool:
+    def fill(start: int) -> int:
+        spare = spares.get()
         try:
-            helpers = [pool.submit(_fill_gram_columns, left, gram, share(w)) for w in range(1, workers)]
-        finally:
-            submitted.set()
-        _fill_gram_columns(left, gram, share(0))
-    for helper in helpers:
-        helper.result()
+            return _fill_gram_block(left, gram, start, spare)
+        finally:  # a failed block hands its buffers on too, so no later block waits for them
+            spares.put(spare)
+
+    release = _page_releaser([left.data, left.indices])
+    with ThreadPoolExecutor(workers) as pool:
+        # map yields a block's stop once it and every block before it are done; no later block reads a row before it
+        for stop in pool.map(fill, starts):
+            release(left.indptr[stop])
     return gram
 
 
@@ -243,8 +242,7 @@ def truncated_svd(
     gives U, so this drops its references to A once that is formed; if the
     caller keeps none, A is freed before the eigensolver (from CPython
     3.11, whose calls leave no reference to an argument on the caller's
-    stack), and with glibc the heap's free pages are then handed back to
-    the system. An A read by ``tables.read_csr`` views a read-only map of
+    stack). An A read by ``tables.read_csr`` views a read-only map of
     its archive, and ``gram_matrix`` hands back each of its rows once the
     fill has passed it, on any CPython, so such an A is not held whole
     while the Gram matrix fills; a row read again, as after this returns,
@@ -269,10 +267,6 @@ def truncated_svd(
 
     gram = gram_matrix(mat)
     del matrix, mat
-    # A's arrays sit in the C heap, and a small block that outlives them above them (which one
-    # varies from run to run) can keep the heap from shrinking, so that their 15 MB stay resident
-    # through eigh at the paper defaults (in about 1 of 20 one-process runs of every stage).
-    trim_heap()
     eigenvalues, vectors = scipy.linalg.eigh(gram, subset_by_index=[m - k, m - 1], driver="evr", overwrite_a=True)
     singular_values = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
     vectors = vectors[:, ::-1]

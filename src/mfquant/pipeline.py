@@ -10,7 +10,7 @@ to svd as ``matrix/ppmi.npz`` next to its two word lists, and svd hands U_k
 on as ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``.
 
 ``stage_files`` declares what each stage reads and writes: its files, and
-the config values it reads. Ingest reads ``min_token_len``, ``lowercase``,
+the config values it reads. Ingest reads ``min_token_len``,
 ``lang_filter`` and ``query_words``; select ``n2`` (it saves the n2-long
 ranking, and n1 cuts it where it is read); matrix and report ``n1``; svd
 ``k``; vectors ``topic_n``; extend ``extend_n``; loadings and pca none. No
@@ -86,7 +86,6 @@ class PipelineConfig:
     seed: int = 42
     query_words: dict[str, tuple[str, ...]] = field(default_factory=dict)
     min_token_len: int = 3
-    lowercase: bool = True
     lang_filter: str | None = None
     stopwords_path: Path | None = None
 
@@ -140,7 +139,6 @@ class PipelineConfig:
             stopwords=self.read_stopwords() if stopwords is None else stopwords,
             query_words=frozenset(self.query_words.get(corpus_name, ())),
             min_token_len=self.min_token_len,
-            lowercase=self.lowercase,
         )
 
     def params_snapshot(self) -> dict:
@@ -152,7 +150,6 @@ class PipelineConfig:
             "extend_n": self.extend_n,
             "seed": self.seed,
             "min_token_len": self.min_token_len,
-            "lowercase": self.lowercase,
             "lang_filter": self.lang_filter,
             "query_words": {k: list(v) for k, v in sorted(self.query_words.items())},
         }
@@ -171,13 +168,13 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Parse a YAML config file; relative paths resolve against its directory.
 
     The counts in ``params`` and ``cleaning.min_token_len`` must be YAML
-    integers, ``cleaning.lowercase`` a YAML boolean, ``cleaning.lang_filter``
-    a string or null, ``inputs.immorality``, ``output`` and each
-    ``inputs.topics.<name>`` a path string, ``inputs.dictionary`` (null: the
-    packaged dictionary) and ``cleaning.stopwords_file`` a path string or null, each
+    integers, ``cleaning.lowercase``, if set, ``true`` (ingest always
+    lowercases), ``cleaning.lang_filter`` a string or null, ``inputs.immorality``,
+    ``output`` and each ``inputs.topics.<name>`` a path string,
+    ``inputs.dictionary`` (null: the packaged dictionary) and
+    ``cleaning.stopwords_file`` a path string or null, each
     ``cleaning.query_words.<name>`` a list of strings, and every mapping's
-    names strings; any other value is a ConfigError naming the key, never
-    coerced.
+    names strings; any other value is a ConfigError naming the key, never coerced.
     """
     path = Path(path)
     try:
@@ -207,7 +204,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     if "topic_n" in params:
         topic_n = _typed("params.topic_n", params["topic_n"], list, "a list of integers")
         values["topic_n"] = tuple(_typed("params.topic_n", n, int) for n in topic_n)
-    for key, kind, what in (("min_token_len", int, "an integer"), ("lowercase", bool, "true or false"),
+    if cleaning.get("lowercase", True) is not True:
+        raise ConfigError(f"cleaning.lowercase must be true (ingest always lowercases), got {cleaning['lowercase']!r}")
+    for key, kind, what in (("min_token_len", int, "an integer"),
                             ("lang_filter", (str, type(None)), "a string or null")):
         if key in cleaning:
             values[key] = _typed(f"cleaning.{key}", cleaning[key], kind, what)
@@ -378,7 +377,7 @@ def stage_files(config: PipelineConfig, art: Artifacts) -> dict[str, tuple[dict[
 
     return {
         "ingest": (sources, [p for name in names for p in (art.corpus_counts(name), art.corpus(name))],
-                   ("min_token_len", "lowercase", "lang_filter", "query_words")),
+                   ("min_token_len", "lang_filter", "query_words")),
         "select": (files(*map(art.corpus_counts, names)), [art.terms(name) for name in names], ("n2",)),
         "matrix": (files(counts, terms), [art.ppmi, art.row_vocab, art.col_vocab], ("n1",)),
         "svd": (files(art.row_vocab, art.col_vocab, art.ppmi), [art.embedding, art.singular_values], ("k",)),
@@ -532,9 +531,10 @@ def _stage_vectors(config: PipelineConfig, art: Artifacts) -> None:
     tables.write_vectors(art.topic_vectors, labels, topic_vectors)
 
 
-def _load_mf_vectors(art: Artifacts) -> np.ndarray:
-    """The 5 x k foundation matrix; its rows must be labeled with the foundations in canonical order."""
-    labels, mf = tables.read_vectors(art.mf_vectors)
+def _load_mf_vectors(art: Artifacts, width: int | None = None) -> np.ndarray:
+    """The 5 x k foundation matrix; its rows must be labeled with the foundations in canonical order and,
+    given U_k's ``width``, hold that many values each."""
+    labels, mf = tables.read_vectors(art.mf_vectors, width=width)
     if tuple(labels) != lexicon_mod.FOUNDATIONS:
         raise PipelineError(
             f"{art.mf_vectors}: expected rows {list(lexicon_mod.FOUNDATIONS)} in that order, found {labels}"
@@ -544,14 +544,14 @@ def _load_mf_vectors(art: Artifacts) -> np.ndarray:
 
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
-    mf = _load_mf_vectors(art)
+    mf = _load_mf_vectors(art, embedding.vectors.shape[1])
     # no name holds the corpus, so score_corpus can let it go once its keyword counts are selected
     loadings = semantics_mod.score_corpus(
         vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"), art.corpus("immorality")), embedding, mf
     )
     semantics_mod.save_loadings(loadings, art.loadings)
 
-    topics, vectors = tables.read_vectors(art.topic_vectors, semantics_mod.parse_topic_label)
+    topics, vectors = tables.read_vectors(art.topic_vectors, semantics_mod.parse_topic_label, mf.shape[1])
     ns = np.array([n for _, n in topics], dtype=np.int64)
     topic_matrices = {
         n: semantics_mod.loading_matrix([name for name, m in topics if m == n], vectors[ns == n], mf)
@@ -562,14 +562,14 @@ def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
 
 def _stage_extend(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
-    mf = _load_mf_vectors(art)
+    mf = _load_mf_vectors(art, embedding.vectors.shape[1])
     extended = semantics_mod.extend_dictionary(embedding, mf, config.extend_n)
     semantics_mod.save_extended_dictionary(extended, art.extended)
 
 
 def _stage_pca(config: PipelineConfig, art: Artifacts) -> None:
     embedding = _load_embedding(art)
-    mf = _load_mf_vectors(art)
+    mf = _load_mf_vectors(art, embedding.vectors.shape[1])
     extended = semantics_mod.load_extended_dictionary(art.extended)
     words = dict.fromkeys(w for entries in extended.values() for w, _ in entries)
     words = [w for w in words if w in embedding.words]

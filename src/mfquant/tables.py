@@ -300,8 +300,11 @@ def write_vectors(path: str | Path, labels: Sequence[str], vectors: Iterable[np.
     ))
 
 
-def read_vectors(path: str | Path, parse_label: Callable[[str], T] = str) -> tuple[list[T], np.ndarray]:
-    """Labels (each through ``parse_label``) and the (rows x k) matrix, all finite, of a write_vectors file."""
+def read_vectors(
+    path: str | Path, parse_label: Callable[[str], T] = str, width: int | None = None
+) -> tuple[list[T], np.ndarray]:
+    """Labels (each through ``parse_label``) and the (rows x k) matrix, all finite, of a write_vectors file;
+    given ``width``, a row of another number of values is a DataError naming its line."""
 
     def parse(fields: list[str]) -> tuple[T, list[float]]:
         if len(fields) < 2:
@@ -311,7 +314,7 @@ def read_vectors(path: str | Path, parse_label: Callable[[str], T] = str) -> tup
             raise ValueError("non-finite value")
         return parse_label(fields[0]), values
 
-    rows = list(read_rows(path, parse))
+    rows = list(read_rows(path, parse, ncols=None if width is None else width + 1))
     if not rows:
         return [], np.zeros((0, 0), dtype=np.float64)
     return [label for label, _ in rows], np.array([v for _, v in rows], dtype=np.float64)

@@ -580,8 +580,18 @@ def save_vocabulary(words: Iterable[str], path: str | Path) -> None:
     tables.write_lines(path, words)
 
 
+def _first_time(word: str, seen: set[str], earlier: str) -> str:
+    """``word``, now added to ``seen``; a word already there is a ValueError, which read_rows names the line of."""
+    if word in seen:
+        raise ValueError(f"word {word!r} repeats an earlier {earlier}")
+    seen.add(word)
+    return word
+
+
 def load_vocabulary(path: str | Path) -> tuple[str, ...]:
-    return tuple(f[0] for f in tables.read_rows(path, ncols=1))
+    """The words of a save_vocabulary file, one a line; no word may repeat."""
+    seen: set[str] = set()
+    return tuple(tables.read_rows(path, lambda f: _first_time(f[0], seen, "line"), ncols=1))
 
 
 def load_triplets(path: str | Path, row_words: tuple[str, ...], col_labels: tuple[str, ...]) -> WeightedMatrix:
@@ -603,13 +613,6 @@ def save_selection(selection: SelectionResult, path: str | Path) -> None:
 def load_selection(path: str | Path, n1: int) -> SelectionResult:
     """Rebuild a SelectionResult from a ranking TSV; keywords are the first n1 rows, and no word may repeat."""
     seen: set[str] = set()
-
-    def parse(fields: list[str]) -> tuple[str, float]:
-        if fields[1] in seen:
-            raise ValueError(f"word {fields[1]!r} repeats an earlier rank")
-        seen.add(fields[1])
-        return fields[1], float(fields[2])
-
-    scores = dict(tables.read_rows(path, parse, ncols=3))
+    scores = dict(tables.read_rows(path, lambda f: (_first_time(f[1], seen, "rank"), float(f[2])), ncols=3))
     words = tuple(scores)
     return SelectionResult(keywords=words[:n1], context_words=words, scores=scores)

@@ -66,11 +66,9 @@ def oracle_clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> To
             continue
         if any(marker in chunk.lower() for marker in _URL_MARKERS):
             continue
-        if config.lowercase:
-            # lowercase before the letter filter: some uppercase letters
-            # lower to letter + combining mark, which must not survive
-            chunk = chunk.lower()
-        cleaned = _clean_chunk(chunk)
+        # lowercase before the letter filter: some uppercase letters
+        # lower to letter + combining mark, which must not survive
+        cleaned = _clean_chunk(chunk.lower())
         for token in cleaned.split():
             if len(token) < config.min_token_len:
                 continue
@@ -96,9 +94,7 @@ def previous_clean_and_tokenize(record: TweetRecord, config: CleaningConfig) -> 
             if not chunk.startswith("@") and not _PREVIOUS_URL_MARKER.search(chunk.lower())
         ])
         lowered = text.lower()
-    if config.lowercase:
-        text = lowered
-    tokens = re.findall(f"[^ ]{{{config.min_token_len},}}", _clean_chunk(text))
+    tokens = re.findall(f"[^ ]{{{config.min_token_len},}}", _clean_chunk(lowered))
     words = dict.fromkeys(config.stopwords | config.query_words)
     return TokenizedTweet(id=record.id, tokens=tuple(filter(None, map(words.setdefault, tokens, tokens))))
 
@@ -181,41 +177,35 @@ class TestCleanAndTokenize:
         second = clean_and_tokenize(record, IMMORALITY_CONFIG)
         assert first == second
 
-    @pytest.mark.parametrize("lowercase", [True, False])
+    # upper: the text is upper-cased first, as in a shouted tweet, so that every cased letter reaches the
+    # cleaner's lowering as a capital
+    @pytest.mark.parametrize("upper", [True, False])
     @pytest.mark.parametrize("min_token_len", [1, 3])
     @settings(max_examples=250, deadline=None)
     @given(text=st.lists(TWEET_PIECES, max_size=60).map("".join))
     @example(text="ΟΔΟΣ ΣΑΣ. İİİ HTTP://x wWw.y @İ #Σσ ’tis 3rd ʼa’b'c")
-    def test_matches_per_character_oracle(self, text, lowercase, min_token_len):
-        config = CleaningConfig(
-            query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len, lowercase=lowercase
-        )
-        record = TweetRecord(id="o", text=text)
+    def test_matches_per_character_oracle(self, text, upper, min_token_len):
+        config = CleaningConfig(query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len)
+        record = TweetRecord(id="o", text=text.upper() if upper else text)
         assert clean_and_tokenize(record, config) == oracle_clean_and_tokenize(record, config)
 
     @settings(max_examples=400, deadline=None)
-    @given(text=ASCII_OR_MIXED_TEXT, lowercase=st.booleans(), min_token_len=st.integers(1, 4))
-    @example(text="\u212aILL \u212a\u212a\u212a war", lowercase=True, min_token_len=3)  # KELVIN SIGN lowers to 'k'
-    @example(text="\u212aILL \u212a\u212a\u212a war", lowercase=False, min_token_len=3)
-    @example(text="\u0130STANBUL i\u0130i war", lowercase=True, min_token_len=1)  # U+0130 lowers to 'i' + U+0307
-    @example(text="\u0130STANBUL i\u0130i war", lowercase=False, min_token_len=1)
-    def test_matches_the_previous_cleaner(self, text, lowercase, min_token_len):
-        config = CleaningConfig(
-            query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len, lowercase=lowercase
-        )
+    @given(text=ASCII_OR_MIXED_TEXT, min_token_len=st.integers(1, 4))
+    @example(text="\u212aILL \u212a\u212a\u212a war", min_token_len=3)  # KELVIN SIGN lowers to 'k'
+    @example(text="\u0130STANBUL i\u0130i war", min_token_len=1)  # U+0130 lowers to 'i' + U+0307
+    def test_matches_the_previous_cleaner(self, text, min_token_len):
+        config = CleaningConfig(query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len)
         record = TweetRecord("o", text)
         assert clean_and_tokenize(record, config) == previous_clean_and_tokenize(record, config)
 
-    @pytest.mark.parametrize("lowercase", [True, False])
+    @pytest.mark.parametrize("upper", [True, False])  # as in test_matches_per_character_oracle
     @pytest.mark.parametrize("min_token_len", [1, 2, 3, 4])
-    def test_every_ascii_code_point_matches_the_previous_cleaner(self, lowercase, min_token_len):
-        config = CleaningConfig(
-            query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len, lowercase=lowercase
-        )
+    def test_every_ascii_code_point_matches_the_previous_cleaner(self, upper, min_token_len):
+        config = CleaningConfig(query_words=IMMORALITY_CONFIG.query_words, min_token_len=min_token_len)
         for code in range(128):
             ch = chr(code)
             for text in (ch, f"Ab{ch}cD x{ch}{ch}y {ch}War", f"{ch}the{ch}IMMORAL{ch}é{ch}"):
-                record = TweetRecord("a", text)
+                record = TweetRecord("a", text.upper() if upper else text)
                 assert clean_and_tokenize(record, config) == previous_clean_and_tokenize(record, config), text
 
     @given(st.text(max_size=280))

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -136,11 +137,11 @@ class TestTruncatedSvd:
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps call arguments on the caller's stack")
     def test_the_matrix_is_let_go_before_eigh(self, monkeypatch):
-        """A is the Gram matrix's only input, so truncated_svd lets it go before eigh, and then trims the
-        C heap; U_k comes out as when the caller keeps A."""
+        """A is the Gram matrix's only input, so truncated_svd lets it go before eigh; U_k comes out as when
+        the caller keeps A."""
         matrix = sparse.random(300, 500, density=0.05, format="csr", random_state=300)
         held = truncated_svd(matrix, k=10)
-        eigh, alive, trimmed = linalg.scipy.linalg.eigh, [], []
+        eigh, alive = linalg.scipy.linalg.eigh, []
         refs = [weakref.ref(a) for a in (matrix, matrix.data, matrix.indices)]
 
         def recording_eigh(*args, **kwargs):
@@ -148,14 +149,27 @@ class TestTruncatedSvd:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(linalg.scipy.linalg, "eigh", recording_eigh)
-        monkeypatch.setattr(linalg, "_malloc_trim", lambda pad: trimmed.append([ref() is not None for ref in refs]))
         only = [matrix]
         del matrix
         result = truncated_svd(only.pop(), k=10)
         assert alive == [[False] * 3]
-        assert trimmed == [[False] * 3]
         np.testing.assert_array_equal(result.u_k, held.u_k)
         np.testing.assert_array_equal(result.singular_values, held.singular_values)
+
+    def test_a_mapped_matrix_trims_no_heap(self, tmp_path, monkeypatch):
+        """A read from an archive views its file map, not the C heap: truncated_svd leaves the heap to the
+        stage runner, and U_k comes out as for the same matrix in memory."""
+        matrix = sparse.random(300, 500, density=0.05, format="csr", random_state=301)
+        tables.write_csr(tmp_path / "m.npz", matrix)
+        mapped, _ = tables.read_csr(tmp_path / "m.npz", "<f8", {})
+        assert linalg._read_only_map(mapped.data) is not None
+        trims = []
+        monkeypatch.setattr(linalg, "trim_heap", lambda: trims.append(1))
+        result = truncated_svd(mapped, k=10)
+        assert trims == []
+        held = truncated_svd(matrix, k=10)
+        assert result.u_k.tobytes() == held.u_k.tobytes()
+        assert result.singular_values.tobytes() == held.singular_values.tobytes()
 
     def test_lower_triangle_gives_the_eigenpairs_of_the_mirrored_gram_matrix(self, monkeypatch):
         """eigh reads only the lower triangle: the zero upper one changes no bit of U_k or sigma."""
@@ -229,41 +243,59 @@ class TestGramMatrix:
         "m,n,blocks", [(60, 700, 1), (120, 700, 2), (300, 900, 5)], ids=["one-block", "two-blocks", "five-blocks"]
     )
     def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, m, n, blocks, cpus):
+        """The pool has one thread per CPU, no more than there are blocks, and no other thread fills one."""
         matrix = sparse.random(m, n, density=0.05, format="csr", random_state=m * n)
-        fill, threads = linalg._fill_gram_columns, set()
+        fill, threads, pools = linalg._fill_gram_block, set(), []
 
-        def recording_fill(left, gram, starts):
+        def recording_fill(*args):
             threads.add(threading.get_ident())
-            fill(left, gram, starts)
+            return fill(*args)
+
+        class RecordingPool(linalg.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
 
         monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
-        monkeypatch.setattr(linalg, "_fill_gram_columns", recording_fill)
+        monkeypatch.setattr(linalg, "_fill_gram_block", recording_fill)
+        monkeypatch.setattr(linalg, "ThreadPoolExecutor", RecordingPool)
         assert_lower_gram(gram_matrix(matrix), matrix)
         assert -(-m // linalg.GRAM_BLOCK_COLS) == blocks
-        assert len(threads) == min(cpus, blocks)
+        assert pools == [min(cpus, blocks)]
+        assert 1 <= len(threads) <= min(cpus, blocks) and threading.get_ident() not in threads
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_every_tail_is_a_view_of_the_matrix(self, monkeypatch, cpus):
-        """The numeric pass of each block reads its row tail from A's own data and indices."""
+        """The numeric pass of each block reads its row tail from A's own data and indices, and the transpose of
+        the block's own rows reads them there too: no row is copied first."""
         matrix = sparse.random(600, 900, density=0.05, format="csr", random_state=9)
-        matmat, tails = linalg._sparsetools.csr_matmat, []
+        matmat, tocsc, tails, transposed = linalg._sparsetools.csr_matmat, linalg._sparsetools.csr_tocsc, [], []
+
+        def shared(indices, data):
+            return np.shares_memory(data, matrix.data) and np.shares_memory(indices, matrix.indices)
 
         def recording_matmat(n_row, n_col, a_indptr, a_indices, a_data, *rest):
-            shared = np.shares_memory(a_data, matrix.data) and np.shares_memory(a_indices, matrix.indices)
-            tails.append((n_row, shared))
+            tails.append((n_row, shared(a_indices, a_data)))
             return matmat(n_row, n_col, a_indptr, a_indices, a_data, *rest)
+
+        def recording_tocsc(n_row, n_col, a_indptr, a_indices, a_data, *rest):
+            transposed.append((n_row, shared(a_indices, a_data)))
+            return tocsc(n_row, n_col, a_indptr, a_indices, a_data, *rest)
 
         monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(linalg._sparsetools, "csr_matmat", recording_matmat)
+        monkeypatch.setattr(linalg._sparsetools, "csr_tocsc", recording_tocsc)
         assert_lower_gram(gram_matrix(matrix), matrix)
         starts = range(0, 600, linalg.GRAM_BLOCK_COLS)
         assert len(starts) >= 4
         assert sorted(tails) == sorted((600 - start, True) for start in starts)
+        assert sorted(transposed) == sorted((min(64, 600 - start), True) for start in starts)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_rows_of_a_mapped_matrix_are_handed_back_as_the_fill_passes_them(self, tmp_path, monkeypatch, cpus):
-        """A read from an archive views a read-only file map: the fill hands back its passed rows' pages, the
-        last once every worker is done, and the Gram matrix and A still read as the public product and as A."""
+        """A read from an archive views a read-only file map: the fill hands back the pages of the rows that
+        every finished block has passed, the last once every block is done, and the Gram matrix and A still read
+        as the public product and as A."""
         matrix = sparse.random(600, 4000, density=0.05, format="csr", random_state=cpus)
         tables.write_csr(tmp_path / "m.npz", matrix)
         mapped, _ = tables.read_csr(tmp_path / "m.npz", "<f8", {})
@@ -282,45 +314,53 @@ class TestGramMatrix:
 
         monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(linalg, "_page_releaser", recording_releaser)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # workers interleave often, so an update of the shared progress could be lost
-        try:
-            gram = gram_matrix(mapped)
-        finally:
-            sys.setswitchinterval(interval)
+        gram = gram_matrix(mapped)
         assert_lower_gram(gram, matrix)
         assert released == sorted(released) and released[-1] == mapped.nnz and len(released) == 10
         np.testing.assert_array_equal(mapped.data, before[0])
         np.testing.assert_array_equal(mapped.indices, before[1])
 
     @pytest.mark.parametrize(
-        "failing",
+        "cpus,failing",
         [
-            {"helper": RuntimeError},
-            {"caller": RuntimeError},
-            {"helper": BlockStopped},
-            {"caller": RuntimeError, "helper": ValueError},
+            (3, {0: RuntimeError}),
+            (3, {9: RuntimeError}),
+            (3, {4: BlockStopped}),
+            (3, {2: ValueError, 7: RuntimeError}),
+            (2, dict.fromkeys(range(10), RuntimeError)),
         ],
-        ids=["helper", "caller", "helper-base-exception", "caller-and-helper"],
+        ids=["first-block", "last-block", "base-exception", "two-blocks", "every-block"],
     )
-    def test_block_exception_reaches_the_caller_after_every_helper_ends(self, monkeypatch, failing):
-        """A failed block's exception is raised once every helper has ended; the caller's wins over a
-        helper's, and a BaseException that is no Exception is raised like any other."""
-        fill, caller = linalg._fill_gram_columns, threading.get_ident()
+    def test_first_failed_block_is_raised_after_every_pool_thread_ends(self, monkeypatch, cpus, failing):
+        """The exception of the first failed block in block order is raised once every pool thread has ended,
+        even where a later block fails sooner, and a BaseException that is no Exception is raised like any
+        other. A failed block hands its buffers back, so no block waits for a set that never returns."""
+        fill, queues = linalg._fill_gram_block, []
 
-        def failing_fill(left, gram, starts):
-            who = "caller" if threading.get_ident() == caller else "helper"
-            if who in failing:
-                raise failing[who](f"{who} block failed")
-            fill(left, gram, starts)
+        def failing_fill(left, gram, start, spare):
+            block = start // linalg.GRAM_BLOCK_COLS
+            if block in failing:
+                if block == min(failing):
+                    time.sleep(0.05)  # so that a later block fails first
+                raise failing[block](f"block {block} failed")
+            return fill(left, gram, start, spare)
 
-        monkeypatch.setattr(linalg, "_available_cpus", lambda: 3)
-        monkeypatch.setattr(linalg, "_fill_gram_columns", failing_fill)
+        class BoundedQueue(linalg.SimpleQueue):
+            def __init__(self):
+                queues.append(self)
+
+            def get(self):
+                return super().get(timeout=10)  # a set that never returns fails this test rather than hang it
+
+        monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(linalg, "_fill_gram_block", failing_fill)
+        monkeypatch.setattr(linalg, "SimpleQueue", BoundedQueue)
         before = threading.enumerate()
-        raised = "caller" if "caller" in failing else "helper"
-        with pytest.raises(failing[raised], match=f"{raised} block failed"):
+        first = min(failing)
+        with pytest.raises(failing[first], match=f"block {first} failed"):
             gram_matrix(sparse.random(600, 900, density=0.05, format="csr", random_state=1))
         assert threading.enumerate() == before
+        assert [q.qsize() for q in queues] == [cpus]
 
 
 class TestCosine:

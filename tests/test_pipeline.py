@@ -107,6 +107,7 @@ output: results
 params: {n1: 10, n2: 20, k: 5, seed: 3, topic_n: [4], extend_n: 6}
 cleaning:
   lang_filter: en
+  lowercase: true
   query_words:
     immorality: [immoral]
     alpha: [alphaq]
@@ -169,6 +170,7 @@ output: out
             ("params: {topic_n: '10'}", "params.topic_n"),
             ("cleaning: {min_token_len: false}", "cleaning.min_token_len"),
             ("cleaning: {lowercase: 'false'}", "cleaning.lowercase"),
+            ("cleaning: {lowercase: false}", "cleaning.lowercase"),
             ("cleaning: {lowercase: 0}", "cleaning.lowercase"),
             ("cleaning: {lang_filter: 5}", "cleaning.lang_filter"),
             ("cleaning: {query_words: {immorality: [immoral, 2016]}}", "cleaning.query_words.immorality"),
@@ -303,7 +305,7 @@ class TestStages:
         corpora = {"immorality": config.immorality_path, **config.topic_paths}
         assert manifest["stages"]["ingest"]["inputs"] == {
             **{f"corpus:{name}": sha256_file(path) for name, path in corpora.items()},
-            "min_token_len": 3, "lowercase": True, "lang_filter": None,
+            "min_token_len": 3, "lang_filter": None,
             "query_words": {name: list(words) for name, words in config.query_words.items()},
         }
         readers = {name for name, entry in manifest["stages"].items() if "dictionary" in entry["inputs"]}
@@ -862,6 +864,26 @@ def test_manifest_of_an_older_run_is_refused_until_run_all(completed_run, tmp_pa
     assert artifact_bytes(copy.out_dir) == before[0]
 
 
+def test_manifest_that_records_lowercase_is_refused_until_ingest_reruns(completed_run, tmp_path):
+    """Ingest always lowercases and reads no lowercase value: a manifest written while it did, whose ingest
+    entry records one, is refused after ingest, naming ingest, until ingest runs again with the same bytes."""
+    config, _ = completed_run
+    copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
+    shutil.copytree(config.out_dir, copy.out_dir)
+    path = copy.out_dir / "manifest.json"
+    older = json.loads(path.read_text(encoding="utf-8"))
+    older["stages"]["ingest"]["inputs"]["lowercase"] = True
+    path.write_text(json.dumps(older), encoding="utf-8")
+    before = artifact_bytes(copy.out_dir)
+    for stage in STAGES[1:]:
+        with pytest.raises(PipelineError, match=r"current lowercase .*rerun stage 'ingest'"):
+            run(stage, copy)
+    run("ingest", copy)
+    for stage in STAGES[1:]:
+        run(stage, copy)
+    assert artifact_bytes(copy.out_dir) == before
+
+
 def record_hashes(monkeypatch):
     """The list of paths ``pipeline.sha256_file`` is called on from now on."""
     hashed = []
@@ -1083,6 +1105,32 @@ def test_repeated_term_names_path_and_line(completed_run, tmp_path):
     config, _ = completed_run
     first = Artifacts(config.out_dir).terms("immorality").read_text(encoding="utf-8").split("\t")[1]
     corrupt_and_run(completed_run, tmp_path, "select/immorality_terms.tsv", "matrix", 1, first)
+
+
+@pytest.mark.parametrize("artifact", ["matrix/row_vocab.tsv", "matrix/col_vocab.tsv"])
+def test_repeated_vocabulary_word_names_path_and_line(completed_run, tmp_path, artifact):
+    """A word on two lines of a word list would give one word two rows or columns of the matrix."""
+    config, _ = completed_run
+    first = (config.out_dir / artifact).read_text(encoding="utf-8").split("\n")[0]
+    corrupt_and_run(completed_run, tmp_path, artifact, "svd", 0, first)
+
+
+@pytest.mark.parametrize(
+    "artifact,stage",
+    [("vectors/mf_vectors.tsv", stage) for stage in ("loadings", "extend", "pca")]
+    + [("vectors/topic_vectors.tsv", "loadings")],
+)
+def test_vectors_narrower_than_the_embedding_name_the_file(completed_run, tmp_path, artifact, stage):
+    """Vectors short of U_k's width on every row are refused naming the file, before any product with U_k."""
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    target = out_dir / artifact
+    lines = target.read_text(encoding="utf-8").splitlines()
+    target.write_text("".join(line.rsplit("\t", 1)[0] + "\n" for line in lines), encoding="utf-8")
+    k = config.k
+    with pytest.raises(DataError, match=f"{target.name}:1: expected {k + 1} fields, got {k}"):
+        run(stage, PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
 
 
 def _first_pair(arrays):
@@ -1443,7 +1491,7 @@ class TestCli:
         manifest = json.loads((workdir / "out" / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["params"] == {
             "n1": 2000, "n2": 20000, "k": 100, "topic_n": [10, 100], "extend_n": 100, "seed": 42,
-            "min_token_len": 3, "lowercase": True, "lang_filter": "en",
+            "min_token_len": 3, "lang_filter": "en",
             "query_words": {
                 "immorality": ["immoral", "immorality"],
                 **{t: [t.replace("_", "")] for t, _ in DEFAULT_TOPICS},
