@@ -13,7 +13,9 @@ back the pages of the rows it has passed, so A is not held whole while
 the Gram matrix fills; it is let go before the eigensolver. Each singular
 vector's sign is fixed so that its largest-magnitude entry is positive,
 as in the PCA. U_k is persisted as one binary array whose rows follow a
-word list kept elsewhere. All kernels are pure.
+word list kept elsewhere. The row-wise cosines are one ``einsum`` of unit
+rows, which calls no BLAS, so a row's cosines depend on that row and the
+other operand alone. All kernels are pure.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 4
 # columns of the Gram matrix one numeric pass forms: bounds each worker's buffers at m x 64 entries
 GRAM_BLOCK_COLS = 64
-# multiply-adds of one block of row_cosines' product (about 520 rows against 5 at k = 100): OpenBLAS's
-# dgemm runs a product of at most 65536 * 4 of them on one thread
-COSINE_BLOCK_MADDS = 1 << 18
 
 try:  # glibc's; other C libraries have no malloc_trim
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -287,24 +286,15 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """len(a) x len(b) cosines between the rows of ``a`` and ``b``: the product of their unit rows.
+    """len(a) x len(b) cosines between the rows of ``a`` and ``b``: the dot products of their unit rows.
 
     Values are clipped to [-1, 1]; a zero row has cosine 0 with everything.
-    The product is formed in the fewest blocks of rows of ``a``, equal in
-    size to a row, of at most COSINE_BLOCK_MADDS multiply-adds each: the
-    size up to which OpenBLAS runs a product on the calling thread rather
-    than waking its worker threads, which then spin. A BLAS may pick its
-    kernel by a product's size, so an entry can differ in its last bit from
-    the single product's (equal-sized blocks leave no small tail block,
-    where that is likeliest).
+    The dot products are one ``einsum``, which calls no BLAS: each cosine
+    is the same sum in the same order whatever the other rows of ``a``,
+    their number or order, the BLAS kernel or its thread count.
     """
     unit_a, unit_b = _unit_rows(a), _unit_rows(b)
-    cosines = np.empty((len(unit_a), len(unit_b)))
-    most_rows = max(1, COSINE_BLOCK_MADDS // max(unit_b.size, 1))
-    blocks = max(1, -(-len(unit_a) // most_rows))
-    bounds = [len(unit_a) * i // blocks for i in range(blocks + 1)]
-    for start, stop in zip(bounds, bounds[1:]):
-        cosines[start:stop] = unit_a[start:stop] @ unit_b.T
+    cosines = np.einsum("ik,jk->ij", unit_a, unit_b)
     return np.clip(cosines, -1.0, 1.0, out=cosines)
 
 

@@ -8,6 +8,9 @@ counts over the corpus's sorted vocabulary) and ``corpus/<name>.tsv`` (one
 ``id<TAB>kept-token count`` line per deduplicated tweet); matrix hands PPMI
 to svd as ``matrix/ppmi.npz`` next to its two word lists, and svd hands U_k
 on as ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``.
+Loadings counts the tweets of each dominant foundation from the loadings it
+holds, into ``loadings/foundation_counts.csv``; no stage reads
+``loadings.csv`` back.
 
 ``stage_files`` declares what each stage reads and writes: its files, and
 the config values it reads. Ingest reads ``min_token_len``,
@@ -247,10 +250,10 @@ class Artifacts:
         self.topic_vectors = self.out_dir / "vectors" / "topic_vectors.tsv"
         self.loadings = self.out_dir / "loadings" / "loadings.csv"
         self.topics_csv = self.out_dir / "loadings" / "topics.csv"
+        self.counts_csv = self.out_dir / "loadings" / "foundation_counts.csv"
         self.extended = self.out_dir / "extend" / "extended_dict.tsv"
         self.pca_csv = self.out_dir / "pca" / "pca.csv"
         self.pca_variance = self.out_dir / "pca" / "pca_variance.csv"
-        self.counts_csv = self.out_dir / "report" / "foundation_counts.csv"
         self.similarity_csv = self.out_dir / "report" / "mf_similarity.csv"
         self.vice_report = self.out_dir / "report" / "vice_report.tsv"
         self.coverage_tsv = self.out_dir / "report" / "coverage.tsv"
@@ -384,11 +387,11 @@ def stage_files(config: PipelineConfig, art: Artifacts) -> dict[str, tuple[dict[
         "vectors": ({**files(*embedding, *map(art.terms, names[1:])), **dictionary},
                     [art.mf_vectors, art.topic_vectors], ("topic_n",)),
         "loadings": (files(*embedding, art.mf_vectors, counts, ids, art.topic_vectors),
-                     [art.loadings, art.topics_csv], ()),
+                     [art.loadings, art.topics_csv, art.counts_csv], ()),
         "extend": (files(*embedding, art.mf_vectors), [art.extended], ("extend_n",)),
         "pca": (files(*embedding, art.mf_vectors, art.extended), [art.pca_csv, art.pca_variance], ()),
-        "report": ({**files(counts, terms, art.loadings, art.mf_vectors), **dictionary},
-                   [art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv], ("n1",)),
+        "report": ({**files(counts, terms, art.mf_vectors), **dictionary},
+                   [art.vice_report, art.coverage_tsv, art.similarity_csv], ("n1",)),
     }
 
 
@@ -407,8 +410,10 @@ def stage_inputs(stage: str, config: PipelineConfig, table: dict, manifest: RunM
             **{name: params[name] for name in values}}
 
 
-def _difference(key: str, now: dict, then: dict, values: tuple) -> str:
-    """How an entry that recorded inputs ``then`` differs at ``key`` from its stage's inputs ``now``."""
+def _difference(stage: str, key: str, now: dict, then: dict, values: tuple) -> str:
+    """How an entry of ``stage`` that recorded inputs ``then`` differs at ``key`` from its inputs ``now``."""
+    if key not in now:
+        return f"built from {key}, a value or file that stage {stage!r} no longer reads"
     if key in values and key in then:
         return f"built with {key}={then[key]!r}, not {now[key]!r}"
     recorded = f"{'another' if key in then else 'no'} {'value' if key in values else 'hash'}"
@@ -442,7 +447,7 @@ def _check_upstream(stage: str, config: PipelineConfig, table: dict, manifest: R
         now, then = stage_inputs(name, config, table, manifest, hashed), entry.get("inputs", {})
         for key in {**now, **then}:  # what it reads now first, in table order
             if key not in now or key not in then or now[key] != then[key]:
-                why = _difference(key, now, then, table[name][2])
+                why = _difference(name, key, now, then, table[name][2])
                 raise PipelineError(f"{table[name][1][0]}: {why}; rerun stage {name!r}")
 
 
@@ -550,6 +555,7 @@ def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
         vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality"), art.corpus("immorality")), embedding, mf
     )
     semantics_mod.save_loadings(loadings, art.loadings)
+    semantics_mod.save_foundation_counts(semantics_mod.foundation_counts(loadings), art.counts_csv)
 
     topics, vectors = tables.read_vectors(art.topic_vectors, semantics_mod.parse_topic_label, mf.shape[1])
     ns = np.array([n for _, n in topics], dtype=np.int64)
@@ -594,9 +600,6 @@ def _stage_report(config: PipelineConfig, art: Artifacts) -> None:
     lexicon_mod.write_dictionary_report(
         dictionary, dict(zip(keywords.words, freqs.tolist())), art.coverage_tsv, art.vice_report
     )
-
-    dominant = semantics_mod.load_foundation_counts(art.loadings)
-    semantics_mod.save_foundation_counts(dominant, art.counts_csv)
 
     mf = _load_mf_vectors(art)
     similarity = semantics_mod.mf_similarity_matrix(mf)

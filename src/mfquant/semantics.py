@@ -10,11 +10,14 @@ keyword columns are selected. The five foundation vectors are the rows of
 one 5 x k matrix, the first five rows of ``lexicon.foundation_matrix``
 over the keywords times U_k (``mf_vectors``), and one row-wise cosine
 kernel against it gives every loading (``loading_matrix``,
-``score_corpus``); ``linalg.row_cosines`` forms its product in row blocks
-small enough to run on the calling thread. Foundation rows and
-loadings are in canonical order (Care, Fairness, Ingroup, Authority, Purity).
-``loadings.csv`` is formatted and written a block of ``tables.LINE_BLOCK``
-rows at a time (``save_loadings``).
+``score_corpus``). Both products, scipy's sparse product and
+``linalg.row_cosines`` (which calls no BLAS), sum each row on its own, so a
+tweet's loadings depend on U_k and its own counts alone, not on the block
+it falls in. Foundation rows and loadings are in canonical order (Care, Fairness,
+Ingroup, Authority, Purity). ``loadings.csv`` is formatted and written a
+block of ``tables.LINE_BLOCK`` rows at a time (``save_loadings``), and the
+dominant foundation of each row is counted from the loadings in memory
+(``foundation_counts``), never parsed back from that file.
 """
 
 from __future__ import annotations
@@ -144,10 +147,11 @@ def _tweet_ids(corpus: CorpusCounts) -> Sequence[str]:
 def score_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace, mf: np.ndarray) -> LoadingMatrix:
     """Loadings of every tweet, one row per tweet in corpus order, labeled with its id.
 
-    Equal to ``loading_matrix`` of every context vector, counts @ U_k, at
-    once, computed SCORE_BLOCK_ROWS tweets at a time; a tweet with no
-    keywords is degenerate. Only the ids and the keyword counts are read
-    after ``corpus.select``, so this drops its reference to ``corpus`` there:
+    Equal bit for bit to ``loading_matrix`` of every context vector,
+    counts @ U_k, at once, computed SCORE_BLOCK_ROWS tweets at a time to
+    bound the vectors held; a tweet with no keywords is degenerate. Only
+    the ids and the keyword counts are read after ``corpus.select``, so
+    this drops its reference to ``corpus`` there:
     if the caller keeps none, the rest of the corpus (its archive map and
     vocabulary) is freed before any product (from CPython 3.11, whose calls
     leave no reference to an argument on the caller's stack).
@@ -250,30 +254,6 @@ def load_loadings(path: str | Path) -> LoadingMatrix:
     labels, values, flags = zip(*rows) if rows else ((), (), ())
     values = np.array(values, dtype=np.float64).reshape(len(rows), len(FOUNDATIONS))
     return LoadingMatrix(row_labels=labels, values=values, degenerate=flags)
-
-
-def load_foundation_counts(path: str | Path) -> dict[str, int]:
-    """``foundation_counts`` of a save_loadings CSV, from its dominant and degenerate columns alone.
-
-    Every row must have the CSV's field count, a ``dominant`` that is a
-    foundation or ``unclassified`` (always the latter on a degenerate row)
-    and a flag of 0 or 1; the loadings themselves are not parsed.
-    """
-    index = {name: i for i, name in enumerate(_DOMINANT_NAMES.tolist())}
-
-    def parse(fields: list[str]) -> int:
-        dominant, flag = fields[-2:]
-        if flag not in ("0", "1"):
-            raise ValueError(f"degenerate flag must be 0 or 1, got {flag!r}")
-        if dominant not in index:
-            raise ValueError(f"dominant must be a foundation or {UNCLASSIFIED!r}, got {dominant!r}")
-        if flag == "1" and dominant != UNCLASSIFIED:
-            raise ValueError(f"a degenerate row must be {UNCLASSIFIED!r}, got {dominant!r}")
-        return index[dominant]
-
-    rows = tables.read_rows(path, parse, sep=",", ncols=len(FOUNDATIONS) + 3, header=_LOADINGS_HEADER)
-    counts = np.bincount(np.fromiter(rows, dtype=np.int64), minlength=len(_DOMINANT_NAMES))
-    return dict(zip(FOUNDATIONS, counts.tolist()))
 
 
 def save_topic_loadings(

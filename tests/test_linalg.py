@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from mfquant import linalg, tables
@@ -403,23 +403,41 @@ class TestCosine:
 
     @pytest.mark.parametrize("k,b_rows", [(100, 5), (50, 5), (7, 3), (300, 5), (1000, 300)])
     def test_row_blocks_equal_the_single_product(self, k, b_rows):
-        """Rows of ``a`` one short of a block, one block, one past it and several blocks; with 300 rows of
-        ``b`` at k = 1000 a block is one row. One block is the single product bit for bit. Several may
-        round differently where the BLAS picks another kernel for a smaller product (OpenBLAS's small-matrix
-        kernel, say, or a matrix-vector kernel for one row), by at most the rounding of a length-k dot
-        product of unit rows, 2 k eps."""
-        step = max(1, linalg.COSINE_BLOCK_MADDS // (k * b_rows))
+        """Blocks of 1 to 600 rows of ``a``, a zero row among them, against ``b``: the cosines equal the BLAS
+        product of the unit rows, which may pick its kernel by the product's size, within the rounding of a
+        length-k dot product of unit rows, 2 k eps."""
         rng = np.random.default_rng(k)
         b = rng.standard_normal((b_rows, k))
-        for a_rows in sorted({1, max(step - 1, 1), step, step + 1, 3 * step + 7}):
+        for a_rows in (1, 2, 37, 600):
             a = rng.standard_normal((a_rows, k))
             a[a_rows // 2] = 0.0
-            single = np.clip(linalg._unit_rows(a) @ linalg._unit_rows(b).T, -1.0, 1.0)
-            blocked = row_cosines(a, b)
-            if a_rows <= step:
-                assert blocked.tobytes() == single.tobytes(), a_rows
-            np.testing.assert_allclose(blocked, single, rtol=0, atol=2 * k * np.finfo(np.float64).eps)
-            assert not blocked[a_rows // 2].any()
+            blas = np.clip(linalg._unit_rows(a) @ linalg._unit_rows(b).T, -1.0, 1.0)
+            cosines = row_cosines(a, b)
+            np.testing.assert_allclose(cosines, blas, rtol=0, atol=2 * k * np.finfo(np.float64).eps)
+            assert not cosines[a_rows // 2].any()
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 120),
+        b_rows=st.integers(1, 6),
+        others=st.integers(0, 50),
+        scale=st.integers(-150, 150),
+    )
+    def test_a_rows_cosines_do_not_depend_on_the_other_rows(self, seed, k, b_rows, others, scale):
+        """A row's cosines are the same bytes alone, after other rows, among a permutation of them, and
+        with some of them removed."""
+        rng = np.random.default_rng(seed)
+        row = rng.standard_normal(k) * 10.0 ** scale
+        rest = rng.standard_normal((others, k)) * 10.0 ** rng.integers(-150, 151, size=(others, 1))
+        b = rng.standard_normal((b_rows, k))
+        alone = row_cosines(row, b)[0].tobytes()
+        assert row_cosines(np.vstack([rest, row]), b)[-1].tobytes() == alone
+        at = int(rng.integers(0, others + 1))
+        shuffled = np.insert(rng.permutation(rest), at, row, axis=0)
+        assert row_cosines(shuffled, b)[at].tobytes() == alone
+        kept = rest[rng.random(others) < 0.5]
+        assert row_cosines(np.vstack([kept, row, rest]), b)[len(kept)].tobytes() == alone
 
 
 class TestPca2d:

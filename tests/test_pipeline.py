@@ -36,7 +36,6 @@ from mfquant.pipeline import (
     stage_files,
     stage_inputs,
 )
-from mfquant.semantics import LoadingMatrix, save_loadings
 from mfquant.synth import DEFAULT_TOPICS, default_plan, synth_corpus, synth_topic_corpus
 from mfquant.tables import read_vectors, write_vectors
 from mfquant.vectorizer import SelectionResult, count_corpus, load_corpus_counts, save_corpus_counts, save_selection
@@ -282,10 +281,10 @@ class TestStages:
             art.ppmi, art.row_vocab, art.col_vocab,
             art.embedding, art.singular_values,
             art.mf_vectors, art.topic_vectors,
-            art.loadings, art.topics_csv,
+            art.loadings, art.topics_csv, art.counts_csv,
             art.extended,
             art.pca_csv, art.pca_variance,
-            art.counts_csv, art.similarity_csv, art.vice_report, art.coverage_tsv,
+            art.similarity_csv, art.vice_report, art.coverage_tsv,
         ]
         for path in expected:
             assert path.exists(), path
@@ -521,14 +520,12 @@ def test_report_stage_writes_exact_dictionary_reports(tmp_path):
     art.terms("immorality").parent.mkdir()
     scores = {word: 7.0 - rank for rank, word in enumerate(ranked)}
     save_selection(SelectionResult(ranked[:6], ranked, scores), art.terms("immorality"))
-    art.loadings.parent.mkdir()
-    save_loadings(LoadingMatrix(("t0",), np.eye(1, len(FOUNDATIONS)), (False,)), art.loadings)
     art.mf_vectors.parent.mkdir()
     write_vectors(art.mf_vectors, FOUNDATIONS, np.eye(len(FOUNDATIONS)))
     record_every_stage(config)
 
     assert run("report", config) == {"report": [art.rel(p) for p in (
-        art.vice_report, art.coverage_tsv, art.counts_csv, art.similarity_csv)]}
+        art.vice_report, art.coverage_tsv, art.similarity_csv)]}
     assert art.coverage_tsv.read_text(encoding="utf-8") == (
         "foundation\tpattern\tmatched_words\tfrequencies\n"
         "Ingroup\ttreason*\ttreasonous\t3\n"
@@ -876,7 +873,8 @@ def test_manifest_that_records_lowercase_is_refused_until_ingest_reruns(complete
     path.write_text(json.dumps(older), encoding="utf-8")
     before = artifact_bytes(copy.out_dir)
     for stage in STAGES[1:]:
-        with pytest.raises(PipelineError, match=r"current lowercase .*rerun stage 'ingest'"):
+        with pytest.raises(PipelineError, match=r"built from lowercase, a value or file that stage 'ingest' no "
+                                                r"longer reads; rerun stage 'ingest'$"):
             run(stage, copy)
     run("ingest", copy)
     for stage in STAGES[1:]:
@@ -1065,8 +1063,6 @@ CORRUPTIONS = [
     ("vectors/mf_vectors.tsv", "loadings", 1),
     ("vectors/topic_vectors.tsv", "loadings", 4),
     ("vectors/topic_vectors.tsv", "loadings", 0),
-    ("loadings/loadings.csv", "report", 6),
-    ("loadings/loadings.csv", "report", None),
     ("select/immorality_terms.tsv", "matrix", 2),
     (f"select/{DEFAULT_TOPICS[0][0]}_terms.tsv", "vectors", None),
     ("corpus/immorality.tsv", "loadings", 1),
@@ -1081,17 +1077,15 @@ def test_corrupt_artifact_names_path_and_line(completed_run, tmp_path, artifact,
     corrupt_and_run(completed_run, tmp_path, artifact, stage, field, "x1")
 
 
-def test_foundation_on_degenerate_row_names_path_and_line(completed_run, tmp_path):
-    """report counts foundations from the dominant column alone, so a row flagged
-    degenerate must be unclassified there."""
-    config, _ = completed_run
-    row = Artifacts(config.out_dir).loadings.read_text(encoding="utf-8").split("\n")[2].split(",")
-    assert row[6] in FOUNDATIONS and row[7] == "0"
-    corrupt_and_run(completed_run, tmp_path, "loadings/loadings.csv", "report", 7, "1")
-
-
 def test_bad_degenerate_flag_names_path_and_line(completed_run, tmp_path):
-    corrupt_and_run(completed_run, tmp_path, "loadings/loadings.csv", "report", 7, "2")
+    """No stage reads loadings.csv back; ``semantics.load_loadings`` refuses a flag other than 0 or 1."""
+    config, _ = completed_run
+    path = tmp_path / "loadings.csv"
+    lines = Artifacts(config.out_dir).loadings.read_text(encoding="utf-8").split("\n")
+    lines[2] = ",".join(lines[2].split(",")[:7] + ["2"])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match="loadings.csv:3: degenerate flag must be 0 or 1, got '2'"):
+        semantics.load_loadings(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -1248,6 +1242,58 @@ def test_triplet_array_of_an_older_run_is_not_read(completed_run, tmp_path):
     run("matrix", rebuilt)
     assert sorted(p.name for p in old.parent.iterdir()) == ["col_vocab.tsv", "ppmi.npz", "row_vocab.tsv"]
     assert art.ppmi.read_bytes() == (config.out_dir / "matrix" / "ppmi.npz").read_bytes()
+
+
+def test_report_reads_no_loadings_file(completed_run, tmp_path):
+    """After ``run all``, report writes the same bytes with ``loadings/loadings.csv`` deleted."""
+    config, _ = completed_run
+    copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
+    shutil.copytree(config.out_dir, copy.out_dir)
+    Artifacts(copy.out_dir).loadings.unlink()
+    run("report", copy)
+    assert artifact_bytes(copy.out_dir / "report") == artifact_bytes(config.out_dir / "report")
+
+
+def test_foundation_counts_are_those_of_the_scored_matrix(completed_run, tmp_path, monkeypatch):
+    """``loadings/foundation_counts.csv`` is the dominant-foundation histogram of the matrix the stage scored."""
+    config, _ = completed_run
+    copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
+    shutil.copytree(config.out_dir, copy.out_dir)
+    scored, score_corpus = [], semantics.score_corpus
+
+    def recording_score(*args):
+        scored.append(score_corpus(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(semantics, "score_corpus", recording_score)
+    run("loadings", copy)
+    semantics.save_foundation_counts(semantics.foundation_counts(scored[0]), tmp_path / "counts.csv")
+    assert Artifacts(copy.out_dir).counts_csv.read_bytes() == (tmp_path / "counts.csv").read_bytes()
+
+
+def test_foundation_counts_of_the_older_layout_move_to_loadings(completed_run, tmp_path):
+    """An output directory from when report wrote ``report/foundation_counts.csv`` from ``loadings.csv``, and
+    the loadings entry lists no counts: report runs and removes that file as stale, and loadings then writes
+    the same bytes to ``loadings/foundation_counts.csv``."""
+    config, _ = completed_run
+    copy = PipelineConfig(**{**config.__dict__, "out_dir": tmp_path / "out"})
+    shutil.copytree(config.out_dir, copy.out_dir)
+    art, old = Artifacts(copy.out_dir), copy.out_dir / "report" / "foundation_counts.csv"
+    counts = art.counts_csv.read_bytes()
+    art.counts_csv.rename(old)
+    path = copy.out_dir / "manifest.json"
+    older = json.loads(path.read_text(encoding="utf-8"))
+    loadings, report = older["stages"]["loadings"], older["stages"]["report"]
+    report["artifacts"][art.rel(old)] = loadings["artifacts"].pop(art.rel(art.counts_csv))
+    report["inputs"][art.rel(art.loadings)] = loadings["artifacts"][art.rel(art.loadings)]
+    path.write_text(json.dumps(older), encoding="utf-8")
+    run("report", copy)
+    assert not old.exists() and not art.counts_csv.exists()
+    run("loadings", copy)
+    assert art.counts_csv.read_bytes() == counts
+    stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
+    assert art.rel(art.counts_csv) in stages["loadings"]["artifacts"]
+    assert art.rel(old) not in stages["report"]["artifacts"]
 
 
 @pytest.mark.parametrize("edit", ["extra-row", "token-count"])
@@ -1470,7 +1516,7 @@ class TestCli:
             "--topic-n", "5", "--extend-n", "20",
         ])
         assert code == 0
-        assert (workdir / "out" / "report" / "foundation_counts.csv").exists()
+        assert (workdir / "out" / "loadings" / "foundation_counts.csv").exists()
         config = load_config(workdir / "config.yaml")
         assert (config.n1, config.n2, config.k, config.topic_n, config.extend_n, config.seed) == (
             2000, 20000, 100, (10, 100), 100, 42,

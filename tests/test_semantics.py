@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +22,6 @@ from mfquant.semantics import (
     dominant_indices,
     extend_dictionary,
     foundation_counts,
-    load_foundation_counts,
     load_loadings,
     loading_matrix,
     mf_similarity_matrix,
@@ -243,6 +247,18 @@ class TestScoreCorpus:
         assert blocked.degenerate == one_batch.degenerate
         np.testing.assert_array_equal(blocked.values, one_batch.values)
 
+    def test_values_do_not_depend_on_the_block_rows(self, fixture_dict, fixture_embedding, rng, monkeypatch):
+        """The loadings are the same bytes in blocks of 1 to 7 tweets as in the default blocks."""
+        pool = fixture_embedding.words.words + ("other",)
+        corpus = [
+            TokenizedTweet(str(i), tuple(rng.choice(pool, size=rng.integers(0, 6)).tolist())) for i in range(60)
+        ]
+        mf = mf_vectors(fixture_dict, fixture_embedding)
+        default = score_corpus(count_corpus(corpus), fixture_embedding, mf).values.tobytes()
+        for rows in range(1, 8):
+            monkeypatch.setattr(mfquant.semantics, "SCORE_BLOCK_ROWS", rows)
+            assert score_corpus(count_corpus(corpus), fixture_embedding, mf).values.tobytes() == default, rows
+
     def test_context_vectors_share_the_batch(self, fixture_embedding):
         corpus = [TokenizedTweet("a", ("war", "x", "sin", "war")), TokenizedTweet("b", ("x",))]
         vectors = context_vectors_for_corpus(count_corpus(corpus), fixture_embedding)
@@ -250,6 +266,52 @@ class TestScoreCorpus:
         np.testing.assert_array_equal(np.stack([cv.vector for cv in vectors]), batch)
         assert dict(vectors[0].contributing_words) == {"war": 2, "sin": 1}
         assert vectors[0].skipped == 1 and vectors[1].degenerate
+
+
+# writes the bytes of the loadings of a seeded corpus of 5000 tweets, k = 100, to argv[1]
+SCORE_SEEDED_CORPUS = """
+import sys
+import numpy as np
+from mfquant.corpus import TokenizedTweet
+from mfquant.linalg import EmbeddingSpace
+from mfquant.semantics import score_corpus
+from mfquant.vectorizer import Vocabulary, count_corpus
+rng = np.random.default_rng(5)
+words = tuple(f"w{i}" for i in range(300))
+space = EmbeddingSpace(words=Vocabulary(words), vectors=rng.standard_normal((len(words), 100)))
+corpus = [TokenizedTweet(str(i), tuple(rng.choice(words, size=rng.integers(0, 12)).tolist())) for i in range(5000)]
+with open(sys.argv[1], "wb") as out:
+    out.write(score_corpus(count_corpus(corpus), space, rng.standard_normal((5, 100))).values.tobytes())
+"""
+
+
+def older_blas_core_type() -> str | None:
+    """An older OpenBLAS core type (Sandybridge, Nehalem or Core2) whose instructions this CPU has, or None.
+
+    A forced type whose instructions the CPU lacks can crash the process, so the type is taken from the
+    flags ``/proc/cpuinfo`` lists (None where it cannot be read, or lists none of these).
+    """
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            flags = next((line.split(":", 1)[1].split() for line in info if line.startswith("flags")), [])
+    except OSError:
+        return None
+    return next((core for core, flag in (("Sandybridge", "avx"), ("Nehalem", "sse4_2"), ("Core2", "ssse3"))
+                 if flag in flags), None)
+
+
+def test_loadings_do_not_depend_on_the_blas_core_type(tmp_path):
+    """A child process whose OpenBLAS is forced to an older kernel set (``OPENBLAS_CORETYPE``) writes the
+    same loadings bytes as one whose OpenBLAS picks its own."""
+    core = older_blas_core_type()
+    if core is None:
+        pytest.skip("no OpenBLAS core type matches this CPU's flags")
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(mfquant.__file__).parents[1])
+    for name, forced in (("own", {}), ("forced", {"OPENBLAS_CORETYPE": core})):
+        subprocess.run([sys.executable, "-c", SCORE_SEEDED_CORPUS, str(tmp_path / name)],
+                       env={**env, **forced}, check=True, capture_output=True)
+    assert (tmp_path / "own").read_bytes() == (tmp_path / "forced").read_bytes()
 
 
 def loadings_of(rows) -> LoadingMatrix:
@@ -316,38 +378,6 @@ class TestFoundationCounts:
         save_loadings(matrix, tmp_path / "loadings.csv")
         lines = (tmp_path / "loadings.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert [line.split(",")[-2] for line in lines] == expected
-
-
-# loadings.csv with LINE_BLOCK + 1 rows, written in two blocks, a blank line on line 3 and no line break
-# after the last row; each edit makes the row on line LINE_BLOCK + 2 bad
-BAD_LOADINGS_ROWS = {
-    "seven fields": (lambda f: f[:-1], "expected 8 fields, got 7"),
-    "bad flag": (lambda f: f[:-1] + ["2"], "degenerate flag must be 0 or 1, got '2'"),
-    "unknown dominant": (lambda f: f[:-2] + ["Harm", "0"], "dominant must be a foundation or 'unclassified', got 'Harm'"),
-    "degenerate but classified": (lambda f: f[:-2] + ["Care", "1"], "a degenerate row must be 'unclassified', got 'Care'"),
-}
-
-
-@pytest.mark.parametrize("bad", [None, *BAD_LOADINGS_ROWS])
-def test_foundation_counts_name_the_line_of_a_bad_row(rng, tmp_path, bad):
-    rows = tables.LINE_BLOCK + 1
-    values = rng.standard_normal((rows, 5))
-    degenerate = rng.random(rows) < 0.1
-    values[degenerate] = 0.0
-    matrix = LoadingMatrix(tuple(f"t{i}" for i in range(rows)), values, tuple(degenerate.tolist()))
-    path = tmp_path / "loadings.csv"
-    save_loadings(matrix, path)
-    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
-    lines.insert(2, "")
-    if bad is not None:
-        edit, message = BAD_LOADINGS_ROWS[bad]
-        lines[tables.LINE_BLOCK + 1] = ",".join(edit(lines[tables.LINE_BLOCK + 1].split(",")))
-    path.write_text("\n".join(lines), encoding="utf-8")
-    if bad is None:
-        assert load_foundation_counts(path) == foundation_counts(matrix)
-    else:
-        with pytest.raises(DataError, match=rf"loadings\.csv:{tables.LINE_BLOCK + 2}: {message}$"):
-            load_foundation_counts(path)
 
 
 class TestMfSimilarityMatrix:
