@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import mmap
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,13 +73,6 @@ class EmbeddingSpace:
 class PCAProjection:
     points: list[tuple[str, float, float]]
     explained_variance: tuple[float, float]
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one, else ``os.cpu_count()``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _fill_gram_block(left: sparse.csr_matrix, gram: np.ndarray, start: int, spare) -> int:
@@ -174,7 +166,7 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     2000 x 2000). The product is formed GRAM_BLOCK_COLS columns at a time, one
     numeric pass per block, reading the rows of ``sparse.csr_matrix(A)`` in
     place, not as a copy (see ``_fill_gram_block``). The blocks are mapped
-    in order over a pool of one thread per CPU (``_available_cpus``), no
+    in order over a pool of one thread per CPU (``tables._available_cpus``), no
     more than there are blocks, each borrowing one of as many buffer sets.
     Every pool thread has ended when this returns or raises, and the first
     failed block's exception in block order is raised. Each entry is the
@@ -197,7 +189,7 @@ def gram_matrix(matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
     buffer = mmap.mmap(-1, max(size * size * 8, 1), flags=mmap.MAP_PRIVATE)
     gram = np.ndarray((size, size), dtype=np.float64, buffer=buffer, order="F")
     starts = range(0, size, GRAM_BLOCK_COLS)
-    workers = max(1, min(_available_cpus(), len(starts)))
+    workers = max(1, min(tables._available_cpus(), len(starts)))
     # one buffer set per worker, allocated on this thread: a pool thread allocates from a malloc arena of its
     # own, which keeps what it frees (sets allocated per block there: svd peaked 4 MB higher, paper defaults)
     spares = SimpleQueue()

@@ -3,8 +3,10 @@
 Stages run in a fixed order (ingest, select, matrix, svd, vectors, loadings,
 extend, pca, report), each persisting its artifacts under the output
 directory. Ingest streams each corpus from JSON line to count row, with
-per-tweet state in flat buffers, into ``corpus/<name>.npz`` (tweets x words
-counts over the corpus's sorted vocabulary) and ``corpus/<name>.tsv`` (one
+per-tweet state in flat buffers (a corpus of ``corpus.MIN_RANGE_BYTES`` or
+more over one process per CPU, ``corpus.read_corpus``), into
+``corpus/<name>.npz`` (tweets x words counts over the corpus's sorted
+vocabulary) and ``corpus/<name>.tsv`` (one
 ``id<TAB>kept-token count`` line per deduplicated tweet); matrix hands PPMI
 to svd as ``matrix/ppmi.npz`` next to its two word lists, and svd hands U_k
 on as ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``.
@@ -23,7 +25,8 @@ A stage's entry in manifest.json hashes the files it wrote, and records under
 which no check reads: its wall time (``wall_s``) and, where
 ``/proc/self/status`` can be read, the process's resident-set high-water mark
 after it (``peak_rss_mb``, ``VmHWM``: a process-wide mark, so a stage run after
-others in one process reports the highest of them all); ingest's entry also
+others in one process reports the highest of them all, and one that counts no
+child process, such as ingest's range workers); ingest's entry also
 records each corpus's record counts (``IngestStats``, the repeats removed and
 the tweets kept). A stage has no entry while it
 runs, and refuses to start, naming the first stage to rerun, while a file it
@@ -334,18 +337,41 @@ class RunManifest:
         tables.write_lines(self.path, [json.dumps(self.data, indent=2, sort_keys=True)])
 
 
+# descriptors of the .lock files this process holds locked (``output_lock``)
+_LOCK_FDS: set[int] = set()
+
+
+def _close_lock_fds() -> None:
+    """Close, in a forked child, its copies of the locked ``.lock`` descriptors: the lock stays with the parent's,
+    so that a child that outlives a killed run (an ingest reader) does not keep the next run out."""
+    for fd in _LOCK_FDS:
+        os.close(fd)
+    _LOCK_FDS.clear()
+
+
+os.register_at_fork(after_in_child=_close_lock_fds)
+
+
 @contextmanager
 def output_lock(out_dir: Path):
     """Exclusive ownership of the output directory via an advisory flock on ``.lock``.
 
-    The kernel releases the lock when the process exits, so the file is safe to leave behind.
+    The kernel releases the lock when the process exits, so the file is safe to leave behind. A process
+    forked while the lock is held does not hold it.
     """
-    with (out_dir / ".lock").open("a") as handle:
+    fd = os.open(out_dir / ".lock", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+    try:
         try:
-            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise PipelineError(f"output directory {out_dir} is locked by another run") from None
-        yield
+        _LOCK_FDS.add(fd)
+        try:
+            yield
+        finally:
+            _LOCK_FDS.discard(fd)
+    finally:
+        os.close(fd)
 
 
 def _remove_stale(files: list[Path]) -> None:

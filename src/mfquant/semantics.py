@@ -25,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -76,6 +77,15 @@ class LoadingMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @cached_property
+    def dominant(self) -> np.ndarray:
+        """``dominant_indices`` of these loadings, found when first read and then kept, read-only: the loadings
+        stage reads it twice, to write each row's label and to count the rows of each foundation."""
+        index = np.argmax(self.values, axis=1)
+        index[~self.values.any(axis=1) | np.asarray(self.degenerate, dtype=bool)] = len(FOUNDATIONS)
+        index.flags.writeable = False
+        return index
 
 
 def mf_vectors(
@@ -174,11 +184,10 @@ def dominant_indices(matrix: LoadingMatrix) -> np.ndarray:
     """Per row, the index in ``(*FOUNDATIONS, UNCLASSIFIED)`` of the foundation with the maximum loading.
 
     Canonical order breaks ties. An all-zero row carries no signal, and it
-    and every degenerate row are unclassified.
+    and every degenerate row are unclassified. The array is read-only and
+    found once per matrix (``LoadingMatrix.dominant``).
     """
-    index = np.argmax(matrix.values, axis=1)
-    index[~matrix.values.any(axis=1) | np.asarray(matrix.degenerate, dtype=bool)] = len(FOUNDATIONS)
-    return index
+    return matrix.dominant
 
 
 def foundation_counts(matrix: LoadingMatrix) -> dict[str, int]:

@@ -55,6 +55,13 @@ _NPY_HEADER_BYTES = 1 << 14
 _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextmanager
 def _replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Handle on ``<path>.tmp``, renamed over ``path`` on success and removed on any failure."""

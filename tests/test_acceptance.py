@@ -342,7 +342,8 @@ def test_criterion_10_shape_contracts(announce, e2e_workspace, planted_5k):
     announce(10, "loading matrices have 5 canonical columns; topic matrices are 4x5")
 
 
-# runs in a child process, so that ru_maxrss is this run's peak alone, not that of every test before it
+# runs in a child process, so that ru_maxrss is this run's peak alone, not that of every test before it, and the
+# peak of the child's own children (ingest's range readers) is theirs alone
 C09_CHILD = """
 import json, resource, sys, time
 from pathlib import Path
@@ -359,7 +360,8 @@ start = time.monotonic()
 executed = run("all", config)
 elapsed = time.monotonic() - start
 print(json.dumps({"stages": len(executed), "elapsed": elapsed,
-                  "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+                  "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "children_peak_kb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}))
 """
 
 
@@ -385,7 +387,8 @@ def test_criterion_09_end_to_end_desk_scale(announce, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
-    elapsed, peak_gb = result["elapsed"], result["peak_kb"] / (1024 ** 2)
+    # the 50k corpus is read in byte ranges, the later ones by forked workers: their peak counts too
+    elapsed, peak_gb = result["elapsed"], (result["peak_kb"] + result["children_peak_kb"]) / (1024 ** 2)
     assert result["stages"] == 9
     assert elapsed < 300.0, f"pipeline took {elapsed:.1f}s"
     assert peak_gb < 4.0, f"peak memory {peak_gb:.2f} GB"

@@ -1,11 +1,17 @@
 """Ingest streams each corpus from JSON line to count row. The list-shaped library path,
 load_records -> clean_and_tokenize -> deduplicate -> count_corpus, is its oracle; a line-by-line
-reader over json.loads is the oracle of which lines load_records and ingest accept."""
+reader over json.loads is the oracle of which lines load_records and ingest accept; and a read
+in one byte range is the oracle of a read split over byte ranges and worker processes."""
 
 import json
 import logging
+import multiprocessing
+import os
 import re
+import signal
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import mfquant.corpus
 import mfquant.vectorizer
+from mfquant import tables
 from mfquant.corpus import (
     CleaningConfig, IngestStats, TokenizedTweet, TweetRecord, clean_and_tokenize, deduplicate, load_records, read_corpus,
 )
@@ -282,3 +289,262 @@ def test_count_unique_tweets_compares_the_bytes_of_rows_whose_hashes_collide(tok
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mfquant.vectorizer, "_row_hashes", lambda values, indptr: np.zeros(len(indptr) - 1, np.uint64))
         assert_counted_like_the_oracle(token_lists)
+
+
+# ---- ranged reads: a corpus of MIN_RANGE_BYTES or more is read in byte ranges, the first by the caller and each
+# further one by a forked worker, and merged into what one range would give
+
+def read_with(path, lang_filter, cpus, floor):
+    """The count_unique_tweets result (vocabulary, count arrays, id bytes, repeats), the IngestStats and the
+    warnings of reading ``path`` with ``cpus`` CPUs and a range floor of ``floor`` bytes."""
+    found, stats = [], IngestStats()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mfquant.corpus, "MIN_RANGE_BYTES", floor)
+        patch.setattr(tables, "_available_cpus", lambda: cpus)
+        patch.setattr(mfquant.corpus.logger, "warning", lambda message, *args: found.append(message % args))
+        rows = read_corpus(path, lang_filter, stats, CleaningConfig(query_words=frozenset({"immoral"})))
+    counts, removed = count_unique_tweets(rows)
+    matrix = counts.counts
+    return (counts.vocab.words, matrix.data.tobytes(), matrix.indices.tobytes(), matrix.indptr.tobytes(),
+            counts.ids._lines, removed), stats, found
+
+
+def ranges_of(path, cpus, floor):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mfquant.corpus, "MIN_RANGE_BYTES", floor)
+        return mfquant.corpus._byte_ranges(path, cpus)
+
+
+def assert_ranged_reads_equal_one_range(path, lang_filter, floor):
+    expected, raw = read_with(path, lang_filter, 1, floor), path.read_bytes()
+    for cpus in (2, 3):
+        ranges = ranges_of(path, cpus, floor)
+        assert 1 <= len(ranges) <= max(1, min(cpus, len(raw) // floor))
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(raw)
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        # no range is empty, and each but the last ends just after a line break
+        assert all(start < stop for start, stop in ranges)
+        assert all(raw[stop - 1:stop] == b"\n" for _, stop in ranges[:-1])
+        assert read_with(path, lang_filter, cpus, floor) == expected, cpus
+    return expected
+
+
+def fixed_width_corpus(path, lines, width=80):
+    """``lines`` (JSON objects, text or bytes) each padded with spaces before its break to ``width`` bytes; a
+    line ending in CR ends in CRLF, and the last line has no break."""
+    raw = []
+    for i, line in enumerate(lines):
+        line = line if isinstance(line, bytes) else (line if isinstance(line, str) else json.dumps(line)).encode()
+        end = b"" if i == len(lines) - 1 else b"\r\n" if line.endswith(b"\r") else b"\n"
+        line = line.removesuffix(b"\r")
+        assert len(line) + len(end) <= width, line
+        raw.append(line + b" " * (width - len(line) - len(end)) + end)
+    path.write_bytes(b"".join(raw))
+    return path
+
+
+def crafted_ranged_lines():
+    """32 lines of 80 bytes, each thing that a range boundary must not change placed clear of the boundaries of
+    two and three ranges (before lines 11, 17 and 22), where fillers stand."""
+    lines = [{"id": f"f{i}", "text": f"filler {('war', 'kill', 'sin', 'cheat')[i % 4]} {i % 3}", "lang": "en"}
+             for i in range(32)]
+    lines[0] = "﻿" + json.dumps({"id": "a1", "text": "war kill sin", "lang": "en"})  # the file's byte-order mark
+    lines[1] = {"id": "dup-loaded", "text": "peace love war", "lang": "en"}
+    lines[2] = {"id": "dup-filtered", "text": "peace love war", "lang": "fr"}
+    lines[3] = " \t"
+    lines[4] = json.dumps({"id": "a2", "text": "cheat unfair war", "lang": "en"}) + "\r"
+    lines[5] = json.dumps({"id": "a3", "text": "harm kill"}) + "\r" + json.dumps({"id": "a4", "text": "betray"})
+    lines[6] = b'{"id": "a5", "text": "caf\xe9 war"}'
+    lines[7] = "{not json"
+    lines[8] = {"id": "a6", "text": "war kill sin", "lang": "en"}  # the tokens of a1 again
+    lines[13] = {"id": "mid", "text": "purity dirty", "lang": "en"}
+    lines[19] = ""
+    lines[24] = {"id": "dup-loaded", "text": "onlyindup war", "lang": "en"}  # holds the only "onlyindup"
+    lines[25] = {"id": "dup-filtered", "text": "again war", "lang": "en"}
+    lines[26] = {"id": "mid", "text": "midrepeat", "lang": "en"}
+    lines[27] = b'{"id": "b1", "text": "\xff\xfe war"}'
+    lines[28] = json.dumps({"id": "b2", "text": "sin"}) + "\r" + "{broken"
+    lines[29] = json.dumps({"id": "b3", "text": "kill cheat", "lang": "en"}) + "\r"
+    lines[31] = {"id": "last", "text": "final words war", "lang": "en"}  # no line break after it
+    return lines
+
+
+@pytest.mark.parametrize("lang_filter", [None, "en"])
+def test_ranged_read_equals_one_range_on_crafted_boundaries(tmp_path, lang_filter):
+    path, lines = tmp_path / "c.jsonl", crafted_ranged_lines()
+    fixed_width_corpus(path, lines)
+    starts = {start // 80 for cpus in (2, 3) for start, _ in ranges_of(path, cpus, 256)[1:]}
+    assert starts == {11, 17, 22} and all(lines[i]["id"].startswith("f") for i in starts)
+    for i in starts:  # a byte-order mark inside the file starts a later range: it stays a character
+        lines[i] = "﻿" + json.dumps({"id": f"bom{i}", "text": "bom war"})
+    fixed_width_corpus(path, lines)
+    assert {start // 80 for cpus in (2, 3) for start, _ in ranges_of(path, cpus, 256)[1:]} == starts
+
+    (vocabulary, *_), stats, warnings = assert_ranged_reads_equal_one_range(path, lang_filter, 256)
+    assert "onlyindup" not in vocabulary and "midrepeat" not in vocabulary and "final" in vocabulary
+    assert stats.duplicate_ids == 3 and stats.malformed == 7
+    assert [w for w in warnings if "duplicate" in w] == [
+        f"{path}:{n}: skipping duplicate id {rec_id!r}"
+        for n, rec_id in ((26, "dup-loaded"), (27, "dup-filtered"), (28, "mid"))
+    ]
+
+
+# records with ids from a small pool, so ids repeat across ranges; blank, malformed, non-UTF-8 and BOM-led lines;
+# and LF, CRLF and lone CR breaks
+RANGED_LINES = st.lists(st.tuples(
+    st.one_of(
+        st.builds(
+            lambda rec_id, words, lang: json.dumps({"id": rec_id, "text": " ".join(words), **lang}).encode(),
+            st.sampled_from(("1", "2", "3", "4")),
+            st.lists(st.sampled_from(("war", "kill", "sin", "cheat", "unique", "ünfair", "ab")), max_size=4),
+            st.sampled_from(({}, {"lang": "en"}, {"lang": "fr"})),
+        ),
+        st.sampled_from((b"", b"  ", b"{not json", b'{"id": "7", "text": "caf\xe9"}', b"[1]")),
+        st.builds(lambda n: "﻿".encode() + json.dumps({"id": str(n), "text": "bom"}).encode(), st.integers(8, 9)),
+    ),
+    st.sampled_from((b"\n", b"\r\n", b"\r")),
+), min_size=6, max_size=24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANGED_LINES, st.booleans(), st.sampled_from((None, "en")))
+def test_ranged_read_equals_one_range_on_generated_corpora(lines, bom, lang_filter):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes(("﻿".encode() if bom else b"") + b"".join(line + end for line, end in lines))
+        assert_ranged_reads_equal_one_range(path, lang_filter, 32)
+
+
+def test_a_corpus_under_the_floor_is_read_by_the_caller_alone(tmp_path, monkeypatch):
+    path = write_corpus(tmp_path / "c.jsonl", IMMORALITY_LINES)
+    assert path.stat().st_size < mfquant.corpus.MIN_RANGE_BYTES
+
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(tables, "_available_cpus", lambda: 4)
+    assert read_corpus(path, None, IngestStats(), CleaningConfig()).ids
+
+
+@pytest.fixture
+def ranged(tmp_path, monkeypatch):
+    """An ingest config whose immorality corpus of 90 distinct ids is read in three byte ranges."""
+    lines = [{"id": str(i), "text": f"war kill {'abcdefghij'[i % 10] * 3}", "lang": "en"} for i in range(90)]
+    path = write_corpus(tmp_path / "immorality.jsonl", lines)
+    monkeypatch.setattr(mfquant.corpus, "MIN_RANGE_BYTES", 256)
+    monkeypatch.setattr(tables, "_available_cpus", lambda: 3)
+    assert len(mfquant.corpus._byte_ranges(path, 3)) == 3
+    return PipelineConfig(immorality_path=path, out_dir=tmp_path / "out", query_words={"immorality": ("immoral",)})
+
+
+def patch_clean(monkeypatch, tmp_path, in_worker):
+    """Clean through ``in_worker(record)`` first in every process but this one; returns the directory that holds
+    a file named after each process it ran in."""
+    clean, caller, pids = mfquant.corpus.clean_and_tokenize, os.getpid(), tmp_path / "pids"
+    pids.mkdir()
+
+    def patched(record, cleaning):
+        if os.getpid() != caller:
+            (pids / str(os.getpid())).touch()
+            in_worker(record)
+        return clean(record, cleaning)
+
+    monkeypatch.setattr(mfquant.corpus, "clean_and_tokenize", patched)
+    return pids
+
+
+def assert_no_worker_left(pids):
+    found = [int(p.name) for p in pids.iterdir()]
+    assert found and multiprocessing.active_children() == []
+    for pid in found:  # reaped: neither running nor a zombie
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="lists /proc/self/fd, which Linux has")
+def test_a_ranged_ingest_worker_holds_no_descriptor_of_the_lock(ranged, monkeypatch, tmp_path):
+    listings = tmp_path / "listings"
+    listings.mkdir()
+
+    def list_fds(record):
+        links = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                links.append(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:  # the listing's own descriptor, closed by now
+                pass
+        (listings / str(os.getpid())).write_text("\n".join(links))
+
+    pids = patch_clean(monkeypatch, tmp_path, list_fds)
+    run("ingest", ranged)
+    lock_path = os.path.realpath(ranged.out_dir / ".lock")
+    workers = [(listings / p.name).read_text().splitlines() for p in pids.iterdir()]
+    assert workers and all(lock_path not in links for links in workers)
+    assert_no_worker_left(pids)
+
+
+def test_a_worker_exception_is_raised_by_ingest(ranged, monkeypatch, tmp_path):
+    def fail(record):
+        raise RuntimeError(f"worker failed on {record.id}")
+
+    pids = patch_clean(monkeypatch, tmp_path, fail)
+    with pytest.raises(RuntimeError, match="worker failed on"):
+        run("ingest", ranged)
+    assert_no_worker_left(pids)
+    monkeypatch.undo()
+    run("ingest", ranged)  # the next run takes the lock
+
+
+@contextmanager
+def within(seconds):
+    """Fail with TimeoutError unless the body has returned or raised after ``seconds``."""
+    def timed_out(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_worker_that_dies_makes_ingest_raise(ranged, monkeypatch, tmp_path):
+    pids = patch_clean(monkeypatch, tmp_path, lambda record: os.kill(os.getpid(), signal.SIGKILL))
+    with within(60), pytest.raises(BrokenProcessPool):
+        run("ingest", ranged)
+    assert_no_worker_left(pids)
+    monkeypatch.undo()
+    run("ingest", ranged)
+
+
+def test_a_range_that_cannot_be_sent_to_its_worker_makes_ingest_raise(ranged, monkeypatch):
+    """The caller waits for each worker to start its range: a range that never reaches one ends the wait too."""
+    class Unsendable:
+        def __reduce__(self):
+            raise RuntimeError("cannot be sent")
+
+    monkeypatch.setattr(mfquant.corpus, "replace", lambda cleaning: Unsendable())
+    with within(60), pytest.raises(RuntimeError, match="cannot be sent"):
+        run("ingest", ranged)
+    assert multiprocessing.active_children() == []
+
+
+def test_ranged_ingest_cleans_each_loaded_record_once_through_the_module_attribute(ranged, monkeypatch, tmp_path):
+    """Beside the benchmark surface test: each process writes the ids it cleans to a file of its own."""
+    cleaned, clean = tmp_path / "cleaned", mfquant.corpus.clean_and_tokenize
+    cleaned.mkdir()
+
+    def recording(record, cleaning):
+        with open(cleaned / str(os.getpid()), "a", encoding="utf-8") as out:
+            out.write(f"{record.id}\n")
+        return clean(record, cleaning)
+
+    monkeypatch.setattr(mfquant.corpus, "clean_and_tokenize", recording)
+    run("ingest", ranged)
+    files = [p.read_text(encoding="utf-8").splitlines() for p in cleaned.iterdir()]
+    loaded = [r.id for r in load_records(ranged.immorality_path)[0]]
+    # the caller and at least one worker: a worker done with its range before another starts may take a second
+    assert len(files) >= 2 and sorted(i for ids in files for i in ids) == sorted(loaded) and len(loaded) == 90

@@ -256,7 +256,7 @@ class TestGramMatrix:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(tables, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(linalg, "_fill_gram_block", recording_fill)
         monkeypatch.setattr(linalg, "ThreadPoolExecutor", RecordingPool)
         assert_lower_gram(gram_matrix(matrix), matrix)
@@ -282,7 +282,7 @@ class TestGramMatrix:
             transposed.append((n_row, shared(a_indices, a_data)))
             return tocsc(n_row, n_col, a_indptr, a_indices, a_data, *rest)
 
-        monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(tables, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(linalg._sparsetools, "csr_matmat", recording_matmat)
         monkeypatch.setattr(linalg._sparsetools, "csr_tocsc", recording_tocsc)
         assert_lower_gram(gram_matrix(matrix), matrix)
@@ -312,7 +312,7 @@ class TestGramMatrix:
 
             return recording_release
 
-        monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(tables, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(linalg, "_page_releaser", recording_releaser)
         gram = gram_matrix(mapped)
         assert_lower_gram(gram, matrix)
@@ -352,7 +352,7 @@ class TestGramMatrix:
             def get(self):
                 return super().get(timeout=10)  # a set that never returns fails this test rather than hang it
 
-        monkeypatch.setattr(linalg, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(tables, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(linalg, "_fill_gram_block", failing_fill)
         monkeypatch.setattr(linalg, "SimpleQueue", BoundedQueue)
         before = threading.enumerate()

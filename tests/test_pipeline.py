@@ -74,13 +74,13 @@ def completed_run(tmp_path_factory):
 SVD_HIGH_WATER = r"""
 import sys
 from pathlib import Path
-from mfquant import linalg, pipeline
+from mfquant import pipeline, tables
 
 def high_water():
     with open("/proc/self/status", encoding="ascii") as status:
         return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
 
-linalg._available_cpus = lambda: 1
+tables._available_cpus = lambda: 1
 workspace = Path(sys.argv[1])
 config = pipeline.PipelineConfig(immorality_path=workspace / "immorality.jsonl", out_dir=workspace / "out",
                                  query_words={"immorality": ("immoral",)}, k=10)

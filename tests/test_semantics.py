@@ -341,6 +341,16 @@ class TestDominantFoundation:
                     best, best_value = name, value
             assert FOUNDATIONS[index] == best
 
+    def test_found_once_per_matrix_for_both_loadings_files(self, rng, tmp_path, monkeypatch):
+        """save_loadings and foundation_counts, which the loadings stage calls in turn, read one read-only array."""
+        matrix, argmax, calls = loadings_of(rng.standard_normal((50, 5))), np.argmax, []
+        monkeypatch.setattr(np, "argmax", lambda *args, **kwargs: calls.append(1) or argmax(*args, **kwargs))
+        save_loadings(matrix, tmp_path / "loadings.csv")
+        counts = foundation_counts(matrix)
+        assert len(calls) == 1 and dominant_indices(matrix) is dominant_indices(matrix)
+        assert not dominant_indices(matrix).flags.writeable
+        assert sum(counts.values()) == 50
+
 
 class TestFoundationCounts:
     def test_direct_count(self, fixture_dict, fixture_embedding):
