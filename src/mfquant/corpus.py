@@ -24,11 +24,13 @@ positions are appended to one flat buffer and its id to one text buffer
 Python object per tweet; ``vectorizer.count_unique_tweets`` then drops the
 tweets that repeat an earlier token sequence. A corpus of MIN_RANGE_BYTES
 or more runs the loop over byte ranges at once, one per CPU, each ending
-just after a line break: the calling process reads the first, a worker
-forked for each further range reads that one into buffers of its own, and
-the caller appends the workers' rows to its own in file order. There a
-record whose id an earlier range saw is a duplicate id, and the line
-numbers, warnings and counts are those of one pass over the file.
+just after a line break. Every range is read one way, into buffers of its
+own that also keep its warnings and each row's line: the calling process
+reads the first, a worker forked for each further range reads that one,
+and the caller appends the workers' rows to its own in file order and logs
+each range's warnings once it is read. There a record whose id an earlier
+range saw is a duplicate id, and the line numbers, warnings and counts are
+those of one pass over the file; no worker outlives the read.
 ``load_records`` runs the same loop over the whole file to list the loaded
 records uncleaned, and it and ``deduplicate`` are the same steps in list
 form, for library callers and tests.
@@ -47,10 +49,9 @@ from array import array
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from itertools import compress, count
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -200,17 +201,19 @@ def read_corpus(path: str | Path, lang_filter: str | None, stats: IngestStats, c
     contains a tab, comma, newline or lone surrogate) and duplicate ids are
     logged with their line number and skipped; records failing
     ``lang_filter`` are dropped silently. ``stats`` counts each outcome. An
-    unreadable file raises CorpusError.
+    unreadable file raises CorpusError. Each range's warnings are logged
+    once the range is read, so until then they are held in memory, which on
+    a corpus of mostly malformed lines grows with the number of bad lines.
     """
     path = Path(path)
     first, *rest = _byte_ranges(path, tables._available_cpus())
     rows = _Rows(stats)
     with _range_workers(path, rest, lang_filter, cleaning) as futures:
-        lines = _read_range(path, *first, lang_filter, cleaning, rows, partial(_log_warning, path))
+        _read_range(path, *first, lang_filter, cleaning, rows)
+        rows.log(path, 0)
         while futures:
             part = futures.pop(0).result()  # popped, so that no future holds the part once it is merged
-            rows.merge(part, path, lines, last=not futures)
-            lines += part.lines
+            rows.merge(part, path, last=not futures)
             del part
     logger.info(
         "loaded %d records from %s (%d malformed, %d duplicate ids, %d filtered by lang)",
@@ -227,10 +230,11 @@ def load_records(
     path: str | Path, lang_filter: str | None = None
 ) -> tuple[list[TweetRecord], IngestStats]:
     """Every record ``read_corpus`` loads, uncleaned, as a list, and the IngestStats of reading them."""
-    path, stats, records = Path(path), IngestStats(), []
+    path, rows, records = Path(path), _Rows(IngestStats()), []
     (whole,) = _byte_ranges(path, 1)
-    _read_range(path, *whole, lang_filter, None, _Rows(stats), partial(_log_warning, path), records)
-    return records, stats
+    _read_range(path, *whole, lang_filter, None, rows, records)
+    rows.log(path, 0)
+    return records, rows.stats
 
 
 @contextmanager
@@ -265,10 +269,6 @@ def _range_workers(
     finally:  # after the pool's shutdown, which runs every callback first
         os.close(started)
         os.close(signal)
-
-
-def _log_warning(path: Path, line: int, text: str) -> None:
-    logger.warning("%s:%d: %s", path, line, text)
 
 
 def _open_bytes(path: Path, buffering: int = -1) -> io.BufferedReader | io.FileIO:
@@ -326,45 +326,38 @@ def _open_range(path: Path, start: int, stop: int) -> io.TextIOWrapper:
     )
 
 
-class _Part(NamedTuple):
-    """What a worker read from a later byte range (``_read_part``), for the caller to merge into its rows.
-
-    Its line numbers count from the range's first line; ``ids`` holds its rows' ids as UTF-8 lines.
-    """
-
-    lines: int
-    stats: IngestStats
-    warnings: list[tuple[int, str]]
-    words: dict[str, int]
-    values: array
-    ends: array
-    ids: bytes
-    row_lines: array
-    filtered: list[tuple[int, str]]
-
-
 class _Rows:
-    """The buffers ``_read_range`` appends a range's records to, and the ids it has seen.
+    """The buffers ``_read_range`` appends one byte range's records to, and what it saw on the way.
 
-    Only a worker's range keeps ``row_lines``, the line of each row, and
-    ``filtered``, the (line, id) of each record the language filter drops:
-    the caller reads them to find the ids that an earlier range saw.
+    Besides the rows, it keeps ``row_lines``, the line of each row; ``filtered``, the (line, id) of each record
+    the language filter drops; ``warnings``, the (line, text) of each warning; and ``lines``, the number of
+    lines read. Lines count from the range's first line. The caller reads ``row_lines`` and ``filtered`` of a
+    later range to find the ids that an earlier range saw.
     """
 
-    def __init__(self, stats: IngestStats, lines_kept: bool = False) -> None:
+    def __init__(self, stats: IngestStats) -> None:
         self.stats = stats
         self.seen_ids: set[str] = set()
         self.words = _FirstSeenPositions()
         self.values, self.ends, self.ids = array("i"), array("q", [0]), io.StringIO()
-        self.row_lines: array | None = array("i") if lines_kept else None
-        self.filtered: list[tuple[int, str]] | None = [] if lines_kept else None
+        self.row_lines = array("i")
+        self.filtered: list[tuple[int, str]] = []
+        self.warnings: list[tuple[int, str]] = []
+        self.lines = 0
 
-    def merge(self, part: _Part, path: Path, offset: int, last: bool) -> None:
-        """Append a later range's rows after these, as if this range had read on to its ``offset``-th line and
-        beyond; with ``last``, no range follows it, so its ids need not be kept to check later ones against.
+    def log(self, path: Path, offset: int) -> None:
+        """Log the warnings in line order, each at its line of ``path``, for a range that starts after the
+        ``offset``-th line."""
+        for line, text in sorted(self.warnings):
+            logger.warning("%s:%d: %s", path, offset + line, text)
 
-        A record whose id an earlier range saw becomes a duplicate id: it is dropped and logged at its line,
-        after the part's own warnings, in line order. Only the words of the rows kept join ``words``.
+    def merge(self, part: _Rows, path: Path, last: bool) -> None:
+        """Append the rows a worker read from the next range (``_read_part``) after these, and log its warnings,
+        as if this range had read on through it; with ``last``, no range follows it, so its ids need not be
+        kept to check later ones against.
+
+        A record whose id an earlier range saw becomes a duplicate id: it is dropped and warned at its line,
+        among the part's own warnings, in line order. Only the words of the rows kept join ``words``.
         """
         seen, stats, warnings = self.seen_ids, part.stats, part.warnings
         for line, rec_id in part.filtered:
@@ -394,8 +387,8 @@ class _Rows:
         stats.duplicate_ids += len(dropped)
         for field in fields(stats):
             setattr(self.stats, field.name, getattr(self.stats, field.name) + getattr(stats, field.name))
-        for line, text in sorted(warnings):
-            _log_warning(path, offset + line, text)
+        part.log(path, self.lines)
+        self.lines += part.lines
 
         values = np.frombuffer(part.values, dtype=np.intc)
         lengths = np.diff(np.frombuffer(part.ends, dtype=np.longlong))
@@ -419,28 +412,27 @@ class _Rows:
 
 def _read_part(
     started: int, path: Path, start: int, stop: int, lang_filter: str | None, cleaning: CleaningConfig
-) -> _Part:
+) -> _Rows:
     """Read a later byte range of a corpus in a worker process, after writing a byte to the descriptor
-    ``started``; it logs nothing, and returns its warnings."""
+    ``started``; it logs nothing, and returns its rows, warnings included, for the caller to merge."""
     os.write(started, b"\0")
-    rows, warnings = _Rows(IngestStats(), lines_kept=True), []
-    lines = _read_range(path, start, stop, lang_filter, cleaning, rows, lambda line, text: warnings.append((line, text)))
-    return _Part(
-        lines, rows.stats, warnings, rows.words, rows.values, rows.ends, rows.ids.getvalue().encode("utf-8"),
-        rows.row_lines, rows.filtered,
-    )
+    rows = _Rows(IngestStats())
+    _read_range(path, start, stop, lang_filter, cleaning, rows)
+    # sent without the seen ids, which the caller never reads, and with the ids as UTF-8: the StringIO would
+    # unpickle to 4 bytes a character
+    rows.ids, rows.seen_ids = rows.ids.getvalue().encode("utf-8"), set()
+    return rows
 
 
 def _read_range(
     path: Path, start: int, stop: int, lang_filter: str | None, cleaning: CleaningConfig | None, rows: _Rows,
-    warn: Callable[[int, str], None], records: list[TweetRecord] | None = None,
-) -> int:
-    """``read_corpus``'s loop over bytes ``start`` up to ``stop`` of ``path``, appending to ``rows`` and passing
-    each warning's line number, counted from the range's first line, and text to ``warn``; returns the number
-    of lines read, lone CR line breaks included. With ``records`` given, each loaded record is appended to it
-    instead, uncleaned, and ``rows`` gets no row (``load_records``)."""
+    records: list[TweetRecord] | None = None,
+) -> None:
+    """``read_corpus``'s loop over bytes ``start`` up to ``stop`` of ``path``, appending to ``rows`` its rows,
+    warnings and lines read, lone CR line breaks included. With ``records`` given, each loaded record is
+    appended to it instead, uncleaned, and ``rows`` gets no row (``load_records``)."""
     clean = clean_and_tokenize
-    stats, seen_ids, position = rows.stats, rows.seen_ids, rows.words.__getitem__
+    stats, seen_ids, position, warnings = rows.stats, rows.seen_ids, rows.words.__getitem__, rows.warnings
     flat, ends, id_lines, row_lines, filtered = rows.values, rows.ends, rows.ids, rows.row_lines, rows.filtered
     lineno = 0
     with _open_range(path, start, stop) as handle:
@@ -473,18 +465,17 @@ def _read_range(
                     raise ValueError("missing 'text'")
             except ValueError as exc:  # a JSONDecodeError or UnicodeEncodeError too
                 stats.malformed += 1
-                warn(lineno, f"skipping malformed line ({exc})")
+                warnings.append((lineno, f"skipping malformed line ({exc})"))
                 continue
             if rec_id in seen_ids:
                 stats.duplicate_ids += 1
-                warn(lineno, f"skipping duplicate id {rec_id!r}")
+                warnings.append((lineno, f"skipping duplicate id {rec_id!r}"))
                 continue
             seen_ids.add(rec_id)
             lang = obj.get("lang")
             if lang_filter is not None and lang != lang_filter:
                 stats.lang_filtered += 1
-                if filtered is not None:
-                    filtered.append((lineno, rec_id))
+                filtered.append((lineno, rec_id))
                 continue
             stats.loaded += 1
             retweeted = obj.get("retweeted_status")
@@ -500,9 +491,8 @@ def _read_range(
             ends.append(len(flat))
             id_lines.write(rec_id)
             id_lines.write("\n")
-            if row_lines is not None:
-                row_lines.append(lineno)
-    return lineno
+            row_lines.append(lineno)
+    rows.lines = lineno
 
 
 class _CodePointRule(dict):

@@ -100,7 +100,8 @@ def load_dictionary(path: str | Path) -> MFDictionary:
     """Parse a TSV dictionary (pattern, foundation, polarity); a leading byte-order mark is skipped. Malformed rows are fatal."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        # universal newlines leave only "\n" breaks; str.splitlines would also break at \f, \x1c, U+2028 and others
+        lines = path.read_text(encoding="utf-8-sig").split("\n")
     except OSError as exc:
         raise LexiconError(f"cannot read dictionary {path}: {exc}") from exc
     entries: list[MFEntry] = []

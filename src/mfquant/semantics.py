@@ -80,8 +80,14 @@ class LoadingMatrix:
 
     @cached_property
     def dominant(self) -> np.ndarray:
-        """``dominant_indices`` of these loadings, found when first read and then kept, read-only: the loadings
-        stage reads it twice, to write each row's label and to count the rows of each foundation."""
+        """Per row, the index in ``(*FOUNDATIONS, UNCLASSIFIED)`` of the foundation with the maximum loading.
+
+        Canonical order breaks ties. An all-zero row carries no signal, and it
+        and every degenerate row are unclassified. The array is found when
+        first read and then kept, read-only: the loadings stage reads it
+        twice, to write each row's label and to count the rows of each
+        foundation.
+        """
         index = np.argmax(self.values, axis=1)
         index[~self.values.any(axis=1) | np.asarray(self.degenerate, dtype=bool)] = len(FOUNDATIONS)
         index.flags.writeable = False
@@ -180,19 +186,9 @@ def score_corpus(corpus: CorpusCounts, embedding: EmbeddingSpace, mf: np.ndarray
     return LoadingMatrix(row_labels=ids, values=values, degenerate=tuple(degenerate.tolist()))
 
 
-def dominant_indices(matrix: LoadingMatrix) -> np.ndarray:
-    """Per row, the index in ``(*FOUNDATIONS, UNCLASSIFIED)`` of the foundation with the maximum loading.
-
-    Canonical order breaks ties. An all-zero row carries no signal, and it
-    and every degenerate row are unclassified. The array is read-only and
-    found once per matrix (``LoadingMatrix.dominant``).
-    """
-    return matrix.dominant
-
-
 def foundation_counts(matrix: LoadingMatrix) -> dict[str, int]:
     """Histogram of dominant foundations over non-degenerate, classified rows."""
-    counts = np.bincount(dominant_indices(matrix), minlength=len(FOUNDATIONS) + 1)
+    counts = np.bincount(matrix.dominant, minlength=len(FOUNDATIONS) + 1)
     return dict(zip(FOUNDATIONS, counts.tolist()))
 
 
@@ -235,7 +231,7 @@ def save_loadings(
     block's values are Python floats and each block takes one write.
     """
     names = _DOMINANT_NAMES.tolist()
-    dominant = dominant_indices(matrix)
+    dominant = matrix.dominant
 
     def blocks():
         for start in range(0, len(matrix.row_labels), tables.LINE_BLOCK):

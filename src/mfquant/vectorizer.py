@@ -20,12 +20,12 @@ at zero) is applied to it. The PPMI matrix goes to disk in the same CSR
 archive layout (``save_triplets``), so ``tables.read_csr`` checks both and
 maps both, every array aligned to ``tables.ALIGN`` bytes.
 
-The passes over every stored count (``CorpusCounts.select``,
-``overlap_scores``) read it ``tables.CHECK_BLOCK`` entries at a time, so no
-temporary grows with the corpus, and ``build_cooccurrence`` lets the corpus
-go once its columns are selected. A ``Vocabulary`` builds its word ->
-position index only when first looked up, which no stage does for a
-corpus's whole vocabulary.
+``overlap_scores`` reads every stored count ``tables.CHECK_BLOCK`` entries
+at a time, so no temporary grows with the corpus. ``CorpusCounts.select``
+is one sparse product of the counts with a 0/1 word-picking matrix, and
+``build_cooccurrence`` lets the corpus go once its columns are selected. A
+``Vocabulary`` builds its word -> position index only when first looked
+up, which no stage does for a corpus's whole vocabulary.
 """
 
 from __future__ import annotations
@@ -215,29 +215,21 @@ class CorpusCounts:
         Equal to counting each tweet's tokens over ``words`` and dropping the
         rest. int32 holds every count, since a count is at most its tweet's token count.
 
-        The counts are read tables.CHECK_BLOCK entries at a time, twice: once
-        to count the selected entries ahead of each row, which size the result
-        once, and once to fill it, so that no temporary grows with the corpus.
+        One sparse product with ``picks``, the vocab x ``words`` 0/1 matrix
+        with a 1 at each selected word's (position, column), so each product
+        entry is one count. ``picks`` takes the counts' own dtype: with another,
+        scipy would first convert all of the counts' data to a common one.
         """
         positions = map(words.index.get, self.vocab.words, repeat(-1))
         columns = np.fromiter(positions, dtype=np.int32, count=len(self.vocab))
-        counts, block = self.counts, tables.CHECK_BLOCK
-        firsts = range(0, counts.nnz, block)
-        indptr, total = np.zeros(counts.shape[0] + 1, dtype=np.int64), 0
-        for first in firsts:
-            ahead = np.cumsum(columns[counts.indices[first:first + block]] >= 0)  # selected up to each entry
-            rows = slice(*np.searchsorted(counts.indptr, [first, first + len(ahead)], side="right"))
-            indptr[rows] = total + ahead[counts.indptr[rows] - first - 1]
-            total += int(ahead[-1])
-        cols, data, end = np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32), 0
-        for first in firsts:
-            found = columns[counts.indices[first:first + block]]
-            keep = found >= 0
-            stop = end + int(np.count_nonzero(keep))
-            cols[end:stop] = found[keep]
-            data[end:stop] = counts.data[first:first + block][keep]
-            end = stop
-        selected = sparse.csr_matrix((data, cols, indptr), shape=(counts.shape[0], len(words)))
+        picked = columns >= 0
+        picks = sparse.csr_matrix(
+            (np.ones(np.count_nonzero(picked), dtype=self.counts.dtype), columns[picked],
+             np.concatenate(([0], np.cumsum(picked)))),
+            shape=(len(self.vocab), len(words)),
+        )
+        selected = self.counts @ picks
+        selected.data = selected.data.astype(np.int32, copy=False)  # csr_matrix.astype would copy the indices too
         selected.sort_indices()  # counts @ U_k sums in stored order, so column order fixes its bits
         return selected
 

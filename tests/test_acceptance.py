@@ -26,7 +26,6 @@ from mfquant.pipeline import Artifacts, PipelineConfig, RunManifest, run
 from mfquant.semantics import (
     ContextVector,
     LoadingMatrix,
-    dominant_indices,
     extend_dictionary,
     mf_similarity_matrix,
     mf_vectors,
@@ -248,13 +247,13 @@ def test_criterion_05_loading_properties(announce, planted_5k):
         i for i in non_degenerate if corpus.ids[i].startswith("care-")
     ]
     assert len(care_idx) > 500
-    assigned = dominant_indices(matrix)[care_idx]
+    assigned = matrix.dominant[care_idx]
     care_rate = np.mean(assigned == FOUNDATIONS.index("Care"))
     assert care_rate >= 0.90
 
     rng = np.random.default_rng(7)
     rows = rng.standard_normal((10000, 5))
-    dominant = dominant_indices(LoadingMatrix(tuple(map(str, range(len(rows)))), rows, (False,) * len(rows)))
+    dominant = LoadingMatrix(tuple(map(str, range(len(rows)))), rows, (False,) * len(rows)).dominant
     for row, index in zip(rows, dominant.tolist()):
         best, best_value = None, -np.inf
         for name, value in zip(FOUNDATIONS, row):

@@ -71,6 +71,15 @@ class TestLoadDictionary:
         with pytest.raises(LexiconError, match=":2"):
             load_dictionary(path)
 
+    def test_lines_break_at_newlines_only(self, tmp_path):
+        """A form feed or a \\x1c is no line break: line numbers and fields are those the newlines give."""
+        path = tmp_path / "breaks.tsv"
+        path.write_text("kill*\tCare\tvice\nharm\tCare\tvice\f\nx\tBravery\tvice\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match=":3: unknown foundation"):
+            load_dictionary(path)
+        path.write_text("kill*\tCare\tvice\nha\x1crm\tCare\tvice\n", encoding="utf-8")
+        assert [e.pattern for e in load_dictionary(path).entries] == ["kill*", "ha\x1crm"]
+
     def test_unknown_foundation_rejected(self, tmp_path):
         with pytest.raises(LexiconError, match="foundation"):
             load_dictionary(write_dict(tmp_path, [("x", "Bravery", "vice")]))

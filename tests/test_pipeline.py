@@ -412,7 +412,8 @@ class TestStages:
         else:
             monkeypatch.setattr(semantics, "row_cosines", recording(semantics.row_cosines))
         run(stage, config)
-        assert len(refs) == 4 and alive and alive[0] == [False] * 4
+        # select's own product comes first in the matrix stage, and the co-occurrence product last
+        assert len(refs) == 4 and alive and alive[-1 if step == "co-occurrence product" else 0] == [False] * 4
 
     def test_each_stage_entry_records_its_wall_time_and_the_peak_rss_after_it(self, tmp_path, monkeypatch):
         config = make_workspace(tmp_path, tweets=200, topics=())

@@ -19,7 +19,6 @@ from mfquant.semantics import (
     UNCLASSIFIED,
     LoadingMatrix,
     context_vectors_for_corpus,
-    dominant_indices,
     extend_dictionary,
     foundation_counts,
     load_loadings,
@@ -195,7 +194,7 @@ class TestLoadingMatrix:
         vector = rng.standard_normal(6)
         base = loading_matrix(["a"], vector[None, :], mf)
         scaled = loading_matrix(["a"], 37.5 * vector[None, :], mf)
-        np.testing.assert_array_equal(dominant_indices(base), dominant_indices(scaled))
+        np.testing.assert_array_equal(base.dominant, scaled.dominant)
 
 
 class TestScoreCorpus:
@@ -321,20 +320,20 @@ def loadings_of(rows) -> LoadingMatrix:
 
 
 class TestDominantFoundation:
-    """``dominant_indices``: per row, the foundation with the maximum loading."""
+    """``LoadingMatrix.dominant``: per row, the foundation with the maximum loading."""
 
     def test_clear_maximum(self):
-        assert dominant_indices(loadings_of([[0.772, -0.016, 0.199, 0.063, 0.113]])).tolist() == [0]
+        assert loadings_of([[0.772, -0.016, 0.199, 0.063, 0.113]]).dominant.tolist() == [0]
 
     def test_tie_breaks_canonical(self):
-        assert dominant_indices(loadings_of([[0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.3, 0.3, 0.0, 0.0]])).tolist() == [0, 1]
+        assert loadings_of([[0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.3, 0.3, 0.0, 0.0]]).dominant.tolist() == [0, 1]
 
     def test_all_zero_unclassified(self):
-        assert dominant_indices(loadings_of(np.zeros((1, 5)))).tolist() == [len(FOUNDATIONS)]
+        assert loadings_of(np.zeros((1, 5))).dominant.tolist() == [len(FOUNDATIONS)]
 
     def test_matches_brute_force_scan(self, rng):
         rows = rng.standard_normal((100, 5))
-        for row, index in zip(rows, dominant_indices(loadings_of(rows)).tolist()):
+        for row, index in zip(rows, loadings_of(rows).dominant.tolist()):
             best, best_value = None, -np.inf
             for name, value in zip(FOUNDATIONS, row):
                 if value > best_value:
@@ -347,8 +346,8 @@ class TestDominantFoundation:
         monkeypatch.setattr(np, "argmax", lambda *args, **kwargs: calls.append(1) or argmax(*args, **kwargs))
         save_loadings(matrix, tmp_path / "loadings.csv")
         counts = foundation_counts(matrix)
-        assert len(calls) == 1 and dominant_indices(matrix) is dominant_indices(matrix)
-        assert not dominant_indices(matrix).flags.writeable
+        assert len(calls) == 1 and matrix.dominant is matrix.dominant
+        assert not matrix.dominant.flags.writeable
         assert sum(counts.values()) == 50
 
 
@@ -543,7 +542,7 @@ def oracle_loadings_csv(matrix):
     rows = (
         f"{label},{','.join(f'{x:.9g}' for x in values)},{names[index]},{int(flag)}\n"
         for label, values, index, flag in zip(
-            matrix.row_labels, matrix.values, dominant_indices(matrix), matrix.degenerate
+            matrix.row_labels, matrix.values, matrix.dominant, matrix.degenerate
         )
     )
     return header + "".join(rows)

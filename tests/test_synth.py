@@ -7,7 +7,7 @@ from mfquant.corpus import CleaningConfig, clean_and_tokenize, deduplicate, load
 from mfquant.errors import ConfigError
 from mfquant.lexicon import FOUNDATIONS, MFDictionary, MFEntry, load_packaged_dictionary
 from mfquant.linalg import EmbeddingSpace, truncated_svd
-from mfquant.semantics import dominant_indices, mf_vectors, score_corpus
+from mfquant.semantics import mf_vectors, score_corpus
 from mfquant.synth import default_plan, synth_corpus, synth_topic_corpus
 from mfquant.vectorizer import (
     build_cooccurrence,
@@ -129,6 +129,6 @@ class TestPlantedStructure:
         mf = mf_vectors(load_packaged_dictionary(), space)
         care_rows = [t for t in tokenized if t.id.startswith("care-")]
         matrix = score_corpus(count_corpus(care_rows), space, mf)
-        assignments = dominant_indices(matrix)[~np.array(matrix.degenerate)]
+        assignments = matrix.dominant[~np.array(matrix.degenerate)]
         care_rate = np.mean(assignments == FOUNDATIONS.index("Care"))
         assert care_rate > 0.7
