@@ -322,7 +322,7 @@ def pca_2d(points: np.ndarray, labels: list[str]) -> PCAProjection:
 def save_embedding(space: EmbeddingSpace, path: str | Path) -> None:
     """Persist U_k as one 2-D float64 ``.npy`` array, one row per word of ``space.words``.
 
-    The words are not stored with it; the caller keeps them in their own file.
+    The words are not stored with it; the pipeline keeps them as the first n1 words of select's ranking.
     """
     tables.write_array(path, np.ascontiguousarray(space.vectors, dtype=np.float64))
 

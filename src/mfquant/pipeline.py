@@ -8,8 +8,10 @@ more over one process per CPU, ``corpus.read_corpus``), into
 ``corpus/<name>.npz`` (tweets x words counts over the corpus's sorted
 vocabulary) and ``corpus/<name>.tsv`` (one
 ``id<TAB>kept-token count`` line per deduplicated tweet); matrix hands PPMI
-to svd as ``matrix/ppmi.npz`` next to its two word lists, and svd hands U_k
-on as ``svd/embedding.npy``, whose rows follow ``matrix/row_vocab.tsv``.
+to svd as ``matrix/ppmi.npz``, and svd hands U_k on as ``svd/embedding.npy``.
+Neither stores its words: select's ranking ``select/immorality_terms.tsv``
+holds them, its first n1 words the rows of both and all of its words the
+columns of ``ppmi.npz``.
 Loadings counts the tweets of each dominant foundation from the loadings it
 holds, into ``loadings/foundation_counts.csv``; no stage reads
 ``loadings.csv`` back.
@@ -17,9 +19,9 @@ holds, into ``loadings/foundation_counts.csv``; no stage reads
 ``stage_files`` declares what each stage reads and writes: its files, and
 the config values it reads. Ingest reads ``min_token_len``,
 ``lang_filter`` and ``query_words``; select ``n2`` (it saves the n2-long
-ranking, and n1 cuts it where it is read); matrix and report ``n1``; svd
-``k``; vectors ``topic_n``; extend ``extend_n``; loadings and pca none. No
-stage reads ``seed``, and the SVD is exact, so ``seed`` changes no artifact.
+ranking, and n1 cuts it where it is read); every stage after it ``n1``, and
+svd ``k``, vectors ``topic_n`` and extend ``extend_n`` as well. No stage
+reads ``seed``, and the SVD is exact, so ``seed`` changes no artifact.
 A stage's entry in manifest.json hashes the files it wrote, and records under
 ``inputs`` what it read (``stage_inputs``) and under ``metrics`` what it did,
 which no check reads: its wall time (``wall_s``) and, where
@@ -135,7 +137,8 @@ class PipelineConfig:
             text = Path(self.stopwords_path).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise ConfigError(f"cannot read stopwords file {self.stopwords_path}: {exc}") from exc
-        return frozenset(w.strip() for w in text.splitlines() if w.strip())
+        # universal newlines leave only "\n" breaks; str.splitlines would also break at \f, \x1c, U+2028 and others
+        return frozenset(w.strip() for w in text.split("\n") if w.strip())
 
     def cleaning_config(
         self, corpus_name: str, stopwords: frozenset[str] | None = None
@@ -245,8 +248,6 @@ class Artifacts:
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
         self.ppmi = self.out_dir / "matrix" / "ppmi.npz"
-        self.row_vocab = self.out_dir / "matrix" / "row_vocab.tsv"
-        self.col_vocab = self.out_dir / "matrix" / "col_vocab.tsv"
         self.embedding = self.out_dir / "svd" / "embedding.npy"
         self.singular_values = self.out_dir / "svd" / "singular_values.tsv"
         self.mf_vectors = self.out_dir / "vectors" / "mf_vectors.tsv"
@@ -399,7 +400,7 @@ def stage_files(config: PipelineConfig, art: Artifacts) -> dict[str, tuple[dict[
     names, sources = list(corpora), {f"corpus:{name}": p for name, p in corpora.items()}
     sources.update({"stopwords": config.stopwords_path} if config.stopwords_path else {})
     counts, ids, terms = art.corpus_counts("immorality"), art.corpus("immorality"), art.terms("immorality")
-    embedding = [art.embedding, art.row_vocab]  # U_k has no words: its rows follow row_vocab.tsv
+    embedding = [art.embedding, terms]  # U_k has no words: its rows follow the ranking's first n1 words
 
     def files(*paths: Path) -> dict[str, Path]:
         return {art.rel(p): p for p in paths}
@@ -408,14 +409,14 @@ def stage_files(config: PipelineConfig, art: Artifacts) -> dict[str, tuple[dict[
         "ingest": (sources, [p for name in names for p in (art.corpus_counts(name), art.corpus(name))],
                    ("min_token_len", "lang_filter", "query_words")),
         "select": (files(*map(art.corpus_counts, names)), [art.terms(name) for name in names], ("n2",)),
-        "matrix": (files(counts, terms), [art.ppmi, art.row_vocab, art.col_vocab], ("n1",)),
-        "svd": (files(art.row_vocab, art.col_vocab, art.ppmi), [art.embedding, art.singular_values], ("k",)),
+        "matrix": (files(counts, terms), [art.ppmi], ("n1",)),
+        "svd": (files(art.ppmi, terms), [art.embedding, art.singular_values], ("n1", "k")),
         "vectors": ({**files(*embedding, *map(art.terms, names[1:])), **dictionary},
-                    [art.mf_vectors, art.topic_vectors], ("topic_n",)),
+                    [art.mf_vectors, art.topic_vectors], ("n1", "topic_n")),
         "loadings": (files(*embedding, art.mf_vectors, counts, ids, art.topic_vectors),
-                     [art.loadings, art.topics_csv, art.counts_csv], ()),
-        "extend": (files(*embedding, art.mf_vectors), [art.extended], ("extend_n",)),
-        "pca": (files(*embedding, art.mf_vectors, art.extended), [art.pca_csv, art.pca_variance], ()),
+                     [art.loadings, art.topics_csv, art.counts_csv], ("n1",)),
+        "extend": (files(*embedding, art.mf_vectors), [art.extended], ("n1", "extend_n")),
+        "pca": (files(*embedding, art.mf_vectors, art.extended), [art.pca_csv, art.pca_variance], ("n1",)),
         "report": ({**files(counts, terms, art.mf_vectors), **dictionary},
                    [art.vice_report, art.coverage_tsv, art.similarity_csv], ("n1",)),
     }
@@ -527,13 +528,12 @@ def _stage_matrix(config: PipelineConfig, art: Artifacts) -> None:
         vectorizer_mod.load_corpus_counts(art.corpus_counts("immorality")), selection
     ))
     vectorizer_mod.save_triplets(weighted, art.ppmi)
-    vectorizer_mod.save_vocabulary(weighted.row_vocab.words, art.row_vocab)
-    vectorizer_mod.save_vocabulary(weighted.col_labels, art.col_vocab)
 
 
 def _stage_svd(config: PipelineConfig, art: Artifacts) -> None:
-    row_words = vectorizer_mod.load_vocabulary(art.row_vocab)
-    col_labels = vectorizer_mod.load_vocabulary(art.col_vocab)
+    # the matrix's columns are every ranked word, and its rows the first n1 (select may have ranked fewer)
+    col_labels = vectorizer_mod.load_ranked_words(art.terms("immorality"))
+    row_words = col_labels[:config.n1]
     shape = (len(row_words), len(col_labels))  # load_triplets checks the archive against it
     if config.k > min(shape):
         raise PipelineError(f"k={config.k} exceeds matrix rank bound min{shape}; lower k")
@@ -544,13 +544,14 @@ def _stage_svd(config: PipelineConfig, art: Artifacts) -> None:
     tables.write_lines(art.singular_values, (f"{s:.9g}" for s in result.singular_values))
 
 
-def _load_embedding(art: Artifacts) -> linalg_mod.EmbeddingSpace:
-    """U_k from ``embedding.npy``, row i for word i of ``row_vocab.tsv``."""
-    return linalg_mod.load_embedding(art.embedding, vectorizer_mod.load_vocabulary(art.row_vocab))
+def _load_embedding(config: PipelineConfig, art: Artifacts) -> linalg_mod.EmbeddingSpace:
+    """U_k from ``embedding.npy``, row i for keyword i, the i-th word of the ranking."""
+    keywords = vectorizer_mod.load_ranked_words(art.terms("immorality"), config.n1)
+    return linalg_mod.load_embedding(art.embedding, keywords)
 
 
 def _stage_vectors(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(art)
+    embedding = _load_embedding(config, art)
     mf = semantics_mod.mf_vectors(lexicon_mod.load_dictionary(config.dictionary_path), embedding)
     tables.write_vectors(art.mf_vectors, lexicon_mod.FOUNDATIONS, mf)
     labels, topic_vectors = [], []
@@ -574,7 +575,7 @@ def _load_mf_vectors(art: Artifacts, width: int | None = None) -> np.ndarray:
 
 
 def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(art)
+    embedding = _load_embedding(config, art)
     mf = _load_mf_vectors(art, embedding.vectors.shape[1])
     # no name holds the corpus, so score_corpus can let it go once its keyword counts are selected
     loadings = semantics_mod.score_corpus(
@@ -593,14 +594,14 @@ def _stage_loadings(config: PipelineConfig, art: Artifacts) -> None:
 
 
 def _stage_extend(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(art)
+    embedding = _load_embedding(config, art)
     mf = _load_mf_vectors(art, embedding.vectors.shape[1])
     extended = semantics_mod.extend_dictionary(embedding, mf, config.extend_n)
     semantics_mod.save_extended_dictionary(extended, art.extended)
 
 
 def _stage_pca(config: PipelineConfig, art: Artifacts) -> None:
-    embedding = _load_embedding(art)
+    embedding = _load_embedding(config, art)
     mf = _load_mf_vectors(art, embedding.vectors.shape[1])
     extended = semantics_mod.load_extended_dictionary(art.extended)
     words = dict.fromkeys(w for entries in extended.values() for w, _ in entries)

@@ -35,9 +35,9 @@ import logging
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -563,13 +563,9 @@ def ppmi(matrix: SparseCountMatrix) -> WeightedMatrix:
 
 
 def save_triplets(matrix: SparseCountMatrix | WeightedMatrix, path: str | Path) -> None:
-    """Persist as a tables.write_csr archive of float64 values (counts exactly) indexing the vocabulary sidecars."""
+    """Persist as a tables.write_csr archive of float64 values (counts exactly); the words are not stored with it."""
     mat = matrix.counts if isinstance(matrix, SparseCountMatrix) else matrix.weights
     tables.write_csr(path, mat.astype(np.float64, copy=False))
-
-
-def save_vocabulary(words: Iterable[str], path: str | Path) -> None:
-    tables.write_lines(path, words)
 
 
 def _first_time(word: str, seen: set[str], earlier: str) -> str:
@@ -580,17 +576,11 @@ def _first_time(word: str, seen: set[str], earlier: str) -> str:
     return word
 
 
-def load_vocabulary(path: str | Path) -> tuple[str, ...]:
-    """The words of a save_vocabulary file, one a line; no word may repeat."""
-    seen: set[str] = set()
-    return tuple(tables.read_rows(path, lambda f: _first_time(f[0], seen, "line"), ncols=1))
-
-
 def load_triplets(path: str | Path, row_words: tuple[str, ...], col_labels: tuple[str, ...]) -> WeightedMatrix:
-    """A save_triplets archive over its vocabulary sidecars; a shape other than their lengths is a DataError."""
+    """A save_triplets archive labeled with ``row_words`` and ``col_labels``; another shape is a DataError."""
     weights, _ = tables.read_csr(path, "<f8", {})
     if weights.shape != (len(row_words), len(col_labels)):
-        raise DataError(f"{path}: shape {weights.shape} is not the sidecars' {(len(row_words), len(col_labels))}")
+        raise DataError(f"{path}: shape {weights.shape} is not the word lists' {(len(row_words), len(col_labels))}")
     return WeightedMatrix(row_vocab=Vocabulary(row_words), col_labels=col_labels, weights=weights)
 
 
@@ -600,6 +590,12 @@ def save_selection(selection: SelectionResult, path: str | Path) -> None:
         f"{rank}\t{word}\t{selection.scores[word]!r}"
         for rank, word in enumerate(selection.context_words, start=1)
     ))
+
+
+def load_ranked_words(path: str | Path, n: int | None = None) -> tuple[str, ...]:
+    """A save_selection ranking's words in rank order: all, or the first ``n`` without reading on; none may repeat."""
+    seen: set[str] = set()
+    return tuple(islice(tables.read_rows(path, lambda f: _first_time(f[1], seen, "rank"), ncols=3), n))
 
 
 def load_selection(path: str | Path, n1: int) -> SelectionResult:

@@ -278,7 +278,7 @@ class TestStages:
         expected = [
             art.corpus("immorality"), art.corpus_counts("immorality"),
             art.terms("immorality"),
-            art.ppmi, art.row_vocab, art.col_vocab,
+            art.ppmi,
             art.embedding, art.singular_values,
             art.mf_vectors, art.topic_vectors,
             art.loadings, art.topics_csv, art.counts_csv,
@@ -312,9 +312,9 @@ class TestStages:
         assert manifest["stages"]["report"]["inputs"]["dictionary"] == sha256_file(config.dictionary_path)
         values = {name: {key: entry["inputs"][key] for key in ("n1", "n2", "k", "topic_n", "extend_n")
                          if key in entry["inputs"]} for name, entry in manifest["stages"].items()}
-        assert values == {"ingest": {}, "select": {"n2": 1500}, "matrix": {"n1": 300}, "svd": {"k": 25},
-                          "vectors": {"topic_n": [5, 20]}, "loadings": {}, "extend": {"extend_n": 30},
-                          "pca": {}, "report": {"n1": 300}}
+        assert values == {"ingest": {}, "select": {"n2": 1500}, "matrix": {"n1": 300}, "svd": {"n1": 300, "k": 25},
+                          "vectors": {"n1": 300, "topic_n": [5, 20]}, "loadings": {"n1": 300},
+                          "extend": {"n1": 300, "extend_n": 30}, "pca": {"n1": 300}, "report": {"n1": 300}}
         assert not any(key.startswith("..") for entry in manifest["stages"].values()
                        for key in (*entry["inputs"], *entry["artifacts"]))
 
@@ -446,7 +446,7 @@ class TestStages:
         for stage in ("ingest", "select", "matrix"):
             run(stage, config)
         art = Artifacts(config.out_dir)
-        rows = len(vectorizer.load_vocabulary(art.row_vocab))
+        rows = len(vectorizer.load_ranked_words(art.terms("immorality"), config.n1))
         assert rows == config.n1
         env = {**os.environ, "PYTHONPATH": str(Path(mfquant.__file__).parents[1])}
         child = subprocess.run([sys.executable, "-c", SVD_HIGH_WATER, str(tmp_path)], env=env,
@@ -703,27 +703,25 @@ def test_rerun_on_unchanged_input_keeps_downstream_and_changed_input_is_refused(
 
 
 def test_stage_killed_between_two_files_is_refused_until_it_reruns(tmp_path, monkeypatch):
-    """matrix stops right after ppmi.npz is renamed into place, before row_vocab.tsv and col_vocab.tsv."""
+    """svd stops right after embedding.npy is renamed into place, before singular_values.tsv."""
     config = make_workspace(tmp_path, tweets=200, topic_tweets=60)
     run("all", config)
     clean = artifact_bytes(config.out_dir)
-    run("ingest", config)
-    run("select", config)
     replace = os.replace
 
-    def stop_after_ppmi(src, dst):
+    def stop_after_embedding(src, dst):
         replace(src, dst)
-        if os.path.basename(dst) == "ppmi.npz":
+        if os.path.basename(dst) == "embedding.npy":
             raise KeyboardInterrupt
 
     with monkeypatch.context() as patch:
-        patch.setattr(os, "replace", stop_after_ppmi)
+        patch.setattr(os, "replace", stop_after_embedding)
         with pytest.raises(KeyboardInterrupt):
-            run("matrix", config)
-    assert "matrix" not in json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
-    with pytest.raises(PipelineError, match=r"row_vocab\.tsv: manifest\.json records no hash.*rerun stage 'matrix'"):
+            run("svd", config)
+    assert "svd" not in json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    with pytest.raises(PipelineError, match=r"embedding\.npy: manifest\.json records no hash.*rerun stage 'svd'"):
         run("vectors", config)
-    with pytest.raises(PipelineError, match="records no completed run of stage 'matrix'; rerun stage 'matrix'"):
+    with pytest.raises(PipelineError, match="records no completed run of stage 'svd'; rerun stage 'svd'"):
         run("report", config)
     run("all", config)
     assert artifact_bytes(config.out_dir) == clean
@@ -760,6 +758,14 @@ def test_stopwords_file_may_start_with_a_byte_order_mark(tmp_path):
     stopwords.write_bytes(b"\xef\xbb\xbfwar\r\nkill\r\n")
     config = PipelineConfig(immorality_path=tmp_path / "x.jsonl", out_dir=tmp_path / "out", stopwords_path=stopwords)
     assert config.cleaning_config("immorality").stopwords == {"war", "kill"}
+
+
+def test_stopwords_file_lines_break_at_line_feeds_only(tmp_path):
+    """A line of the stopwords file ends at "\n" (or "\r\n"), never at another character str.splitlines breaks at."""
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_bytes("foo\x1cbar\nwar\x0bpeace\u2028x\r\nkill\x85\n".encode("utf-8"))
+    config = PipelineConfig(immorality_path=tmp_path / "x.jsonl", out_dir=tmp_path / "out", stopwords_path=stopwords)
+    assert config.read_stopwords() == {"foo\x1cbar", "war\x0bpeace\u2028x", "kill"}
 
 
 def test_manifest_inputs_do_not_depend_on_where_the_workspace_lives(tmp_path):
@@ -1102,12 +1108,21 @@ def test_repeated_term_names_path_and_line(completed_run, tmp_path):
     corrupt_and_run(completed_run, tmp_path, "select/immorality_terms.tsv", "matrix", 1, first)
 
 
-@pytest.mark.parametrize("artifact", ["matrix/row_vocab.tsv", "matrix/col_vocab.tsv"])
-def test_repeated_vocabulary_word_names_path_and_line(completed_run, tmp_path, artifact):
-    """A word on two lines of a word list would give one word two rows or columns of the matrix."""
+@pytest.mark.parametrize("stage", ["svd", "vectors"])
+def test_repeated_vocabulary_word_names_path_and_line(completed_run, tmp_path, stage):
+    """A word on two rows of the ranking would give one word two rows or columns of the matrix, or two rows
+    of U_k: svd, which reads every ranked word, and vectors, which reads the first n1, refuse it."""
     config, _ = completed_run
-    first = (config.out_dir / artifact).read_text(encoding="utf-8").split("\n")[0]
-    corrupt_and_run(completed_run, tmp_path, artifact, "svd", 0, first)
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    terms = Artifacts(out_dir).terms("immorality")
+    lines = terms.read_text(encoding="utf-8").split("\n")
+    first = lines[0].split("\t")[1]
+    rank, _, score = lines[1].split("\t")
+    lines[1] = "\t".join((rank, first, score))
+    terms.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match=f"immorality_terms\\.tsv:2: word {first!r} repeats an earlier rank"):
+        run(stage, PipelineConfig(**{**config.__dict__, "out_dir": out_dir}))
 
 
 @pytest.mark.parametrize(
@@ -1241,8 +1256,41 @@ def test_triplet_array_of_an_older_run_is_not_read(completed_run, tmp_path):
     with pytest.raises(PipelineError, match=r"ppmi\.npz; run stage 'matrix' first"):
         run("svd", rebuilt)
     run("matrix", rebuilt)
-    assert sorted(p.name for p in old.parent.iterdir()) == ["col_vocab.tsv", "ppmi.npz", "row_vocab.tsv"]
+    assert sorted(p.name for p in old.parent.iterdir()) == ["ppmi.npz"]
     assert art.ppmi.read_bytes() == (config.out_dir / "matrix" / "ppmi.npz").read_bytes()
+
+
+def test_word_lists_of_an_older_run_are_refused_and_removed(completed_run, tmp_path):
+    """An output directory whose matrix stage also wrote its keywords and context words as
+    ``matrix/row_vocab.tsv`` and ``matrix/col_vocab.tsv``, which svd and the stages after it read in place
+    of the ranking, is refused from svd on until svd reruns; a rerun of matrix removes both lists."""
+    config, _ = completed_run
+    out_dir = tmp_path / "out"
+    shutil.copytree(config.out_dir, out_dir)
+    art = Artifacts(out_dir)
+    terms = art.rel(art.terms("immorality"))
+    lists = {"matrix/row_vocab.tsv": config.n1, "matrix/col_vocab.tsv": None}
+    for rel, n in lists.items():
+        tables.write_lines(out_dir / rel, vectorizer.load_ranked_words(art.terms("immorality"), n))
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    stages = manifest["stages"]
+    stages["matrix"]["artifacts"].update({rel: sha256_file(out_dir / rel) for rel in lists})
+    for stage in ("vectors", "loadings", "extend", "pca"):
+        inputs = stages[stage]["inputs"]
+        del inputs[terms], inputs["n1"]
+        inputs["matrix/row_vocab.tsv"] = stages["matrix"]["artifacts"]["matrix/row_vocab.tsv"]
+    stages["svd"]["inputs"] = {**{rel: stages["matrix"]["artifacts"][rel] for rel in lists},
+                               "matrix/ppmi.npz": stages["svd"]["inputs"]["matrix/ppmi.npz"], "k": config.k}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    older = PipelineConfig(**{**config.__dict__, "out_dir": out_dir})
+    for stage in ("vectors", "loadings", "extend", "pca"):
+        with pytest.raises(PipelineError, match=r"embedding\.npy: not built from the current "
+                           r"select/immorality_terms\.tsv .*rerun stage 'svd'"):
+            run(stage, older)
+    run("matrix", older)
+    assert sorted(p.name for p in art.ppmi.parent.iterdir()) == ["ppmi.npz"]
+    run("all", older)
+    assert artifact_bytes(out_dir) == artifact_bytes(config.out_dir)
 
 
 def test_report_reads_no_loadings_file(completed_run, tmp_path):
@@ -1372,13 +1420,13 @@ def test_embedding_from_another_matrix_rejected(completed_run, tmp_path):
     out_dir = tmp_path / "out"
     shutil.copytree(config.out_dir, out_dir)
     art = Artifacts(out_dir)
-    words = art.row_vocab.read_text(encoding="utf-8")
+    words = vectorizer.load_ranked_words(art.terms("immorality"), config.n1)
     synth_corpus(default_plan(fillers_per_cluster=120, noise_pool=300), 400, 14, tmp_path / "other.jsonl")
     other = PipelineConfig(**{**config.__dict__, "out_dir": out_dir, "immorality_path": tmp_path / "other.jsonl"})
     for stage in ("ingest", "select", "matrix"):
         run(stage, other)
-    new_words = art.row_vocab.read_text(encoding="utf-8")
-    assert new_words != words and len(new_words.split()) == len(words.split())
+    new_words = vectorizer.load_ranked_words(art.terms("immorality"), config.n1)
+    assert new_words != words and len(new_words) == len(words)
     with pytest.raises(DataError, match=r"embedding.npy: .*rerun stage 'svd'"):
         run("vectors", other)
     run("svd", other)
@@ -1463,7 +1511,7 @@ class TestDeterminism:
             )
             embeddings[name] = out / "svd" / "embedding.npy"
         assert embeddings["one"].read_bytes() == embeddings["one-again"].read_bytes()
-        words = (workdir / "out" / "matrix" / "row_vocab.tsv").read_text(encoding="utf-8").split()
+        words = vectorizer.load_ranked_words(workdir / "out" / "select" / "immorality_terms.tsv", 1500)
         one, two = (load_embedding(embeddings[name], words) for name in ("one", "two"))
         np.testing.assert_allclose(one.vectors, two.vectors, atol=1e-9)
 

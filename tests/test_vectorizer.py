@@ -24,15 +24,14 @@ from mfquant.vectorizer import (
     build_word_tweet_matrix,
     count_corpus,
     load_corpus_counts,
+    load_ranked_words,
     load_selection,
     load_triplets,
-    load_vocabulary,
     overlap_scores,
     ppmi,
     save_corpus_counts,
     save_selection,
     save_triplets,
-    save_vocabulary,
     select_terms,
     tfidf,
 )
@@ -422,13 +421,7 @@ class TestPersistence:
         )
         for matrix, source in ((weighted, weighted.weights), (counts, counts.counts), (empty_rows, empty_rows.weights)):
             save_triplets(matrix, tmp_path / "m.npz")
-            save_vocabulary(matrix.row_vocab.words, tmp_path / "rows.tsv")
-            save_vocabulary(matrix.col_labels, tmp_path / "cols.tsv")
-            loaded = load_triplets(
-                tmp_path / "m.npz",
-                load_vocabulary(tmp_path / "rows.tsv"),
-                load_vocabulary(tmp_path / "cols.tsv"),
-            )
+            loaded = load_triplets(tmp_path / "m.npz", matrix.row_vocab.words, matrix.col_labels)
             assert loaded.row_vocab.words == matrix.row_vocab.words
             assert loaded.col_labels == matrix.col_labels
             assert loaded.weights.dtype == np.float64
@@ -467,7 +460,7 @@ class TestPersistence:
     def test_shape_other_than_the_sidecars_names_path(self, tmp_path, rows, cols):
         labels = (Vocabulary(("a", "b", "c")), ("x", "y", "z"))
         save_triplets(WeightedMatrix(*labels, sparse.csr_matrix(np.eye(3))), tmp_path / "m.npz")
-        with pytest.raises(DataError, match=r"m\.npz: shape \(3, 3\) is not the sidecars' \(\d, \d\)"):
+        with pytest.raises(DataError, match=r"m\.npz: shape \(3, 3\) is not the word lists' \(\d, \d\)"):
             load_triplets(tmp_path / "m.npz", rows, cols)
 
     def test_repeated_selection_word_names_path_and_line(self, tmp_path):
@@ -482,6 +475,20 @@ class TestPersistence:
         assert loaded.keywords == sel.keywords
         assert loaded.context_words == sel.context_words
         assert loaded.scores == sel.scores
+
+    @pytest.mark.parametrize("n1,n2", [(2, 3), (2, 5), (4, 6)])  # three words: select ranks fewer than 5 or 4
+    def test_ranked_words_equal_the_loaded_selection(self, tmp_path, n1, n2):
+        sel = select_terms({"a": 3.0, "b": 2.0, "c": 1.5}, n1, n2)
+        save_selection(sel, tmp_path / "sel.tsv")
+        loaded = load_selection(tmp_path / "sel.tsv", n1)
+        assert load_ranked_words(tmp_path / "sel.tsv", n1) == loaded.keywords
+        assert load_ranked_words(tmp_path / "sel.tsv") == loaded.context_words == sel.context_words
+
+    def test_ranked_words_read_no_row_after_the_first_n(self, tmp_path):
+        (tmp_path / "sel.tsv").write_text("1\ta\t3.0\n2\tb\t2.0\n3\ta\tnot a score\n", encoding="utf-8")
+        assert load_ranked_words(tmp_path / "sel.tsv", 2) == ("a", "b")
+        with pytest.raises(DataError, match=r"sel\.tsv:3: word 'a' repeats an earlier rank"):
+            load_ranked_words(tmp_path / "sel.tsv")
 
 
 def saved_and_loaded(corpus):
